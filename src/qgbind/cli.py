@@ -19,7 +19,6 @@ from .line import (
     as_chain_graph,
     as_cycle_graph,
     ground_state_line,
-    ground_state_loop,
 )
 from .oracle import OracleError, compare
 from .secular import (
@@ -44,16 +43,12 @@ def _fmt(x: float) -> str:
 
 
 def _solver_options(args) -> SolverOptions:
-    kw = {}
-    if getattr(args, "tol_kappa", None) is not None:
-        kw["tol_kappa"] = args.tol_kappa
-    if getattr(args, "kappa_max", None) is not None:
-        kw["kappa_max"] = args.kappa_max
-    return SolverOptions(**kw)
+    return SolverOptions(tol_kappa=args.tol_kappa, kappa_max=args.kappa_max)
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol-kappa", type=float, default=None, help="bisection width on kappa")
+    p.add_argument("--tol-kappa", type=float, default=SolverOptions.tol_kappa,
+                   help="bisection width on kappa")
     p.add_argument("--kappa-max", type=float, default=None, help="initial scan ceiling")
 
 
@@ -235,12 +230,11 @@ def cmd_line(args) -> int:
         raise ValueError("--sites and --alphas must have the same length")
     if args.loop is not None:
         config = LoopConfig(args.loop, tuple(args.sites), tuple(args.alphas))
-        gs = ground_state_loop(config)
         graph = as_cycle_graph(config)
     else:
         config = LineConfig(tuple(args.sites), tuple(args.alphas))
-        gs = ground_state_line(config)
         graph = as_chain_graph(config)
+    gs = ground_state_line(config, tol_kappa=args.tol_kappa)
     cross = None
     if args.cross_check:
         sec = find_ground_state(graph, _solver_options(args))

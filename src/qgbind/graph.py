@@ -213,6 +213,16 @@ def _check_fields(obj: dict, allowed: set[str], required: set[str], where: str) 
         raise GraphFormatError(f"{where}: missing field(s) {', '.join(missing)}")
 
 
+def _list_field(doc: dict, key: str, path) -> list:
+    """doc[key] as a list; the edge lists may also be absent or null."""
+    value = doc.get(key)
+    if value is None and key != "vertices":
+        return []
+    if not isinstance(value, list):
+        raise GraphFormatError(f"{path}: {key!r} must be a list")
+    return value
+
+
 def _as_id(value, where: str) -> str:
     if not isinstance(value, str) or not value:
         raise GraphFormatError(f"{where}: ids must be non-empty strings")
@@ -242,17 +252,15 @@ def load_graph(path: str | Path) -> MetricGraph:
             f"{path}: invalid JSON at line {err.lineno} column {err.colno}: {err.msg}"
         ) from err
     _check_fields(doc, _TOP_FIELDS, {"vertices"}, str(path))
-    if not isinstance(doc["vertices"], list):
-        raise GraphFormatError(f"{path}: 'vertices' must be a list")
 
     vertices = []
-    for i, item in enumerate(doc["vertices"]):
+    for i, item in enumerate(_list_field(doc, "vertices", path)):
         where = f"{path}: vertices[{i}]"
         _check_fields(item, _VERTEX_FIELDS, _VERTEX_FIELDS, where)
         vertices.append(VertexSpec(_as_id(item["id"], where), _as_number(item["alpha"], where)))
 
     finite = []
-    for i, item in enumerate(doc.get("finite_edges", []) or []):
+    for i, item in enumerate(_list_field(doc, "finite_edges", path)):
         where = f"{path}: finite_edges[{i}]"
         _check_fields(item, _FINITE_FIELDS, _FINITE_FIELDS, where)
         finite.append(
@@ -265,7 +273,7 @@ def load_graph(path: str | Path) -> MetricGraph:
         )
 
     leads = []
-    for i, item in enumerate(doc.get("infinite_edges", []) or []):
+    for i, item in enumerate(_list_field(doc, "infinite_edges", path)):
         where = f"{path}: infinite_edges[{i}]"
         _check_fields(item, _LEAD_FIELDS, _LEAD_FIELDS, where)
         leads.append(InfiniteEdge(_as_id(item["id"], where), _as_id(item["anchor"], where)))

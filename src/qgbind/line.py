@@ -37,7 +37,12 @@ class MonotonicityViolation(AssertionError):
     """A stretched configuration failed to raise the ground-state energy."""
 
 
-def _check_sites_strengths(sites, strengths):
+def _set_sites_strengths(config) -> None:
+    """Store sites and strengths as float tuples and check them."""
+    sites = tuple(float(y) for y in config.sites)
+    strengths = tuple(float(a) for a in config.strengths)
+    object.__setattr__(config, "sites", sites)
+    object.__setattr__(config, "strengths", strengths)
     if len(sites) != len(strengths) or not sites:
         raise ValueError("need equally many sites and strengths, at least one")
     if any(not math.isfinite(y) for y in sites):
@@ -56,9 +61,7 @@ class LineConfig:
     strengths: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "sites", tuple(float(y) for y in self.sites))
-        object.__setattr__(self, "strengths", tuple(float(a) for a in self.strengths))
-        _check_sites_strengths(self.sites, self.strengths)
+        _set_sites_strengths(self)
 
     @property
     def n(self) -> int:
@@ -80,11 +83,9 @@ class LoopConfig:
     strengths: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "sites", tuple(float(y) for y in self.sites))
-        object.__setattr__(self, "strengths", tuple(float(a) for a in self.strengths))
         if not (math.isfinite(self.circumference) and self.circumference > 0):
             raise ValueError("circumference must be positive")
-        _check_sites_strengths(self.sites, self.strengths)
+        _set_sites_strengths(self)
         if self.sites[0] < 0 or self.sites[-1] >= self.circumference:
             raise ValueError("sites must lie in [0, circumference)")
 
@@ -111,39 +112,43 @@ def _loop_distances(config: LoopConfig) -> np.ndarray:
 
 
 def _gamma_line_stack(config: LineConfig, kappas: np.ndarray) -> np.ndarray:
+    """Kernel G at each kappa, shape (len(kappas), n, n)."""
     dist = _line_distances(config)
     k = kappas[:, None, None]
-    g = np.exp(-k * dist) / (2.0 * k)
-    out = -g
-    idx = np.arange(config.n)
-    out[:, idx, idx] -= 1.0 / np.asarray(config.strengths)
-    return out
+    return np.exp(-k * dist) / (2.0 * k)
+
 
 def _gamma_loop_stack(config: LoopConfig, kappas: np.ndarray) -> np.ndarray:
+    """Loop kernel G at each kappa, shape (len(kappas), n, n)."""
     # periodic kernel cosh(kappa (L/2 - d)) / (2 kappa sinh(kappa L / 2)) in
     # overflow-free form; d is the minimal arc distance, in [0, L/2]
     dist = _loop_distances(config)
     L = config.circumference
     k = kappas[:, None, None]
-    g = (np.exp(-k * dist) + np.exp(-k * (L - dist))) / (
+    return (np.exp(-k * dist) + np.exp(-k * (L - dist))) / (
         2.0 * k * (1.0 - np.exp(-k * L))
     )
-    out = -g
+
+
+def _gamma_stack(config: LineConfig | LoopConfig, kappas: np.ndarray) -> np.ndarray:
+    """Gamma = -G - diag(1/alpha) at each kappa."""
+    # the kernels are looked up at call time, so rebinding the module
+    # attributes (as perfbench/tracer.py does) takes effect here
+    kernel = _gamma_loop_stack if isinstance(config, LoopConfig) else _gamma_line_stack
+    out = -kernel(config, kappas)
     idx = np.arange(config.n)
     out[:, idx, idx] -= 1.0 / np.asarray(config.strengths)
     return out
 
 
-def gamma_line(config: LineConfig, kappa: float) -> GammaMatrix:
+def gamma_line(config: LineConfig | LoopConfig, kappa: float) -> GammaMatrix:
+    """Kernel matrix Gamma(kappa) of a line or a loop configuration."""
     if not kappa > 0:
         raise ValueError("kappa must be positive")
-    return GammaMatrix(float(kappa), _gamma_line_stack(config, np.array([float(kappa)]))[0])
+    return GammaMatrix(float(kappa), _gamma_stack(config, np.array([float(kappa)]))[0])
 
 
-def gamma_loop(config: LoopConfig, kappa: float) -> GammaMatrix:
-    if not kappa > 0:
-        raise ValueError("kappa must be positive")
-    return GammaMatrix(float(kappa), _gamma_loop_stack(config, np.array([float(kappa)]))[0])
+gamma_loop = gamma_line
 
 
 def mu0(gamma: GammaMatrix) -> float:
@@ -169,6 +174,8 @@ class LineGroundState:
 
 def _solve_mu0(stack_fn, alpha_sum: float, tol_kappa: float) -> tuple[float, np.ndarray]:
     """Largest root of mu0 via descending scan plus Brent refinement."""
+    if not (math.isfinite(tol_kappa) and tol_kappa > 0):
+        raise ValueError(f"tol_kappa must be positive and finite, got {tol_kappa!r}")
 
     def batch(ks):
         return np.linalg.eigvalsh(stack_fn(np.asarray(ks, dtype=float)))[:, 0]
@@ -195,37 +202,29 @@ def _solve_mu0(stack_fn, alpha_sum: float, tol_kappa: float) -> tuple[float, np.
         raise NoRoot(f"mu0 has no sign change below kappa={kappa_max!r}")
     lo, hi = bracket
     kappa0 = lo if lo == hi else brentq(scalar, lo, hi, xtol=tol_kappa)
-    ev, vec = np.linalg.eigh(stack_fn(np.array([kappa0]))[0])
-    weights = vec[:, 0]
-    if weights.sum() < 0:
-        weights = -weights
+    _, weights = min_eigenpair(GammaMatrix(kappa0, stack_fn(np.array([kappa0]))[0]))
     return float(kappa0), weights
 
 
-def ground_state_line(config: LineConfig, *, tol_kappa: float = 1e-12) -> LineGroundState:
-    """Ground state of the line configuration.
+def ground_state_line(
+    config: LineConfig | LoopConfig, *, tol_kappa: float = 1e-12
+) -> LineGroundState:
+    """Ground state of a line or a loop configuration.
 
     The returned weights are the minimizing vector at the root; they are the
     coefficients of the kernel superposition psi = sum_i w_i G(x, y_i) and
-    are strictly one-signed for the ground state.
+    are strictly one-signed for the ground state.  A loop binds at least as
+    strongly as the same sites on the line.
     """
     kappa0, w = _solve_mu0(
-        lambda ks: _gamma_line_stack(config, ks),
+        lambda ks: _gamma_stack(config, ks),
         sum(abs(a) for a in config.strengths),
         tol_kappa,
     )
     return LineGroundState(kappa0, -kappa0 * kappa0, tuple(float(x) for x in w))
 
 
-def ground_state_loop(config: LoopConfig, *, tol_kappa: float = 1e-12) -> LineGroundState:
-    """Ground state of the loop configuration; binds at least as strongly as
-    the same sites on the line."""
-    kappa0, w = _solve_mu0(
-        lambda ks: _gamma_loop_stack(config, ks),
-        sum(abs(a) for a in config.strengths),
-        tol_kappa,
-    )
-    return LineGroundState(kappa0, -kappa0 * kappa0, tuple(float(x) for x in w))
+ground_state_loop = ground_state_line
 
 
 def derivative_signs(

@@ -17,8 +17,8 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import quad
 
-from .graph import MetricGraph, require_valid, vertex_incidences
-from .secular import GroundState
+from .graph import MetricGraph, require_valid
+from .secular import GroundState, _vertex_values
 
 
 @dataclass(frozen=True)
@@ -33,9 +33,7 @@ class GraphTrial:
         """Constant trial on a compact graph (not integrable on leads)."""
         if graph.infinite_edges:
             raise ValueError("constant trial is not square-integrable on leads")
-        vals = {e.id: (lambda x, c=c: c + 0.0 * np.asarray(x)) for e in graph.finite_edges}
-        ders = {e.id: (lambda x: 0.0 * np.asarray(x)) for e in graph.finite_edges}
-        return cls(vals, ders)
+        return cls.constant_with_tails(graph, c, 1.0)  # no leads: kappa unused
 
     @classmethod
     def constant_with_tails(cls, graph: MetricGraph, c: float, kappa: float) -> "GraphTrial":
@@ -57,6 +55,14 @@ class GraphTrial:
         vals = {s.edge_id: s.value for s in ground.solutions}
         ders = {s.edge_id: s.derivative for s in ground.solutions}
         return cls(vals, ders)
+
+
+def _add_vertex_terms(energy, graph, vertex_vals):
+    """energy + sum_v alpha_v * psi(v)**2, psi(v) the mean incident value."""
+    for v in graph.vertices:
+        vals = vertex_vals[v.id][0]
+        energy += v.alpha * (sum(vals) / len(vals)) ** 2
+    return energy
 
 
 def _edge_coordinates(graph):
@@ -82,19 +88,9 @@ def rayleigh_quotient(
     if missing or any(eid not in trial.derivatives for eid, _ in _edge_coordinates(graph)):
         raise ValueError(f"trial does not cover edges: {missing}")
 
-    vertex_vals: dict[str, list[float]] = {}
-    for vid, incs in vertex_incidences(graph).items():
-        vals = []
-        for kind, i in incs:
-            if kind == "lead":
-                vals.append(float(trial.values[graph.infinite_edges[i].id](0.0)))
-            else:
-                e = graph.finite_edges[i]
-                x = 0.0 if kind == "start" else e.length
-                vals.append(float(trial.values[e.id](x)))
-        vertex_vals[vid] = vals
-    scale = max(abs(v) for vals in vertex_vals.values() for v in vals)
-    for vid, vals in vertex_vals.items():
+    vertex_vals = _vertex_values(graph, trial.values)
+    scale = max(abs(v) for vals, _ in vertex_vals.values() for v in vals)
+    for vid, (vals, _) in vertex_vals.items():
         if max(vals) - min(vals) > continuity_tol * max(scale, 1e-300):
             raise ValueError(f"trial is discontinuous at vertex {vid!r}")
 
@@ -108,9 +104,7 @@ def rayleigh_quotient(
         n_val, _ = quad(lambda x: float(f(x)) ** 2, 0.0, upper, epsabs=1e-12, epsrel=1e-12, limit=200)
         energy += e_val
         norm2 += n_val
-    for v in graph.vertices:
-        vals = vertex_vals[v.id]
-        energy += v.alpha * (sum(vals) / len(vals)) ** 2
+    energy = _add_vertex_terms(energy, graph, vertex_vals)
     if norm2 <= 1e-300:
         raise ValueError("zero-norm trial")
     return energy / norm2
@@ -148,17 +142,8 @@ def scaled_trial_quotient(
 
     energy = sum(s.dirichlet_energy() for s in ground.solutions)
     norm2 = sum(s.l2_mass() for s in ground.solutions)
-    by_id = {s.edge_id: s for s in ground.solutions}
-    for vid, incs in vertex_incidences(graph).items():
-        vals = []
-        for kind, i in incs:
-            if kind == "lead":
-                vals.append(float(by_id[graph.infinite_edges[i].id].value(0.0)))
-            else:
-                e = graph.finite_edges[i]
-                s = by_id[e.id]
-                vals.append(float(s.value(0.0 if kind == "start" else e.length)))
-        energy += graph.vertex(vid).alpha * (sum(vals) / len(vals)) ** 2
+    vertex_vals = _vertex_values(graph, GraphTrial.from_ground_state(ground).values)
+    energy = _add_vertex_terms(energy, graph, vertex_vals)
 
     a_rest = energy - b_seg
     c_rest = norm2 - d_seg

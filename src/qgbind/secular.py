@@ -49,12 +49,7 @@ class SolverOptions:
 
     tol_kappa: float = 1e-12
     kappa_max: float | None = None
-    scan_step: float | None = None
-    epsilon_idx: float = 1e-9
-    samples_per_edge: int = 1000
     max_doublings: int = 24
-    dip_refinements: int = 3
-    block_cells: int = 2048
 
 
 @dataclass(frozen=True)
@@ -126,31 +121,51 @@ class EdgeSolution:
             return k * (-self.p * np.exp(-k * x) + self.q * np.exp(-k * (self.length - x)))
         return -k * self.c * np.exp(-k * x)
 
-    def l2_mass(self, x0: float = 0.0, x1: float | None = None) -> float:
-        """Integral of psi**2 over [x0, x1] (whole edge by default)."""
+    def _integrals(self, x0: float, x1: float | None) -> tuple[float, float]:
+        """S = 2 kappa int(u**2 + w**2) and C = int 2 u w over [x0, x1], with
+        psi = u + w split into its two exponentials (u' = -kappa u,
+        w' = kappa w, u w constant)."""
         k = self.kappa
         if self.kind == "infinite":
             hi = 0.0 if x1 is None else math.exp(-2 * k * x1)
-            return self.c**2 * (math.exp(-2 * k * x0) - hi) / (2 * k)
+            return self.c**2 * (math.exp(-2 * k * x0) - hi), 0.0
         x1 = self.length if x1 is None else x1
         sq = (self.p**2 * (math.exp(-2 * k * x0) - math.exp(-2 * k * x1))
               + self.q**2 * (math.exp(-2 * k * (self.length - x1))
-                             - math.exp(-2 * k * (self.length - x0)))) / (2 * k)
+                             - math.exp(-2 * k * (self.length - x0))))
         cross = 2 * self.p * self.q * math.exp(-k * self.length) * (x1 - x0)
-        return sq + cross
+        return sq, cross
+
+    def l2_mass(self, x0: float = 0.0, x1: float | None = None) -> float:
+        """Integral of psi**2 over [x0, x1] (whole edge by default)."""
+        sq, cross = self._integrals(x0, x1)
+        return sq / (2 * self.kappa) + cross
 
     def dirichlet_energy(self, x0: float = 0.0, x1: float | None = None) -> float:
         """Integral of psi'(x)**2 over [x0, x1] (whole edge by default)."""
-        k = self.kappa
+        sq, cross = self._integrals(x0, x1)
+        return sq * self.kappa / 2 - cross * self.kappa**2
+
+    def minimum(self) -> float:
+        """Exact minimum of psi on the edge.
+
+        On a lead this is c, the vertex value: c*exp(-kappa x) keeps the
+        sign of c and decays to 0.  On a finite edge with p, q > 0 psi is
+        convex with its critical point at x* = (l + ln(p/q)/kappa) / 2; when
+        x* lies inside the edge the minimum is 2*sqrt(p q)*exp(-kappa l / 2),
+        written without exp(-kappa l), which underflows long before its
+        square root does.  Otherwise psi is monotone on the edge and the
+        minimum is the smaller endpoint value.  With x* at an end, rounding
+        can put the closed form an ulp above that end's value, so the smaller
+        of the two is returned.
+        """
         if self.kind == "infinite":
-            hi = 0.0 if x1 is None else math.exp(-2 * k * x1)
-            return k * self.c**2 * (math.exp(-2 * k * x0) - hi) / 2
-        x1 = self.length if x1 is None else x1
-        sq = (self.p**2 * (math.exp(-2 * k * x0) - math.exp(-2 * k * x1))
-              + self.q**2 * (math.exp(-2 * k * (self.length - x1))
-                             - math.exp(-2 * k * (self.length - x0)))) * k / 2
-        cross = -2 * self.p * self.q * math.exp(-k * self.length) * (x1 - x0) * k**2
-        return sq + cross
+            return self.c
+        ends = float(np.min(self.value([0.0, self.length])))
+        p, q, kl = self.p, self.q, self.kappa * self.length
+        if p > 0 and q > 0 and abs(math.log(p) - math.log(q)) < kl:
+            return min(ends, 2.0 * math.sqrt(p) * math.sqrt(q) * math.exp(-kl / 2))
+        return ends
 
     def scaled(self, factor: float) -> "EdgeSolution":
         if self.kind == "finite":
@@ -163,7 +178,7 @@ class Diagnostics:
     continuity_residual: float
     coupling_residual: float
     nullspace_gap: float
-    min_sampled: float
+    min_sampled: float  # exact minimum of the state (EdgeSolution.minimum)
     bracket: tuple[float, float]
     kappa_max_used: float
     indicator_evaluations: int
@@ -191,10 +206,7 @@ class GroundState:
         raise KeyError(f"unknown edge id: {edge_id!r}")
 
     def index(self, edge_id: str) -> int:
-        for s, idx in zip(self.solutions, self.indices):
-            if s.edge_id == edge_id:
-                return idx
-        raise KeyError(f"unknown edge id: {edge_id!r}")
+        return self.indices[self.solutions.index(self.solution(edge_id))]
 
 
 class _Structure:
@@ -315,16 +327,21 @@ def singularity_indicator(matrix: SecularMatrix) -> float:
     return float(_equilibrated_det(matrix.entries[None, :, :])[0])
 
 
+def _shape_index(diff: float, big: float, epsilon_idx: float) -> int:
+    """Sign of diff = |a| - |b|, or 0 when it is within epsilon_idx of
+    big = max(|a|, |b|)."""
+    if big == 0.0:
+        raise ValueError("zero solution on edge cannot be classified")
+    if abs(diff) <= epsilon_idx * big:
+        return 0
+    return 1 if diff > 0 else -1
+
+
 def classify_coefficients(a: float, b: float, epsilon_idx: float = 1e-9) -> int:
     """Shape index from cosh/sinh coefficients: +1 cosh-like, -1 sinh-like,
     0 for a pure exponential (|a| and |b| equal to relative epsilon_idx)."""
     fa, fb = abs(a), abs(b)
-    big = max(fa, fb)
-    if big == 0.0:
-        raise ValueError("zero solution on edge cannot be classified")
-    if abs(fa - fb) <= epsilon_idx * big:
-        return 0
-    return 1 if fa > fb else -1
+    return _shape_index(fa - fb, max(fa, fb), epsilon_idx)
 
 
 def classify_edge_index(solution: EdgeSolution, epsilon_idx: float = 1e-9) -> int:
@@ -335,37 +352,27 @@ def classify_edge_index(solution: EdgeSolution, epsilon_idx: float = 1e-9) -> in
     a and b when kappa*l is large.
     """
     if solution.kind == "infinite":
-        if solution.c == 0.0:
-            raise ValueError("zero solution on edge cannot be classified")
-        return 0
-    a, b = solution.a, solution.b
-    big = max(abs(a), abs(b))
-    if big == 0.0:
-        raise ValueError("zero solution on edge cannot be classified")
+        return _shape_index(0.0, abs(solution.c), epsilon_idx)
+    fa, fb = abs(solution.a), abs(solution.b)
     diff = 4.0 * solution.p * solution.q * math.exp(-solution.kappa * solution.length)
-    diff /= abs(a) + abs(b)
-    if abs(diff) <= epsilon_idx * big:
-        return 0
-    return 1 if diff > 0 else -1
+    return _shape_index(diff / (fa + fb) if fa + fb else 0.0, max(fa, fb), epsilon_idx)
 
 
-def _vertex_values(graph, solutions):
-    """Per vertex: lists of incident values and outward derivatives at 0+."""
-    by_id = {s.edge_id: s for s in solutions}
+def _vertex_values(graph, values, derivatives=None):
+    """Per vertex id: (values, outward derivatives) at the incident edge ends.
+
+    ``values`` and ``derivatives`` map edge ids to callables of the edge
+    coordinate; without ``derivatives`` the second list stays empty.
+    """
     out: dict[str, tuple[list[float], list[float]]] = {}
     for vid, incs in vertex_incidences(graph).items():
         vals, outd = [], []
         for kind, i in incs:
-            if kind == "lead":
-                s = by_id[graph.infinite_edges[i].id]
-                vals.append(float(s.value(0.0)))
-                outd.append(float(s.derivative(0.0)))
-            else:
-                s = by_id[graph.finite_edges[i].id]
-                x = 0.0 if kind == "start" else s.length
-                sgn = 1.0 if kind == "start" else -1.0
-                vals.append(float(s.value(x)))
-                outd.append(sgn * float(s.derivative(x)))
+            e = graph.infinite_edges[i] if kind == "lead" else graph.finite_edges[i]
+            x = e.length if kind == "end" else 0.0
+            vals.append(float(values[e.id](x)))
+            if derivatives is not None:
+                outd.append((-1.0 if kind == "end" else 1.0) * float(derivatives[e.id](x)))
         out[vid] = (vals, outd)
     return out
 
@@ -381,7 +388,11 @@ def vertex_condition_residuals(
     kappa.
     """
     kappa = solutions[0].kappa
-    per_vertex = _vertex_values(graph, solutions)
+    per_vertex = _vertex_values(
+        graph,
+        {s.edge_id: s.value for s in solutions},
+        {s.edge_id: s.derivative for s in solutions},
+    )
     sup = max(abs(v) for vals, _ in per_vertex.values() for v in vals)
     if sup == 0.0:
         return math.inf, math.inf
@@ -418,7 +429,7 @@ def _build_solutions(graph, kappa0, vec):
     return sols
 
 
-def _reconstruct(graph, kappa0, options):
+def _reconstruct(graph, kappa0):
     st = _Structure(graph)
     vec, gap = _nullvector(st.assemble(np.array([kappa0]))[0])
     if gap < NULLSPACE_GAP_MIN:
@@ -429,7 +440,7 @@ def _reconstruct(graph, kappa0, options):
     sols = _build_solutions(graph, kappa0, vec)
 
     anchor = min(graph.vertices, key=lambda v: (v.alpha,))
-    vals, _ = _vertex_values(graph, sols)[anchor.id]
+    vals, _ = _vertex_values(graph, {s.edge_id: s.value for s in sols})[anchor.id]
     if vals[0] < 0:
         sols = [s.scaled(-1.0) for s in sols]
     mass = sum(s.l2_mass() for s in sols)
@@ -437,25 +448,16 @@ def _reconstruct(graph, kappa0, options):
         raise PositivityViolation("reconstructed state has zero mass")
     sols = [s.scaled(1.0 / math.sqrt(mass)) for s in sols]
 
-    min_sampled = math.inf
-    for s in sols:
-        if s.kind == "finite":
-            xs = np.linspace(0.0, s.length, options.samples_per_edge)
-            m = float(np.min(s.value(xs)))
-        else:
-            m = s.c
-        min_sampled = min(min_sampled, m)
-    if not min_sampled > 0.0:
+    min_value = min(s.minimum() for s in sols)
+    if not min_value > 0.0:
         raise PositivityViolation(
-            f"state is not strictly positive (sampled min {min_sampled:.3g}); "
+            f"state is not strictly positive (min {min_value:.3g}); "
             "kappa may be an excited root"
         )
-    return tuple(sols), gap, float(min_sampled)
+    return tuple(sols), gap, float(min_value)
 
 
-def reconstruct_eigenfunction(
-    graph: MetricGraph, kappa0: float, options: SolverOptions | None = None
-) -> list[EdgeSolution]:
+def reconstruct_eigenfunction(graph: MetricGraph, kappa0: float) -> list[EdgeSolution]:
     """Normalized positive eigenfunction at a converged root kappa0.
 
     Raises DegenerateRoot when the numerical nullspace is not simple and
@@ -464,7 +466,7 @@ def reconstruct_eigenfunction(
     require_valid(graph)
     if not kappa0 > 0:
         raise ValueError("kappa0 must be positive")
-    sols, _, _ = _reconstruct(graph, float(kappa0), options or SolverOptions())
+    sols, _, _ = _reconstruct(graph, float(kappa0))
     return list(sols)
 
 
@@ -481,6 +483,8 @@ def find_ground_state(graph: MetricGraph, options: SolverOptions | None = None) 
     """
     require_valid(graph)
     opts = options or SolverOptions()
+    if not (math.isfinite(opts.tol_kappa) and opts.tol_kappa > 0):
+        raise ValueError(f"tol_kappa must be positive and finite, got {opts.tol_kappa!r}")
     st = _Structure(graph)
     kappa_max = opts.kappa_max if opts.kappa_max is not None else max(st.alpha_sum(), 1.0)
     if not kappa_max > 0:
@@ -491,14 +495,8 @@ def find_ground_state(graph: MetricGraph, options: SolverOptions | None = None) 
     bracket = None
     outcome: ScanOutcome | None = None
     for _ in range(opts.max_doublings):
-        step = opts.scan_step if opts.scan_step is not None else min(1e-2, kappa_max / 1e4)
-        outcome = scan_down(
-            st.indicator,
-            kappa_max,
-            step,
-            block=opts.block_cells,
-            dip_refinements=opts.dip_refinements,
-        )
+        step = min(1e-2, kappa_max / 1e4)
+        outcome = scan_down(st.indicator, kappa_max, step)
         evals += outcome.evaluations
         dips += outcome.dips
         if outcome.bracket is not None and not outcome.at_top:
@@ -519,8 +517,8 @@ def find_ground_state(graph: MetricGraph, options: SolverOptions | None = None) 
 
     lo, hi = bracket
     kappa0 = bisect_sign(lambda k: float(st.indicator(np.array([k]))[0]), lo, hi, opts.tol_kappa)
-    sols, gap, min_sampled = _reconstruct(graph, kappa0, opts)
-    indices = tuple(classify_edge_index(s, opts.epsilon_idx) for s in sols)
+    sols, gap, min_sampled = _reconstruct(graph, kappa0)
+    indices = tuple(classify_edge_index(s) for s in sols)
     cont, coup = vertex_condition_residuals(graph, sols)
     diag = Diagnostics(
         continuity_residual=cont,

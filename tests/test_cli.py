@@ -81,6 +81,38 @@ def test_groundstate_malformed_json(tmp_path, capsys):
     assert "error: " in capsys.readouterr().err
 
 
+def test_groundstate_edge_list_not_a_list(tmp_path, capsys):
+    path = tmp_path / "leads_int.json"
+    path.write_text(json.dumps({"vertices": [{"id": "v", "alpha": -2.0}],
+                                "infinite_edges": 5}), encoding="utf-8")
+    assert main(["groundstate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "infinite_edges" in err
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan", "0"])
+def test_bad_tol_kappa_is_input_error(delta_file, tol, capsys):
+    assert main(["groundstate", delta_file, "--tol-kappa", tol]) == 2
+    assert main(["line", "--sites", "0", "--alphas", "-2", "--tol-kappa", tol]) == 2
+    assert capsys.readouterr().err.count("error: tol_kappa") == 2
+
+
+def test_line_passes_tol_kappa_to_kernel_solver(monkeypatch, capsys):
+    import qgbind.cli as cli
+
+    seen = []
+
+    def fake(config, *, tol_kappa):
+        seen.append((type(config).__name__, tol_kappa))
+        return qgbind.LineGroundState(1.0, -1.0, (1.0,))
+
+    monkeypatch.setattr(cli, "ground_state_line", fake)
+    assert main(["line", "--sites", "0", "--alphas", "-2", "--tol-kappa", "1e-6"]) == 0
+    assert main(["line", "--loop", "5", "--sites", "0", "--alphas", "-2",
+                 "--tol-kappa", "1e-7"]) == 0
+    assert seen == [("LineConfig", 1e-6), ("LoopConfig", 1e-7)]
+
+
 def test_groundstate_excited_root_is_numeric_failure(tmp_path, capsys):
     # the scan ceiling excludes the ground root, landing on a sign-changing
     # excited state that the positivity check rejects

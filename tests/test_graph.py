@@ -215,6 +215,28 @@ def test_load_rejects_boolean_alpha(tmp_path):
         load_graph(path)
 
 
+@pytest.mark.parametrize("field", ["finite_edges", "infinite_edges"])
+@pytest.mark.parametrize("value", [5, "t1", {"id": "t1", "anchor": "v"}])
+def test_load_rejects_edge_list_that_is_not_a_list(tmp_path, field, value):
+    path = tmp_path / "notlist.json"
+    doc = {"vertices": [{"id": "v", "alpha": -2.0}], "finite_edges": [], "infinite_edges": []}
+    doc[field] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(GraphFormatError) as err:
+        load_graph(path)
+    assert field in str(err.value)
+
+
+def test_load_accepts_absent_or_null_edge_lists(tmp_path):
+    path = tmp_path / "lead_only.json"
+    path.write_text(json.dumps({
+        "vertices": [{"id": "v", "alpha": -2.0}],
+        "finite_edges": None,
+        "infinite_edges": [{"id": "t", "anchor": "v"}],
+    }))
+    assert load_graph(path).finite_edges == ()
+
+
 def test_load_runs_validation(tmp_path):
     path = tmp_path / "invalid.json"
     path.write_text(json.dumps({

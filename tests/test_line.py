@@ -118,6 +118,14 @@ def test_min_eigenpair_is_perron_positive():
 
 # ------------------------------------------------------------ line solve
 
+@pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
+def test_tol_kappa_must_be_positive_and_finite(tol):
+    with pytest.raises(ValueError, match="tol_kappa"):
+        ground_state_line(LineConfig((0.0,), (-2.0,)), tol_kappa=tol)
+    with pytest.raises(ValueError, match="tol_kappa"):
+        ground_state_loop(LoopConfig(5.0, (0.0,), (-2.0,)), tol_kappa=tol)
+
+
 def test_single_site_line_is_half_alpha():
     gs = ground_state_line(LineConfig((0.0,), (-2.0,)))
     assert abs(gs.kappa0 - 1.0) < 1e-11

@@ -174,6 +174,12 @@ def test_reconstruct_rejects_nonpositive_kappa():
         reconstruct_eigenfunction(g, -1.0)
 
 
+@pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
+def test_tol_kappa_must_be_positive_and_finite(tol):
+    with pytest.raises(ValueError, match="tol_kappa"):
+        find_ground_state(single_vertex_graph(-2.0, 1), SolverOptions(tol_kappa=tol))
+
+
 # ------------------------------------------------------ edge solutions
 
 def test_edge_solution_matches_exponential_form():
@@ -214,6 +220,43 @@ def test_lead_solution_mass():
     assert abs(sol.l2_mass() - 1.0) < 1e-14
     assert abs(sol.value(0.0) - 2.0) < 1e-15
     assert abs(sol.derivative(0.0) + 4.0) < 1e-15
+
+
+@pytest.mark.parametrize("kappa,length,p,q", [
+    (1.3, 2.0, 0.7, 0.2),     # interior minimum, nearer the small coefficient's end
+    (0.9, 1.5, 0.4, 0.4),     # symmetric: minimum at the midpoint
+    (2.0, 3.0, 1e-3, 2.0),    # p, q > 0 but |ln(p/q)| > kappa*l: monotone
+    (1.1, 1.8, 0.5, -0.3),    # opposite signs: monotone
+    (1.1, 1.8, -0.5, 0.3),
+    (0.7, 2.5, -0.2, -0.6),   # negative throughout
+])
+def test_exact_edge_minimum_is_below_a_dense_sample(kappa, length, p, q):
+    sol = EdgeSolution.finite("e", kappa, length, p, q)
+    sample = sol.value(np.linspace(0.0, length, 200001))
+    exact = sol.minimum()
+    assert exact <= sample.min()
+    assert sample.min() - exact <= 1e-9 * abs(exact)
+
+
+def test_exact_edge_minimum_interior_closed_form():
+    sol = EdgeSolution.finite("e", 1.3, 2.0, 0.7, 0.2)
+    x_star = (2.0 + math.log(0.7 / 0.2) / 1.3) / 2.0
+    assert 0.0 < x_star < 2.0
+    assert abs(sol.minimum() - float(sol.value(x_star))) < 1e-15
+
+
+def test_exact_lead_minimum_is_its_amplitude():
+    assert EdgeSolution.infinite("t", 2.0, 0.3).minimum() == 0.3
+    assert EdgeSolution.infinite("t", 2.0, -0.3).minimum() == -0.3
+
+
+def test_exact_edge_minimum_survives_long_edges():
+    # kappa*l = 1200: exp(-kappa l) underflows to 0, exp(-kappa l / 2) does not
+    sol = EdgeSolution.finite("e", 1.0, 1200.0, 1.0, 1.0)
+    assert math.exp(-1200.0) == 0.0
+    m = sol.minimum()
+    assert m > 0.0
+    assert abs(m - 2.0 * math.exp(-600.0)) <= 1e-15 * m
 
 
 def test_scaled_solution_keeps_shape():
