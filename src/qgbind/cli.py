@@ -46,10 +46,12 @@ def _solver_options(args) -> SolverOptions:
     return SolverOptions(tol_kappa=args.tol_kappa, kappa_max=args.kappa_max)
 
 
-def _add_solver_flags(p: argparse.ArgumentParser) -> None:
+def _add_solver_flags(
+    p: argparse.ArgumentParser, kappa_max_help: str = "initial scan ceiling"
+) -> None:
     p.add_argument("--tol-kappa", type=float, default=SolverOptions.tol_kappa,
                    help="bisection width on kappa")
-    p.add_argument("--kappa-max", type=float, default=None, help="initial scan ceiling")
+    p.add_argument("--kappa-max", type=float, default=None, help=kappa_max_help)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -78,7 +80,9 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar=("LO", "HI"))
     s.add_argument("--steps", action="append", type=int, required=True)
     s.add_argument("--csv", default=None, metavar="PATH", help="write CSV here instead of stdout")
-    s.add_argument("--jobs", type=int, default=1, help="parallel solver processes")
+    s.add_argument("--jobs", type=int, default=1,
+                   help="parallel solver processes (at least 1; capped by the "
+                   "grid size and the CPU count)")
     _add_solver_flags(s)
 
     c = sub.add_parser("crit", help="critical center coupling of a star graph")
@@ -99,12 +103,15 @@ def build_parser() -> argparse.ArgumentParser:
     l.add_argument("--cross-check", action="store_true",
                    help="also solve the equivalent metric graph and report the difference")
     l.add_argument("--json", action="store_true")
-    _add_solver_flags(l)
+    _add_solver_flags(l, "initial scan ceiling of the --cross-check graph solve; "
+                      "the kernel route ignores it")
 
     o = sub.add_parser("compare", help="secular vs finite-element eigenvalue")
     o.add_argument("graph", help="graph JSON file")
     o.add_argument("--h", type=float, default=0.01, help="target mesh size")
-    o.add_argument("--R", type=float, default=None, help="lead truncation length")
+    o.add_argument("--R", type=float, default=None,
+                   help="lead truncation length; must exceed the total finite edge "
+                   "length (default: that length + max(15, 25/kappa0))")
     o.add_argument("--json", action="store_true")
     _add_solver_flags(o)
 

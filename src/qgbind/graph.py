@@ -143,8 +143,9 @@ def validate(graph: MetricGraph) -> ValidationReport:
             problems.append(f"lead {e.id!r}: unknown vertex {e.anchor!r}")
 
     if not problems:
+        incidences = vertex_incidences(graph)
         for v in graph.vertices:
-            if degree(graph, v.id) == 0:
+            if not incidences[v.id]:
                 problems.append(f"vertex {v.id!r}: isolated vertex (degree 0)")
         comp = {v.id: v.id for v in graph.vertices}
 

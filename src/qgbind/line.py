@@ -22,10 +22,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .graph import FiniteEdge, InfiniteEdge, MetricGraph, VertexSpec
-from .rootscan import probe_geometric, scan_down
+from .rootscan import brentq, probe_geometric, scan_down
 
 
 class NoRoot(RuntimeError):

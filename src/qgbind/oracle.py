@@ -14,9 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sp
-from scipy.sparse.linalg import eigsh
 
 from .graph import InfiniteEdge, MetricGraph, VertexSpec, require_valid
 from .secular import GroundState
@@ -40,8 +37,8 @@ class Discretization:
     h: float
     R: float | None
     node_count: int
-    stiffness: sp.csr_matrix
-    mass: sp.csr_matrix
+    stiffness: "scipy.sparse.csr_matrix"
+    mass: "scipy.sparse.csr_matrix"
     vertex_nodes: dict[str, int]
     node_table: dict[tuple[str, int], int]
     extent: float
@@ -75,6 +72,8 @@ def discretize(graph: MetricGraph, h: float, R: float | None = None) -> Discreti
     one), so stored lengths are met exactly.  Leads use length R and drop
     the far node.
     """
+    import scipy.sparse as sp
+
     require_valid(graph)
     if not (math.isfinite(h) and h > 0):
         raise OracleError("mesh size h must be positive")
@@ -162,6 +161,9 @@ def smallest_eigenvalue(
     The reported error bound is heuristic: |lambda|^2 h^2 / 4 plus the lead
     truncation term.
     """
+    import scipy.linalg
+    from scipy.sparse.linalg import eigsh
+
     n = disc.node_count
     if shift is None:
         shift = -disc.alpha_magnitude**2 - 1.0
@@ -227,9 +229,20 @@ def compare(
     h: float = 0.01,
     R: float | None = None,
 ) -> ComparisonReport:
-    """Cross-validate a secular result against the finite-element path."""
-    if R is None:
-        R = max(15.0, 25.0 / ground.kappa0)
+    """Cross-validate a secular result against the finite-element path.
+
+    On graphs with leads the truncation term of the tolerance is
+    exp(-2 kappa0 (R - extent)), extent the total finite edge length, so R
+    must exceed the extent; the default is extent + max(15, 25 / kappa0).
+    """
+    if graph.infinite_edges:
+        extent = sum(e.length for e in graph.finite_edges)
+        if R is None:
+            R = extent + max(15.0, 25.0 / ground.kappa0)
+        elif not R > extent:
+            raise ValueError(
+                f"lead truncation R={R!r} must exceed the finite extent {extent!r}"
+            )
     disc = discretize(graph, h, R if graph.infinite_edges else None)
     shift = ground.lambda0 - max(0.5, 0.5 * abs(ground.lambda0))
     oracle = smallest_eigenvalue(disc, shift=shift, kappa_ref=ground.kappa0)
@@ -254,6 +267,9 @@ def _interval_dirichlet(length: float, h: float) -> float:
     Assembly sanity case only: no graph, no coupling; exact value is
     (pi/length)^2.
     """
+    import scipy.linalg
+    import scipy.sparse as sp
+
     n = max(2, round(length / h))
     he = length / n
     m = n - 1

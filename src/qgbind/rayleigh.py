@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .graph import MetricGraph, require_valid
 from .secular import GroundState, _vertex_values
@@ -83,6 +82,8 @@ def rayleigh_quotient(
     The trial must cover every edge and be continuous at the vertices; a
     visible mismatch or a zero-norm trial raises ValueError.
     """
+    from scipy.integrate import quad
+
     require_valid(graph)
     missing = [eid for eid, _ in _edge_coordinates(graph) if eid not in trial.values]
     if missing or any(eid not in trial.derivatives for eid, _ in _edge_coordinates(graph)):

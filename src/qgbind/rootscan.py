@@ -6,6 +6,9 @@ downward from the largest kappa and reports the first cell containing a sign
 change.  Near-zero dips of |f| without a sign change are re-scanned at halved
 steps a few times and otherwise reported, so nearly double roots surface in
 diagnostics instead of being silently skipped.
+
+The kernel route and the critical-coupling search refine with ``brentq``
+from here, which loads scipy on its first call.
 """
 
 from __future__ import annotations
@@ -177,3 +180,14 @@ def probe_geometric(
         k = int(flips[0])
         return (float(pts[k + 1]), float(pts[k]))
     return None
+
+
+def brentq(f: Callable[[float], float], a: float, b: float, **kwargs) -> float:
+    """scipy.optimize.brentq, imported on first call.
+
+    Keeps scipy out of the import of the package: the graph route never
+    calls it, only the kernel route and the critical-coupling search do.
+    """
+    from scipy.optimize import brentq as _brentq
+
+    return _brentq(f, a, b, **kwargs)

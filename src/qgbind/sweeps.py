@@ -10,13 +10,13 @@ alpha at which the energy stops depending on the axial edge length.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .graph import InvalidGraphError, MetricGraph, degree
+from .rootscan import brentq
 from .secular import (
     DegenerateRoot,
     NoBoundState,
@@ -132,10 +132,13 @@ def run_sweep(
 
     Class-change flags compare each point's index vector with the previous
     emitted point's; they are False on the first point and around failed
-    points.
+    points.  ``jobs`` (at least 1) caps the worker processes, which are
+    also capped by the point count and the CPU count.
     """
     if not 1 <= len(specs) <= 2:
         raise ValueError("a sweep takes one or two targets")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     for spec in specs:
         apply_target(graph, spec.target, 0.5 * (spec.lo + spec.hi))
     grids = [spec.values() for spec in specs]
@@ -147,9 +150,14 @@ def run_sweep(
         (graph, tuple(zip((s.target for s in specs), vals)), options) for vals in points
     ]
 
-    if jobs > 1:
-        chunk = max(1, len(tasks) // (8 * jobs))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # a fork pool starts every worker on the first submit, so never ask for
+    # more workers than there are points or cores
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        chunk = max(1, len(tasks) // (8 * workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             raw = list(pool.map(_solve_point, tasks, chunksize=chunk))
     else:
         raw = [_solve_point(t) for t in tasks]

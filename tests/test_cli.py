@@ -1,9 +1,10 @@
 """Command-line interface tests.
 
-Most tests call main(argv) in-process; two subprocess tests cover
-``python -m qgbind.cli`` and the ``qgbind`` console script declared in
-pyproject.toml, both running this checkout's ``src``.  Graph files are written
-with save_graph so the on-disk format stays in sync with the loader.
+Most tests call main(argv) in-process; subprocess tests cover
+``python -m qgbind.cli``, the ``qgbind`` console script declared in
+pyproject.toml and the modules a cold ``groundstate`` loads, all running this
+checkout's ``src``.  Graph files are written with save_graph so the on-disk
+format stays in sync with the loader.
 """
 
 import json
@@ -16,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import qgbind
-from conftest import robin_interval, single_vertex_graph, star_graph
+from conftest import chain_graph, robin_interval, single_vertex_graph, star_graph
 from qgbind import find_ground_state, save_graph
 from qgbind.cli import main
 
@@ -166,6 +167,47 @@ def test_sweep_csv_file_and_jobs_identical(star_file, tmp_path, capsys):
     assert b1 == out2.read_bytes()
 
 
+def test_sweep_jobs_capped_by_grid_size(star_file, tmp_path, monkeypatch):
+    import concurrent.futures
+
+    requested = []
+
+    class SerialPool:
+        """Records max_workers and maps serially: starts no process."""
+
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    args = ["sweep", star_file, "--target", "edge:axial",
+            "--range", "1", "2", "--steps", "4"]
+    serial = tmp_path / "serial.csv"
+    wide = tmp_path / "wide.csv"
+    assert main(args + ["--csv", str(serial)]) == 0
+    assert requested == []
+    assert main(args + ["--csv", str(wide), "--jobs", "10000"]) == 0
+    assert requested == [4]
+    assert wide.read_bytes() == serial.read_bytes()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_rejects_jobs_below_one(star_file, jobs, capsys):
+    rc = main(["sweep", star_file, "--target", "edge:axial",
+               "--range", "1", "2", "--steps", "4", "--jobs", jobs])
+    assert rc == 2
+    assert "jobs must be at least 1" in capsys.readouterr().err
+
+
 def test_sweep_error_rows_have_empty_cells(star_file, capsys):
     rc = main([
         "sweep", star_file,
@@ -224,6 +266,15 @@ def test_line_loop_mode(capsys):
     assert payload["cross_check"] is None
 
 
+@pytest.mark.parametrize("loop", [[], ["--loop", "10"]])
+def test_line_ignores_kappa_max_without_cross_check(loop, capsys):
+    args = ["line", *loop, "--sites", "0", "1", "--alphas", "-2", "-1", "--json"]
+    assert main(args) == 0
+    plain = capsys.readouterr().out
+    assert main(args + ["--kappa-max", "50"]) == 0
+    assert capsys.readouterr().out == plain
+
+
 def test_line_rejects_mismatched_lengths(capsys):
     rc = main(["line", "--sites", "0", "1", "--alphas", "-2"])
     assert rc == 2
@@ -264,6 +315,15 @@ def test_compare_fail_under_harsh_truncation(delta_file, capsys):
     assert rc == 3
     out = capsys.readouterr().out
     assert "verdict: FAIL" in out
+
+
+@pytest.mark.parametrize("R", ["2", "1.5"])
+def test_compare_rejects_truncation_inside_extent(tmp_path, R, capsys):
+    path = tmp_path / "chain.json"
+    save_graph(chain_graph([-1.0, -1.0], [2.0]), path)
+    rc = main(["compare", str(path), "--R", R])
+    assert rc == 2
+    assert "must exceed the finite extent" in capsys.readouterr().err
 
 
 def _checkout_env() -> dict[str, str]:
@@ -311,3 +371,31 @@ def test_module_invocation(delta_file):
     )
     assert proc.returncode == 0
     assert "lambda0 = -1" in proc.stdout
+
+
+_COLD_START_PROBE = """
+import contextlib, io, sys
+
+def heavy():
+    roots = {m.split(".")[0] for m in sys.modules}
+    return sorted(roots & {"scipy", "multiprocessing", "concurrent"})
+
+import qgbind
+from qgbind.cli import main
+print("import", heavy())
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    rc = main(["groundstate", sys.argv[1], "--json"])
+print("groundstate", rc, '"kappa0"' in out.getvalue(), heavy())
+"""
+
+
+@pytest.mark.parametrize("fixture", ["delta_file", "star_file"])
+def test_cold_groundstate_loads_no_scipy_or_process_pool(fixture, request):
+    # scipy and the process pool load on first use (kernel route, crit,
+    # compare, rayleigh_quotient, sweep --jobs); the graph route needs numpy
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_START_PROBE, request.getfixturevalue(fixture)],
+        capture_output=True, text=True, timeout=60, env=_checkout_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["import []", "groundstate 0 True []"]

@@ -1,6 +1,7 @@
 """Graph model, validation, and JSON round-trip tests."""
 
 import json
+import time
 
 import pytest
 
@@ -10,8 +11,10 @@ from qgbind import (
     GraphFormatError,
     InfiniteEdge,
     InvalidGraphError,
+    LineConfig,
     MetricGraph,
     VertexSpec,
+    as_chain_graph,
     degree,
     load_graph,
     require_valid,
@@ -107,7 +110,29 @@ def test_isolated_vertex_rejected():
         (),
         (InfiniteEdge("t", "a"),),
     )
-    assert any("isolated vertex" in p for p in validate(g).problems)
+    assert validate(g).problems == (
+        "vertex 'b': isolated vertex (degree 0)",
+        "disconnected graph (2 components)",
+    )
+
+
+def test_isolated_vertices_reported_in_vertex_order():
+    g = MetricGraph(
+        (
+            VertexSpec("c", -1.0),
+            VertexSpec("a", -1.0),
+            VertexSpec("b", 0.0),
+            VertexSpec("d", -1.0),
+        ),
+        (),
+        (InfiniteEdge("t", "a"),),
+    )
+    assert validate(g).problems == (
+        "vertex 'c': isolated vertex (degree 0)",
+        "vertex 'b': isolated vertex (degree 0)",
+        "vertex 'd': isolated vertex (degree 0)",
+        "disconnected graph (4 components)",
+    )
 
 
 def test_disconnected_graph_rejected():
@@ -120,7 +145,18 @@ def test_disconnected_graph_rejected():
         ),
         (FiniteEdge("e1", "a", "b", 1.0), FiniteEdge("e2", "c", "d", 1.0)),
     )
-    assert any("disconnected graph (2 components)" in p for p in validate(g).problems)
+    assert validate(g).problems == ("disconnected graph (2 components)",)
+
+
+def test_validate_long_chain_is_fast():
+    # validate is linear in the graph size: 2e4 vertices take well under a
+    # second, where a scan of all edges per vertex takes about 45 s
+    n = 20_000
+    g = as_chain_graph(LineConfig(tuple(float(i) for i in range(n)), (-1.0,) * n))
+    t0 = time.perf_counter()
+    report = validate(g)
+    assert report.ok
+    assert time.perf_counter() - t0 < 5.0
 
 
 def test_require_valid_raises_with_report():

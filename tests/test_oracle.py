@@ -14,7 +14,11 @@ from scipy.optimize import brentq
 
 from conftest import robin_interval, single_vertex_graph, star_graph
 from qgbind import (
+    FiniteEdge,
+    InfiniteEdge,
+    MetricGraph,
     OracleError,
+    VertexSpec,
     compare,
     comparison_constant,
     discretize,
@@ -203,3 +207,26 @@ def test_compare_fails_under_harsh_truncation():
     assert rep.difference > rep.tolerance
     assert abs(rep.lambda_oracle) < 0.05
     assert abs(rep.difference - 1.0) < 0.05
+
+
+def _pendant_graph(alpha: float, length: float) -> MetricGraph:
+    """Vertex with two leads and a pendant edge to a weak vertex."""
+    return MetricGraph(
+        (VertexSpec("v", alpha), VertexSpec("w", -0.05)),
+        (FiniteEdge("p", "v", "w", length),),
+        (InfiniteEdge("t1", "v"), InfiniteEdge("t2", "v")),
+    )
+
+
+@pytest.mark.parametrize("length", [5.0, 30.0])
+def test_compare_rejects_wrong_ground_state_on_long_graph(length):
+    # the ground state of the alpha = -3 graph is 0.55 off the alpha = -2
+    # graph's; the default R must reach past the finite extent so the
+    # truncation term stays small whatever the pendant length
+    g = _pendant_graph(-2.0, length)
+    rep = compare(g, find_ground_state(_pendant_graph(-3.0, length)))
+    assert not rep.ok
+    assert rep.difference > 0.5
+    assert rep.tolerance < 1e-2
+    assert rep.R > length
+    assert compare(g, find_ground_state(g)).ok
