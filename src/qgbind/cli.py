@@ -50,7 +50,9 @@ def _add_solver_flags(
     p: argparse.ArgumentParser, kappa_max_help: str = "initial scan ceiling"
 ) -> None:
     p.add_argument("--tol-kappa", type=float, default=SolverOptions.tol_kappa,
-                   help="bisection width on kappa")
+                   help="absolute kappa tolerance of the root refinement "
+                   "(bisection width on the graph route, Brent's xtol on the "
+                   "kernel route)")
     p.add_argument("--kappa-max", type=float, default=None, help=kappa_max_help)
 
 

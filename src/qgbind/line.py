@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import FiniteEdge, InfiniteEdge, MetricGraph, VertexSpec
-from .rootscan import brentq, probe_geometric, scan_down
+from .rootscan import brentq, in_chunks, probe_geometric, scan_down
 
 
 class NoRoot(RuntimeError):
@@ -171,13 +171,19 @@ class LineGroundState:
     weights: tuple[float, ...]
 
 
-def _solve_mu0(stack_fn, alpha_sum: float, tol_kappa: float) -> tuple[float, np.ndarray]:
-    """Largest root of mu0 via descending scan plus Brent refinement."""
+def _solve_mu0(
+    stack_fn, n: int, alpha_sum: float, tol_kappa: float
+) -> tuple[float, np.ndarray]:
+    """Largest root of mu0 via descending scan plus Brent refinement.
+
+    ``stack_fn`` maps kappas to n x n matrices, built and diagonalised one
+    ~1 MiB chunk at a time.
+    """
     if not (math.isfinite(tol_kappa) and tol_kappa > 0):
         raise ValueError(f"tol_kappa must be positive and finite, got {tol_kappa!r}")
 
     def batch(ks):
-        return np.linalg.eigvalsh(stack_fn(np.asarray(ks, dtype=float)))[:, 0]
+        return in_chunks(lambda c: np.linalg.eigvalsh(stack_fn(c))[:, 0], ks, n)
 
     def scalar(k):
         return float(batch(np.array([k]))[0])
@@ -217,6 +223,7 @@ def ground_state_line(
     """
     kappa0, w = _solve_mu0(
         lambda ks: _gamma_stack(config, ks),
+        config.n,
         sum(abs(a) for a in config.strengths),
         tol_kappa,
     )

@@ -64,51 +64,71 @@ def scan_down(
         npts = 2
         step = hi - lo
     grid = hi - step * np.arange(npts)
-
-    vals: list[float] = []
     state = {"evals": 0, "fmax": 0.0}
 
-    def ensure(k: int) -> None:
-        while len(vals) <= k and len(vals) < npts:
-            s = len(vals)
-            chunk = np.asarray(f_batch(grid[s : s + block]), dtype=float)
-            if not np.all(np.isfinite(chunk)):
-                raise RuntimeError("indicator produced a non-finite value")
-            vals.extend(chunk.tolist())
-            state["evals"] += len(chunk)
-            state["fmax"] = max(state["fmax"], float(np.max(np.abs(chunk))))
+    def load(s: int) -> np.ndarray:
+        chunk = np.asarray(f_batch(grid[s : s + block]), dtype=float)
+        if not np.all(np.isfinite(chunk)):
+            raise RuntimeError("indicator produced a non-finite value")
+        state["evals"] += len(chunk)
+        state["fmax"] = max(state["fmax"], float(np.max(np.abs(chunk))))
+        return chunk
 
     def done(bracket, at_top, dips):
         return ScanOutcome(bracket, at_top, tuple(dips), state["evals"])
 
-    ensure(0)
+    # Step i of the walk compares cells i and i+1 (an exact zero at i+1,
+    # then a sign change) and then tests cell i+1 for a dip against its
+    # neighbours.  Block k is loaded once the walk needs one of its cells,
+    # so a dip test sees fmax over the blocks up to its right neighbour's.
+    # ``w`` holds the latest block and the two cells before it, from ``base``.
+    w = load(0)
+    base, loaded, prev = 0, len(w), 0
     dips: list[DipReport] = []
-    if vals[0] == 0.0:
+    if w[0] == 0.0:
         return done((grid[0], grid[0]), True, dips)
-    for i in range(npts - 1):
-        ensure(i + 1)
-        a, b = vals[i], vals[i + 1]
-        if b == 0.0:
-            return done((grid[i + 1], grid[i + 1]), False, dips)
-        if (a < 0) != (b < 0):
-            return done((float(grid[i + 1]), float(grid[i])), i == 0, dips)
-        if i + 2 < npts:
-            ensure(i + 2)
-            c = vals[i + 2]
+    while True:
+        # steps due now: comparisons up to loaded-2, dip tests up to loaded-3
+        # (a dip test needs a cell of the block that was loaded last)
+        first = max(prev - 1, 0)
+        neg = w < 0
+        zero = w[first + 1 - base : loaded - base] == 0.0
+        flip = neg[first - base : loaded - 1 - base] != neg[first + 1 - base : loaded - base]
+        hits = np.flatnonzero(zero | flip)
+        stop = first + int(hits[0]) if hits.size else npts
+        d0 = max(prev - 2, 0)
+        if loaded - 3 >= d0:
+            mag = np.abs(w)
+            left = mag[d0 - base : loaded - 2 - base]
+            mid = mag[d0 + 1 - base : loaded - 1 - base]
+            right = mag[d0 + 2 - base : loaded - base]
             is_dip = (
-                abs(b) <= dip_ratio * state["fmax"]
-                and abs(b) < abs(a)
-                and abs(b) <= abs(c)
-                and (a < 0) == (c < 0)
+                (mid <= dip_ratio * state["fmax"])
+                & (mid < left)
+                & (mid <= right)
+                & (neg[d0 - base : loaded - 2 - base] == neg[d0 + 2 - base : loaded - base])
             )
-            if is_dip:
+            for i in (d0 + np.flatnonzero(is_dip)).tolist():
+                if i >= stop:
+                    break
                 refined = _refine_dip(
                     f_batch, float(grid[i + 2]), float(grid[i]), step, dip_refinements, state
                 )
                 if refined is not None:
                     return done(refined, False, dips)
-                dips.append(DipReport(float(grid[i + 1]), float(b), step))
-    return done(None, False, dips)
+                dips.append(DipReport(float(grid[i + 1]), float(w[i + 1 - base]), step))
+        if hits.size:
+            i = stop
+            if zero[i - first]:
+                return done((grid[i + 1], grid[i + 1]), False, dips)
+            return done((float(grid[i + 1]), float(grid[i])), i == 0, dips)
+        if loaded == npts:
+            return done(None, False, dips)
+        chunk = load(loaded)
+        tail = w[-2:]
+        base, prev = loaded - len(tail), loaded
+        loaded += len(chunk)
+        w = np.concatenate((tail, chunk))
 
 
 def _refine_dip(f_batch, lo, hi, step, rounds, state):
@@ -180,6 +200,19 @@ def probe_geometric(
         k = int(flips[0])
         return (float(pts[k + 1]), float(pts[k]))
     return None
+
+
+def in_chunks(
+    f: Callable[[np.ndarray], np.ndarray], kappas: np.ndarray, n: int
+) -> np.ndarray:
+    """f over kappas in slices of about 1 MiB of n x n float matrices.
+
+    f must treat each kappa on its own, so the slicing changes no value; it
+    bounds the memory of the matrix stacks f builds.
+    """
+    size = max(1, 2**17 // n**2)
+    kappas = np.asarray(kappas, dtype=float)
+    return np.concatenate([f(kappas[s : s + size]) for s in range(0, len(kappas), size)])
 
 
 def brentq(f: Callable[[float], float], a: float, b: float, **kwargs) -> float:

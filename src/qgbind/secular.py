@@ -25,7 +25,9 @@ from typing import Sequence
 import numpy as np
 
 from .graph import MetricGraph, require_valid, vertex_incidences
-from .rootscan import DipReport, ScanOutcome, bisect_sign, probe_geometric, scan_down
+from .rootscan import (
+    DipReport, ScanOutcome, bisect_sign, in_chunks, probe_geometric, scan_down,
+)
 
 NULLSPACE_GAP_MIN = 1e6
 
@@ -229,10 +231,10 @@ class _Structure:
         for e in graph.infinite_edges:
             self.col_labels.append(("lead", e.id))
         self.row_labels: list[tuple] = []
-        self.entries: dict[tuple[int, int], list[float]] = {}
+        entries: dict[tuple[int, int], list[float]] = {}
 
         def add(r, c, u=0.0, v=0.0, w=0.0, z=0.0):
-            acc = self.entries.setdefault((r, c), [0.0, 0.0, 0.0, 0.0])
+            acc = entries.setdefault((r, c), [0.0, 0.0, 0.0, 0.0])
             acc[0] += u
             acc[1] += v
             acc[2] += w
@@ -273,25 +275,36 @@ class _Structure:
             self.row_labels.append(("coupling", v.id))
             row += 1
         assert row == self.D, "vertex conditions must give a square system"
-        self._items = [
-            (r, c, tuple(coef), c // 2 if c < 2 * self.nf else -1)
-            for (r, c), coef in self.entries.items()
-        ]
+        # flat entry tables: position r*D + c in the entry-major buffer, the
+        # four coefficients, and the column's edge for entries with an E term
+        pos = np.array([r * self.D + c for r, c in entries], dtype=np.intp)
+        coef = np.array(list(entries.values()), dtype=float).reshape(-1, 4)
+        edge = np.array([c // 2 for _, c in entries], dtype=np.intp)
+        has_e = (coef[:, 2] != 0.0) | (coef[:, 3] != 0.0)
+        self._plain = (pos[~has_e], coef[~has_e, 0, None], coef[~has_e, 1, None])
+        self._exp = (pos[has_e], coef[has_e, 0, None], coef[has_e, 1, None],
+                     coef[has_e, 2, None], coef[has_e, 3, None], edge[has_e])
 
     def assemble(self, kappas: np.ndarray) -> np.ndarray:
+        """Matrices at each kappa, shape (m, D, D).
+
+        The result is a view of an entry-major (D*D, m) buffer: each matrix
+        entry is one contiguous row over the kappas.
+        """
         kappas = np.asarray(kappas, dtype=float)
         m = kappas.shape[0]
-        E = np.exp(-np.outer(kappas, self.lengths)) if self.nf else None
-        out = np.zeros((m, self.D, self.D))
-        for r, c, (u, v, w, z), eidx in self._items:
-            val = u + v * kappas
-            if w != 0.0 or z != 0.0:
-                val = val + (w + z * kappas) * E[:, eidx]
-            out[:, r, c] = val
-        return out
+        out = np.zeros((self.D * self.D, m))
+        pos, u, v = self._plain
+        out[pos] = u + v * kappas
+        pos, u, v, w, z, edge = self._exp
+        if pos.size:
+            E = np.exp(-np.outer(self.lengths, kappas))
+            out[pos] = (u + v * kappas) + (w + z * kappas) * E[edge]
+        return out.reshape(self.D, self.D, m).transpose(2, 0, 1)
 
     def indicator(self, kappas: np.ndarray) -> np.ndarray:
-        return _equilibrated_det(self.assemble(kappas))
+        """Equilibrated determinant at each kappa, one stack per ~1 MiB chunk."""
+        return in_chunks(lambda ks: _equilibrated_det(self.assemble(ks)), kappas, self.D)
 
     def alpha_sum(self) -> float:
         return float(sum(abs(v.alpha) for v in self.graph.vertices))
@@ -429,8 +442,8 @@ def _build_solutions(graph, kappa0, vec):
     return sols
 
 
-def _reconstruct(graph, kappa0):
-    st = _Structure(graph)
+def _reconstruct(st, kappa0):
+    graph = st.graph
     vec, gap = _nullvector(st.assemble(np.array([kappa0]))[0])
     if gap < NULLSPACE_GAP_MIN:
         raise DegenerateRoot(
@@ -466,7 +479,7 @@ def reconstruct_eigenfunction(graph: MetricGraph, kappa0: float) -> list[EdgeSol
     require_valid(graph)
     if not kappa0 > 0:
         raise ValueError("kappa0 must be positive")
-    sols, _, _ = _reconstruct(graph, float(kappa0))
+    sols, _, _ = _reconstruct(_Structure(graph), float(kappa0))
     return list(sols)
 
 
@@ -485,10 +498,10 @@ def find_ground_state(graph: MetricGraph, options: SolverOptions | None = None) 
     opts = options or SolverOptions()
     if not (math.isfinite(opts.tol_kappa) and opts.tol_kappa > 0):
         raise ValueError(f"tol_kappa must be positive and finite, got {opts.tol_kappa!r}")
+    if opts.kappa_max is not None and not (math.isfinite(opts.kappa_max) and opts.kappa_max > 0):
+        raise ValueError(f"kappa_max must be positive and finite, got {opts.kappa_max!r}")
     st = _Structure(graph)
     kappa_max = opts.kappa_max if opts.kappa_max is not None else max(st.alpha_sum(), 1.0)
-    if not kappa_max > 0:
-        raise ValueError("kappa_max must be positive")
 
     evals = 0
     dips: tuple[DipReport, ...] = ()
@@ -517,7 +530,7 @@ def find_ground_state(graph: MetricGraph, options: SolverOptions | None = None) 
 
     lo, hi = bracket
     kappa0 = bisect_sign(lambda k: float(st.indicator(np.array([k]))[0]), lo, hi, opts.tol_kappa)
-    sols, gap, min_sampled = _reconstruct(graph, kappa0)
+    sols, gap, min_sampled = _reconstruct(st, kappa0)
     indices = tuple(classify_edge_index(s) for s in sols)
     cont, coup = vertex_condition_residuals(graph, sols)
     diag = Diagnostics(

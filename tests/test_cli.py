@@ -98,6 +98,16 @@ def test_bad_tol_kappa_is_input_error(delta_file, tol, capsys):
     assert capsys.readouterr().err.count("error: tol_kappa") == 2
 
 
+@pytest.mark.parametrize("kappa_max", ["inf", "nan"])
+def test_non_finite_kappa_max_is_input_error(delta_file, kappa_max, capsys):
+    assert main(["groundstate", delta_file, "--kappa-max", kappa_max]) == 2
+    assert main(["line", "--sites", "0", "--alphas", "-2", "--cross-check",
+                 "--kappa-max", kappa_max]) == 2
+    assert capsys.readouterr().err.count("error: kappa_max") == 2
+    # without --cross-check the kernel route alone runs and ignores the flag
+    assert main(["line", "--sites", "0", "--alphas", "-2", "--kappa-max", kappa_max]) == 0
+
+
 def test_line_passes_tol_kappa_to_kernel_solver(monkeypatch, capsys):
     import qgbind.cli as cli
 

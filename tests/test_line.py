@@ -6,6 +6,7 @@ the two-site line root solves kappa = |alpha|/2 (1 + exp(-kappa d)).
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -124,6 +125,19 @@ def test_tol_kappa_must_be_positive_and_finite(tol):
         ground_state_line(LineConfig((0.0,), (-2.0,)), tol_kappa=tol)
     with pytest.raises(ValueError, match="tol_kappa"):
         ground_state_loop(LoopConfig(5.0, (0.0,), (-2.0,)), tol_kappa=tol)
+
+
+def test_kernel_solve_memory_does_not_scale_with_the_scan_block():
+    # a 2048-matrix stack of 40 sites alone is 26 MB
+    config = LineConfig(tuple(float(i) for i in range(40)), (-1.0,) * 40)
+    ground_state_line(LineConfig((0.0,), (-2.0,)))  # loads scipy's brentq first
+    tracemalloc.start()
+    try:
+        ground_state_line(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 2**20 < 8.0
 
 
 def test_single_site_line_is_half_alpha():

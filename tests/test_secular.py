@@ -6,6 +6,7 @@ with the solver output, so a shared bug cannot cancel.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from qgbind import (
     singularity_indicator,
     vertex_condition_residuals,
 )
+from qgbind.secular import _Structure
 
 # fixed point of kappa = 1 + exp(-kappa): two sites at distance 1, alpha -2
 TWO_DELTA_KAPPA = 1.2784645427610737
@@ -178,6 +180,75 @@ def test_reconstruct_rejects_nonpositive_kappa():
 def test_tol_kappa_must_be_positive_and_finite(tol):
     with pytest.raises(ValueError, match="tol_kappa"):
         find_ground_state(single_vertex_graph(-2.0, 1), SolverOptions(tol_kappa=tol))
+
+
+@pytest.mark.parametrize("kappa_max", [-1.0, 0.0, math.nan, math.inf])
+def test_kappa_max_must_be_positive_and_finite(kappa_max):
+    with pytest.raises(ValueError, match="kappa_max"):
+        find_ground_state(single_vertex_graph(-2.0, 1), SolverOptions(kappa_max=kappa_max))
+
+
+# ------------------------------------------------------ batched indicator
+
+def _uniform_chain(n):
+    return as_chain_graph(LineConfig(tuple(float(i) for i in range(n)), (-1.0,) * n))
+
+
+@pytest.mark.parametrize("graph,count", [
+    (single_vertex_graph(-2.0, 1), 5000),  # D = 1
+    (single_vertex_graph(-3.0, 3), 5000),  # D = 3
+    (star_graph(-1.0), 5000),  # D = 6
+    (robin_interval(-1.0, -0.5, 40.0), 5000),  # D = 2, kappa*l up to 2000
+    (_uniform_chain(20), 5000),  # D = 40, 81 matrices per chunk
+    (_uniform_chain(40), 300),  # D = 80, 20 per chunk
+    (_uniform_chain(80), 12),  # D = 160, 5 per chunk
+])
+def test_chunked_indicator_bit_equals_single_matrices(graph, count):
+    kappas = np.geomspace(1e-3, 50.0, count)
+    batched = _Structure(graph).indicator(kappas)
+    single = np.array([singularity_indicator(build_secular_matrix(graph, float(k)))
+                       for k in kappas])
+    assert batched.shape == (count,)
+    assert batched.tobytes() == single.tobytes()
+
+
+def test_secular_matrix_entries_are_c_contiguous():
+    m = build_secular_matrix(star_graph(-1.0), 0.8)
+    assert m.entries.shape == (6, 6)
+    assert m.entries.flags.c_contiguous
+
+
+def _peak_mib(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_solve_memory_does_not_scale_with_the_scan_block():
+    # a 2048-matrix stack of this chain alone is 26 MB (D = 40)
+    graph = _uniform_chain(20)
+    assert _peak_mib(lambda: find_ground_state(graph)) < 8.0
+
+
+# ------------------------------------------------ known defect (ROADMAP item 6)
+
+@pytest.mark.xfail(strict=True, raises=DegenerateRoot,
+                   reason="distant equal wells: the SVD nullspace gap falls below 1e6")
+@pytest.mark.parametrize("alpha,distance", [(-1.0, 40.0), (-2.0, 400.0)])
+def test_distant_equal_wells_match_kernel_route(alpha, distance):
+    config = LineConfig((0.0, distance), (alpha, alpha))
+    expected = ground_state_line(config).kappa0
+    gs = find_ground_state(as_chain_graph(config))
+    assert abs(gs.kappa0 - expected) <= 1e-10 * expected
+
+
+def test_distant_equal_wells_on_the_kernel_route():
+    # the value the graph route should reproduce once the defect is fixed
+    kappa0 = ground_state_line(LineConfig((0.0, 40.0), (-1.0, -1.0))).kappa0
+    assert abs(kappa0 - 0.5000000010305767) < 1e-15
 
 
 # ------------------------------------------------------ edge solutions
