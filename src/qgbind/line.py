@@ -4,9 +4,10 @@ For sites y_1 < ... < y_n with strengths alpha_i < 0, the n x n matrix
 
     Gamma(kappa)_ij = -delta_ij / alpha_i - G_kappa(y_i, y_j)
 
-has smallest eigenvalue mu0(kappa); the ground-state kappa is the largest
-root of mu0.  On the line G_kappa(x, y) = exp(-kappa |x-y|) / (2 kappa); on
-a loop of circumference L the kernel is written with decaying exponentials,
+has smallest eigenvalue mu0(kappa); the ground-state kappa is the unique
+root of the increasing mu0.  On the line G_kappa(x, y) = exp(-kappa |x-y|) /
+(2 kappa); on a loop of circumference L the kernel is written with decaying
+exponentials,
 
     G = (exp(-kappa d) + exp(-kappa (2L - d))) / (2 kappa (1 - exp(-2 kappa L))),
 
@@ -24,7 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import FiniteEdge, InfiniteEdge, MetricGraph, VertexSpec
-from .rootscan import brentq, in_chunks, probe_geometric, scan_down
+from .rootscan import brentq
+# unused here; perfbench/tracer.py rebinds both names until ROADMAP item 1
+from .rootscan import probe_geometric, scan_down  # noqa: F401
 
 
 class NoRoot(RuntimeError):
@@ -171,42 +174,44 @@ class LineGroundState:
     weights: tuple[float, ...]
 
 
-def _solve_mu0(
-    stack_fn, n: int, alpha_sum: float, tol_kappa: float
-) -> tuple[float, np.ndarray]:
-    """Largest root of mu0 via descending scan plus Brent refinement.
+def _solve_mu0(stack_fn, strengths, tol_kappa: float) -> tuple[float, np.ndarray]:
+    """Unique root of mu0 by Brent between proven bounds.
 
-    ``stack_fn`` maps kappas to n x n matrices, built and diagonalised one
-    ~1 MiB chunk at a time.
+    dGamma/dkappa = -dG/dkappa is positive definite, so mu0 increases.  At
+    kappa = max|alpha|/2 the strongest site's diagonal entry is <= 0 (G_ii >=
+    1/(2 kappa) on the line and the loop), so mu0 <= 0 there; on the line the
+    entry is exactly 0.0, which makes a single site exact.  The upper bound
+    starts at Sigma|alpha|/2 + max(0.05 Sigma|alpha|/2, 0.05) and doubles
+    until mu0 >= 0 (short loops bind more strongly than the line).
     """
     if not (math.isfinite(tol_kappa) and tol_kappa > 0):
         raise ValueError(f"tol_kappa must be positive and finite, got {tol_kappa!r}")
 
-    def batch(ks):
-        return in_chunks(lambda c: np.linalg.eigvalsh(stack_fn(c))[:, 0], ks, n)
-
     def scalar(k):
-        return float(batch(np.array([k]))[0])
+        value = float(np.linalg.eigvalsh(stack_fn(np.array([k])))[0, 0])
+        if not math.isfinite(value):
+            raise NoRoot(f"mu0 is not finite at kappa={k!r}")
+        return value
 
-    half = 0.5 * alpha_sum
-    kappa_max = half + max(0.05 * half, 0.05)
-    bracket = None
+    lo = 0.5 * max(abs(a) for a in strengths)
     for _ in range(60):
-        step = min(1e-2, kappa_max / 1e4)
-        outcome = scan_down(batch, kappa_max, step)
-        if outcome.bracket is not None and not outcome.at_top:
-            bracket = outcome.bracket
+        at_lo = scalar(lo)
+        if at_lo <= 0.0:
             break
-        if outcome.bracket is None:
-            tail = probe_geometric(batch, step, step * 1e-6)
-            if tail is not None:
-                bracket = tail
+        lo *= 0.5  # only rounding can make mu0 positive here
+    else:
+        raise NoRoot(f"mu0 stays positive down to kappa={lo!r}")
+    kappa0 = lo
+    if at_lo < 0.0:
+        half = 0.5 * sum(abs(a) for a in strengths)
+        hi = half + max(0.05 * half, 0.05)
+        for _ in range(60):
+            if scalar(hi) >= 0.0:
                 break
-        kappa_max *= 2.0
-    if bracket is None:
-        raise NoRoot(f"mu0 has no sign change below kappa={kappa_max!r}")
-    lo, hi = bracket
-    kappa0 = lo if lo == hi else brentq(scalar, lo, hi, xtol=tol_kappa)
+            hi *= 2.0
+        else:
+            raise NoRoot(f"mu0 has no sign change below kappa={hi!r}")
+        kappa0 = brentq(scalar, lo, hi, xtol=tol_kappa)
     _, weights = min_eigenpair(GammaMatrix(kappa0, stack_fn(np.array([kappa0]))[0]))
     return float(kappa0), weights
 
@@ -221,12 +226,7 @@ def ground_state_line(
     are strictly one-signed for the ground state.  A loop binds at least as
     strongly as the same sites on the line.
     """
-    kappa0, w = _solve_mu0(
-        lambda ks: _gamma_stack(config, ks),
-        config.n,
-        sum(abs(a) for a in config.strengths),
-        tol_kappa,
-    )
+    kappa0, w = _solve_mu0(lambda ks: _gamma_stack(config, ks), config.strengths, tol_kappa)
     return LineGroundState(kappa0, -kappa0 * kappa0, tuple(float(x) for x in w))
 
 

@@ -30,6 +30,9 @@ from .rootscan import (
 )
 
 NULLSPACE_GAP_MIN = 1e6
+# largest kappa grid find_ground_state lets scan_down build (2**24 float64
+# values are 128 MiB); a higher ceiling raises NoBoundState instead
+MAX_SCAN_POINTS = 2**24
 
 
 class NoBoundState(RuntimeError):
@@ -492,7 +495,8 @@ def find_ground_state(graph: MetricGraph, options: SolverOptions | None = None) 
     or no sign change is found: compact graphs with short edges bind more
     strongly than any point-interaction bound, so a fixed ceiling would be
     wrong.  A geometric tail probe below the grid guards against extremely
-    weak binding.
+    weak binding.  A ceiling whose grid would exceed MAX_SCAN_POINTS raises
+    NoBoundState.
     """
     require_valid(graph)
     opts = options or SolverOptions()
@@ -509,6 +513,12 @@ def find_ground_state(graph: MetricGraph, options: SolverOptions | None = None) 
     outcome: ScanOutcome | None = None
     for _ in range(opts.max_doublings):
         step = min(1e-2, kappa_max / 1e4)
+        points = math.floor((kappa_max - step) / step) + 1
+        if points > MAX_SCAN_POINTS:
+            raise NoBoundState(
+                f"the scan below kappa={kappa_max!r} needs {points} grid points, "
+                f"more than {MAX_SCAN_POINTS}"
+            )
         outcome = scan_down(st.indicator, kappa_max, step)
         evals += outcome.evaluations
         dips += outcome.dips

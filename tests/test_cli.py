@@ -134,6 +134,14 @@ def test_groundstate_excited_root_is_numeric_failure(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("numerical failure: ")
 
 
+def test_groundstate_huge_ceiling_is_numeric_failure(delta_file, capsys):
+    # a 1e14-point scan grid is refused before anything is allocated
+    assert main(["groundstate", delta_file, "--kappa-max", "1e12"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ")
+    assert "grid points" in err
+
+
 def test_sweep_csv_schema(star_file, capsys):
     rc = main([
         "sweep", star_file,

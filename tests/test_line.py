@@ -12,10 +12,12 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+import qgbind.line as line_module
 from qgbind import (
     LineConfig,
     LoopConfig,
     MonotonicityViolation,
+    NoRoot,
     as_chain_graph,
     as_cycle_graph,
     check_monotonicity_line,
@@ -29,6 +31,7 @@ from qgbind import (
     mu0,
     stretch_gap,
 )
+from qgbind.cli import main
 from qgbind.line import derivative_signs
 
 TWO_DELTA_KAPPA = 1.2784645427610737
@@ -179,6 +182,61 @@ def test_derivative_signs_on_symmetric_pair():
     signs = derivative_signs(config, gs.kappa0, gs.weights)
     # the state rises into each well from outside and dips in between
     assert signs == ((1, -1), (1, -1))
+
+
+def _uniform_line(n):
+    return LineConfig(tuple(float(i) for i in range(n)), (-1.0,) * n)
+
+
+@pytest.mark.parametrize("config", [
+    _uniform_line(3),
+    _uniform_line(6),
+    _uniform_line(40),
+    _uniform_line(80),
+    LoopConfig(10.0, (0.0, 1.0, 3.0, 6.0), (-0.3, -0.2, -0.4, -0.1)),
+    LoopConfig(1e-3, (0.0,), (-1.0,)),
+])
+def test_kernel_solve_builds_few_matrices(config, monkeypatch):
+    # bracket between proven bounds plus one Brent refinement; a uniform
+    # descending scan needed 6 150 to 62 295 matrices on these configs
+    built = []
+    for name in ("_gamma_line_stack", "_gamma_loop_stack"):
+        kernel = getattr(line_module, name)
+        monkeypatch.setattr(line_module, name,
+                            lambda c, ks, kernel=kernel: built.append(len(ks)) or kernel(c, ks))
+    ground_state_line(config)
+    assert 0 < sum(built) <= 32
+
+
+@pytest.mark.parametrize("alpha", [-2.0, -1e-6, -1e-9, -1e12])
+def test_single_site_line_is_exact(alpha):
+    # the lower bound |alpha|/2 zeroes the 1 x 1 kernel matrix exactly
+    gs = ground_state_line(LineConfig((0.0,), (alpha,)))
+    assert gs.kappa0 == abs(alpha) / 2.0
+    assert gs.weights == (1.0,)
+
+
+def test_short_loop_raises_the_upper_bound():
+    # kappa0 = 31.6 lies far above the line ceiling |alpha|/2 + 0.05
+    L, alpha = 1e-3, -1.0
+    gs = ground_state_loop(LoopConfig(L, (0.0,), (alpha,)))
+    assert gs.kappa0 > 30.0
+    assert abs(2.0 * gs.kappa0 * math.tanh(gs.kappa0 * L / 2.0) - abs(alpha)) < 1e-14
+
+
+@pytest.mark.parametrize("n,kappa0", [(40, 1.0409704855581763), (80, 1.0429292104394867)])
+def test_uniform_lines_match_recorded_values(n, kappa0):
+    # values the descending scan gave when the benchmark was defined
+    assert abs(ground_state_line(_uniform_line(n)).kappa0 - kappa0) <= 1e-12 * kappa0
+
+
+def test_non_finite_kernel_raises_no_root(monkeypatch, capsys):
+    monkeypatch.setattr(line_module, "_gamma_line_stack",
+                        lambda c, ks: np.full((len(ks), c.n, c.n), np.nan))
+    with pytest.raises(NoRoot, match="not finite"):
+        ground_state_line(LineConfig((0.0, 1.0), (-1.0, -1.0)))
+    assert main(["line", "--sites", "0", "1", "--alphas", "-1", "-1"]) == 3
+    assert capsys.readouterr().err.startswith("numerical failure: ")
 
 
 # ------------------------------------------------------------ loop solve

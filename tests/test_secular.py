@@ -251,6 +251,45 @@ def test_distant_equal_wells_on_the_kernel_route():
     assert abs(kappa0 - 0.5000000010305767) < 1e-15
 
 
+@pytest.mark.xfail(strict=True, raises=PositivityViolation,
+                   reason="unequal distant wells: the SVD nullvector loses the weak well")
+@pytest.mark.parametrize("distance", [40.0, 100.0, 300.0])
+def test_distant_unequal_wells_match_kernel_route(distance):
+    config = LineConfig((0.0, distance), (-1.0, -2.0))
+    expected = ground_state_line(config).kappa0
+    gs = find_ground_state(as_chain_graph(config))
+    assert abs(gs.kappa0 - expected) <= 1e-10 * expected
+
+
+@pytest.mark.parametrize("distance", [40.0, 100.0, 300.0])
+def test_distant_unequal_wells_on_the_kernel_route(distance):
+    # the strong well alone binds at |alpha|/2 = 1; the weak one shifts it
+    # by about exp(-2 distance), below rounding
+    kappa0 = ground_state_line(LineConfig((0.0, distance), (-1.0, -2.0))).kappa0
+    assert abs(kappa0 - 1.0) <= 1e-15
+
+
+# ------------------------------------------------------ huge scan ceiling
+
+def test_huge_ceiling_is_no_bound_state_without_allocating():
+    # the default ceiling sum |alpha| = 1e12 would need a 1e14-point grid
+    graph = single_vertex_graph(-1e12, 2)
+
+    def solve():
+        with pytest.raises(NoBoundState, match="grid points"):
+            find_ground_state(graph)
+
+    assert _peak_mib(solve) < 8.0
+
+
+@pytest.mark.xfail(strict=True, raises=NoBoundState,
+                   reason="the descending scan cannot reach a 5e11 root")
+def test_huge_coupling_matches_kernel_route():
+    expected = ground_state_line(LineConfig((0.0,), (-1e12,))).kappa0
+    assert expected == 5e11
+    assert find_ground_state(single_vertex_graph(-1e12, 2)).kappa0 == expected
+
+
 # ------------------------------------------------------ edge solutions
 
 def test_edge_solution_matches_exponential_form():
