@@ -69,6 +69,7 @@ from .secular import (
     reconstruct_eigenfunction,
     singularity_indicator,
     vertex_condition_residuals,
+    vertex_matrix,
 )
 from .sweeps import (
     CritError,
@@ -99,7 +100,7 @@ __all__ = [
     "GroundState", "NoBoundState", "PositivityViolation", "SecularMatrix",
     "SolverOptions", "build_secular_matrix", "classify_coefficients",
     "classify_edge_index", "find_ground_state", "reconstruct_eigenfunction",
-    "singularity_indicator", "vertex_condition_residuals",
+    "singularity_indicator", "vertex_condition_residuals", "vertex_matrix",
     "CritError", "CritResult", "SweepPoint", "SweepSpec", "SweepTarget",
     "apply_target", "find_critical_coupling", "run_sweep",
     "__version__",

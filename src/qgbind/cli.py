@@ -50,9 +50,9 @@ def _add_solver_flags(
     p: argparse.ArgumentParser, kappa_max_help: str = "initial scan ceiling"
 ) -> None:
     p.add_argument("--tol-kappa", type=float, default=SolverOptions.tol_kappa,
-                   help="absolute kappa tolerance of the root refinement "
-                   "(bisection width on the graph route, Brent's xtol on the "
-                   "kernel route)")
+                   help="kappa tolerance of the root refinement: the absolute "
+                   "bisection width on the graph route, relative to kappa0 on "
+                   "the kernel route")
     p.add_argument("--kappa-max", type=float, default=None, help=kappa_max_help)
 
 
@@ -93,7 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--window", nargs=2, type=float, default=[0.5, 3.0], metavar=("LO", "HI"),
                    help="axial length window that must become energy-flat")
     c.add_argument("--alpha-bracket", nargs=2, type=float, default=[-3.0, -0.1],
-                   metavar=("LO", "HI"))
+                   metavar=("LO", "HI"),
+                   help="range (either order) the critical center alpha must lie in")
     c.add_argument("--json", action="store_true")
     _add_solver_flags(c)
 

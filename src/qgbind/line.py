@@ -182,7 +182,9 @@ def _solve_mu0(stack_fn, strengths, tol_kappa: float) -> tuple[float, np.ndarray
     1/(2 kappa) on the line and the loop), so mu0 <= 0 there; on the line the
     entry is exactly 0.0, which makes a single site exact.  The upper bound
     starts at Sigma|alpha|/2 + max(0.05 Sigma|alpha|/2, 0.05) and doubles
-    until mu0 >= 0 (short loops bind more strongly than the line).
+    until mu0 >= 0 (short loops bind more strongly than the line).  Brent's
+    xtol is tol_kappa * lo with lo <= kappa0, so tol_kappa bounds the error
+    relative to kappa0, for weak binding as well as strong.
     """
     if not (math.isfinite(tol_kappa) and tol_kappa > 0):
         raise ValueError(f"tol_kappa must be positive and finite, got {tol_kappa!r}")
@@ -211,7 +213,7 @@ def _solve_mu0(stack_fn, strengths, tol_kappa: float) -> tuple[float, np.ndarray
             hi *= 2.0
         else:
             raise NoRoot(f"mu0 has no sign change below kappa={hi!r}")
-        kappa0 = brentq(scalar, lo, hi, xtol=tol_kappa)
+        kappa0 = brentq(scalar, lo, hi, xtol=tol_kappa * lo)
     _, weights = min_eigenpair(GammaMatrix(kappa0, stack_fn(np.array([kappa0]))[0]))
     return float(kappa0), weights
 

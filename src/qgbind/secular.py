@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -204,14 +205,22 @@ class GroundState:
     indices: tuple[int, ...]
     diagnostics: Diagnostics
 
+    @cached_property
+    def _positions(self) -> dict[str, int]:
+        # built on first lookup; not a field, so repr and == ignore it
+        return {s.edge_id: i for i, s in enumerate(self.solutions)}
+
+    def _position(self, edge_id: str) -> int:
+        try:
+            return self._positions[edge_id]
+        except KeyError:
+            raise KeyError(f"unknown edge id: {edge_id!r}") from None
+
     def solution(self, edge_id: str) -> EdgeSolution:
-        for s in self.solutions:
-            if s.edge_id == edge_id:
-                return s
-        raise KeyError(f"unknown edge id: {edge_id!r}")
+        return self.solutions[self._position(edge_id)]
 
     def index(self, edge_id: str) -> int:
-        return self.indices[self.solutions.index(self.solution(edge_id))]
+        return self.indices[self._position(edge_id)]
 
 
 class _Structure:
@@ -341,6 +350,38 @@ def build_secular_matrix(graph: MetricGraph, kappa: float) -> SecularMatrix:
 def singularity_indicator(matrix: SecularMatrix) -> float:
     """Signed scalar vanishing exactly where the secular matrix is singular."""
     return float(_equilibrated_det(matrix.entries[None, :, :])[0])
+
+
+def vertex_matrix(graph: MetricGraph, kappa: float) -> np.ndarray:
+    """Vertex-reduced Dirichlet-to-Neumann matrix M(kappa), vertices in
+    input order.
+
+    M f = 0 exactly when the vertex values f extend, edge by edge, to a
+    solution of -psi'' = -kappa**2 psi that meets every vertex condition.
+    With E = exp(-kappa l) and 1 - E**2 written as -expm1(-2 kappa l), an
+    edge of length l adds kappa (1 + E**2) / (1 - E**2) to both of its
+    vertices' diagonal entries and -2 kappa E / (1 - E**2) to the entry
+    joining them; a lead adds kappa to its vertex's diagonal entry, and
+    parallel edges add up.  dM/dkappa is positive definite, so every
+    eigenvalue increases with kappa.  The graph is not validated: the
+    alphas are used as given.
+    """
+    ids = {v.id: i for i, v in enumerate(graph.vertices)}
+    out = np.diag(np.array([v.alpha for v in graph.vertices], dtype=float))
+    start = np.array([ids[e.start] for e in graph.finite_edges], dtype=np.intp)
+    end = np.array([ids[e.end] for e in graph.finite_edges], dtype=np.intp)
+    kl = kappa * np.array([e.length for e in graph.finite_edges], dtype=float)
+    E = np.exp(-kl)
+    den = -np.expm1(-2.0 * kl)
+    diag = kappa * (1.0 + E * E) / den
+    off = -2.0 * kappa * E / den
+    np.add.at(out, (start, start), diag)
+    np.add.at(out, (end, end), diag)
+    np.add.at(out, (start, end), off)
+    np.add.at(out, (end, start), off)
+    anchors = np.array([ids[e.anchor] for e in graph.infinite_edges], dtype=np.intp)
+    np.add.at(out, (anchors, anchors), kappa)
+    return out
 
 
 def _shape_index(diff: float, big: float, epsilon_idx: float) -> int:

@@ -3,8 +3,10 @@
 A sweep is a 1-D or 2-D grid over (edge length | vertex alpha) targets; each
 grid point is an independent ground-state solve, so points can run in a
 process pool.  Failed points carry a status string instead of aborting the
-sweep.  The critical-coupling search for a star graph solves for the center
-alpha at which the energy stops depending on the axial edge length.
+sweep.  The critical coupling of a star graph is the center alpha at which
+the energy stops depending on the axial edge length; it is computed in
+closed form from the vertex-reduced matrix and then checked on a grid of
+axial lengths.
 """
 
 from __future__ import annotations
@@ -15,21 +17,24 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graph import InvalidGraphError, MetricGraph, degree
-from .rootscan import brentq
+from .graph import InvalidGraphError, MetricGraph, degree, require_valid
+# unused here; perfbench/tracer.py rebinds it until ROADMAP item 1
+from .rootscan import brentq  # noqa: F401
 from .secular import (
     DegenerateRoot,
     NoBoundState,
     PositivityViolation,
     SolverOptions,
     find_ground_state,
+    vertex_matrix,
 )
 
 _POINT_ERRORS = (InvalidGraphError, NoBoundState, DegenerateRoot, PositivityViolation)
 
 
 class CritError(RuntimeError):
-    """Critical-coupling search could not bracket a root."""
+    """No center alpha in the bracket makes the energy flat in the axial
+    length."""
 
 
 @dataclass(frozen=True)
@@ -184,19 +189,73 @@ class CritResult:
     window: tuple[float, float]
 
 
-def _axial_center(graph: MetricGraph, axial_edge_id: str) -> str:
+def _axial_ends(graph: MetricGraph, axial_edge_id: str) -> tuple[str, str]:
+    """(center, outer vertex) of the axial edge."""
     edge = next((e for e in graph.finite_edges if e.id == axial_edge_id), None)
     if edge is None:
         raise ValueError(f"no finite edge with id {axial_edge_id!r}")
     deg_start = degree(graph, edge.start)
     deg_end = degree(graph, edge.end)
     if deg_start == 1 and deg_end > 1:
-        return edge.end
+        return edge.end, edge.start
     if deg_end == 1 and deg_start > 1:
-        return edge.start
+        return edge.start, edge.end
     raise ValueError(
         "axial edge must join a degree-1 outer vertex to a higher-degree center"
     )
+
+
+def _closed_form_alpha(
+    graph: MetricGraph, axial_edge_id: str, center: str, outer: str
+) -> float:
+    """The center alpha at which kappa* = |alpha_outer| is the ground state
+    for every axial length.
+
+    Eliminating the outer vertex q from M(kappa*) leaves, on the center's
+    diagonal, kappa coth(kappa l) - M_cq**2 / M_qq = -kappa* for every axial
+    length l, with M_qq = kappa e^{-kappa l} / sinh(kappa l) > 0.  So with M'
+    the matrix of the rest of the graph (axial edge and q removed) plus
+    -kappa* at the center, R = M' without the center and m the center's
+    column: if R = L L^T is positive definite, alpha_c = -(M'_cc - |L^-1 m|^2)
+    makes M' positive semidefinite and singular (Haynsworth inertia), hence
+    mu0(M(kappa*)) = 0 is simple.  mu0 increases with kappa, so kappa* is its
+    only root: the ground state at alpha_c.
+    """
+    kappa = -graph.alpha(outer)
+    if not kappa > 0:
+        raise CritError(
+            f"outer vertex {outer!r} has alpha {-kappa!r} >= 0: "
+            "the energy depends on the axial length at every center alpha"
+        )
+    vertices = tuple(
+        replace(v, alpha=0.0) if v.id == center else v
+        for v in graph.vertices if v.id != outer
+    )
+    rest = replace(
+        graph,
+        vertices=vertices,
+        finite_edges=tuple(e for e in graph.finite_edges if e.id != axial_edge_id),
+    )
+    m = vertex_matrix(rest, kappa)
+    c = next(i for i, v in enumerate(vertices) if v.id == center)
+    m[c, c] -= kappa
+    others = np.arange(len(vertices)) != c
+    try:
+        chol = np.linalg.cholesky(m[np.ix_(others, others)])
+    except np.linalg.LinAlgError:
+        raise CritError(
+            f"with {center!r} held at zero the rest of the graph binds below "
+            f"lambda = {-kappa * kappa!r}: no center alpha makes the energy flat"
+        ) from None
+    y = np.linalg.solve(chol, m[others, c])
+    return float(-(m[c, c] - y @ y))
+
+
+def _finite_pair(value, name: str) -> tuple[float, float]:
+    lo, hi = (float(x) for x in value)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"{name} must be finite, got ({lo!r}, {hi!r})")
+    return lo, hi
 
 
 def find_critical_coupling(
@@ -206,47 +265,39 @@ def find_critical_coupling(
     alpha_bracket: tuple[float, float] = (-3.0, -0.1),
     options: SolverOptions | None = None,
     flat_points: int = 13,
-    xtol: float = 1e-12,
 ) -> CritResult:
     """Center alpha at which the energy is flat in the axial edge length.
 
-    Solves lambda0(window hi) = lambda0(window lo) for the alpha of the
-    vertex where the axial edge meets the rest of the graph, then measures
-    residual variation on a grid across the window.
+    alpha_c comes in closed form from the vertex-reduced matrix (see
+    :func:`_closed_form_alpha`); at alpha_c the ground state is
+    kappa0 = |alpha of the outer vertex| for every axial length.  alpha_c
+    must lie in ``alpha_bracket`` (either order).  The graph route then
+    solves ``flat_points`` axial lengths across ``window`` as independent
+    evidence: their largest energy change and slope, and the axial edge's
+    index at the middle length.
     """
-    lo, hi = window
+    lo, hi = _finite_pair(window, "window")
     if not 0 < lo < hi:
         raise ValueError("window must satisfy 0 < lo < hi")
-    center = _axial_center(graph, axial_edge_id)
-    target_alpha = SweepTarget("vertex", center)
-    target_len = SweepTarget("edge", axial_edge_id)
-
-    def solve(alpha: float, length: float):
-        g = apply_target(graph, target_alpha, alpha)
-        g = apply_target(g, target_len, length)
-        return find_ground_state(g, options)
-
-    def gap(alpha: float) -> float:
-        return solve(alpha, hi).lambda0 - solve(alpha, lo).lambda0
-
-    a, b = alpha_bracket
-    ga, gb = gap(a), gap(b)
-    if ga == 0.0:
-        alpha_crit = a
-    elif gb == 0.0:
-        alpha_crit = b
-    elif (ga < 0) == (gb < 0):
+    a, b = _finite_pair(alpha_bracket, "alpha bracket")
+    require_valid(graph)
+    center, outer = _axial_ends(graph, axial_edge_id)
+    alpha_crit = _closed_form_alpha(graph, axial_edge_id, center, outer)
+    if not min(a, b) <= alpha_crit <= max(a, b):
         raise CritError(
-            f"no sign change of the length-dependence gap on alpha in [{a}, {b}]"
+            f"alpha_crit = {alpha_crit!r} lies outside [{a}, {b}]: no sign change "
+            "of the length-dependence gap there"
         )
-    else:
-        alpha_crit = float(brentq(gap, a, b, xtol=xtol))
 
+    g = apply_target(graph, SweepTarget("vertex", center), alpha_crit)
+    target_len = SweepTarget("edge", axial_edge_id)
     lengths = np.linspace(lo, hi, flat_points)
-    lambdas = np.array([solve(alpha_crit, float(L)).lambda0 for L in lengths])
+    states = [find_ground_state(apply_target(g, target_len, float(L)), options)
+              for L in lengths]
+    lambdas = np.array([s.lambda0 for s in states])
     variation = float(np.max(np.abs(lambdas - lambdas[0])))
     evidence = float(np.max(np.abs(np.diff(lambdas) / np.diff(lengths))))
-    mid = solve(alpha_crit, float(lengths[flat_points // 2]))
+    mid = states[flat_points // 2]
     return CritResult(
         alpha_crit=alpha_crit,
         evidence=evidence,

@@ -317,6 +317,59 @@ def test_crit_unbracketed_is_numeric_failure(star_file, capsys):
     assert capsys.readouterr().err.startswith("numerical failure: ")
 
 
+@pytest.mark.parametrize("extra,rc,message", [
+    (["--window", "0.5", "inf"], 2, "error: window must be finite"),
+    (["--window", "nan", "1"], 2, "error: window must be finite"),
+    (["--alpha-bracket", "-3", "inf"], 2, "error: alpha bracket must be finite"),
+    (["--alpha-bracket", "nan", "-0.1"], 2, "error: alpha bracket must be finite"),
+    (["--alpha-bracket", "-0.1", "-3"], 0, ""),
+    (["--alpha-bracket", "-3", "-3"], 3, "numerical failure: "),
+    (["--window", "0.5", "1e6"], 3, "numerical failure: "),
+])
+def test_crit_argument_exit_codes(star_file, extra, rc, message, capsys):
+    assert main(["crit", star_file, "--axial-edge", "axial"] + extra) == rc
+    assert capsys.readouterr().err.startswith(message)
+
+
+@pytest.mark.parametrize("graph,message", [
+    (star_graph(-1.0, axial_alpha=0.0), "outer vertex 'q'"),
+    (star_graph(-1.0, arm_alpha=-6.0), "binds below"),
+])
+def test_crit_without_a_flat_coupling_is_numeric_failure(tmp_path, graph, message, capsys):
+    path = tmp_path / "star.json"
+    save_graph(graph, path)
+    assert main(["crit", str(path), "--axial-edge", "axial"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and message in err
+
+
+def _readme_crit_example() -> tuple[list[str], list[str]]:
+    """The README's crit command (after the program name) and its output."""
+    lines = (PYPROJECT.parent / "README.md").read_text(encoding="utf-8").splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("qgbind crit "))
+    output = []
+    for line in lines[start + 1:]:
+        if not line.startswith("    "):
+            break
+        output.append(line.strip())
+    return lines[start].split()[1:], output
+
+
+def test_readme_crit_example_matches_the_cli(star_file, capsys):
+    # README's star.json is the reference star
+    argv, expected = _readme_crit_example()
+    assert argv[1] == "star.json"
+    assert main([argv[0], star_file] + argv[2:]) == 0
+    got = capsys.readouterr().out.splitlines()
+    assert [line.split(" = ")[0] for line in got] == [line.split(" = ")[0] for line in expected]
+    for mine, theirs in zip(got, expected):
+        label, value = mine.split(" = ")
+        if label in ("alpha_crit", "kappa0 at criticality"):
+            assert abs(float(value) - float(theirs.split(" = ")[1])) <= 1e-12
+        elif label == "axial edge index":
+            assert mine == theirs
+
+
 def test_compare_pass(delta_file, capsys):
     rc = main(["compare", delta_file, "--h", "0.02", "--json"])
     assert rc == 0
@@ -417,3 +470,23 @@ def test_cold_groundstate_loads_no_scipy_or_process_pool(fixture, request):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["import []", "groundstate 0 True []"]
+
+
+_COLD_CRIT_PROBE = """
+import contextlib, io, sys
+from qgbind.cli import main
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    rc = main(["crit", sys.argv[1], "--axial-edge", "axial", "--json"])
+roots = {m.split(".")[0] for m in sys.modules}
+print("crit", rc, '"alpha_crit"' in out.getvalue(), sorted(roots & {"scipy"}))
+"""
+
+
+def test_cold_crit_loads_no_scipy(star_file):
+    # the closed-form critical coupling and the window solves need numpy only
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_CRIT_PROBE, star_file],
+        capture_output=True, text=True, timeout=60, env=_checkout_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["crit 0 True []"]

@@ -216,6 +216,14 @@ def test_single_site_line_is_exact(alpha):
     assert gs.weights == (1.0,)
 
 
+def test_weak_pair_is_accurate_to_a_relative_tolerance():
+    # even state k = (|alpha|/2)(1 + e^{-k d}); an absolute Brent xtol of
+    # 1e-12 stopped 5e-8 relative away from it at kappa0 ~ 1e-6
+    gs = ground_state_line(LineConfig((0.0, 1.0), (-1e-6, -1e-6)))
+    exact = 9.999995000005e-07
+    assert abs(gs.kappa0 - exact) <= 1e-12 * exact
+
+
 def test_short_loop_raises_the_upper_bound():
     # kappa0 = 31.6 lies far above the line ceiling |alpha|/2 + 0.05
     L, alpha = 1e-3, -1.0
