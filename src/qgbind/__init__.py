@@ -69,7 +69,6 @@ from .secular import (
     reconstruct_eigenfunction,
     singularity_indicator,
     vertex_condition_residuals,
-    vertex_matrix,
 )
 from .sweeps import (
     CritError,
@@ -100,7 +99,7 @@ __all__ = [
     "GroundState", "NoBoundState", "PositivityViolation", "SecularMatrix",
     "SolverOptions", "build_secular_matrix", "classify_coefficients",
     "classify_edge_index", "find_ground_state", "reconstruct_eigenfunction",
-    "singularity_indicator", "vertex_condition_residuals", "vertex_matrix",
+    "singularity_indicator", "vertex_condition_residuals",
     "CritError", "CritResult", "SweepPoint", "SweepSpec", "SweepTarget",
     "apply_target", "find_critical_coupling", "run_sweep",
     "__version__",

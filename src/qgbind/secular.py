@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -205,22 +204,14 @@ class GroundState:
     indices: tuple[int, ...]
     diagnostics: Diagnostics
 
-    @cached_property
-    def _positions(self) -> dict[str, int]:
-        # built on first lookup; not a field, so repr and == ignore it
-        return {s.edge_id: i for i, s in enumerate(self.solutions)}
-
-    def _position(self, edge_id: str) -> int:
-        try:
-            return self._positions[edge_id]
-        except KeyError:
-            raise KeyError(f"unknown edge id: {edge_id!r}") from None
-
     def solution(self, edge_id: str) -> EdgeSolution:
-        return self.solutions[self._position(edge_id)]
+        for s in self.solutions:
+            if s.edge_id == edge_id:
+                return s
+        raise KeyError(f"unknown edge id: {edge_id!r}")
 
     def index(self, edge_id: str) -> int:
-        return self.indices[self._position(edge_id)]
+        return self.indices[self.solutions.index(self.solution(edge_id))]
 
 
 class _Structure:

@@ -24,6 +24,10 @@ from qgbind import (
 _SCREEN_BOUND = 8.0
 _MAX_DRAWS = 500
 
+# critical center coupling of the reference star (star_graph defaults): the
+# alpha at which its energy stops depending on the axial length
+ALPHA_CRIT = -1.0908817883350728
+
 
 def single_vertex_graph(alpha: float, n_leads: int) -> MetricGraph:
     """One attractive vertex carrying ``n_leads`` semi-infinite leads."""

@@ -15,6 +15,7 @@ import time
 import numpy as np
 
 from conftest import (
+    ALPHA_CRIT,
     random_chain_graph,
     random_line_config,
     random_mixed_graph,
@@ -46,10 +47,7 @@ from qgbind import (
 )
 from qgbind.cli import main as cli_main
 
-# critical center coupling of the reference star (L1 = 1, arm alpha -1.5,
-# axial outer alpha -2); two window-independent searches agree to 1e-12
-ALPHA_CRIT = -1.0908817883350728
-# five-digit anchor the search result is checked against
+# five-digit anchor of the reference star's critical coupling
 ALPHA_CRIT_ANCHOR = -1.09088
 # two wells at distance 1 with alpha -2 each: kappa solves k = 1 + exp(-k)
 TWO_DELTA_LAMBDA = -1.6344715870972812

@@ -455,18 +455,6 @@ def test_unknown_edge_id_raises():
         gs.index("nope")
 
 
-def test_edge_lookups_leave_repr_and_equality_alone():
-    # the edge-id map is built on first lookup and is not a field
-    g = star_graph(-1.3, L2=1.7)
-    looked, fresh = find_ground_state(g), find_ground_state(g)
-    before = repr(looked)
-    for sol in looked.solutions:
-        assert looked.solution(sol.edge_id) is sol
-        looked.index(sol.edge_id)
-    assert repr(looked) == before == repr(fresh)
-    assert looked == fresh
-
-
 def test_scaling_covariance_single_case():
     g = chain_graph([-1.0, -0.6], [0.8])
     base = find_ground_state(g)

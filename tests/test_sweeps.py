@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import star_graph
+from conftest import ALPHA_CRIT, star_graph
 from qgbind import (
     CritError,
     SweepSpec,
@@ -13,10 +13,6 @@ from qgbind import (
     find_ground_state,
     run_sweep,
 )
-
-# alpha at which the star energy stops depending on the axial length
-# (window-independent; solved to 1e-12 by two independent searches below)
-ALPHA_CRIT = -1.0908817883350728
 
 
 def test_target_parse_and_label():
@@ -166,8 +162,12 @@ def test_critical_coupling_window_invariant():
 
 def test_critical_coupling_needs_bracketing():
     g = star_graph(-1.0)
-    with pytest.raises(CritError, match="no sign change"):
-        find_critical_coupling(g, "axial", alpha_bracket=(-0.3, -0.1))
+    for bracket in ((-0.3, -0.1), (-3.0, -3.0)):
+        with pytest.raises(CritError, match="no sign change"):
+            find_critical_coupling(g, "axial", alpha_bracket=bracket)
+    # a bracket holding alpha_c may come in either order
+    reverse = find_critical_coupling(g, "axial", alpha_bracket=(-0.1, -3.0))
+    assert reverse == find_critical_coupling(g, "axial")
 
 
 def test_critical_coupling_validates_geometry():

@@ -5,6 +5,7 @@ import pytest
 from scipy.optimize import brentq
 
 from conftest import (
+    ALPHA_CRIT,
     random_chain_graph,
     random_mixed_graph,
     random_tree_graph,
@@ -24,8 +25,6 @@ from qgbind import (
     find_ground_state,
 )
 from qgbind.secular import vertex_matrix
-
-ALPHA_CRIT = -1.0908817883350728
 
 
 def _parallel_graph():
@@ -181,29 +180,3 @@ def test_pendant_edge_on_a_lead_vertex_is_exact():
     res = find_critical_coupling(graph, "axial")
     assert res.alpha_crit == -2.0
     assert abs(res.kappa0 - 2.0) <= 1e-12
-
-
-def test_strong_arms_fail_the_cholesky_step():
-    # with the center held at zero the arms alone bind below -|alpha_q|**2
-    with pytest.raises(CritError, match="binds below"):
-        find_critical_coupling(star_graph(-1.0, arm_alpha=-6.0), "axial")
-
-
-def test_non_attractive_outer_vertex_raises():
-    with pytest.raises(CritError, match="outer vertex 'q'"):
-        find_critical_coupling(star_graph(-1.0, axial_alpha=0.0), "axial")
-
-
-def test_bracket_in_either_order_and_non_finite_arguments():
-    g = star_graph(-1.0)
-    forward = find_critical_coupling(g, "axial", alpha_bracket=(-3.0, -0.1))
-    reverse = find_critical_coupling(g, "axial", alpha_bracket=(-0.1, -3.0))
-    assert forward == reverse
-    with pytest.raises(CritError, match="no sign change"):
-        find_critical_coupling(g, "axial", alpha_bracket=(-3.0, -3.0))
-    for window in ((0.5, np.inf), (np.nan, 1.0)):
-        with pytest.raises(ValueError, match="window must be finite"):
-            find_critical_coupling(g, "axial", window=window)
-    for bracket in ((-3.0, np.inf), (np.nan, -0.1)):
-        with pytest.raises(ValueError, match="alpha bracket must be finite"):
-            find_critical_coupling(g, "axial", alpha_bracket=bracket)
