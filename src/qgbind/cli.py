@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 from .graph import GraphFormatError, InvalidGraphError, load_graph
@@ -46,13 +47,20 @@ def _solver_options(args) -> SolverOptions:
     return SolverOptions(tol_kappa=args.tol_kappa, kappa_max=args.kappa_max)
 
 
+# every negative value float() reads, "-inf" and "-1e5" included; argparse's
+# own pattern (-1, -.5) would take the others for flags and say "expected 2
+# arguments" instead of naming the bad value
+_NEGATIVE_NUMBER = re.compile(
+    r"^-(?:(?:\d+\.?\d*|\.\d+)(?:e[+-]?\d+)?|inf(?:inity)?|nan)$", re.IGNORECASE)
+
+
 def _add_solver_flags(
-    p: argparse.ArgumentParser, kappa_max_help: str = "initial scan ceiling"
+    p: argparse.ArgumentParser,
+    kappa_max_help: str = "hard kappa ceiling: a ground state above it is a "
+    "numerical failure (exit 3)",
 ) -> None:
     p.add_argument("--tol-kappa", type=float, default=SolverOptions.tol_kappa,
-                   help="kappa tolerance of the root refinement: the absolute "
-                   "bisection width on the graph route, relative to kappa0 on "
-                   "the kernel route")
+                   help="tolerance of the root refinement, relative to kappa0")
     p.add_argument("--kappa-max", type=float, default=None, help=kappa_max_help)
 
 
@@ -106,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     l.add_argument("--cross-check", action="store_true",
                    help="also solve the equivalent metric graph and report the difference")
     l.add_argument("--json", action="store_true")
-    _add_solver_flags(l, "initial scan ceiling of the --cross-check graph solve; "
+    _add_solver_flags(l, "hard kappa ceiling of the --cross-check graph solve; "
                       "the kernel route ignores it")
 
     o = sub.add_parser("compare", help="secular vs finite-element eigenvalue")
@@ -118,6 +126,8 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--json", action="store_true")
     _add_solver_flags(o)
 
+    for command in sub.choices.values():
+        command._negative_number_matcher = _NEGATIVE_NUMBER
     return p
 
 

@@ -25,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import FiniteEdge, InfiniteEdge, MetricGraph, VertexSpec
-from .rootscan import brentq
-# unused here; perfbench/tracer.py rebinds both names until ROADMAP item 1
-from .rootscan import probe_geometric, scan_down  # noqa: F401
+from .rootscan import increasing_root
+# unused here; perfbench/tracer.py rebinds these names until ROADMAP item 1
+from .rootscan import brentq, probe_geometric, scan_down  # noqa: F401
 
 
 class NoRoot(RuntimeError):
@@ -175,7 +175,7 @@ class LineGroundState:
 
 
 def _solve_mu0(stack_fn, strengths, tol_kappa: float) -> tuple[float, np.ndarray]:
-    """Unique root of mu0 by Brent between proven bounds.
+    """Unique root of mu0 between proven bounds (rootscan.increasing_root).
 
     dGamma/dkappa = -dG/dkappa is positive definite, so mu0 increases.  At
     kappa = max|alpha|/2 the strongest site's diagonal entry is <= 0 (G_ii >=
@@ -195,25 +195,11 @@ def _solve_mu0(stack_fn, strengths, tol_kappa: float) -> tuple[float, np.ndarray
             raise NoRoot(f"mu0 is not finite at kappa={k!r}")
         return value
 
-    lo = 0.5 * max(abs(a) for a in strengths)
-    for _ in range(60):
-        at_lo = scalar(lo)
-        if at_lo <= 0.0:
-            break
-        lo *= 0.5  # only rounding can make mu0 positive here
-    else:
-        raise NoRoot(f"mu0 stays positive down to kappa={lo!r}")
-    kappa0 = lo
-    if at_lo < 0.0:
-        half = 0.5 * sum(abs(a) for a in strengths)
-        hi = half + max(0.05 * half, 0.05)
-        for _ in range(60):
-            if scalar(hi) >= 0.0:
-                break
-            hi *= 2.0
-        else:
-            raise NoRoot(f"mu0 has no sign change below kappa={hi!r}")
-        kappa0 = brentq(scalar, lo, hi, xtol=tol_kappa * lo)
+    half = 0.5 * sum(abs(a) for a in strengths)
+    kappa0, _, _ = increasing_root(
+        scalar, 0.5 * max(abs(a) for a in strengths), half + max(0.05 * half, 0.05),
+        tol_kappa, NoRoot,
+    )
     _, weights = min_eigenpair(GammaMatrix(kappa0, stack_fn(np.array([kappa0]))[0]))
     return float(kappa0), weights
 

@@ -14,6 +14,10 @@ The matching conditions at a vertex of degree n are continuity (n - 1 rows)
 plus the coupling row sum(outward derivatives) = alpha * psi(vertex), giving
 a square system of size D = 2 * #finite + #leads.  kappa is an eigenvalue
 root exactly when the system is singular.
+
+The solver works on the smaller vertex-reduced matrix M(kappa) instead (see
+:func:`vertex_matrix`): the ground state is the one root of its increasing
+smallest eigenvalue, and the D x D system stays as independent evidence.
 """
 
 from __future__ import annotations
@@ -25,14 +29,12 @@ from typing import Sequence
 import numpy as np
 
 from .graph import MetricGraph, require_valid, vertex_incidences
-from .rootscan import (
-    DipReport, ScanOutcome, bisect_sign, in_chunks, probe_geometric, scan_down,
-)
+from .rootscan import DipReport, increasing_root
+# unused here; perfbench/tracer.py rebinds these names until ROADMAP item 1
+from .rootscan import bisect_sign, probe_geometric, scan_down  # noqa: F401
 
 NULLSPACE_GAP_MIN = 1e6
-# largest kappa grid find_ground_state lets scan_down build (2**24 float64
-# values are 128 MiB); a higher ceiling raises NoBoundState instead
-MAX_SCAN_POINTS = 2**24
+_EPS = float(np.finfo(float).eps)
 
 
 class NoBoundState(RuntimeError):
@@ -50,11 +52,15 @@ class PositivityViolation(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Knobs for :func:`find_ground_state`; defaults match the desk scale."""
+    """Knobs for :func:`find_ground_state`.
+
+    ``tol_kappa`` bounds the error of kappa0 relative to kappa0.
+    ``kappa_max``, when given, is a hard ceiling: a ground state above it
+    raises NoBoundState.
+    """
 
     tol_kappa: float = 1e-12
     kappa_max: float | None = None
-    max_doublings: int = 24
 
 
 @dataclass(frozen=True)
@@ -180,6 +186,18 @@ class EdgeSolution:
 
 @dataclass(frozen=True)
 class Diagnostics:
+    """What a solve did and the certificate of its state.
+
+    ``bracket`` = (lo, hi) holds the root, with mu0(lo) <= 0 <= mu0(hi) for
+    the smallest eigenvalue mu0 of M(kappa); ``kappa_max_used`` is hi.
+    ``nullspace_gap`` is mu1 / max(|mu0|, tau) at kappa0, tau the rounding
+    of an eigenvalue (see :func:`_reconstruct`): large when the zero
+    eigenvalue is simple.  ``min_sampled`` is the
+    exact minimum of the normalized state.  ``indicator_evaluations``
+    counts the matrices M(kappa) built; ``dips`` is always empty (the
+    descending scan that reported them is gone).
+    """
+
     continuity_residual: float
     coupling_residual: float
     nullspace_gap: float
@@ -223,7 +241,6 @@ class _Structure:
     """
 
     def __init__(self, graph: MetricGraph):
-        self.graph = graph
         self.nf = len(graph.finite_edges)
         self.nl = len(graph.infinite_edges)
         self.D = 2 * self.nf + self.nl
@@ -305,13 +322,6 @@ class _Structure:
             out[pos] = (u + v * kappas) + (w + z * kappas) * E[edge]
         return out.reshape(self.D, self.D, m).transpose(2, 0, 1)
 
-    def indicator(self, kappas: np.ndarray) -> np.ndarray:
-        """Equilibrated determinant at each kappa, one stack per ~1 MiB chunk."""
-        return in_chunks(lambda ks: _equilibrated_det(self.assemble(ks)), kappas, self.D)
-
-    def alpha_sum(self) -> float:
-        return float(sum(abs(v.alpha) for v in self.graph.vertices))
-
 
 def _equilibrated_det(stack: np.ndarray) -> np.ndarray:
     """Determinant after scaling each row to unit max-norm.
@@ -343,6 +353,106 @@ def singularity_indicator(matrix: SecularMatrix) -> float:
     return float(_equilibrated_det(matrix.entries[None, :, :])[0])
 
 
+def _dtn_parts(graph: MetricGraph):
+    """kappa -> (a, W) with M(kappa) = diag(a + W 1) - W (see
+    :func:`vertex_matrix`), the index arrays built once.
+
+    coth(x) = tanh(x/2) + csch(x) splits an edge's terms: it adds
+    kappa tanh(kappa l / 2) to a at both ends and the weight
+    w = kappa csch(kappa l) = 2 kappa E / (1 - E**2) between them; a lead
+    adds kappa to a.  So a = alpha + O(kappa) and every w > 0, and a short
+    edge's large w never has to cancel against a (see :func:`_reduced`).
+    """
+    n = len(graph.vertices)
+    ids = {v.id: i for i, v in enumerate(graph.vertices)}
+    start = np.array([ids[e.start] for e in graph.finite_edges], dtype=np.intp)
+    end = np.array([ids[e.end] for e in graph.finite_edges], dtype=np.intp)
+    anchors = np.array([ids[e.anchor] for e in graph.infinite_edges], dtype=np.intp)
+    lengths = np.array([e.length for e in graph.finite_edges], dtype=float)
+    alphas = np.array([v.alpha for v in graph.vertices], dtype=float)
+    leads = np.bincount(anchors, minlength=n).astype(float)
+    # W's entries, then a's edge terms, in one accumulation
+    index = np.concatenate((start * n + end, end * n + start, n * n + start, n * n + end))
+
+    def parts(kappa: float) -> tuple[np.ndarray, np.ndarray]:
+        kl = kappa * lengths
+        E = np.exp(-kl)
+        g = -np.expm1(-kl)  # 1 - E without cancellation
+        w = 2.0 * kappa * E / (g * (1.0 + E))
+        half_tanh = kappa * g / (1.0 + E)
+        acc = np.bincount(index, np.concatenate((w, w, half_tanh, half_tanh)),
+                          minlength=n * n + n).astype(float, copy=False)  # int if no edges
+        return alphas + kappa * leads + acc[n * n:], acc[: n * n].reshape(n, n)
+
+    return parts
+
+
+def _short_edge_roots(graph: MetricGraph, kappa: float) -> list[int]:
+    """Per vertex, the first vertex of its cluster joined by edges with
+    kappa * l < 1e-3; the other vertices of a cluster are eliminated before
+    the eigensolve.
+
+    Such an edge's weight ~ 1/l would swamp the O(kappa) terms of M in
+    rounding (kappa0 off by 1e-7 relative at l = 1e-9); eliminated, it
+    leaves no entry larger than about 1e3 kappa.
+    """
+    ids = {v.id: i for i, v in enumerate(graph.vertices)}
+    root = list(range(len(graph.vertices)))
+
+    def find(i):
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    for e in graph.finite_edges:
+        if kappa * e.length < 1e-3:
+            u, v = sorted((find(ids[e.start]), find(ids[e.end])))
+            root[v] = u
+    return [find(i) for i in range(len(root))]
+
+
+def _eliminated(roots: list[int]) -> list[int]:
+    return [i for i, r in enumerate(roots) if r != i]
+
+
+def _reduced(a, W, order):
+    """Schur complement S of M = diag(a + W 1) - W on the vertices not in
+    ``order``, eliminating those in order, with the kept vertices and the
+    steps that recover the others; a and W are overwritten.
+
+    Eliminating v with pivot p = a_v + sum_j w_vj adds w_vi a_v / p to a_i
+    and w_vi w_vj / p to w_ij: sums of like-signed terms, with no
+    cancellation against a large pivot.  Returns None when a pivot is not
+    positive: then M is not positive definite, so mu0(M) < 0.  Otherwise S
+    has the inertia of M (Haynsworth), so mu0(S) has the sign of mu0(M) and
+    the same one root.
+    """
+    steps = []
+    kept = np.arange(len(a))
+    if order:
+        for v in order:
+            wv = W[v].copy()
+            p = a[v] + wv.sum()
+            if not p > 0.0:
+                return None
+            a += wv * (a[v] / p)
+            W += np.outer(wv, wv) / p
+            W[v, :] = W[:, v] = 0.0
+            np.fill_diagonal(W, 0.0)
+            steps.append((v, wv, a[v], p))
+        kept = np.setdiff1d(kept, order)
+        a, W = a[kept], W[np.ix_(kept, kept)]
+    return _assemble(a, W), kept, steps
+
+
+def _assemble(a: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """diag(a + W 1) - W, overwriting W (whose diagonal is zero)."""
+    W *= -1.0
+    W.flat[:: len(a) + 1] = a - W.sum(axis=1)
+    return W
+
+
 def vertex_matrix(graph: MetricGraph, kappa: float) -> np.ndarray:
     """Vertex-reduced Dirichlet-to-Neumann matrix M(kappa), vertices in
     input order.
@@ -353,26 +463,12 @@ def vertex_matrix(graph: MetricGraph, kappa: float) -> np.ndarray:
     edge of length l adds kappa (1 + E**2) / (1 - E**2) to both of its
     vertices' diagonal entries and -2 kappa E / (1 - E**2) to the entry
     joining them; a lead adds kappa to its vertex's diagonal entry, and
-    parallel edges add up.  dM/dkappa is positive definite, so every
+    parallel edges add up; it is assembled as diag(a + W 1) - W (see
+    :func:`_dtn_parts`).  dM/dkappa is positive definite, so every
     eigenvalue increases with kappa.  The graph is not validated: the
     alphas are used as given.
     """
-    ids = {v.id: i for i, v in enumerate(graph.vertices)}
-    out = np.diag(np.array([v.alpha for v in graph.vertices], dtype=float))
-    start = np.array([ids[e.start] for e in graph.finite_edges], dtype=np.intp)
-    end = np.array([ids[e.end] for e in graph.finite_edges], dtype=np.intp)
-    kl = kappa * np.array([e.length for e in graph.finite_edges], dtype=float)
-    E = np.exp(-kl)
-    den = -np.expm1(-2.0 * kl)
-    diag = kappa * (1.0 + E * E) / den
-    off = -2.0 * kappa * E / den
-    np.add.at(out, (start, start), diag)
-    np.add.at(out, (end, end), diag)
-    np.add.at(out, (start, end), off)
-    np.add.at(out, (end, start), off)
-    anchors = np.array([ids[e.anchor] for e in graph.infinite_edges], dtype=np.intp)
-    np.add.at(out, (anchors, anchors), kappa)
-    return out
+    return _assemble(*_dtn_parts(graph)(kappa))
 
 
 def _shape_index(diff: float, big: float, epsilon_idx: float) -> int:
@@ -454,43 +550,106 @@ def vertex_condition_residuals(
     return cont, coup
 
 
-def _nullvector(matrix: np.ndarray) -> tuple[np.ndarray, float]:
-    """Unit right-singular vector of the smallest singular value and the
-    nullspace simplicity gap (second-smallest over smallest)."""
-    scale = np.abs(matrix).max(axis=1)
-    safe = np.where(scale == 0.0, 1.0, scale)
-    _, svals, vt = np.linalg.svd(matrix / safe[:, None])
-    if len(svals) == 1:
-        return vt[-1], math.inf
-    if svals[-1] == 0.0:
-        return vt[-1], math.inf
-    return vt[-1], float(svals[-2] / svals[-1])
+def _positive_tail(matrix: np.ndarray, mu0: float, f: np.ndarray) -> np.ndarray:
+    """The Perron vector f of M with its small components recomputed.
+
+    ``eigh`` resolves components only to about eps * max|f| and can deflate
+    an exponentially small one to exactly 0.  Row i of M f = mu0 f gives
+    f_i = sum_j (-M_ij) f_j / (M_ii - mu0); with M_ij <= 0 off the diagonal
+    every term is >= 0, so the sum has no cancellation.  Components below
+    sqrt(eps) * max f are recomputed from the largest down, so each one sees
+    its larger neighbours already done.
+    """
+    f = f.copy()
+    small = np.flatnonzero(f <= math.sqrt(_EPS) * f.max())
+    for i in small[np.argsort(-f[small], kind="stable")]:
+        den = matrix[i, i] - mu0
+        if den > 0.0:
+            neighbours = -matrix[i]
+            neighbours[i] = 0.0
+            f[i] = (neighbours @ f) / den
+    return f
 
 
-def _build_solutions(graph, kappa0, vec):
+def _edge_solutions(graph, kappa0, f, roots, delta):
+    """Edge components with vertex values f: on an edge from u to v,
+    p = (f_u - E f_v) / (1 - E**2) and q = (f_v - E f_u) / (1 - E**2); a
+    lead carries its vertex's value.
+
+    Within a cluster of short edges (same root) f_u - f_v is taken as
+    delta_u - delta_v, the accurate differences from the root: f_u - E f_v
+    = (f_u - f_v) + (1 - E) f_v, where both terms are O(kappa l) and plain
+    subtraction of the vertex values would lose eps / (kappa l) of them.
+    """
+    ids = {v.id: i for i, v in enumerate(graph.vertices)}
     sols = []
-    nf = len(graph.finite_edges)
-    for i, e in enumerate(graph.finite_edges):
-        sols.append(EdgeSolution.finite(e.id, kappa0, e.length, float(vec[2 * i]), float(vec[2 * i + 1])))
-    for k, e in enumerate(graph.infinite_edges):
-        sols.append(EdgeSolution.infinite(e.id, kappa0, float(vec[2 * nf + k])))
+    for e in graph.finite_edges:
+        u, v = ids[e.start], ids[e.end]
+        fu, fv = float(f[u]), float(f[v])
+        kl = kappa0 * e.length
+        E = math.exp(-kl)
+        if roots[u] == roots[v]:
+            d, g = float(delta[u] - delta[v]), -math.expm1(-kl)
+            num_p, num_q = d + g * fv, g * fu - d
+        else:
+            num_p, num_q = fu - E * fv, fv - E * fu
+        den = -math.expm1(-2.0 * kl)
+        sols.append(EdgeSolution.finite(e.id, kappa0, e.length, num_p / den, num_q / den))
+    for e in graph.infinite_edges:
+        sols.append(EdgeSolution.infinite(e.id, kappa0, float(f[ids[e.anchor]])))
     return sols
 
 
-def _reconstruct(st, kappa0):
-    graph = st.graph
-    vec, gap = _nullvector(st.assemble(np.array([kappa0]))[0])
+def _reconstruct(graph, kappa0, reduced, roots):
+    """State at kappa0 from the eigenvector of the reduced M(kappa0) whose
+    eigenvalue is nearest zero, with its simplicity gap and exact minimum.
+
+    At the ground-state root that eigenvalue is mu0 and the gap is
+    mu1 / max(|mu0|, tau), with tau = n * eps * (||S|| + max|alpha| +
+    kappa * max degree) the rounding of an eigenvalue: Weyl's bound for the
+    eigensolver plus the rounding of summing an entry's terms, which can
+    cancel (two wells alpha = -2 at distance 400 give entries of 4e-174 at
+    kappa = 1).  At an excited root the eigenvalue nearest zero is a higher
+    one, whose vector changes sign, so the positivity check refuses it.
+    Eliminated vertices get f_v = sum_j w_vj f_j / p_v, in reverse order,
+    through delta_v = f_v - f_root = sum_j (w_vj / p_v) (f_j - f_root) -
+    (a_v / p_v) f_root, which keeps the O(kappa l) differences across short
+    edges accurate.
+    """
+    if reduced is None:
+        raise PositivityViolation(
+            f"M is not positive semidefinite at kappa={kappa0!r}: "
+            "kappa lies below the ground-state root"
+        )
+    matrix, kept, steps = reduced
+    w, vecs = np.linalg.eigh(matrix)
+    k = int(np.argmin(np.abs(w)))
+    terms = (max(abs(v.alpha) for v in graph.vertices)
+             + kappa0 * max(len(incs) for incs in vertex_incidences(graph).values()))
+    tau = len(w) * _EPS * (float(np.max(np.abs(w))) + terms)
+    others = np.delete(np.abs(w), k)
+    gap = (float(others.min() / max(abs(w[k]), tau, np.finfo(float).tiny))
+           if others.size else math.inf)
     if gap < NULLSPACE_GAP_MIN:
         raise DegenerateRoot(
             f"nullspace not simple at kappa={kappa0!r}: "
-            f"singular-value gap {gap:.3g} < {NULLSPACE_GAP_MIN:.0e}"
+            f"eigenvalue gap {gap:.3g} < {NULLSPACE_GAP_MIN:.0e}"
         )
-    sols = _build_solutions(graph, kappa0, vec)
-
-    anchor = min(graph.vertices, key=lambda v: (v.alpha,))
-    vals, _ = _vertex_values(graph, {s.edge_id: s.value for s in sols})[anchor.id]
-    if vals[0] < 0:
-        sols = [s.scaled(-1.0) for s in sols]
+    fk = vecs[:, k]
+    if fk[np.argmax(np.abs(fk))] < 0:
+        fk = -fk
+    if k == 0:
+        fk = _positive_tail(matrix, float(w[0]), fk)
+    f = np.zeros(len(graph.vertices))
+    delta = np.zeros(len(graph.vertices))
+    f[kept] = fk
+    roots = np.asarray(roots)
+    for v, wv, a_v, p in reversed(steps):
+        r = roots[v]
+        from_root = np.where(roots == r, delta, f - f[r])
+        delta[v] = (wv @ from_root - a_v * f[r]) / p
+        f[v] = f[r] + delta[v]
+    sols = _edge_solutions(graph, kappa0, f, roots, delta)
     mass = sum(s.l2_mass() for s in sols)
     if mass <= 0:
         raise PositivityViolation("reconstructed state has zero mass")
@@ -508,27 +667,39 @@ def _reconstruct(st, kappa0):
 def reconstruct_eigenfunction(graph: MetricGraph, kappa0: float) -> list[EdgeSolution]:
     """Normalized positive eigenfunction at a converged root kappa0.
 
-    Raises DegenerateRoot when the numerical nullspace is not simple and
-    PositivityViolation when kappa0 is not the ground-state root.
+    The state is built from the eigenvector of M(kappa0) whose eigenvalue is
+    nearest zero.  Raises DegenerateRoot when that eigenvalue is not
+    separated from the rest (kappa0 is no simple root) and
+    PositivityViolation when the state changes sign (kappa0 is an excited
+    root).
     """
     require_valid(graph)
     if not kappa0 > 0:
         raise ValueError("kappa0 must be positive")
-    sols, _, _ = _reconstruct(_Structure(graph), float(kappa0))
+    kappa0 = float(kappa0)
+    roots = _short_edge_roots(graph, kappa0)
+    reduced = _reduced(*_dtn_parts(graph)(kappa0), _eliminated(roots))
+    sols, _, _ = _reconstruct(graph, kappa0, reduced, roots)
     return list(sols)
 
 
 def find_ground_state(graph: MetricGraph, options: SolverOptions | None = None) -> GroundState:
-    """Locate the largest kappa root, reconstruct and classify the state.
+    """Ground state: the one root kappa0 of mu0(kappa), the smallest
+    eigenvalue of the vertex-reduced matrix M(kappa); then the state,
+    its shape indices and its certificate.
 
-    Downward scan over a uniform kappa grid brackets the top root; plain
-    bisection converges it to tol_kappa.  The search ceiling starts at
-    max(sum |alpha|, 1) and doubles when the root lands in the topmost cell
-    or no sign change is found: compact graphs with short edges bind more
-    strongly than any point-interaction bound, so a fixed ceiling would be
-    wrong.  A geometric tail probe below the grid guards against extremely
-    weak binding.  A ceiling whose grid would exceed MAX_SCAN_POINTS raises
-    NoBoundState.
+    M'(kappa) is positive definite, so mu0 increases and has exactly one
+    root, and M_uv <= 0 makes its vector positive (Perron-Frobenius).  The
+    constant trial vector gives 1^T M 1 <= sum alpha + kappa N + kappa**2 L
+    (N leads, L the total edge length, 2 tanh(x/2) <= x), so mu0 <= 0 at
+    the positive root lo of L kappa**2 + N kappa + sum alpha, exact for a
+    single vertex.  The upper bound doubles from 2 lo until mu0 >= 0, never
+    past ``kappa_max``, and Brent refines between them to tol_kappa * lo.
+    Vertices joined by edges with lo * l < 1e-3 are eliminated first (see
+    :func:`_reduced`), which keeps the sign and the root of mu0.  The state
+    comes from the Perron vector f: p = (f_u - E f_v)/(1 - E**2),
+    q = (f_v - E f_u)/(1 - E**2) on an edge, c = f at a lead's vertex.
+    Raises NoBoundState when mu0(kappa_max) < 0.
     """
     require_valid(graph)
     opts = options or SolverOptions()
@@ -536,43 +707,28 @@ def find_ground_state(graph: MetricGraph, options: SolverOptions | None = None) 
         raise ValueError(f"tol_kappa must be positive and finite, got {opts.tol_kappa!r}")
     if opts.kappa_max is not None and not (math.isfinite(opts.kappa_max) and opts.kappa_max > 0):
         raise ValueError(f"kappa_max must be positive and finite, got {opts.kappa_max!r}")
-    st = _Structure(graph)
-    kappa_max = opts.kappa_max if opts.kappa_max is not None else max(st.alpha_sum(), 1.0)
-
+    alpha_sum = sum(v.alpha for v in graph.vertices)  # < 0 on a valid graph
+    n_leads = len(graph.infinite_edges)
+    total = sum(e.length for e in graph.finite_edges)
+    lo = -2.0 * alpha_sum / (n_leads + math.sqrt(n_leads * n_leads - 4.0 * total * alpha_sum))
+    parts = _dtn_parts(graph)
+    roots = _short_edge_roots(graph, lo)
+    order = _eliminated(roots)
     evals = 0
-    dips: tuple[DipReport, ...] = ()
-    bracket = None
-    outcome: ScanOutcome | None = None
-    for _ in range(opts.max_doublings):
-        step = min(1e-2, kappa_max / 1e4)
-        points = math.floor((kappa_max - step) / step) + 1
-        if points > MAX_SCAN_POINTS:
-            raise NoBoundState(
-                f"the scan below kappa={kappa_max!r} needs {points} grid points, "
-                f"more than {MAX_SCAN_POINTS}"
-            )
-        outcome = scan_down(st.indicator, kappa_max, step)
-        evals += outcome.evaluations
-        dips += outcome.dips
-        if outcome.bracket is not None and not outcome.at_top:
-            bracket = outcome.bracket
-            break
-        if outcome.bracket is None:
-            tail = probe_geometric(st.indicator, step, step * 1e-6)
-            evals += 40
-            if tail is not None:
-                bracket = tail
-                break
-        kappa_max *= 2.0
-    if bracket is None:
-        raise NoBoundState(
-            f"no sign change of the secular indicator up to kappa={kappa_max!r}; "
-            f"unresolved dips: {len(dips)}"
-        )
 
-    lo, hi = bracket
-    kappa0 = bisect_sign(lambda k: float(st.indicator(np.array([k]))[0]), lo, hi, opts.tol_kappa)
-    sols, gap, min_sampled = _reconstruct(st, kappa0)
+    def reduced(kappa: float):
+        nonlocal evals
+        evals += 1
+        return _reduced(*parts(kappa), order)
+
+    def mu0(kappa: float) -> float:
+        r = reduced(kappa)  # None: a pivot <= 0, so mu0 < 0
+        return -1.0 if r is None else float(np.linalg.eigvalsh(r[0])[0])
+
+    ceiling = math.inf if opts.kappa_max is None else opts.kappa_max
+    kappa0, lo, hi = increasing_root(mu0, lo, 2.0 * lo, opts.tol_kappa, NoBoundState,
+                                     ceiling=ceiling)
+    sols, gap, min_sampled = _reconstruct(graph, kappa0, reduced(kappa0), roots)
     indices = tuple(classify_edge_index(s) for s in sols)
     cont, coup = vertex_condition_residuals(graph, sols)
     diag = Diagnostics(
@@ -581,8 +737,8 @@ def find_ground_state(graph: MetricGraph, options: SolverOptions | None = None) 
         nullspace_gap=gap,
         min_sampled=min_sampled,
         bracket=(lo, hi),
-        kappa_max_used=kappa_max,
+        kappa_max_used=hi,
         indicator_evaluations=evals,
-        dips=dips,
+        dips=(),
     )
     return GroundState(kappa0, -kappa0 * kappa0, sols, indices, diag)

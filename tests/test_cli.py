@@ -125,8 +125,8 @@ def test_line_passes_tol_kappa_to_kernel_solver(monkeypatch, capsys):
 
 
 def test_groundstate_excited_root_is_numeric_failure(tmp_path, capsys):
-    # the scan ceiling excludes the ground root, landing on a sign-changing
-    # excited state that the positivity check rejects
+    # the ceiling lies between the odd excited root and the ground root,
+    # and kappa_max is a hard ceiling
     path = tmp_path / "interval.json"
     save_graph(robin_interval(-1.0, -1.0, 4.0), path)
     rc = main(["groundstate", str(path), "--kappa-max", "1.0"])
@@ -134,12 +134,15 @@ def test_groundstate_excited_root_is_numeric_failure(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("numerical failure: ")
 
 
-def test_groundstate_huge_ceiling_is_numeric_failure(delta_file, capsys):
-    # a 1e14-point scan grid is refused before anything is allocated
-    assert main(["groundstate", delta_file, "--kappa-max", "1e12"]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("numerical failure: ")
-    assert "grid points" in err
+def test_groundstate_huge_kappa_max_solves(delta_file, capsys):
+    # a ceiling far above kappa0 = 1 costs nothing: no grid is built below it
+    assert main(["groundstate", delta_file, "--kappa-max", "1e12", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["kappa0"] == 1.0
+
+
+def test_groundstate_kappa_max_below_the_root_is_numeric_failure(delta_file, capsys):
+    assert main(["groundstate", delta_file, "--kappa-max", "0.5"]) == 3
+    assert capsys.readouterr().err.startswith("numerical failure: mu0 < 0 at the ceiling")
 
 
 def test_sweep_csv_schema(star_file, capsys):
@@ -247,6 +250,21 @@ def test_sweep_rejects_zero_width_range(star_file, capsys):
     assert "error: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("lo,hi", [("-inf", "2"), ("-1", "-nan"), ("-1E400", "2")])
+def test_sweep_non_finite_range_is_input_error(star_file, lo, hi, capsys):
+    # argparse would read "-inf" as a flag; such values reach the range check
+    assert main(["sweep", star_file, "--target", "vertex:c", "--range", lo, hi,
+                 "--steps", "3"]) == 2
+    assert capsys.readouterr().err.startswith("error: sweep range must be finite")
+
+
+def test_sweep_accepts_exponent_notation_range(star_file, capsys):
+    assert main(["sweep", star_file, "--target", "vertex:c", "--range", "-2e0", "-5e-1",
+                 "--steps", "3"]) == 0
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert [r.split(",")[1] for r in rows] == ["-2", "-1.25", "-0.5"]
+
+
 def test_sweep_rejects_mismatched_flag_counts(star_file, capsys):
     rc = main(["sweep", star_file,
                "--target", "edge:axial", "--target", "vertex:c",
@@ -325,6 +343,12 @@ def test_crit_unbracketed_is_numeric_failure(star_file, capsys):
     (["--alpha-bracket", "-0.1", "-3"], 0, ""),
     (["--alpha-bracket", "-3", "-3"], 3, "numerical failure: "),
     (["--window", "0.5", "1e6"], 3, "numerical failure: "),
+    # argparse alone would read "-inf" and "-1e1" as flags
+    (["--alpha-bracket", "-inf", "-0.1"], 2, "error: alpha bracket must be finite"),
+    (["--alpha-bracket", "-3", "-Infinity"], 2, "error: alpha bracket must be finite"),
+    (["--alpha-bracket", "-1e1", "-1e-1"], 0, ""),
+    (["--window", "-inf", "1"], 2, "error: window must be finite"),
+    (["--window", "-0.5", "1"], 2, "error: window must satisfy"),
 ])
 def test_crit_argument_exit_codes(star_file, extra, rc, message, capsys):
     assert main(["crit", star_file, "--axial-edge", "axial"] + extra) == rc

@@ -1,15 +1,19 @@
-"""Bracketing-scan tests on synthetic indicator functions."""
+"""Root-finder and bracketing-scan tests on synthetic functions."""
 
+import math
 from dataclasses import fields
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from qgbind.rootscan import (
     DipReport,
     ScanOutcome,
     _refine_dip,
     bisect_sign,
+    brentq,
+    increasing_root,
     probe_geometric,
     scan_down,
 )
@@ -124,6 +128,83 @@ def test_probe_geometric_finds_tiny_root():
 def test_probe_geometric_none_without_root():
     f = lambda k: np.asarray(k) + 1.0
     assert probe_geometric(f, hi=1e-2, lo=1e-8) is None
+
+
+# ------------------------------------------------ Brent and the increasing root
+
+_BRENT_CASES = [
+    (lambda x: x * x - 2.0, 0.0, 2.0, {}),
+    (lambda x: math.exp(x) - 3.0, -5.0, 5.0, {"xtol": 1e-15}),
+    (lambda x: x**3, -1.0, 0.5, {}),  # triple root at 0: neither converges
+    (lambda x: (x - 0.1) ** 3, -1.0, 0.5, {}),  # off zero: bisection steps
+    (lambda x: math.tanh(50.0 * (x - 0.3)), 0.0, 1.0, {"xtol": 1e-14}),
+    (lambda x: x - 1e-9 * (1.0 + math.exp(-x)), 1e-12, 1.0, {"xtol": 1e-22}),
+    (lambda x: math.cos(x) - x, 2.0, 0.0, {"rtol": 1e-10}),
+]
+
+
+@pytest.mark.parametrize("f,a,b,kwargs", _BRENT_CASES)
+def test_brentq_matches_scipy_bit_for_bit(f, a, b, kwargs):
+    def run(solver):
+        calls = []
+        try:
+            return solver(lambda x: calls.append(x) or f(x), a, b, **kwargs), calls
+        except RuntimeError:
+            return "no convergence", calls
+
+    assert run(brentq) == run(scipy.optimize.brentq)
+
+
+def test_brentq_uses_known_end_values():
+    calls = []
+    f = lambda x: calls.append(x) or x - 0.25  # noqa: E731
+    assert brentq(f, 0.0, 1.0, fa=-0.25, fb=0.75) == brentq(lambda x: x - 0.25, 0.0, 1.0)
+    assert 0.0 not in calls and 1.0 not in calls
+
+
+@pytest.mark.parametrize("f,a,b,error", [
+    (lambda x: x + 1.0, 0.0, 1.0, ValueError),  # no sign change
+    (lambda x: math.nan if x > 0.5 else x - 0.75, 0.0, 1.0, ValueError),
+])
+def test_brentq_rejects_bad_input(f, a, b, error):
+    with pytest.raises(error):
+        brentq(f, a, b)
+
+
+def test_increasing_root_relative_tolerance():
+    root, lo, hi = increasing_root(lambda k: k - 3e-9, 1e-9, 2e-9, 1e-12, RuntimeError)
+    assert lo == 1e-9 and hi == 4e-9
+    assert abs(root - 3e-9) <= 1e-12 * 3e-9
+
+
+def test_increasing_root_exact_lower_bound():
+    calls = []
+    f = lambda k: calls.append(k) or k - 2.0  # noqa: E731
+    assert increasing_root(f, 2.0, 4.0, 1e-12, RuntimeError) == (2.0, 2.0, 2.0)
+    assert calls == [2.0]
+
+
+def test_increasing_root_halves_a_rounded_lower_bound():
+    calls = []
+    f = lambda k: calls.append(k) or k - 1.0  # noqa: E731
+    root, lo, hi = increasing_root(f, 1.0 + 1e-15, 3.0, 1e-12, RuntimeError)
+    assert (lo, hi) == (0.5 * (1.0 + 1e-15), 1.0 + 1e-15)
+    assert abs(root - 1.0) <= 1e-12
+    assert len(calls) == len(set(calls))  # the positive point is not evaluated again
+
+
+def test_increasing_root_ceiling_is_hard():
+    f = lambda k: k - 5.0  # noqa: E731
+    assert increasing_root(f, 1.0, 2.0, 1e-12, RuntimeError, ceiling=5.0)[1:] == (1.0, 5.0)
+    with pytest.raises(KeyError, match="ceiling"):
+        increasing_root(f, 1.0, 2.0, 1e-12, KeyError, ceiling=4.0)
+    with pytest.raises(KeyError, match="ceiling"):
+        increasing_root(f, 6.0, 12.0, 1e-12, KeyError, ceiling=4.0)
+
+
+def test_increasing_root_gives_up_after_60_doublings():
+    with pytest.raises(KeyError, match="no sign change"):
+        increasing_root(lambda k: -1.0, 1.0, 2.0, 1e-12, KeyError)
 
 
 # ------------------------------------------------ the per-cell walk as reference

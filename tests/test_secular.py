@@ -15,6 +15,9 @@ from scipy.optimize import brentq
 
 from conftest import (
     chain_graph,
+    random_chain_graph,
+    random_mixed_graph,
+    random_tree_graph,
     robin_interval,
     scaled_graph,
     single_vertex_graph,
@@ -23,10 +26,14 @@ from conftest import (
 from qgbind import (
     DegenerateRoot,
     EdgeSolution,
+    FiniteEdge,
+    InfiniteEdge,
     LineConfig,
+    MetricGraph,
     NoBoundState,
     PositivityViolation,
     SolverOptions,
+    VertexSpec,
     as_chain_graph,
     build_secular_matrix,
     classify_coefficients,
@@ -37,7 +44,7 @@ from qgbind import (
     singularity_indicator,
     vertex_condition_residuals,
 )
-from qgbind.secular import _Structure
+from qgbind.secular import _positive_tail, vertex_matrix
 
 # fixed point of kappa = 1 + exp(-kappa): two sites at distance 1, alpha -2
 TWO_DELTA_KAPPA = 1.2784645427610737
@@ -91,6 +98,23 @@ def test_indicator_sign_change_across_root():
     assert below * above < 0
 
 
+def test_secular_indicator_changes_sign_at_the_solved_root():
+    # the D x D matching system, an independent formulation, checks the root
+    # found on the vertex-reduced matrix
+    rng = np.random.default_rng(20240611)
+    graphs = [single_vertex_graph(-2.0, 3), robin_interval(-1.0, -0.5, 2.0),
+              star_graph(-1.0), star_graph(-2.5, L2=0.4),
+              chain_graph([-1.0, -0.6, -1.4], [0.8, 1.7])]
+    graphs += [random_chain_graph(rng) for _ in range(10)]
+    graphs += [random_tree_graph(rng) for _ in range(10)]
+    graphs += [random_mixed_graph(rng) for _ in range(20)]
+    for g in graphs:
+        kappa0 = find_ground_state(g).kappa0
+        below = singularity_indicator(build_secular_matrix(g, kappa0 * (1 - 1e-8)))
+        above = singularity_indicator(build_secular_matrix(g, kappa0 * (1 + 1e-8)))
+        assert below * above < 0, g
+
+
 def test_secular_matrix_rejects_bad_kappa():
     g = single_vertex_graph(-2.0, 1)
     with pytest.raises(ValueError):
@@ -139,23 +163,29 @@ def test_short_interval_forces_ceiling_doubling():
 
 
 def test_small_kappa_max_option_still_converges():
-    gs = find_ground_state(single_vertex_graph(-2.0, 1), SolverOptions(kappa_max=0.5))
-    assert abs(gs.kappa0 - 2.0) < 1e-11
-    assert gs.diagnostics.kappa_max_used >= 2.0
+    # kappa_max is a hard ceiling: just above kappa0 = 2 the solve converges
+    # with the upper bound capped there (a ceiling below kappa0 is
+    # test_no_bound_state_when_ceiling_capped)
+    g = star_graph(-1.0)
+    kappa0 = find_ground_state(g).kappa0
+    gs = find_ground_state(g, SolverOptions(kappa_max=kappa0 * (1 + 1e-9)))
+    assert abs(gs.kappa0 - kappa0) <= 1e-12 * kappa0
+    assert gs.diagnostics.kappa_max_used == kappa0 * (1 + 1e-9)
 
 
 # ----------------------------------------------------------- error paths
 
 def test_excited_root_rejected_as_nonpositive():
     # interval l=4, alpha=-1: odd root kappa*coth(2 kappa)=1 sits below the
-    # even root kappa*tanh(2 kappa)=1; capping the scan between them makes
-    # the solver land on the odd root, which must be refused
+    # even root kappa*tanh(2 kappa)=1; the state at the odd root changes
+    # sign, which must be refused
     kg = brentq(lambda k: k * math.tanh(2.0 * k) - 1.0, 0.5, 3.0, xtol=1e-14)
     kx = brentq(lambda k: k / math.tanh(2.0 * k) - 1.0, 0.5, 3.0, xtol=1e-14)
     assert kx < 1.0 < kg
     g = robin_interval(-1.0, -1.0, 4.0)
+    assert np.linalg.eigvalsh(vertex_matrix(g, kx))[0] < 0
     with pytest.raises(PositivityViolation):
-        find_ground_state(g, SolverOptions(kappa_max=1.0))
+        reconstruct_eigenfunction(g, kx)
 
 
 def test_reconstruct_at_nonroot_is_degenerate():
@@ -167,7 +197,7 @@ def test_reconstruct_at_nonroot_is_degenerate():
 def test_no_bound_state_when_ceiling_capped():
     g = single_vertex_graph(-2.0, 1)
     with pytest.raises(NoBoundState):
-        find_ground_state(g, SolverOptions(kappa_max=0.5, max_doublings=0))
+        find_ground_state(g, SolverOptions(kappa_max=0.5))
 
 
 def test_reconstruct_rejects_nonpositive_kappa():
@@ -188,28 +218,10 @@ def test_kappa_max_must_be_positive_and_finite(kappa_max):
         find_ground_state(single_vertex_graph(-2.0, 1), SolverOptions(kappa_max=kappa_max))
 
 
-# ------------------------------------------------------ batched indicator
+# ------------------------------------------------------ memory
 
 def _uniform_chain(n):
     return as_chain_graph(LineConfig(tuple(float(i) for i in range(n)), (-1.0,) * n))
-
-
-@pytest.mark.parametrize("graph,count", [
-    (single_vertex_graph(-2.0, 1), 5000),  # D = 1
-    (single_vertex_graph(-3.0, 3), 5000),  # D = 3
-    (star_graph(-1.0), 5000),  # D = 6
-    (robin_interval(-1.0, -0.5, 40.0), 5000),  # D = 2, kappa*l up to 2000
-    (_uniform_chain(20), 5000),  # D = 40, 81 matrices per chunk
-    (_uniform_chain(40), 300),  # D = 80, 20 per chunk
-    (_uniform_chain(80), 12),  # D = 160, 5 per chunk
-])
-def test_chunked_indicator_bit_equals_single_matrices(graph, count):
-    kappas = np.geomspace(1e-3, 50.0, count)
-    batched = _Structure(graph).indicator(kappas)
-    single = np.array([singularity_indicator(build_secular_matrix(graph, float(k)))
-                       for k in kappas])
-    assert batched.shape == (count,)
-    assert batched.tobytes() == single.tobytes()
 
 
 def test_secular_matrix_entries_are_c_contiguous():
@@ -233,11 +245,15 @@ def test_solve_memory_does_not_scale_with_the_scan_block():
     assert _peak_mib(lambda: find_ground_state(graph)) < 8.0
 
 
-# ------------------------------------------------ known defect (ROADMAP item 6)
+# ------------------------------------------- far wells, extreme couplings
 
-@pytest.mark.xfail(strict=True, raises=DegenerateRoot,
-                   reason="distant equal wells: the SVD nullspace gap falls below 1e6")
-@pytest.mark.parametrize("alpha,distance", [(-1.0, 40.0), (-2.0, 400.0)])
+@pytest.mark.parametrize("alpha,distance", [
+    (-1.0, 40.0),
+    pytest.param(-2.0, 400.0, marks=pytest.mark.xfail(
+        strict=True, raises=DegenerateRoot,
+        reason="mu1 - mu0 = 8e-174 at the root: no simplicity certificate; "
+        "the near-degenerate policy is ROADMAP item 4")),
+])
 def test_distant_equal_wells_match_kernel_route(alpha, distance):
     config = LineConfig((0.0, distance), (alpha, alpha))
     expected = ground_state_line(config).kappa0
@@ -246,19 +262,23 @@ def test_distant_equal_wells_match_kernel_route(alpha, distance):
 
 
 def test_distant_equal_wells_on_the_kernel_route():
-    # the value the graph route should reproduce once the defect is fixed
+    # the value the graph route reproduces
     kappa0 = ground_state_line(LineConfig((0.0, 40.0), (-1.0, -1.0))).kappa0
     assert abs(kappa0 - 0.5000000010305767) < 1e-15
 
 
-@pytest.mark.xfail(strict=True, raises=PositivityViolation,
-                   reason="unequal distant wells: the SVD nullvector loses the weak well")
 @pytest.mark.parametrize("distance", [40.0, 100.0, 300.0])
 def test_distant_unequal_wells_match_kernel_route(distance):
     config = LineConfig((0.0, distance), (-1.0, -2.0))
     expected = ground_state_line(config).kappa0
     gs = find_ground_state(as_chain_graph(config))
     assert abs(gs.kappa0 - expected) <= 1e-10 * expected
+    assert abs(gs.kappa0 - 1.0) <= 1e-12
+    # the weak well's vertex value is f_strong / cosh(kappa0 l): 8.5e-18 of
+    # it at l = 40 and 5e-131 at l = 300, below eigh's absolute resolution
+    weak, strong = gs.solution("lead_left").c, gs.solution("lead_right").c
+    assert gs.diagnostics.min_sampled > 0.0
+    assert abs(weak * math.cosh(gs.kappa0 * distance) / strong - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("distance", [40.0, 100.0, 300.0])
@@ -269,21 +289,72 @@ def test_distant_unequal_wells_on_the_kernel_route(distance):
     assert abs(kappa0 - 1.0) <= 1e-15
 
 
-# ------------------------------------------------------ huge scan ceiling
+def test_deflated_perron_component_is_recovered():
+    # eigh can return an exactly zero component for the weak well; its row
+    # of M f = mu0 f gives it back as f_strong / cosh(kappa l)
+    m = vertex_matrix(as_chain_graph(LineConfig((0.0, 100.0), (-1.0, -2.0))), 1.0)
+    mu0 = float(np.linalg.eigvalsh(m)[0])
+    f = _positive_tail(m, mu0, np.array([0.0, 1.0]))
+    assert f[1] == 1.0
+    assert abs(f[0] * math.cosh(100.0) - 1.0) <= 1e-12
 
-def test_huge_ceiling_is_no_bound_state_without_allocating():
-    # the default ceiling sum |alpha| = 1e12 would need a 1e14-point grid
+
+@pytest.mark.parametrize("alpha", [-1e-6, -1e-9])
+def test_weak_coupling_is_exact(alpha):
+    gs = find_ground_state(single_vertex_graph(alpha, 2))
+    assert abs(gs.kappa0 - abs(alpha) / 2) <= 1e-12 * abs(alpha) / 2
+
+
+@pytest.mark.parametrize("n", [80, 120])
+def test_long_uniform_chain_matches_kernel_route(n):
+    config = LineConfig(tuple(float(i) for i in range(n)), (-1.0,) * n)
+    expected = ground_state_line(config).kappa0
+    gs = find_ground_state(as_chain_graph(config))
+    assert abs(gs.kappa0 - expected) <= 1e-12 * expected
+    assert gs.diagnostics.min_sampled > 0.0
+
+
+@pytest.mark.parametrize("length", [1e-3, 1e-6, 1e-9])
+def test_short_edge_matches_kernel_route(length):
+    # an edge's weight ~ 1/l in M(kappa) must not swamp the O(1) terms
+    config = LineConfig((0.0, length, length + 1.0), (-1.0, -0.5, -0.3))
+    expected = ground_state_line(config).kappa0
+    gs = find_ground_state(as_chain_graph(config))
+    assert abs(gs.kappa0 - expected) <= 1e-12 * expected
+    d = gs.diagnostics
+    assert max(d.continuity_residual, d.coupling_residual) < 1e-12
+    assert d.min_sampled > 0.0
+
+
+def test_cluster_of_short_edges_with_cycles():
+    # u, v, x joined by four short edges (two of them parallel), x to w by a
+    # unit edge; the D x D matching system, in the exponential edge basis,
+    # checks the root
+    g = MetricGraph(
+        (VertexSpec("u", -1.0), VertexSpec("v", -0.5), VertexSpec("x", -0.2),
+         VertexSpec("w", -0.3)),
+        (FiniteEdge("e1", "u", "v", 1e-7), FiniteEdge("e2", "v", "u", 2e-7),
+         FiniteEdge("e3", "v", "x", 3e-7), FiniteEdge("e4", "x", "u", 1e-7),
+         FiniteEdge("e5", "x", "w", 1.0)),
+        (InfiniteEdge("t1", "u"), InfiniteEdge("t2", "w")),
+    )
+    gs = find_ground_state(g)
+    below = singularity_indicator(build_secular_matrix(g, gs.kappa0 * (1 - 1e-10)))
+    above = singularity_indicator(build_secular_matrix(g, gs.kappa0 * (1 + 1e-10)))
+    assert below * above < 0
+    d = gs.diagnostics
+    assert max(d.continuity_residual, d.coupling_residual) < 1e-12
+    assert d.min_sampled > 0.0
+
+
+def test_huge_coupling_solves_without_allocating():
+    # kappa0 = 5e11; the scan this solver replaced needed a 1e14-point grid
     graph = single_vertex_graph(-1e12, 2)
-
-    def solve():
-        with pytest.raises(NoBoundState, match="grid points"):
-            find_ground_state(graph)
-
-    assert _peak_mib(solve) < 8.0
+    seen = []
+    assert _peak_mib(lambda: seen.append(find_ground_state(graph).kappa0)) < 8.0
+    assert seen == [5e11]
 
 
-@pytest.mark.xfail(strict=True, raises=NoBoundState,
-                   reason="the descending scan cannot reach a 5e11 root")
 def test_huge_coupling_matches_kernel_route():
     expected = ground_state_line(LineConfig((0.0,), (-1e12,))).kappa0
     assert expected == 5e11

@@ -24,7 +24,7 @@ from qgbind import (
     find_critical_coupling,
     find_ground_state,
 )
-from qgbind.secular import vertex_matrix
+from qgbind.secular import _assemble, _reduced, vertex_matrix
 
 
 def _parallel_graph():
@@ -67,6 +67,23 @@ def test_two_edge_entries_by_hand():
     expected = np.array([[-1.0 + k + k * coth, -k * csch],
                          [-k * csch, -0.5 + k + k * coth]])
     np.testing.assert_allclose(m, expected, rtol=1e-14)
+
+
+def test_elimination_gives_the_schur_complement():
+    rng = np.random.default_rng(3)
+    W = rng.uniform(0.0, 1.0, (5, 5))
+    W = W + W.T
+    np.fill_diagonal(W, 0.0)
+    a = rng.uniform(-0.5, 0.5, 5)
+    m = np.diag(a + W.sum(axis=1)) - W
+    np.testing.assert_allclose(_assemble(a, W.copy()), m, rtol=1e-15)
+    reduced, kept, steps = _reduced(a.copy(), W.copy(), [1, 3])
+    k, e = [0, 2, 4], [1, 3]
+    schur = m[np.ix_(k, k)] - m[np.ix_(k, e)] @ np.linalg.solve(m[np.ix_(e, e)], m[np.ix_(e, k)])
+    np.testing.assert_allclose(reduced, schur, rtol=1e-13, atol=1e-14)
+    assert list(kept) == k and [v for v, *_ in steps] == e
+    # a pivot <= 0: M is not positive definite, so mu0(M) < 0
+    assert _reduced(np.array([-5.0, 1.0]), np.array([[0.0, 1.0], [1.0, 0.0]]), [0]) is None
 
 
 @pytest.mark.parametrize("graph", _graphs())
