@@ -26,7 +26,8 @@ import numpy as np
 
 from .graph import FiniteEdge, InfiniteEdge, MetricGraph, VertexSpec
 from .rootscan import increasing_root
-# unused here; perfbench/tracer.py rebinds these names until ROADMAP item 1
+# unused here (scan_down and probe_geometric are stubs that raise);
+# perfbench/tracer.py wraps them until ROADMAP item 1
 from .rootscan import brentq, probe_geometric, scan_down  # noqa: F401
 
 

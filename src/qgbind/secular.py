@@ -29,8 +29,8 @@ from typing import Sequence
 import numpy as np
 
 from .graph import MetricGraph, require_valid, vertex_incidences
-from .rootscan import DipReport, increasing_root
-# unused here; perfbench/tracer.py rebinds these names until ROADMAP item 1
+from .rootscan import increasing_root
+# stubs that raise, unused here; perfbench/tracer.py wraps them until ROADMAP item 1
 from .rootscan import bisect_sign, probe_geometric, scan_down  # noqa: F401
 
 NULLSPACE_GAP_MIN = 1e6
@@ -189,13 +189,14 @@ class Diagnostics:
     """What a solve did and the certificate of its state.
 
     ``bracket`` = (lo, hi) holds the root, with mu0(lo) <= 0 <= mu0(hi) for
-    the smallest eigenvalue mu0 of M(kappa); ``kappa_max_used`` is hi.
+    the smallest eigenvalue mu0 of M(kappa).
     ``nullspace_gap`` is mu1 / max(|mu0|, tau) at kappa0, tau the rounding
     of an eigenvalue (see :func:`_reconstruct`): large when the zero
     eigenvalue is simple.  ``min_sampled`` is the
     exact minimum of the normalized state.  ``indicator_evaluations``
     counts the matrices M(kappa) built; ``dips`` is always empty (the
-    descending scan that reported them is gone).
+    descending scan that reported them is gone; perfbench/tracer.py reads
+    its length until ROADMAP item 1).
     """
 
     continuity_residual: float
@@ -203,9 +204,8 @@ class Diagnostics:
     nullspace_gap: float
     min_sampled: float  # exact minimum of the state (EdgeSolution.minimum)
     bracket: tuple[float, float]
-    kappa_max_used: float
     indicator_evaluations: int
-    dips: tuple[DipReport, ...]
+    dips: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -232,97 +232,6 @@ class GroundState:
         return self.indices[self.solutions.index(self.solution(edge_id))]
 
 
-class _Structure:
-    """Index maps and kappa-independent entry coefficients for one graph.
-
-    Every matrix entry has the form u + v*kappa + (w + z*kappa)*E_e with
-    E_e = exp(-kappa * length of the column's own edge), so a whole kappa
-    grid is assembled with a handful of vectorized operations.
-    """
-
-    def __init__(self, graph: MetricGraph):
-        self.nf = len(graph.finite_edges)
-        self.nl = len(graph.infinite_edges)
-        self.D = 2 * self.nf + self.nl
-        self.lengths = np.array([e.length for e in graph.finite_edges])
-        self.col_labels: list[tuple] = []
-        for e in graph.finite_edges:
-            self.col_labels += [("p", e.id), ("q", e.id)]
-        for e in graph.infinite_edges:
-            self.col_labels.append(("lead", e.id))
-        self.row_labels: list[tuple] = []
-        entries: dict[tuple[int, int], list[float]] = {}
-
-        def add(r, c, u=0.0, v=0.0, w=0.0, z=0.0):
-            acc = entries.setdefault((r, c), [0.0, 0.0, 0.0, 0.0])
-            acc[0] += u
-            acc[1] += v
-            acc[2] += w
-            acc[3] += z
-
-        def value_terms(inc):
-            kind, i = inc
-            if kind == "start":
-                return [(2 * i, 1.0, 0.0, 0.0, 0.0), (2 * i + 1, 0.0, 0.0, 1.0, 0.0)]
-            if kind == "end":
-                return [(2 * i, 0.0, 0.0, 1.0, 0.0), (2 * i + 1, 1.0, 0.0, 0.0, 0.0)]
-            return [(2 * self.nf + i, 1.0, 0.0, 0.0, 0.0)]
-
-        def outward_terms(inc):
-            kind, i = inc
-            if kind == "start":
-                return [(2 * i, 0.0, -1.0, 0.0, 0.0), (2 * i + 1, 0.0, 0.0, 0.0, 1.0)]
-            if kind == "end":
-                return [(2 * i, 0.0, 0.0, 0.0, 1.0), (2 * i + 1, 0.0, -1.0, 0.0, 0.0)]
-            return [(2 * self.nf + i, 0.0, -1.0, 0.0, 0.0)]
-
-        incidences = vertex_incidences(graph)
-        row = 0
-        for v in graph.vertices:
-            incs = incidences[v.id]
-            for t in range(len(incs) - 1):
-                for c, u, vv, w, z in value_terms(incs[t]):
-                    add(row, c, u, vv, w, z)
-                for c, u, vv, w, z in value_terms(incs[t + 1]):
-                    add(row, c, -u, -vv, -w, -z)
-                self.row_labels.append(("continuity", v.id, t))
-                row += 1
-            for inc in incs:
-                for c, u, vv, w, z in outward_terms(inc):
-                    add(row, c, u, vv, w, z)
-            for c, u, vv, w, z in value_terms(incs[0]):
-                add(row, c, -v.alpha * u, -v.alpha * vv, -v.alpha * w, -v.alpha * z)
-            self.row_labels.append(("coupling", v.id))
-            row += 1
-        assert row == self.D, "vertex conditions must give a square system"
-        # flat entry tables: position r*D + c in the entry-major buffer, the
-        # four coefficients, and the column's edge for entries with an E term
-        pos = np.array([r * self.D + c for r, c in entries], dtype=np.intp)
-        coef = np.array(list(entries.values()), dtype=float).reshape(-1, 4)
-        edge = np.array([c // 2 for _, c in entries], dtype=np.intp)
-        has_e = (coef[:, 2] != 0.0) | (coef[:, 3] != 0.0)
-        self._plain = (pos[~has_e], coef[~has_e, 0, None], coef[~has_e, 1, None])
-        self._exp = (pos[has_e], coef[has_e, 0, None], coef[has_e, 1, None],
-                     coef[has_e, 2, None], coef[has_e, 3, None], edge[has_e])
-
-    def assemble(self, kappas: np.ndarray) -> np.ndarray:
-        """Matrices at each kappa, shape (m, D, D).
-
-        The result is a view of an entry-major (D*D, m) buffer: each matrix
-        entry is one contiguous row over the kappas.
-        """
-        kappas = np.asarray(kappas, dtype=float)
-        m = kappas.shape[0]
-        out = np.zeros((self.D * self.D, m))
-        pos, u, v = self._plain
-        out[pos] = u + v * kappas
-        pos, u, v, w, z, edge = self._exp
-        if pos.size:
-            E = np.exp(-np.outer(self.lengths, kappas))
-            out[pos] = (u + v * kappas) + (w + z * kappas) * E[edge]
-        return out.reshape(self.D, self.D, m).transpose(2, 0, 1)
-
-
 def _equilibrated_det(stack: np.ndarray) -> np.ndarray:
     """Determinant after scaling each row to unit max-norm.
 
@@ -339,13 +248,50 @@ def _equilibrated_det(stack: np.ndarray) -> np.ndarray:
 
 
 def build_secular_matrix(graph: MetricGraph, kappa: float) -> SecularMatrix:
-    """Assemble the matching-condition matrix at one kappa > 0."""
+    """Assemble the matching-condition matrix at one kappa > 0.
+
+    Each edge end contributes (column, value coefficient, outward-derivative
+    coefficient) terms: at an edge's start psi = p + E q and the outward
+    derivative is -kappa p + kappa E q, at its end the same with p and q
+    swapped, and on a lead c and -kappa c.
+    """
     require_valid(graph)
     if not (isinstance(kappa, (int, float)) and math.isfinite(kappa) and kappa > 0):
         raise ValueError(f"kappa must be a positive finite number, got {kappa!r}")
-    st = _Structure(graph)
-    entries = st.assemble(np.array([float(kappa)]))[0]
-    return SecularMatrix(float(kappa), entries, tuple(st.row_labels), tuple(st.col_labels))
+    kappa = float(kappa)
+    nf = len(graph.finite_edges)
+    lengths = np.array([e.length for e in graph.finite_edges], dtype=float)
+    E = np.exp(-kappa * lengths).tolist()
+
+    def terms(kind, i):
+        if kind == "lead":
+            return ((2 * nf + i, 1.0, -kappa),)
+        near, far = (2 * i, 2 * i + 1) if kind == "start" else (2 * i + 1, 2 * i)
+        return ((near, 1.0, -kappa), (far, E[i], kappa * E[i]))
+
+    D = 2 * nf + len(graph.infinite_edges)
+    entries = np.zeros((D, D))
+    row_labels: list[tuple] = []
+    incidences = vertex_incidences(graph)
+    for v in graph.vertices:
+        incs = incidences[v.id]
+        for t in range(len(incs) - 1):
+            row = entries[len(row_labels)]
+            for c, value, _ in terms(*incs[t]):
+                row[c] += value
+            for c, value, _ in terms(*incs[t + 1]):
+                row[c] -= value
+            row_labels.append(("continuity", v.id, t))
+        row = entries[len(row_labels)]
+        for inc in incs:
+            for c, _, outward in terms(*inc):
+                row[c] += outward
+        for c, value, _ in terms(*incs[0]):
+            row[c] -= v.alpha * value
+        row_labels.append(("coupling", v.id))
+    col_labels = [(side, e.id) for e in graph.finite_edges for side in ("p", "q")]
+    col_labels += [("lead", e.id) for e in graph.infinite_edges]
+    return SecularMatrix(kappa, entries, tuple(row_labels), tuple(col_labels))
 
 
 def singularity_indicator(matrix: SecularMatrix) -> float:
@@ -737,8 +683,6 @@ def find_ground_state(graph: MetricGraph, options: SolverOptions | None = None) 
         nullspace_gap=gap,
         min_sampled=min_sampled,
         bracket=(lo, hi),
-        kappa_max_used=hi,
         indicator_evaluations=evals,
-        dips=(),
     )
     return GroundState(kappa0, -kappa0 * kappa0, sols, indices, diag)

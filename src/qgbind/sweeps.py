@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .graph import InvalidGraphError, MetricGraph, degree, require_valid
-# unused here; perfbench/tracer.py rebinds it until ROADMAP item 1
+# unused here; perfbench/tracer.py wraps it until ROADMAP item 1
 from .rootscan import brentq  # noqa: F401
 from .secular import (
     DegenerateRoot,

@@ -115,6 +115,32 @@ def test_secular_indicator_changes_sign_at_the_solved_root():
         assert below * above < 0, g
 
 
+def test_secular_matrix_matches_hand_written_single_edge():
+    # edge e from v1 to v2 with a lead at each end; E = exp(-kappa l) = 1/2.
+    # Rows: continuity p + E q = c1, coupling -kappa p + kappa E q - kappa c1
+    # = alpha1 (p + E q) at v1, then the same at v2 with p and q swapped.
+    kappa, E = 0.5, 0.5
+    g = MetricGraph(
+        (VertexSpec("v1", -1.0), VertexSpec("v2", -2.0)),
+        (FiniteEdge("e", "v1", "v2", 2.0 * math.log(2.0)),),
+        (InfiniteEdge("t1", "v1"), InfiniteEdge("t2", "v2")),
+    )
+    m = build_secular_matrix(g, kappa)
+    assert m.kappa == kappa
+    assert m.row_labels == (("continuity", "v1", 0), ("coupling", "v1"),
+                            ("continuity", "v2", 0), ("coupling", "v2"))
+    assert m.col_labels == (("p", "e"), ("q", "e"), ("lead", "t1"), ("lead", "t2"))
+    expected = np.array([
+        [1.0, E, -1.0, 0.0],
+        [-kappa + 1.0, kappa * E + E, -kappa, 0.0],
+        [E, 1.0, 0.0, -1.0],
+        [kappa * E + 2.0 * E, -kappa + 2.0, 0.0, -kappa],
+    ])
+    assert m.entries.shape == (4, 4)
+    assert m.entries.flags.c_contiguous
+    np.testing.assert_allclose(m.entries, expected, rtol=0.0, atol=1e-15)
+
+
 def test_secular_matrix_rejects_bad_kappa():
     g = single_vertex_graph(-2.0, 1)
     with pytest.raises(ValueError):
@@ -159,7 +185,7 @@ def test_short_interval_forces_ceiling_doubling():
     assert expected > 4.0
     gs = find_ground_state(robin_interval(alpha, alpha, l))
     assert abs(gs.kappa0 - expected) < 1e-9
-    assert gs.diagnostics.kappa_max_used >= expected
+    assert gs.diagnostics.bracket[1] >= expected
 
 
 def test_small_kappa_max_option_still_converges():
@@ -170,7 +196,7 @@ def test_small_kappa_max_option_still_converges():
     kappa0 = find_ground_state(g).kappa0
     gs = find_ground_state(g, SolverOptions(kappa_max=kappa0 * (1 + 1e-9)))
     assert abs(gs.kappa0 - kappa0) <= 1e-12 * kappa0
-    assert gs.diagnostics.kappa_max_used == kappa0 * (1 + 1e-9)
+    assert gs.diagnostics.bracket[1] == kappa0 * (1 + 1e-9)
 
 
 # ----------------------------------------------------------- error paths
@@ -224,12 +250,6 @@ def _uniform_chain(n):
     return as_chain_graph(LineConfig(tuple(float(i) for i in range(n)), (-1.0,) * n))
 
 
-def test_secular_matrix_entries_are_c_contiguous():
-    m = build_secular_matrix(star_graph(-1.0), 0.8)
-    assert m.entries.shape == (6, 6)
-    assert m.entries.flags.c_contiguous
-
-
 def _peak_mib(fn):
     tracemalloc.start()
     try:
@@ -239,8 +259,7 @@ def _peak_mib(fn):
         tracemalloc.stop()
 
 
-def test_solve_memory_does_not_scale_with_the_scan_block():
-    # a 2048-matrix stack of this chain alone is 26 MB (D = 40)
+def test_chain_solve_peak_memory_is_small():
     graph = _uniform_chain(20)
     assert _peak_mib(lambda: find_ground_state(graph)) < 8.0
 
