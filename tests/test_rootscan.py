@@ -86,6 +86,63 @@ def test_increasing_root_gives_up_after_60_doublings():
         increasing_root(lambda k: -1.0, 1.0, 2.0, 1e-12, KeyError)
 
 
+# ------------------------------- the scan's bracketing contract, on the one root
+
+
+def test_brackets_simple_root():
+    f = lambda k: k - 2.5  # noqa: E731
+    root, lo, hi = increasing_root(f, 0.5, 1.0, 1e-12, RuntimeError)
+    assert (lo, hi) == (0.5, 4.0)
+    assert f(lo) <= 0.0 <= f(hi)
+    assert lo <= root <= hi
+    assert abs(root - 2.5) <= 1e-12 * 2.5
+
+
+def test_exact_grid_zero_collapses_bracket():
+    # the lower bound rounds positive; its first halving hits the root exactly
+    calls = []
+    f = lambda k: calls.append(k) or k - 1.0  # noqa: E731
+    assert increasing_root(f, 2.0, 4.0, 1e-12, RuntimeError) == (1.0, 1.0, 1.0)
+    assert calls == [2.0, 1.0]
+
+
+def test_at_top_flag_when_root_above_ceiling():
+    # a root above the ceiling is an error, raised once the ceiling itself is tried
+    calls = []
+    f = lambda k: calls.append(k) or k - 10.0  # noqa: E731
+    with pytest.raises(KeyError, match="lies above it"):
+        increasing_root(f, 1.0, 2.0, 1e-12, KeyError, ceiling=5.0)
+    assert calls == [1.0, 2.0, 4.0, 5.0]
+
+
+def test_lazy_walk_stops_early():
+    # the doubling walk stops at its first non-negative value
+    calls = []
+    f = lambda k: calls.append(k) or k - 1000.0  # noqa: E731
+    root, lo, hi = increasing_root(f, 1e-3, 2e-3, 1e-12, RuntimeError)
+    assert calls[:21] == [1e-3] + [2e-3 * 2.0**n for n in range(20)]
+    assert max(calls) == hi < 2000.0
+    assert abs(root - 1000.0) <= 1e-12 * 1000.0
+
+
+def test_rejects_bad_step():
+    # xtol is the smallest step Brent takes
+    for xtol in (0.0, -0.1, math.nan):
+        with pytest.raises(ValueError, match="xtol"):
+            brentq(lambda x: x - 0.5, 0.0, 1.0, xtol=xtol)
+    with pytest.raises(ValueError, match="xtol"):
+        increasing_root(lambda k: k - 0.5, 0.25, 1.0, 0.0, KeyError)
+
+
+def test_non_finite_indicator_raises():
+    # NaN is neither <= 0 nor >= 0, so it ends no walk and is never a root
+    above = lambda k: math.nan if k > 2.9 else k - 3.0  # noqa: E731
+    with pytest.raises(KeyError, match="no sign change"):
+        increasing_root(above, 1.0, 2.0, 1e-12, KeyError)
+    with pytest.raises(KeyError, match="stays positive"):
+        increasing_root(lambda k: math.nan, 1.0, 2.0, 1e-12, KeyError)
+
+
 def test_removed_scan_names_raise():
     for name in ("scan_down", "probe_geometric", "bisect_sign"):
         with pytest.raises(RuntimeError, match="use increasing_root"):

@@ -250,6 +250,12 @@ def _uniform_chain(n):
     return as_chain_graph(LineConfig(tuple(float(i) for i in range(n)), (-1.0,) * n))
 
 
+def test_secular_matrix_entries_are_c_contiguous():
+    m = build_secular_matrix(star_graph(-1.0), 0.8)
+    assert m.entries.shape == (6, 6)
+    assert m.entries.flags.c_contiguous
+
+
 def _peak_mib(fn):
     tracemalloc.start()
     try:
@@ -259,7 +265,8 @@ def _peak_mib(fn):
         tracemalloc.stop()
 
 
-def test_chain_solve_peak_memory_is_small():
+def test_solve_memory_does_not_scale_with_the_scan_block():
+    # no kappa grid is built: solving this chain (D = 40) stays within a few MiB
     graph = _uniform_chain(20)
     assert _peak_mib(lambda: find_ground_state(graph)) < 8.0
 
