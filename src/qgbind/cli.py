@@ -60,7 +60,7 @@ def _add_solver_flags(
     "numerical failure (exit 3)",
 ) -> None:
     p.add_argument("--tol-kappa", type=float, default=SolverOptions.tol_kappa,
-                   help="tolerance of the root refinement, relative to kappa0")
+                   help="certified tolerance of kappa0, relative")
     p.add_argument("--kappa-max", type=float, default=None, help=kappa_max_help)
 
 

@@ -26,8 +26,8 @@ import numpy as np
 
 from .graph import FiniteEdge, InfiniteEdge, MetricGraph, VertexSpec
 from .rootscan import increasing_root
-# unused here (scan_down and probe_geometric are stubs that raise);
-# perfbench/tracer.py wraps them until ROADMAP item 1
+# unused here (stubs that raise); perfbench/tracer.py wraps them until
+# ROADMAP item 1
 from .rootscan import brentq, probe_geometric, scan_down  # noqa: F401
 
 
@@ -175,33 +175,54 @@ class LineGroundState:
     weights: tuple[float, ...]
 
 
-def _solve_mu0(stack_fn, strengths, tol_kappa: float) -> tuple[float, np.ndarray]:
-    """Unique root of mu0 between proven bounds (rootscan.increasing_root).
+def _mu0_slope(config: LineConfig | LoopConfig):
+    """kappa -> (mu0, dmu0/ds) of Gamma(kappa), s = kappa**2: the slope is
+    c^T (-dG/ds) c for the unit eigenvector c of mu0, with no new matrix.
 
-    dGamma/dkappa = -dG/dkappa is positive definite, so mu0 increases.  At
-    kappa = max|alpha|/2 the strongest site's diagonal entry is <= 0 (G_ii >=
-    1/(2 kappa) on the line and the loop), so mu0 <= 0 there; on the line the
-    entry is exactly 0.0, which makes a single site exact.  The upper bound
-    starts at Sigma|alpha|/2 + max(0.05 Sigma|alpha|/2, 0.05) and doubles
-    until mu0 >= 0 (short loops bind more strongly than the line).  Brent's
-    xtol is tol_kappa * lo with lo <= kappa0, so tol_kappa bounds the error
-    relative to kappa0, for weak binding as well as strong.
+    On the line G = exp(-kappa d) / (2 kappa), so -dG/dkappa = d G + G /
+    kappa.  On a loop of circumference L, G = (e^{-kappa d} +
+    e^{-kappa (L - d)}) / (2 kappa g) with g = 1 - e^{-kappa L}, and
+    -dG/dkappa gains (L - 2 d) e^{-kappa (L - d)} / (2 kappa g) + G L
+    e^{-kappa L} / g.  d vanishes on the diagonal and G = -Gamma off it, so
+    c^T (d G) c = -c^T (d Gamma) c, and c^T G c = -mu0 - sum c_i**2 / alpha_i.
     """
-    if not (math.isfinite(tol_kappa) and tol_kappa > 0):
-        raise ValueError(f"tol_kappa must be positive and finite, got {tol_kappa!r}")
+    inv_alpha = 1.0 / np.asarray(config.strengths)
+    loop = isinstance(config, LoopConfig)
+    d = _loop_distances(config) if loop else _line_distances(config)
+    if loop:
+        L = config.circumference
+        rest, lever = L - d, L - 2.0 * d
 
-    def scalar(k):
-        value = float(np.linalg.eigvalsh(stack_fn(np.array([k])))[0, 0])
-        if not math.isfinite(value):
-            raise NoRoot(f"mu0 is not finite at kappa={k!r}")
-        return value
+    def mu0_slope(kappa):
+        gamma = _gamma_stack(config, np.array([kappa]))[0]
+        w, v = np.linalg.eigh(gamma)
+        mu, c = float(w[0]), v[:, 0]
+        cgc = -mu - (c * c) @ inv_alpha
+        dk = cgc / kappa - c @ (d * gamma) @ c
+        if loop:
+            g = -math.expm1(-kappa * L)
+            far = c @ (lever * np.exp(-kappa * rest)) @ c
+            dk += far / (2.0 * kappa * g) + cgc * L * math.exp(-kappa * L) / g
+        return mu, float(dk) / (2.0 * kappa)
 
-    half = 0.5 * sum(abs(a) for a in strengths)
-    kappa0, _, _ = increasing_root(
-        scalar, 0.5 * max(abs(a) for a in strengths), half + max(0.05 * half, 0.05),
-        tol_kappa, NoRoot,
-    )
-    _, weights = min_eigenpair(GammaMatrix(kappa0, stack_fn(np.array([kappa0]))[0]))
+    return mu0_slope
+
+
+def _solve_mu0(config: LineConfig | LoopConfig, tol_kappa: float) -> tuple[float, np.ndarray]:
+    """Unique root of mu0 from a proven lower bound (rootscan.increasing_root).
+
+    dGamma/dkappa = -dG/dkappa is positive definite, so mu0 increases, and
+    G(s) is a compression of the resolvent (-Laplacian + s)^-1, convex in
+    s = kappa**2, so mu0 is concave in s: Newton's method in s (slope from
+    :func:`_mu0_slope`) climbs to the root.  At kappa = max|alpha|/2 the
+    strongest site's diagonal entry is <= 0 (G_ii >= 1/(2 kappa) on the line
+    and the loop), so mu0 <= 0 there; on the line the entry is exactly 0.0,
+    which makes a single site exact.  tol_kappa bounds the error relative
+    to kappa0, for weak binding as well as strong.
+    """
+    lo = 0.5 * max(abs(a) for a in config.strengths)
+    kappa0, _, _ = increasing_root(_mu0_slope(config), lo, tol_kappa, NoRoot)
+    _, weights = min_eigenpair(gamma_line(config, kappa0))
     return float(kappa0), weights
 
 
@@ -215,7 +236,7 @@ def ground_state_line(
     are strictly one-signed for the ground state.  A loop binds at least as
     strongly as the same sites on the line.
     """
-    kappa0, w = _solve_mu0(lambda ks: _gamma_stack(config, ks), config.strengths, tol_kappa)
+    kappa0, w = _solve_mu0(config, tol_kappa)
     return LineGroundState(kappa0, -kappa0 * kappa0, tuple(float(x) for x in w))
 
 

@@ -1,138 +1,71 @@
-"""Root finding in one variable, shared by the graph route and the kernel route.
-
-Both routes solve mu0(kappa) = 0 for an increasing mu0, the smallest
-eigenvalue of a symmetric matrix: :func:`increasing_root` brackets the root
-between a proven lower bound and a doubled upper one and refines it with
-:func:`brentq`, a pure-Python Brent that needs neither scipy nor a grid.
-"""
+"""Root finding in one variable, shared by the graph route and the kernel
+route: Newton's method in s = kappa**2 (:func:`increasing_root`)."""
 
 from __future__ import annotations
 
 import math
+import sys
 from typing import Callable
 
+MAX_STEPS = 100
 
-# The descending scan is gone; perfbench/tracer.py only looks these names up
-# (it wraps them and never calls them), until ROADMAP item 1.
+
+# The descending scan and Brent are gone; perfbench/tracer.py only looks
+# these names up (it wraps them and never calls them), until ROADMAP item 1.
 def _removed(*args, **kwargs):
-    raise RuntimeError("the descending scan was removed; use increasing_root")
+    raise RuntimeError("the descending scan and Brent were removed; use increasing_root")
 
 
-scan_down = probe_geometric = bisect_sign = _removed
-
-
-def brentq(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    xtol: float = 2e-12,
-    rtol: float = 4 * math.ulp(1.0),
-    maxiter: int = 100,
-    *,
-    fa: float | None = None,
-    fb: float | None = None,
-) -> float:
-    """Root of f in [a, b] by Brent's method, step for step as
-    ``scipy.optimize.brentq`` (its C implementation), so both give the same
-    bits.
-
-    f(a) and f(b) must differ in sign; ``fa`` and ``fb`` pass values already
-    known.  Stops when the bracket is narrower than about
-    ``xtol + rtol * |root|``; raises ValueError on a bad bracket or a NaN
-    value and RuntimeError after ``maxiter`` steps.
-    """
-    if not xtol > 0:
-        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
-
-    def value(x):
-        fx = f(x)
-        if math.isnan(fx):
-            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
-        return fx
-
-    xpre, xcur = a, b
-    fpre = value(xpre) if fa is None else fa
-    fcur = value(xcur) if fb is None else fb
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
-        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)  # interpolate
-            else:
-                dpre = (fpre - fcur) / (xpre - xcur)  # extrapolate
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry  # good short step
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = value(xcur)
-    raise RuntimeError(f"brentq did not converge in {maxiter} iterations")
+scan_down = probe_geometric = bisect_sign = brentq = _removed
 
 
 def increasing_root(
-    f: Callable[[float], float],
+    f: Callable[[float], tuple[float, float]],
     lo: float,
-    hi: float,
     tol: float,
     error: type[Exception],
     *,
     ceiling: float = math.inf,
 ) -> tuple[float, float, float]:
-    """The one root of f, as (root, lo, hi) with f(lo) <= 0 <= f(hi).
+    """The one root of mu0, as (root, lo, hi) with mu0(lo) <= 0 <= mu0(hi).
 
-    f must be negative below its root and positive above, as an increasing
-    function is; Brent needs no more.  ``lo`` is a proven lower bound
-    (f(lo) <= 0); f(lo) == 0 returns lo itself.  Only rounding can make
-    f(lo) positive: then lo is halved, at most 60 times, and the last
-    positive point is the upper bound.  Otherwise the upper bound starts at
-    ``hi`` and doubles, at most 60 times and never past ``ceiling``, until
-    f(hi) >= 0.  Brent then refines with xtol = tol * lo, so ``tol`` bounds
-    the error relative to the root.  Failures raise ``error``.
+    ``f(kappa)`` returns mu0 and its slope dmu0/ds in s = kappa**2; mu0 must
+    be increasing and concave in s.  The tangent of a concave function lies
+    above it, so a Newton step in s from a point with mu0 <= 0 lands at or
+    below the root: from ``lo``, a proven lower bound, every iterate is a
+    lower bound too, and none goes below ``lo`` (rounding can make mu0
+    slightly positive there).  mu0 == 0 at an iterate returns it unchanged.
+    Convergence is quadratic, so once a step is at most sqrt(tol) * kappa
+    the new iterate is within about tol of the root: mu0 >= 0 at hi = kappa
+    (1 + 2 tol), never past ``ceiling``, certifies it; otherwise hi is a
+    lower bound and the iteration goes on.  The Newton step down from hi is
+    a lower bound too; the larger one is returned, within 2 tol of the root.
+    A tol below eps counts as eps, so that hi lies above kappa.  An iterate
+    above ``ceiling``, a value or step that is not finite, a slope that is
+    not positive and MAX_STEPS values without convergence raise ``error``.
     """
-    lo, hi, f_hi = min(lo, ceiling), min(hi, ceiling), None
-    for _ in range(60):
-        f_lo = f(lo)
-        if f_lo <= 0.0:
-            break
-        hi, f_hi = lo, f_lo
-        lo *= 0.5
-    else:
-        raise error(f"mu0 stays positive down to kappa={lo!r}")
-    if f_lo == 0.0:
-        return lo, lo, lo
-    if f_hi is None:
-        for _ in range(60):
-            f_hi = f(hi)
-            if f_hi >= 0.0:
-                break
-            if hi >= ceiling:
-                raise error(f"mu0 < 0 at the ceiling kappa_max={ceiling!r}: "
-                            "the ground state lies above it")
-            hi = min(2.0 * hi, ceiling)
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol_kappa must be positive and finite, got {tol!r}")
+    tol = max(tol, sys.float_info.epsilon)
+    floor = kappa = lo
+    root = None  # the converged iterate while kappa is its certificate point
+    for _ in range(MAX_STEPS):
+        if kappa > ceiling:
+            raise error(f"mu0 < 0 at the ceiling kappa_max={ceiling!r}: "
+                        f"the ground state lies above it, at kappa >= {kappa!r}")
+        mu, slope = f(kappa)
+        s = kappa * kappa - mu / slope if slope > 0.0 else math.nan
+        if not math.isfinite(s):
+            raise error(f"mu0 is not finite and increasing at kappa={kappa!r}")
+        new = math.sqrt(max(s, floor * floor))
+        if root is not None and mu >= 0.0:
+            return max(root, new), lo, kappa
+        if mu == 0.0:
+            return kappa, kappa, kappa
+        if mu < 0.0:
+            lo = kappa
+        if abs(new - kappa) <= math.sqrt(tol) * new and new <= ceiling:
+            root, kappa = new, min(new * (1.0 + 2.0 * tol), ceiling)
         else:
-            raise error(f"mu0 has no sign change below kappa={hi!r}")
-    return brentq(f, lo, hi, xtol=tol * lo, fa=f_lo, fb=f_hi), lo, hi
+            root, kappa = None, new
+    raise error(f"mu0 has no root after {MAX_STEPS} Newton steps from kappa={floor!r}")

@@ -47,14 +47,16 @@ class DegenerateRoot(RuntimeError):
 
 
 class PositivityViolation(RuntimeError):
-    """The reconstructed state is not strictly positive (wrong root)."""
+    """The reconstructed state is not strictly positive (a wrong root, or
+    a state that underflows)."""
 
 
 @dataclass(frozen=True)
 class SolverOptions:
     """Knobs for :func:`find_ground_state`.
 
-    ``tol_kappa`` bounds the error of kappa0 relative to kappa0.
+    ``tol_kappa`` is the tolerance of kappa0, relative: a certificate
+    bounds its error by 2 tol_kappa (see :func:`rootscan.increasing_root`).
     ``kappa_max``, when given, is a hard ceiling: a ground state above it
     raises NoBoundState.
     """
@@ -188,8 +190,9 @@ class EdgeSolution:
 class Diagnostics:
     """What a solve did and the certificate of its state.
 
-    ``bracket`` = (lo, hi) holds the root, with mu0(lo) <= 0 <= mu0(hi) for
-    the smallest eigenvalue mu0 of M(kappa).
+    ``bracket`` = (lo, hi) holds the root, mu0(lo) <= 0 <= mu0(hi) for the
+    smallest eigenvalue mu0 of M(kappa): the last Newton iterate below the
+    root and the certificate point (see :func:`rootscan.increasing_root`).
     ``nullspace_gap`` is mu1 / max(|mu0|, tau) at kappa0, tau the rounding
     of an eigenvalue (see :func:`_reconstruct`): large when the zero
     eigenvalue is simple.  ``min_sampled`` is the
@@ -300,14 +303,25 @@ def singularity_indicator(matrix: SecularMatrix) -> float:
 
 
 def _dtn_parts(graph: MetricGraph):
-    """kappa -> (a, W) with M(kappa) = diag(a + W 1) - W (see
-    :func:`vertex_matrix`), the index arrays built once.
+    """(parts, profiles), two functions of kappa on index arrays built once.
 
-    coth(x) = tanh(x/2) + csch(x) splits an edge's terms: it adds
-    kappa tanh(kappa l / 2) to a at both ends and the weight
+    parts(kappa) = (a, W) with M(kappa) = diag(a + W 1) - W (see
+    :func:`vertex_matrix`).  coth(x) = tanh(x/2) + csch(x) splits an edge's
+    terms: it adds kappa tanh(kappa l / 2) to a at both ends and the weight
     w = kappa csch(kappa l) = 2 kappa E / (1 - E**2) between them; a lead
     adds kappa to a.  So a = alpha + O(kappa) and every w > 0, and a short
     edge's large w never has to cancel against a (see :func:`_reduced`).
+
+    profiles(kappa, fk, kept, steps, roots) = (p, q, c, mass) of the state
+    with values fk at the ``kept`` vertices of :func:`_reduced`; the others
+    get f_v = sum_j w_vj f_j / p_v in reverse order of ``steps``, through
+    delta_v = f_v - f_root = sum_j (w_vj / p_v) (f_j - f_root) - (a_v /
+    p_v) f_root.  On an edge from u to v, p = (f_u - E f_v) / (1 - E**2)
+    and q = (f_v - E f_u) / (1 - E**2), with f_u - f_v = delta_u - delta_v
+    within a cluster of short edges, where plain subtraction would lose
+    eps / (kappa l) of the O(kappa l) terms; c = f at a lead's vertex.  The
+    L2 mass is (p**2 + q**2)(1 - E**2)/(2 kappa) + 2 p q l E per edge plus
+    c**2 / (2 kappa) per lead.
     """
     n = len(graph.vertices)
     ids = {v.id: i for i, v in enumerate(graph.vertices)}
@@ -330,13 +344,38 @@ def _dtn_parts(graph: MetricGraph):
                           minlength=n * n + n).astype(float, copy=False)  # int if no edges
         return alphas + kappa * leads + acc[n * n:], acc[: n * n].reshape(n, n)
 
-    return parts
+    def profiles(kappa: float, fk: np.ndarray, kept, steps, roots: np.ndarray):
+        f = fk
+        if steps:
+            f, delta = np.zeros(n), np.zeros(n)
+            f[kept] = fk
+            for v, wv, a_v, pivot in reversed(steps):
+                r = roots[v]
+                from_root = np.where(roots == r, delta, f - f[r])
+                delta[v] = (wv @ from_root - a_v * f[r]) / pivot
+                f[v] = f[r] + delta[v]
+        kl = kappa * lengths
+        E = np.exp(-kl)
+        den = -np.expm1(-2.0 * kl)  # 1 - E**2
+        fu, fv = f[start], f[end]
+        p, q = fu - E * fv, fv - E * fu
+        if steps:
+            same = np.flatnonzero(roots[start] == roots[end])
+            d, g = delta[start[same]] - delta[end[same]], -np.expm1(-kl[same])
+            p[same], q[same] = d + g * fv[same], g * fu[same] - d
+        p /= den
+        q /= den
+        c = f[anchors]
+        mass = ((p * p + q * q) @ den + c @ c) / (2.0 * kappa) + 2.0 * ((p * q) @ (lengths * E))
+        return p, q, c, float(mass)
+
+    return parts, profiles
 
 
-def _short_edge_roots(graph: MetricGraph, kappa: float) -> list[int]:
+def _short_edge_roots(graph: MetricGraph, kappa: float) -> tuple[np.ndarray, list[int]]:
     """Per vertex, the first vertex of its cluster joined by edges with
-    kappa * l < 1e-3; the other vertices of a cluster are eliminated before
-    the eigensolve.
+    kappa * l < 1e-3, and the list of the other vertices of the clusters,
+    which are eliminated before the eigensolve.
 
     Such an edge's weight ~ 1/l would swamp the O(kappa) terms of M in
     rounding (kappa0 off by 1e-7 relative at l = 1e-9); eliminated, it
@@ -355,11 +394,8 @@ def _short_edge_roots(graph: MetricGraph, kappa: float) -> list[int]:
         if kappa * e.length < 1e-3:
             u, v = sorted((find(ids[e.start]), find(ids[e.end])))
             root[v] = u
-    return [find(i) for i in range(len(root))]
-
-
-def _eliminated(roots: list[int]) -> list[int]:
-    return [i for i, r in enumerate(roots) if r != i]
+    roots = [find(i) for i in range(len(root))]
+    return np.array(roots), [i for i, r in enumerate(roots) if r != i]
 
 
 def _reduced(a, W, order):
@@ -414,7 +450,7 @@ def vertex_matrix(graph: MetricGraph, kappa: float) -> np.ndarray:
     eigenvalue increases with kappa.  The graph is not validated: the
     alphas are used as given.
     """
-    return _assemble(*_dtn_parts(graph)(kappa))
+    return _assemble(*_dtn_parts(graph)[0](kappa))
 
 
 def _shape_index(diff: float, big: float, epsilon_idx: float) -> int:
@@ -517,36 +553,7 @@ def _positive_tail(matrix: np.ndarray, mu0: float, f: np.ndarray) -> np.ndarray:
     return f
 
 
-def _edge_solutions(graph, kappa0, f, roots, delta):
-    """Edge components with vertex values f: on an edge from u to v,
-    p = (f_u - E f_v) / (1 - E**2) and q = (f_v - E f_u) / (1 - E**2); a
-    lead carries its vertex's value.
-
-    Within a cluster of short edges (same root) f_u - f_v is taken as
-    delta_u - delta_v, the accurate differences from the root: f_u - E f_v
-    = (f_u - f_v) + (1 - E) f_v, where both terms are O(kappa l) and plain
-    subtraction of the vertex values would lose eps / (kappa l) of them.
-    """
-    ids = {v.id: i for i, v in enumerate(graph.vertices)}
-    sols = []
-    for e in graph.finite_edges:
-        u, v = ids[e.start], ids[e.end]
-        fu, fv = float(f[u]), float(f[v])
-        kl = kappa0 * e.length
-        E = math.exp(-kl)
-        if roots[u] == roots[v]:
-            d, g = float(delta[u] - delta[v]), -math.expm1(-kl)
-            num_p, num_q = d + g * fv, g * fu - d
-        else:
-            num_p, num_q = fu - E * fv, fv - E * fu
-        den = -math.expm1(-2.0 * kl)
-        sols.append(EdgeSolution.finite(e.id, kappa0, e.length, num_p / den, num_q / den))
-    for e in graph.infinite_edges:
-        sols.append(EdgeSolution.infinite(e.id, kappa0, float(f[ids[e.anchor]])))
-    return sols
-
-
-def _reconstruct(graph, kappa0, reduced, roots):
+def _reconstruct(graph, kappa0, reduced, roots, profiles):
     """State at kappa0 from the eigenvector of the reduced M(kappa0) whose
     eigenvalue is nearest zero, with its simplicity gap and exact minimum.
 
@@ -556,11 +563,8 @@ def _reconstruct(graph, kappa0, reduced, roots):
     eigensolver plus the rounding of summing an entry's terms, which can
     cancel (two wells alpha = -2 at distance 400 give entries of 4e-174 at
     kappa = 1).  At an excited root the eigenvalue nearest zero is a higher
-    one, whose vector changes sign, so the positivity check refuses it.
-    Eliminated vertices get f_v = sum_j w_vj f_j / p_v, in reverse order,
-    through delta_v = f_v - f_root = sum_j (w_vj / p_v) (f_j - f_root) -
-    (a_v / p_v) f_root, which keeps the O(kappa l) differences across short
-    edges accurate.
+    one, whose vector changes sign, so the positivity check refuses it; the
+    vector of mu0 is positive, and a zero in it is underflow.
     """
     if reduced is None:
         raise PositivityViolation(
@@ -586,27 +590,19 @@ def _reconstruct(graph, kappa0, reduced, roots):
         fk = -fk
     if k == 0:
         fk = _positive_tail(matrix, float(w[0]), fk)
-    f = np.zeros(len(graph.vertices))
-    delta = np.zeros(len(graph.vertices))
-    f[kept] = fk
-    roots = np.asarray(roots)
-    for v, wv, a_v, p in reversed(steps):
-        r = roots[v]
-        from_root = np.where(roots == r, delta, f - f[r])
-        delta[v] = (wv @ from_root - a_v * f[r]) / p
-        f[v] = f[r] + delta[v]
-    sols = _edge_solutions(graph, kappa0, f, roots, delta)
-    mass = sum(s.l2_mass() for s in sols)
-    if mass <= 0:
-        raise PositivityViolation("reconstructed state has zero mass")
-    sols = [s.scaled(1.0 / math.sqrt(mass)) for s in sols]
+    p, q, c, mass = profiles(kappa0, fk, kept, steps, roots)
+    p, q, c = ((x / math.sqrt(mass)).tolist() for x in (p, q, c))
+    sols = [EdgeSolution.finite(e.id, kappa0, e.length, pe, qe)
+            for e, pe, qe in zip(graph.finite_edges, p, q)]
+    sols += [EdgeSolution.infinite(e.id, kappa0, ce) for e, ce in zip(graph.infinite_edges, c)]
 
     min_value = min(s.minimum() for s in sols)
     if not min_value > 0.0:
-        raise PositivityViolation(
-            f"state is not strictly positive (min {min_value:.3g}); "
-            "kappa may be an excited root"
-        )
+        kl = kappa0 * max((e.length for e in graph.finite_edges), default=0.0)
+        why = (f"it underflows: exp(-kappa0 l) leaves the double range beyond kappa0 l "
+               f"~ 745, and the longest edge has kappa0 l = {kl:.4g}" if k == 0
+               else "kappa may be an excited root")
+        raise PositivityViolation(f"state is not strictly positive (min {min_value:.3g}); {why}")
     return tuple(sols), gap, float(min_value)
 
 
@@ -623,9 +619,10 @@ def reconstruct_eigenfunction(graph: MetricGraph, kappa0: float) -> list[EdgeSol
     if not kappa0 > 0:
         raise ValueError("kappa0 must be positive")
     kappa0 = float(kappa0)
-    roots = _short_edge_roots(graph, kappa0)
-    reduced = _reduced(*_dtn_parts(graph)(kappa0), _eliminated(roots))
-    sols, _, _ = _reconstruct(graph, kappa0, reduced, roots)
+    parts, profiles = _dtn_parts(graph)
+    roots, order = _short_edge_roots(graph, kappa0)
+    reduced = _reduced(*parts(kappa0), order)
+    sols, _, _ = _reconstruct(graph, kappa0, reduced, roots, profiles)
     return list(sols)
 
 
@@ -635,46 +632,45 @@ def find_ground_state(graph: MetricGraph, options: SolverOptions | None = None) 
     its shape indices and its certificate.
 
     M'(kappa) is positive definite, so mu0 increases and has exactly one
-    root, and M_uv <= 0 makes its vector positive (Perron-Frobenius).  The
-    constant trial vector gives 1^T M 1 <= sum alpha + kappa N + kappa**2 L
-    (N leads, L the total edge length, 2 tanh(x/2) <= x), so mu0 <= 0 at
-    the positive root lo of L kappa**2 + N kappa + sum alpha, exact for a
-    single vertex.  The upper bound doubles from 2 lo until mu0 >= 0, never
-    past ``kappa_max``, and Brent refines between them to tol_kappa * lo.
-    Vertices joined by edges with lo * l < 1e-3 are eliminated first (see
-    :func:`_reduced`), which keeps the sign and the root of mu0.  The state
-    comes from the Perron vector f: p = (f_u - E f_v)/(1 - E**2),
-    q = (f_v - E f_u)/(1 - E**2) on an edge, c = f at a lead's vertex.
-    Raises NoBoundState when mu0(kappa_max) < 0.
+    root, and M_uv <= 0 makes its vector f positive (Perron-Frobenius).
+    f^T M f is a minimum of functions affine in s = kappa**2, so mu0 is
+    concave in s: :func:`rootscan.increasing_root` runs Newton's method in s
+    with the Hellmann-Feynman slope ||psi||**2 / ||f||**2, psi the state
+    with vertex values f.  It starts at the positive root lo of L kappa**2 +
+    N kappa + sum alpha (N leads, L the total edge length): the constant
+    trial vector gives 1^T M 1 <= that (2 tanh(x/2) <= x), so mu0(lo) <= 0,
+    exact for a single vertex.  Vertices joined by edges with lo * l < 1e-3
+    are eliminated first (see :func:`_reduced`); the Schur complement keeps
+    the sign, the root and the concavity of mu0, and where a pivot is not
+    positive (kappa < kappa0) the step is taken on M itself.  ``kappa_max``
+    is a hard ceiling: NoBoundState when an iterate passes it.
     """
     require_valid(graph)
     opts = options or SolverOptions()
-    if not (math.isfinite(opts.tol_kappa) and opts.tol_kappa > 0):
-        raise ValueError(f"tol_kappa must be positive and finite, got {opts.tol_kappa!r}")
     if opts.kappa_max is not None and not (math.isfinite(opts.kappa_max) and opts.kappa_max > 0):
         raise ValueError(f"kappa_max must be positive and finite, got {opts.kappa_max!r}")
     alpha_sum = sum(v.alpha for v in graph.vertices)  # < 0 on a valid graph
     n_leads = len(graph.infinite_edges)
     total = sum(e.length for e in graph.finite_edges)
     lo = -2.0 * alpha_sum / (n_leads + math.sqrt(n_leads * n_leads - 4.0 * total * alpha_sum))
-    parts = _dtn_parts(graph)
-    roots = _short_edge_roots(graph, lo)
-    order = _eliminated(roots)
+    parts, profiles = _dtn_parts(graph)
+    roots, order = _short_edge_roots(graph, lo)
     evals = 0
 
-    def reduced(kappa: float):
+    def reduced(kappa: float, order=order):
         nonlocal evals
         evals += 1
         return _reduced(*parts(kappa), order)
 
-    def mu0(kappa: float) -> float:
-        r = reduced(kappa)  # None: a pivot <= 0, so mu0 < 0
-        return -1.0 if r is None else float(np.linalg.eigvalsh(r[0])[0])
+    def mu0_slope(kappa: float) -> tuple[float, float]:
+        # None from _reduced: a pivot <= 0 proves kappa < kappa0; step on M itself
+        matrix, kept, steps = reduced(kappa) or reduced(kappa, [])
+        w, vecs = np.linalg.eigh(matrix)
+        return float(w[0]), profiles(kappa, vecs[:, 0], kept, steps, roots)[3]
 
-    ceiling = math.inf if opts.kappa_max is None else opts.kappa_max
-    kappa0, lo, hi = increasing_root(mu0, lo, 2.0 * lo, opts.tol_kappa, NoBoundState,
-                                     ceiling=ceiling)
-    sols, gap, min_sampled = _reconstruct(graph, kappa0, reduced(kappa0), roots)
+    kappa0, lo, hi = increasing_root(mu0_slope, lo, opts.tol_kappa, NoBoundState,
+                                     ceiling=opts.kappa_max or math.inf)
+    sols, gap, min_sampled = _reconstruct(graph, kappa0, reduced(kappa0), roots, profiles)
     indices = tuple(classify_edge_index(s) for s in sols)
     cont, coup = vertex_condition_residuals(graph, sols)
     diag = Diagnostics(

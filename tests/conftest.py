@@ -163,3 +163,29 @@ def random_mixed_graph(rng: np.random.Generator) -> MetricGraph:
     if rng.uniform() < 0.5:
         return random_chain_graph(rng)
     return random_tree_graph(rng)
+
+
+def random_cyclic_graph(rng: np.random.Generator) -> MetricGraph:
+    """Random connected graph (2 to 7 vertices, 0 to 3 leads) with one to
+    three edges beyond a spanning tree, so cycles and parallel edges occur;
+    about one edge in six is short (1e-8 to 1e-3), forming clusters."""
+    n = int(rng.integers(2, 8))
+    pairs = [(int(rng.integers(0, i)), i) for i in range(1, n)]
+    for _ in range(int(rng.integers(1, 4))):
+        u, v = rng.choice(n, size=2, replace=False)
+        pairs.append((int(u), int(v)))
+    lengths = np.where(rng.uniform(size=len(pairs)) < 1 / 6,
+                       10.0 ** rng.uniform(-8, -3, size=len(pairs)),
+                       rng.uniform(0.2, 3.0, size=len(pairs)))
+    vertices = tuple(
+        VertexSpec(f"v{i + 1}", float(a)) for i, a in enumerate(rng.uniform(-3.0, -0.05, size=n))
+    )
+    edges = tuple(
+        FiniteEdge(f"e{j + 1}", f"v{u + 1}", f"v{v + 1}", float(l))
+        for j, ((u, v), l) in enumerate(zip(pairs, lengths))
+    )
+    leads = tuple(
+        InfiniteEdge(f"t{j + 1}", f"v{int(a) + 1}")
+        for j, a in enumerate(rng.integers(0, n, size=int(rng.integers(0, 4))))
+    )
+    return MetricGraph(vertices, edges, leads)

@@ -130,10 +130,10 @@ def test_tol_kappa_must_be_positive_and_finite(tol):
         ground_state_loop(LoopConfig(5.0, (0.0,), (-2.0,)), tol_kappa=tol)
 
 
-def test_kernel_solve_memory_does_not_scale_with_the_scan_block():
-    # a 2048-matrix stack of 40 sites alone is 26 MB
+def test_kernel_chain_solve_peak_memory_is_small():
+    # one 40 x 40 kernel matrix per Newton step: a solve stays within a few MiB
     config = LineConfig(tuple(float(i) for i in range(40)), (-1.0,) * 40)
-    ground_state_line(LineConfig((0.0,), (-2.0,)))  # loads scipy's brentq first
+    ground_state_line(LineConfig((0.0,), (-2.0,)))  # warm-up, so only the solve is traced
     tracemalloc.start()
     try:
         ground_state_line(config)
@@ -197,15 +197,15 @@ def _uniform_line(n):
     LoopConfig(1e-3, (0.0,), (-1.0,)),
 ])
 def test_kernel_solve_builds_few_matrices(config, monkeypatch):
-    # bracket between proven bounds plus one Brent refinement; a uniform
-    # descending scan needed 6 150 to 62 295 matrices on these configs
+    # Newton steps from the proven lower bound, the certificate and the
+    # weights; the short loop (kappa0 = 63 |alpha|/2) takes the most
     built = []
     for name in ("_gamma_line_stack", "_gamma_loop_stack"):
         kernel = getattr(line_module, name)
         monkeypatch.setattr(line_module, name,
                             lambda c, ks, kernel=kernel: built.append(len(ks)) or kernel(c, ks))
     ground_state_line(config)
-    assert 0 < sum(built) <= 32
+    assert 0 < sum(built) <= 19
 
 
 @pytest.mark.parametrize("alpha", [-2.0, -1e-6, -1e-9, -1e12])
@@ -217,15 +217,15 @@ def test_single_site_line_is_exact(alpha):
 
 
 def test_weak_pair_is_accurate_to_a_relative_tolerance():
-    # even state k = (|alpha|/2)(1 + e^{-k d}); an absolute Brent xtol of
-    # 1e-12 stopped 5e-8 relative away from it at kappa0 ~ 1e-6
+    # even state k = (|alpha|/2)(1 + e^{-k d}); an absolute tolerance of
+    # 1e-12 would stop 5e-8 relative away from it at kappa0 ~ 1e-6
     gs = ground_state_line(LineConfig((0.0, 1.0), (-1e-6, -1e-6)))
     exact = 9.999995000005e-07
     assert abs(gs.kappa0 - exact) <= 1e-12 * exact
 
 
 def test_short_loop_raises_the_upper_bound():
-    # kappa0 = 31.6 lies far above the line ceiling |alpha|/2 + 0.05
+    # kappa0 = 31.6 lies far above the line's single-site value |alpha|/2
     L, alpha = 1e-3, -1.0
     gs = ground_state_loop(LoopConfig(L, (0.0,), (alpha,)))
     assert gs.kappa0 > 30.0
@@ -236,6 +236,25 @@ def test_short_loop_raises_the_upper_bound():
 def test_uniform_lines_match_recorded_values(n, kappa0):
     # values the descending scan gave when the benchmark was defined
     assert abs(ground_state_line(_uniform_line(n)).kappa0 - kappa0) <= 1e-12 * kappa0
+
+
+@pytest.mark.parametrize("config", [
+    LineConfig((0.0, 0.7, 3.0), (-1.0, -2.0, -0.5)),
+    LoopConfig(5.0, (0.0, 1.0, 3.5), (-1.0, -0.3, -2.0)),
+    LoopConfig(50.0, (0.0, 25.0), (-1.0, -1.0)),
+    LoopConfig(0.5, (0.0,), (-1.0,)),
+])
+def test_kernel_slope_matches_central_differences(config):
+    # dmu0/ds in closed form against differences of mu0(s) from the kernel
+    # stacks themselves (_gamma_line_stack, _gamma_loop_stack)
+    mu0_slope = line_module._mu0_slope(config)
+    for kappa in (0.05, 0.4, 1.5, 6.0):
+        s, h = kappa * kappa, 1e-5 * kappa * kappa
+        diff = (mu0(gamma_line(config, math.sqrt(s + h)))
+                - mu0(gamma_line(config, math.sqrt(s - h)))) / (2 * h)
+        value, slope = mu0_slope(kappa)
+        assert abs(value - mu0(gamma_line(config, kappa))) <= 1e-14 * max(1.0, abs(value))
+        assert abs(slope - diff) <= 1e-7 * slope
 
 
 def test_non_finite_kernel_raises_no_root(monkeypatch, capsys):

@@ -1,149 +1,205 @@
-"""Root-finder tests on synthetic functions."""
+"""Root-finder tests: Newton's method in s = kappa**2 on synthetic increasing
+concave functions, and the iterates of both routes on random instances."""
 
 import math
 
+import numpy as np
 import pytest
-import scipy.optimize
 
+from conftest import random_cyclic_graph
+from qgbind import LineConfig, LoopConfig, find_ground_state, ground_state_line
+from qgbind import line as line_module
 from qgbind import rootscan
-from qgbind.rootscan import brentq, increasing_root
+from qgbind import secular as secular_module
+from qgbind.rootscan import increasing_root
 
 
-# ------------------------------------------------ Brent and the increasing root
-
-_BRENT_CASES = [
-    (lambda x: x * x - 2.0, 0.0, 2.0, {}),
-    (lambda x: math.exp(x) - 3.0, -5.0, 5.0, {"xtol": 1e-15}),
-    (lambda x: x**3, -1.0, 0.5, {}),  # triple root at 0: neither converges
-    (lambda x: (x - 0.1) ** 3, -1.0, 0.5, {}),  # off zero: bisection steps
-    (lambda x: math.tanh(50.0 * (x - 0.3)), 0.0, 1.0, {"xtol": 1e-14}),
-    (lambda x: x - 1e-9 * (1.0 + math.exp(-x)), 1e-12, 1.0, {"xtol": 1e-22}),
-    (lambda x: math.cos(x) - x, 2.0, 0.0, {"rtol": 1e-10}),
-]
+def _sqrt_minus(root, calls=None):
+    """mu0(s) = sqrt(s) - root and its slope 1 / (2 sqrt(s))."""
+    def f(kappa):
+        if calls is not None:
+            calls.append(kappa)
+        return kappa - root, 0.5 / kappa
+    return f
 
 
-@pytest.mark.parametrize("f,a,b,kwargs", _BRENT_CASES)
-def test_brentq_matches_scipy_bit_for_bit(f, a, b, kwargs):
-    def run(solver):
-        calls = []
-        try:
-            return solver(lambda x: calls.append(x) or f(x), a, b, **kwargs), calls
-        except RuntimeError:
-            return "no convergence", calls
-
-    assert run(brentq) == run(scipy.optimize.brentq)
+def _one_minus(root, calls=None):
+    """mu0(s) = 1 - root**2 / s: steeply curved, Newton roughly doubles s."""
+    def f(kappa):
+        if calls is not None:
+            calls.append(kappa)
+        s = kappa * kappa
+        return 1.0 - root * root / s, root * root / (s * s)
+    return f
 
 
-def test_brentq_uses_known_end_values():
-    calls = []
-    f = lambda x: calls.append(x) or x - 0.25  # noqa: E731
-    assert brentq(f, 0.0, 1.0, fa=-0.25, fb=0.75) == brentq(lambda x: x - 0.25, 0.0, 1.0)
-    assert 0.0 not in calls and 1.0 not in calls
+def _linear(root, calls=None):
+    """mu0(s) = s - root**2, concave only just."""
+    def f(kappa):
+        if calls is not None:
+            calls.append(kappa)
+        return kappa * kappa - root * root, 1.0
+    return f
 
 
-@pytest.mark.parametrize("f,a,b,error", [
-    (lambda x: x + 1.0, 0.0, 1.0, ValueError),  # no sign change
-    (lambda x: math.nan if x > 0.5 else x - 0.75, 0.0, 1.0, ValueError),
-])
-def test_brentq_rejects_bad_input(f, a, b, error):
-    with pytest.raises(error):
-        brentq(f, a, b)
+# ------------------------------------------------------ Newton on synthetic mu0
 
 
 def test_increasing_root_relative_tolerance():
-    root, lo, hi = increasing_root(lambda k: k - 3e-9, 1e-9, 2e-9, 1e-12, RuntimeError)
-    assert lo == 1e-9 and hi == 4e-9
-    assert abs(root - 3e-9) <= 1e-12 * 3e-9
+    for make in (_sqrt_minus, _one_minus, _linear):
+        for root in (3e-9, 1e3):
+            f = make(root)
+            kappa0, lo, hi = increasing_root(f, root / 50.0, 1e-12, RuntimeError)
+            assert abs(kappa0 - root) <= 2e-12 * root
+            assert lo <= kappa0 <= hi <= kappa0 * (1 + 2e-12)
+            assert f(lo)[0] <= 0.0 <= f(hi)[0]
+    # a tol below eps counts as eps: the certificate point still lies above
+    root, lo, hi = increasing_root(_one_minus(math.pi), 1.0, 1e-22, RuntimeError)
+    assert abs(root - math.pi) <= 4 * math.ulp(math.pi) and lo <= root <= hi
 
 
 def test_increasing_root_exact_lower_bound():
     calls = []
-    f = lambda k: calls.append(k) or k - 2.0  # noqa: E731
-    assert increasing_root(f, 2.0, 4.0, 1e-12, RuntimeError) == (2.0, 2.0, 2.0)
+    assert increasing_root(_sqrt_minus(2.0, calls), 2.0, 1e-12, RuntimeError) == (2.0, 2.0, 2.0)
     assert calls == [2.0]
 
 
-def test_increasing_root_halves_a_rounded_lower_bound():
+def test_increasing_root_converges_from_a_rounded_lower_bound():
+    # rounding can put mu0 > 0 at the proven lower bound: no iterate goes below it
     calls = []
-    f = lambda k: calls.append(k) or k - 1.0  # noqa: E731
-    root, lo, hi = increasing_root(f, 1.0 + 1e-15, 3.0, 1e-12, RuntimeError)
-    assert (lo, hi) == (0.5 * (1.0 + 1e-15), 1.0 + 1e-15)
-    assert abs(root - 1.0) <= 1e-12
-    assert len(calls) == len(set(calls))  # the positive point is not evaluated again
+    lo = 1.0 + 1e-15
+    kappa0, _, hi = increasing_root(_one_minus(1.0, calls), lo, 1e-12, RuntimeError)
+    assert abs(kappa0 - 1.0) <= 2e-12
+    assert min(calls) == lo and calls[-1] == hi
 
 
 def test_increasing_root_ceiling_is_hard():
-    f = lambda k: k - 5.0  # noqa: E731
-    assert increasing_root(f, 1.0, 2.0, 1e-12, RuntimeError, ceiling=5.0)[1:] == (1.0, 5.0)
+    assert increasing_root(_sqrt_minus(4.9), 1.0, 1e-12, KeyError, ceiling=5.0)[2] <= 5.0
+    # the certificate point kappa0 (1 + 2 tol) is capped at the ceiling
+    ceiling = math.e * (1 + 1e-6)
+    assert increasing_root(_one_minus(math.e), 1.0, 1e-6, KeyError, ceiling=ceiling)[2] == ceiling
     with pytest.raises(KeyError, match="ceiling"):
-        increasing_root(f, 1.0, 2.0, 1e-12, KeyError, ceiling=4.0)
+        increasing_root(_sqrt_minus(4.9), 1.0, 1e-12, KeyError, ceiling=4.0)
+    calls = []
     with pytest.raises(KeyError, match="ceiling"):
-        increasing_root(f, 6.0, 12.0, 1e-12, KeyError, ceiling=4.0)
+        increasing_root(_sqrt_minus(8.0, calls), 6.0, 1e-12, KeyError, ceiling=4.0)
+    assert calls == []  # a lower bound above the ceiling needs no value
 
 
-def test_increasing_root_gives_up_after_60_doublings():
-    with pytest.raises(KeyError, match="no sign change"):
-        increasing_root(lambda k: -1.0, 1.0, 2.0, 1e-12, KeyError)
+def test_increasing_root_gives_up_after_max_steps():
+    calls = []
 
+    def creep(kappa):  # each step adds 1e-6 to s, far above tol
+        calls.append(kappa)
+        return -1.0, 1e6
 
-# ------------------------------- the scan's bracketing contract, on the one root
+    with pytest.raises(KeyError, match="no root after 100 Newton steps"):
+        increasing_root(creep, 1.0, 1e-12, KeyError)
+    assert len(calls) == rootscan.MAX_STEPS == 100
 
 
 def test_brackets_simple_root():
-    f = lambda k: k - 2.5  # noqa: E731
-    root, lo, hi = increasing_root(f, 0.5, 1.0, 1e-12, RuntimeError)
-    assert (lo, hi) == (0.5, 4.0)
-    assert f(lo) <= 0.0 <= f(hi)
-    assert lo <= root <= hi
-    assert abs(root - 2.5) <= 1e-12 * 2.5
+    # a loose tol stops before Newton lands on the root exactly
+    f = _one_minus(math.pi)
+    root, lo, hi = increasing_root(f, 0.5, 1e-6, RuntimeError)
+    assert f(lo)[0] < 0.0 < f(hi)[0]
+    assert lo < root < hi <= root * (1 + 2e-6)
+    assert abs(root - math.pi) <= 2e-6 * math.pi
 
 
 def test_exact_grid_zero_collapses_bracket():
-    # the lower bound rounds positive; its first halving hits the root exactly
+    # a Newton step on mu0 = s - 4 lands on the root exactly
     calls = []
-    f = lambda k: calls.append(k) or k - 1.0  # noqa: E731
-    assert increasing_root(f, 2.0, 4.0, 1e-12, RuntimeError) == (1.0, 1.0, 1.0)
-    assert calls == [2.0, 1.0]
+    assert increasing_root(_linear(2.0, calls), 1.0, 1e-12, RuntimeError) == (2.0, 2.0, 2.0)
+    assert calls == [1.0, 2.0]
 
 
 def test_at_top_flag_when_root_above_ceiling():
-    # a root above the ceiling is an error, raised once the ceiling itself is tried
+    # an iterate past the ceiling is a lower bound of the root: raised before
+    # any value is taken there
     calls = []
-    f = lambda k: calls.append(k) or k - 10.0  # noqa: E731
     with pytest.raises(KeyError, match="lies above it"):
-        increasing_root(f, 1.0, 2.0, 1e-12, KeyError, ceiling=5.0)
-    assert calls == [1.0, 2.0, 4.0, 5.0]
+        increasing_root(_linear(10.0, calls), 1.0, 1e-12, KeyError, ceiling=5.0)
+    assert calls == [1.0]
 
 
 def test_lazy_walk_stops_early():
-    # the doubling walk stops at its first non-negative value
+    # quadratic convergence: the walk stops at its first step below tol, and
+    # only the certificate point lies above the root
     calls = []
-    f = lambda k: calls.append(k) or k - 1000.0  # noqa: E731
-    root, lo, hi = increasing_root(f, 1e-3, 2e-3, 1e-12, RuntimeError)
-    assert calls[:21] == [1e-3] + [2e-3 * 2.0**n for n in range(20)]
-    assert max(calls) == hi < 2000.0
-    assert abs(root - 1000.0) <= 1e-12 * 1000.0
+    root, lo, hi = increasing_root(_sqrt_minus(1000.0, calls), 500.0, 1e-12, RuntimeError)
+    assert len(calls) <= 6
+    assert calls[-1] == hi and max(calls[:-1]) <= root
+    assert abs(root - 1000.0) <= 2e-12 * 1000.0
 
 
 def test_rejects_bad_step():
-    # xtol is the smallest step Brent takes
-    for xtol in (0.0, -0.1, math.nan):
-        with pytest.raises(ValueError, match="xtol"):
-            brentq(lambda x: x - 0.5, 0.0, 1.0, xtol=xtol)
-    with pytest.raises(ValueError, match="xtol"):
-        increasing_root(lambda k: k - 0.5, 0.25, 1.0, 0.0, KeyError)
+    # tol is the relative step at which Newton stops
+    for tol in (0.0, -0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tol"):
+            increasing_root(_sqrt_minus(0.5), 0.25, tol, KeyError)
 
 
 def test_non_finite_indicator_raises():
-    # NaN is neither <= 0 nor >= 0, so it ends no walk and is never a root
-    above = lambda k: math.nan if k > 2.9 else k - 3.0  # noqa: E731
-    with pytest.raises(KeyError, match="no sign change"):
-        increasing_root(above, 1.0, 2.0, 1e-12, KeyError)
-    with pytest.raises(KeyError, match="stays positive"):
-        increasing_root(lambda k: math.nan, 1.0, 2.0, 1e-12, KeyError)
+    # a NaN value or slope, or a slope that is not positive, ends the walk
+    for value in [(math.nan, 1.0), (-1.0, math.nan), (-1.0, 0.0), (-1.0, -2.0), (-math.inf, 1.0)]:
+        with pytest.raises(KeyError, match="not finite and increasing"):
+            increasing_root(lambda k, value=value: value, 1.0, 1e-12, KeyError)
 
 
 def test_removed_scan_names_raise():
-    for name in ("scan_down", "probe_geometric", "bisect_sign"):
+    for name in ("scan_down", "probe_geometric", "bisect_sign", "brentq"):
         with pytest.raises(RuntimeError, match="use increasing_root"):
             getattr(rootscan, name)(lambda k: k, 1.0, 0.5)
+
+
+# ---------------------------------------------- the iterates of both routes
+
+
+def _record(monkeypatch, module):
+    """Every (kappa, mu0) the route's Newton iteration evaluates, in order."""
+    calls = []
+
+    def recording(f, *args, **kwargs):
+        def g(kappa):
+            mu, slope = f(kappa)
+            calls.append((kappa, mu))
+            return mu, slope
+        return increasing_root(g, *args, **kwargs)
+
+    monkeypatch.setattr(module, "increasing_root", recording)
+    return calls
+
+
+def _check_iterates(calls, kappa0):
+    # below the root but for rounding, and the last value certifies it
+    assert all(k <= kappa0 * (1 + 1e-12) for k, _ in calls[:-1])
+    assert calls[-1][1] >= 0.0
+
+
+def test_graph_route_iterates_stay_below_the_root(monkeypatch):
+    # cycles, parallel edges and short-edge clusters: mu0 of M, and of its
+    # Schur complement, stays concave in s
+    calls = _record(monkeypatch, secular_module)
+    rng = np.random.default_rng(2024)
+    for _ in range(100):
+        calls.clear()
+        gs = find_ground_state(random_cyclic_graph(rng))
+        _check_iterates(calls, gs.kappa0)
+        assert calls[-1][0] == gs.diagnostics.bracket[1]
+
+
+def test_kernel_route_iterates_stay_below_the_root(monkeypatch):
+    calls = _record(monkeypatch, line_module)
+    rng = np.random.default_rng(2025)
+    for i in range(100):
+        n = int(rng.integers(1, 7))
+        strengths = tuple(-10.0 ** rng.uniform(-3, 1, size=n))
+        sites = np.cumsum(np.concatenate(([0.0], 10.0 ** rng.uniform(-2, 1, size=n - 1))))
+        if i % 2:
+            config = LineConfig(tuple(sites), strengths)
+        else:
+            circumference = sites[-1] + 10.0 ** rng.uniform(-3, 1.5)
+            config = LoopConfig(float(circumference), tuple(sites), strengths)
+        calls.clear()
+        _check_iterates(calls, ground_state_line(config).kappa0)

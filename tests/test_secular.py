@@ -44,6 +44,7 @@ from qgbind import (
     singularity_indicator,
     vertex_condition_residuals,
 )
+from qgbind import secular as secular_module
 from qgbind.secular import _positive_tail, vertex_matrix
 
 # fixed point of kappa = 1 + exp(-kappa): two sites at distance 1, alpha -2
@@ -176,9 +177,9 @@ def test_two_delta_line_fixed_point():
     assert gs.index("e1") == 1
 
 
-def test_short_interval_forces_ceiling_doubling():
-    # merged-vertex limit: kappa near |2 alpha| / ... large; default ceiling
-    # max(sum|alpha|, 1) = 4 sits below the root, so the solver must extend
+def test_short_interval_root_far_above_sum_alpha():
+    # merged-vertex limit: kappa0 lies far above sum|alpha| = 4, and Newton
+    # climbs there from the lower bound
     alpha, l = -2.0, 0.02
     expected = brentq(lambda k: k * math.tanh(k * l / 2.0) - abs(alpha), 1.0, 1000.0,
                       xtol=1e-12)
@@ -189,14 +190,17 @@ def test_short_interval_forces_ceiling_doubling():
 
 
 def test_small_kappa_max_option_still_converges():
-    # kappa_max is a hard ceiling: just above kappa0 = 2 the solve converges
-    # with the upper bound capped there (a ceiling below kappa0 is
-    # test_no_bound_state_when_ceiling_capped)
+    # kappa_max is a hard ceiling: just above kappa0 = 2 the solve converges,
+    # and the certificate point kappa0 (1 + 2 tol_kappa) is capped there (a
+    # ceiling below kappa0 is test_no_bound_state_when_ceiling_capped)
     g = star_graph(-1.0)
     kappa0 = find_ground_state(g).kappa0
     gs = find_ground_state(g, SolverOptions(kappa_max=kappa0 * (1 + 1e-9)))
     assert abs(gs.kappa0 - kappa0) <= 1e-12 * kappa0
-    assert gs.diagnostics.bracket[1] == kappa0 * (1 + 1e-9)
+    assert gs.diagnostics.bracket[1] <= kappa0 * (1 + 1e-9)
+    gs = find_ground_state(g, SolverOptions(kappa_max=kappa0 * (1 + 1e-12)))
+    assert abs(gs.kappa0 - kappa0) <= 1e-12 * kappa0
+    assert gs.diagnostics.bracket[1] == kappa0 * (1 + 1e-12)
 
 
 # ----------------------------------------------------------- error paths
@@ -212,6 +216,16 @@ def test_excited_root_rejected_as_nonpositive():
     assert np.linalg.eigvalsh(vertex_matrix(g, kx))[0] < 0
     with pytest.raises(PositivityViolation):
         reconstruct_eigenfunction(g, kx)
+
+
+def test_underflowing_state_is_reported_as_underflow():
+    # the ground state kappa0 = 1 of the stronger well decays across the
+    # edge: exp(-750) is below the smallest double, exp(-740) is not
+    with pytest.raises(PositivityViolation, match="underflows.*kappa0 l = 750"):
+        find_ground_state(chain_graph([-2.0, -1.0], [750.0]))
+    gs = find_ground_state(chain_graph([-2.0, -1.0], [740.0]))
+    assert gs.kappa0 == 1.0
+    assert 0.0 < gs.diagnostics.min_sampled < 1e-320
 
 
 def test_reconstruct_at_nonroot_is_degenerate():
@@ -265,7 +279,7 @@ def _peak_mib(fn):
         tracemalloc.stop()
 
 
-def test_solve_memory_does_not_scale_with_the_scan_block():
+def test_chain_solve_peak_memory_is_small():
     # no kappa grid is built: solving this chain (D = 40) stays within a few MiB
     graph = _uniform_chain(20)
     assert _peak_mib(lambda: find_ground_state(graph)) < 8.0
@@ -371,6 +385,40 @@ def test_cluster_of_short_edges_with_cycles():
     d = gs.diagnostics
     assert max(d.continuity_residual, d.coupling_residual) < 1e-12
     assert d.min_sampled > 0.0
+
+
+def test_negative_pivot_steps_on_the_unreduced_matrix(monkeypatch):
+    # at the lower bound lo = 0.32 the edge u-v (l = 3e-3) is short, but its
+    # weight 1/l = 333 cannot outweigh alpha_u = -400: the pivot of u is
+    # negative until kappa nears kappa0 = 263.6, and those Newton steps are
+    # taken on M itself
+    g = MetricGraph(
+        (VertexSpec("v", -0.1), VertexSpec("u", -400.0), VertexSpec("x", -0.1)),
+        (FiniteEdge("s", "v", "u", 3e-3),)
+        + tuple(FiniteEdge(f"p{i}", "v", "x", 1.0) for i in range(4000)),
+    )
+    results = []
+    real = secular_module._reduced
+    monkeypatch.setattr(secular_module, "_reduced",
+                        lambda *args: results.append(real(*args)) or results[-1])
+    gs = find_ground_state(g)
+    assert any(r is None for r in results)
+    below, above = (np.linalg.eigvalsh(vertex_matrix(g, gs.kappa0 * (1 + d)))[0]
+                    for d in (-1e-10, 1e-10))
+    assert below < 0.0 < above
+    assert gs.diagnostics.min_sampled > 0.0
+
+
+@pytest.mark.parametrize("graph,evaluations", [
+    (single_vertex_graph(-2.0, 2), 2),
+    (star_graph(-1.0), 6),
+    (as_chain_graph(LineConfig(tuple(float(i) for i in range(8)), (-1.0,) * 8)), 5),
+    (as_chain_graph(LineConfig(tuple(float(i) for i in range(40)), (-1.0,) * 40)), 5),
+    (single_vertex_graph(-1e4, 3), 2),
+], ids=["delta", "star", "chain-8", "chain-40", "alpha-1e4"])
+def test_graph_route_builds_few_matrices(graph, evaluations):
+    # Newton steps, the certificate and the state
+    assert find_ground_state(graph).diagnostics.indicator_evaluations == evaluations
 
 
 def test_huge_coupling_solves_without_allocating():

@@ -7,6 +7,7 @@ from scipy.optimize import brentq
 from conftest import (
     ALPHA_CRIT,
     random_chain_graph,
+    random_cyclic_graph,
     random_mixed_graph,
     random_tree_graph,
     single_vertex_graph,
@@ -24,7 +25,7 @@ from qgbind import (
     find_critical_coupling,
     find_ground_state,
 )
-from qgbind.secular import _assemble, _reduced, vertex_matrix
+from qgbind.secular import _assemble, _dtn_parts, _reduced, _short_edge_roots, vertex_matrix
 
 
 def _parallel_graph():
@@ -84,6 +85,27 @@ def test_elimination_gives_the_schur_complement():
     assert list(kept) == k and [v for v, *_ in steps] == e
     # a pivot <= 0: M is not positive definite, so mu0(M) < 0
     assert _reduced(np.array([-5.0, 1.0]), np.array([[0.0, 1.0], [1.0, 0.0]]), [0]) is None
+
+
+def test_newton_slope_is_the_derivative_of_mu0_in_kappa_squared():
+    # Hellmann-Feynman: dmu0/ds = ||psi||**2 / ||f||**2 for the Perron vector
+    # f of the (Schur-reduced) matrix, against central differences in s; the
+    # draws have cycles, parallel edges and short-edge clusters
+    rng = np.random.default_rng(8)
+    for _ in range(40):
+        graph = random_cyclic_graph(rng)
+        parts, profiles = _dtn_parts(graph)
+        kappa = float(rng.uniform(0.3, 3.0))
+        roots, order = _short_edge_roots(graph, kappa)
+
+        def mu0(s):
+            return np.linalg.eigvalsh(_reduced(*parts(np.sqrt(s)), order)[0])[0]
+
+        reduced, kept, steps = _reduced(*parts(kappa), order)
+        mu, vecs = np.linalg.eigh(reduced)
+        slope = profiles(kappa, vecs[:, 0], kept, steps, roots)[3]
+        s, h = kappa * kappa, 1e-5 * kappa * kappa
+        assert abs(slope - (mu0(s + h) - mu0(s - h)) / (2 * h)) <= 1e-6 * slope
 
 
 @pytest.mark.parametrize("graph", _graphs())
