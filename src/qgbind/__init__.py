@@ -1,8 +1,8 @@
 """Ground states of metric-graph Laplacians with attractive delta coupling.
 
-Two independent solution paths (secular matrix on general graphs, kernel
-matrix for interactions on a line or loop), a finite-element oracle, edge
-shape classification, and length-monotonicity experiment harnesses.
+Two independent solution paths (vertex-reduced matrix on general graphs,
+kernel matrix for interactions on a line or loop), a finite-element oracle,
+edge shape classification, and length-monotonicity experiment harnesses.
 """
 
 from .graph import (
@@ -31,14 +31,11 @@ from .line import (
     as_chain_graph,
     as_cycle_graph,
     check_monotonicity_line,
-    derivative_signs,
     gamma_line,
     gamma_loop,
     grow_loop,
     ground_state_line,
     ground_state_loop,
-    min_eigenpair,
-    mu0,
     stretch_gap,
 )
 from .oracle import (
@@ -60,14 +57,11 @@ from .secular import (
     GroundState,
     NoBoundState,
     PositivityViolation,
-    SecularMatrix,
     SolverOptions,
-    build_secular_matrix,
     classify_coefficients,
     classify_edge_index,
     find_ground_state,
     reconstruct_eigenfunction,
-    singularity_indicator,
     vertex_condition_residuals,
 )
 from .sweeps import (
@@ -89,17 +83,15 @@ __all__ = [
     "require_valid", "save_graph", "validate", "vertex_incidences",
     "GammaMatrix", "LineConfig", "LineGroundState", "LoopConfig",
     "MonotonicityReport", "MonotonicityViolation", "NoRoot", "as_chain_graph",
-    "as_cycle_graph", "check_monotonicity_line", "derivative_signs",
-    "gamma_line", "gamma_loop", "grow_loop", "ground_state_line",
-    "ground_state_loop", "min_eigenpair", "mu0", "stretch_gap",
+    "as_cycle_graph", "check_monotonicity_line", "gamma_line", "gamma_loop",
+    "grow_loop", "ground_state_line", "ground_state_loop", "stretch_gap",
     "ComparisonReport", "Discretization", "OracleError", "OracleResult",
     "compare", "comparison_constant", "discretize", "smallest_eigenvalue",
     "GraphTrial", "rayleigh_quotient", "scaled_trial_quotient",
     "NULLSPACE_GAP_MIN", "DegenerateRoot", "Diagnostics", "EdgeSolution",
-    "GroundState", "NoBoundState", "PositivityViolation", "SecularMatrix",
-    "SolverOptions", "build_secular_matrix", "classify_coefficients",
-    "classify_edge_index", "find_ground_state", "reconstruct_eigenfunction",
-    "singularity_indicator", "vertex_condition_residuals",
+    "GroundState", "NoBoundState", "PositivityViolation", "SolverOptions",
+    "classify_coefficients", "classify_edge_index", "find_ground_state",
+    "reconstruct_eigenfunction", "vertex_condition_residuals",
     "CritError", "CritResult", "SweepPoint", "SweepSpec", "SweepTarget",
     "apply_target", "find_critical_coupling", "run_sweep",
     "__version__",

@@ -90,9 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar=("LO", "HI"))
     s.add_argument("--steps", action="append", type=int, required=True)
     s.add_argument("--csv", default=None, metavar="PATH", help="write CSV here instead of stdout")
-    s.add_argument("--jobs", type=int, default=1,
-                   help="parallel solver processes (at least 1; capped by the "
-                   "grid size and the CPU count)")
     _add_solver_flags(s)
 
     c = sub.add_parser("crit", help="critical center coupling of a star graph")
@@ -208,7 +205,7 @@ def cmd_sweep(args) -> int:
         SweepSpec(t, lo, hi, n)
         for t, (lo, hi), n in zip(targets, args.range, args.steps)
     ]
-    points = run_sweep(graph, specs, _solver_options(args), jobs=args.jobs)
+    points = run_sweep(graph, specs, _solver_options(args))
     text = _sweep_csv(specs, points)
     if args.csv:
         with open(args.csv, "w", encoding="utf-8", newline="\n") as fh:

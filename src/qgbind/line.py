@@ -9,7 +9,7 @@ root of the increasing mu0.  On the line G_kappa(x, y) = exp(-kappa |x-y|) /
 (2 kappa); on a loop of circumference L the kernel is written with decaying
 exponentials,
 
-    G = (exp(-kappa d) + exp(-kappa (2L - d))) / (2 kappa (1 - exp(-2 kappa L))),
+    G = (exp(-kappa d) + exp(-kappa (L - d))) / (2 kappa (1 - exp(-kappa L))),
 
 with d the arc distance, so it stays finite for large kappa*L.  For a fixed
 positive vector c the quadratic form (c, Gamma(kappa) c) is strictly
@@ -128,9 +128,8 @@ def _gamma_loop_stack(config: LoopConfig, kappas: np.ndarray) -> np.ndarray:
     dist = _loop_distances(config)
     L = config.circumference
     k = kappas[:, None, None]
-    return (np.exp(-k * dist) + np.exp(-k * (L - dist))) / (
-        2.0 * k * (1.0 - np.exp(-k * L))
-    )
+    g = -np.expm1(-k * L)  # 1 - exp(-kappa L) without cancellation
+    return (np.exp(-k * dist) + np.exp(-k * (L - dist))) / (2.0 * k * g)
 
 
 def _gamma_stack(config: LineConfig | LoopConfig, kappas: np.ndarray) -> np.ndarray:
@@ -152,20 +151,6 @@ def gamma_line(config: LineConfig | LoopConfig, kappa: float) -> GammaMatrix:
 
 
 gamma_loop = gamma_line
-
-
-def mu0(gamma: GammaMatrix) -> float:
-    """Smallest eigenvalue of the kernel matrix."""
-    return float(np.linalg.eigvalsh(gamma.entries)[0])
-
-
-def min_eigenpair(gamma: GammaMatrix) -> tuple[float, np.ndarray]:
-    """Smallest eigenvalue and its eigenvector, oriented to positive sum."""
-    w, v = np.linalg.eigh(gamma.entries)
-    vec = v[:, 0]
-    if vec.sum() < 0:
-        vec = -vec
-    return float(w[0]), vec
 
 
 @dataclass(frozen=True)
@@ -218,12 +203,13 @@ def _solve_mu0(config: LineConfig | LoopConfig, tol_kappa: float) -> tuple[float
     strongest site's diagonal entry is <= 0 (G_ii >= 1/(2 kappa) on the line
     and the loop), so mu0 <= 0 there; on the line the entry is exactly 0.0,
     which makes a single site exact.  tol_kappa bounds the error relative
-    to kappa0, for weak binding as well as strong.
+    to kappa0, for weak binding as well as strong.  The weights are the
+    eigenvector of mu0 at kappa0, oriented to a positive sum.
     """
     lo = 0.5 * max(abs(a) for a in config.strengths)
     kappa0, _, _ = increasing_root(_mu0_slope(config), lo, tol_kappa, NoRoot)
-    _, weights = min_eigenpair(gamma_line(config, kappa0))
-    return float(kappa0), weights
+    weights = np.linalg.eigh(gamma_line(config, kappa0).entries)[1][:, 0]
+    return float(kappa0), -weights if weights.sum() < 0 else weights
 
 
 def ground_state_line(
@@ -241,26 +227,6 @@ def ground_state_line(
 
 
 ground_state_loop = ground_state_line
-
-
-def derivative_signs(
-    config: LineConfig, kappa0: float, weights
-) -> tuple[tuple[int, int], ...]:
-    """Signs of psi' just left and right of each site (diagnostic only)."""
-    y = np.asarray(config.sites)
-    w = np.asarray(weights, dtype=float)
-    out = []
-    for i in range(config.n):
-        right = sum(
-            w[j] * (1.0 if y[j] > y[i] else -1.0) * math.exp(-kappa0 * abs(y[j] - y[i]))
-            for j in range(config.n)
-        )
-        left = sum(
-            w[j] * (1.0 if y[j] >= y[i] else -1.0) * math.exp(-kappa0 * abs(y[j] - y[i]))
-            for j in range(config.n)
-        )
-        out.append((int(np.sign(left)), int(np.sign(right))))
-    return tuple(out)
 
 
 def stretch_gap(config: LineConfig, gap_index: int, eta: float) -> LineConfig:

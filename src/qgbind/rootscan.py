@@ -10,10 +10,12 @@ from typing import Callable
 MAX_STEPS = 100
 
 
-# The descending scan and Brent are gone; perfbench/tracer.py only looks
-# these names up (it wraps them and never calls them), until ROADMAP item 1.
+# The descending scan, Brent and the D x D determinant are gone;
+# perfbench/tracer.py only looks these names up (it wraps them and never
+# calls them), until ROADMAP item 1.
 def _removed(*args, **kwargs):
-    raise RuntimeError("the descending scan and Brent were removed; use increasing_root")
+    raise RuntimeError("the descending scan, Brent and the D x D determinant were "
+                       "removed; use increasing_root")
 
 
 scan_down = probe_geometric = bisect_sign = brentq = _removed

@@ -10,20 +10,19 @@ b = q*E - p, E = exp(-kappa l).  Both exponents are nonpositive on the edge,
 so entries stay finite for arbitrarily large kappa*l.  On a lead the
 square-integrable solution is c * exp(-kappa x).
 
-The matching conditions at a vertex of degree n are continuity (n - 1 rows)
-plus the coupling row sum(outward derivatives) = alpha * psi(vertex), giving
-a square system of size D = 2 * #finite + #leads.  kappa is an eigenvalue
-root exactly when the system is singular.
-
-The solver works on the smaller vertex-reduced matrix M(kappa) instead (see
-:func:`vertex_matrix`): the ground state is the one root of its increasing
-smallest eigenvalue, and the D x D system stays as independent evidence.
+The conditions at a vertex are continuity plus sum(outward derivatives) =
+alpha * psi(vertex).  Written in the vertex values f they become the
+vertex-reduced matrix M(kappa) (see :func:`vertex_matrix`): kappa is an
+eigenvalue root exactly when M(kappa) f = 0 for some f, and the ground state
+is the one root of its increasing smallest eigenvalue.  The reconstructed
+state is checked against the conditions on the edge functions themselves
+(:func:`vertex_condition_residuals`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -31,6 +30,7 @@ import numpy as np
 from .graph import MetricGraph, require_valid, vertex_incidences
 from .rootscan import increasing_root
 # stubs that raise, unused here; perfbench/tracer.py wraps them until ROADMAP item 1
+from .rootscan import _removed as _equilibrated_det  # noqa: F401
 from .rootscan import bisect_sign, probe_geometric, scan_down  # noqa: F401
 
 NULLSPACE_GAP_MIN = 1e6
@@ -66,26 +66,12 @@ class SolverOptions:
 
 
 @dataclass(frozen=True)
-class SecularMatrix:
-    """Dense secular matrix at one kappa, with row/column labels.
-
-    Row labels are ('continuity', vertex_id, k) or ('coupling', vertex_id);
-    column labels are ('p'|'q', edge_id) or ('lead', edge_id).
-    """
-
-    kappa: float
-    entries: np.ndarray
-    row_labels: tuple[tuple, ...]
-    col_labels: tuple[tuple, ...]
-
-
-@dataclass(frozen=True)
 class EdgeSolution:
     """Bound-state component on one edge at fixed kappa.
 
-    Finite edges carry (p, q) in the exponential basis; ``coefficients``
-    exposes the equivalent (a, b) of a*cosh + b*sinh.  Leads carry the tail
-    amplitude c.
+    Finite edges carry (p, q) in the exponential basis; ``a`` and ``b``
+    are the equivalent coefficients of a*cosh + b*sinh.  Leads carry the
+    tail amplitude c.
     """
 
     edge_id: str
@@ -113,12 +99,6 @@ class EdgeSolution:
     def b(self) -> float:
         e = math.exp(-self.kappa * self.length)
         return self.q * e - self.p
-
-    @property
-    def coefficients(self) -> tuple[float, ...]:
-        if self.kind == "finite":
-            return (self.a, self.b)
-        return (self.c,)
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
@@ -180,11 +160,6 @@ class EdgeSolution:
             return min(ends, 2.0 * math.sqrt(p) * math.sqrt(q) * math.exp(-kl / 2))
         return ends
 
-    def scaled(self, factor: float) -> "EdgeSolution":
-        if self.kind == "finite":
-            return replace(self, p=self.p * factor, q=self.q * factor)
-        return replace(self, c=self.c * factor)
-
 
 @dataclass(frozen=True)
 class Diagnostics:
@@ -233,73 +208,6 @@ class GroundState:
 
     def index(self, edge_id: str) -> int:
         return self.indices[self.solutions.index(self.solution(edge_id))]
-
-
-def _equilibrated_det(stack: np.ndarray) -> np.ndarray:
-    """Determinant after scaling each row to unit max-norm.
-
-    Positive row scalings keep the sign and the zeros of det; a row of exact
-    zeros means the matrix is singular outright, reported as 0.
-    """
-    scale = np.abs(stack).max(axis=2)
-    singular = (scale == 0.0).any(axis=1)
-    safe = np.where(scale == 0.0, 1.0, scale)
-    dets = np.linalg.det(stack / safe[:, :, None])
-    if singular.any():
-        dets = np.where(singular, 0.0, dets)
-    return dets
-
-
-def build_secular_matrix(graph: MetricGraph, kappa: float) -> SecularMatrix:
-    """Assemble the matching-condition matrix at one kappa > 0.
-
-    Each edge end contributes (column, value coefficient, outward-derivative
-    coefficient) terms: at an edge's start psi = p + E q and the outward
-    derivative is -kappa p + kappa E q, at its end the same with p and q
-    swapped, and on a lead c and -kappa c.
-    """
-    require_valid(graph)
-    if not (isinstance(kappa, (int, float)) and math.isfinite(kappa) and kappa > 0):
-        raise ValueError(f"kappa must be a positive finite number, got {kappa!r}")
-    kappa = float(kappa)
-    nf = len(graph.finite_edges)
-    lengths = np.array([e.length for e in graph.finite_edges], dtype=float)
-    E = np.exp(-kappa * lengths).tolist()
-
-    def terms(kind, i):
-        if kind == "lead":
-            return ((2 * nf + i, 1.0, -kappa),)
-        near, far = (2 * i, 2 * i + 1) if kind == "start" else (2 * i + 1, 2 * i)
-        return ((near, 1.0, -kappa), (far, E[i], kappa * E[i]))
-
-    D = 2 * nf + len(graph.infinite_edges)
-    entries = np.zeros((D, D))
-    row_labels: list[tuple] = []
-    incidences = vertex_incidences(graph)
-    for v in graph.vertices:
-        incs = incidences[v.id]
-        for t in range(len(incs) - 1):
-            row = entries[len(row_labels)]
-            for c, value, _ in terms(*incs[t]):
-                row[c] += value
-            for c, value, _ in terms(*incs[t + 1]):
-                row[c] -= value
-            row_labels.append(("continuity", v.id, t))
-        row = entries[len(row_labels)]
-        for inc in incs:
-            for c, _, outward in terms(*inc):
-                row[c] += outward
-        for c, value, _ in terms(*incs[0]):
-            row[c] -= v.alpha * value
-        row_labels.append(("coupling", v.id))
-    col_labels = [(side, e.id) for e in graph.finite_edges for side in ("p", "q")]
-    col_labels += [("lead", e.id) for e in graph.infinite_edges]
-    return SecularMatrix(kappa, entries, tuple(row_labels), tuple(col_labels))
-
-
-def singularity_indicator(matrix: SecularMatrix) -> float:
-    """Signed scalar vanishing exactly where the secular matrix is singular."""
-    return float(_equilibrated_det(matrix.entries[None, :, :])[0])
 
 
 def _dtn_parts(graph: MetricGraph):

@@ -1,18 +1,16 @@
 """Parameter sweeps over edge lengths and coupling strengths.
 
 A sweep is a 1-D or 2-D grid over (edge length | vertex alpha) targets; each
-grid point is an independent ground-state solve, so points can run in a
-process pool.  Failed points carry a status string instead of aborting the
-sweep.  The critical coupling of a star graph is the center alpha at which
-the energy stops depending on the axial edge length; it is computed in
-closed form from the vertex-reduced matrix and then checked on a grid of
-axial lengths.
+grid point is an independent ground-state solve, run in grid order.  Failed
+points carry a status string instead of aborting the sweep.  The critical
+coupling of a star graph is the center alpha at which the energy stops
+depending on the axial edge length; it is computed in closed form from the
+vertex-reduced matrix and then checked on a grid of axial lengths.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -116,8 +114,9 @@ def apply_target(graph: MetricGraph, target: SweepTarget, value: float) -> Metri
     return replace(graph, vertices=vertices)
 
 
-def _solve_point(args) -> tuple[str, float | None, float | None, tuple[int, ...]]:
-    graph, assignments, options = args
+def _solve_point(
+    graph: MetricGraph, assignments, options: SolverOptions | None
+) -> tuple[str, float | None, float | None, tuple[int, ...]]:
     try:
         for target, value in assignments:
             graph = apply_target(graph, target, value)
@@ -131,19 +130,15 @@ def run_sweep(
     graph: MetricGraph,
     specs: list[SweepSpec],
     options: SolverOptions | None = None,
-    jobs: int = 1,
 ) -> list[SweepPoint]:
     """Evaluate the grid in row-major order (first spec outermost).
 
     Class-change flags compare each point's index vector with the previous
     emitted point's; they are False on the first point and around failed
-    points.  ``jobs`` (at least 1) caps the worker processes, which are
-    also capped by the point count and the CPU count.
+    points.
     """
     if not 1 <= len(specs) <= 2:
         raise ValueError("a sweep takes one or two targets")
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
     for spec in specs:
         apply_target(graph, spec.target, 0.5 * (spec.lo + spec.hi))
     grids = [spec.values() for spec in specs]
@@ -151,25 +146,12 @@ def run_sweep(
         points = [(float(v),) for v in grids[0]]
     else:
         points = [(float(u), float(v)) for u in grids[0] for v in grids[1]]
-    tasks = [
-        (graph, tuple(zip((s.target for s in specs), vals)), options) for vals in points
-    ]
-
-    # a fork pool starts every worker on the first submit, so never ask for
-    # more workers than there are points or cores
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        chunk = max(1, len(tasks) // (8 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            raw = list(pool.map(_solve_point, tasks, chunksize=chunk))
-    else:
-        raw = [_solve_point(t) for t in tasks]
+    targets = [spec.target for spec in specs]
 
     out: list[SweepPoint] = []
     prev_indices: tuple[int, ...] | None = None
-    for vals, (status, kappa0, lambda0, indices) in zip(points, raw):
+    for vals in points:
+        status, kappa0, lambda0, indices = _solve_point(graph, zip(targets, vals), options)
         change = (
             status == "ok" and prev_indices is not None and indices != prev_indices
         )

@@ -173,60 +173,15 @@ def test_sweep_csv_schema(star_file, capsys):
     assert first[7] == ";".join(f"{i:+d}" for i in gs.indices)
 
 
-def test_sweep_csv_file_and_jobs_identical(star_file, tmp_path, capsys):
+def test_sweep_csv_file_matches_stdout(star_file, tmp_path, capsys):
     args = ["sweep", star_file, "--target", "edge:axial",
             "--range", "1", "2", "--steps", "4"]
     assert main(args) == 0
     stdout_text = capsys.readouterr().out
 
-    out1 = tmp_path / "a.csv"
-    out2 = tmp_path / "b.csv"
-    assert main(args + ["--csv", str(out1)]) == 0
-    assert main(args + ["--csv", str(out2), "--jobs", "2"]) == 0
-    b1 = out1.read_bytes()
-    assert b1 == stdout_text.encode()
-    assert b1 == out2.read_bytes()
-
-
-def test_sweep_jobs_capped_by_grid_size(star_file, tmp_path, monkeypatch):
-    import concurrent.futures
-
-    requested = []
-
-    class SerialPool:
-        """Records max_workers and maps serially: starts no process."""
-
-        def __init__(self, max_workers):
-            requested.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, iterable, chunksize=1):
-            return map(fn, iterable)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    args = ["sweep", star_file, "--target", "edge:axial",
-            "--range", "1", "2", "--steps", "4"]
-    serial = tmp_path / "serial.csv"
-    wide = tmp_path / "wide.csv"
-    assert main(args + ["--csv", str(serial)]) == 0
-    assert requested == []
-    assert main(args + ["--csv", str(wide), "--jobs", "10000"]) == 0
-    assert requested == [4]
-    assert wide.read_bytes() == serial.read_bytes()
-
-
-@pytest.mark.parametrize("jobs", ["0", "-3"])
-def test_sweep_rejects_jobs_below_one(star_file, jobs, capsys):
-    rc = main(["sweep", star_file, "--target", "edge:axial",
-               "--range", "1", "2", "--steps", "4", "--jobs", jobs])
-    assert rc == 2
-    assert "jobs must be at least 1" in capsys.readouterr().err
+    out = tmp_path / "a.csv"
+    assert main(args + ["--csv", str(out)]) == 0
+    assert out.read_bytes() == stdout_text.encode()
 
 
 def test_sweep_error_rows_have_empty_cells(star_file, capsys):
@@ -486,8 +441,8 @@ print("groundstate", rc, '"kappa0"' in out.getvalue(), heavy())
 
 @pytest.mark.parametrize("fixture", ["delta_file", "star_file"])
 def test_cold_groundstate_loads_no_scipy_or_process_pool(fixture, request):
-    # scipy and the process pool load on first use (kernel route, crit,
-    # compare, rayleigh_quotient, sweep --jobs); the graph route needs numpy
+    # scipy loads on first use (kernel route, compare, rayleigh_quotient) and
+    # no command starts a process pool; the graph route needs numpy only
     proc = subprocess.run(
         [sys.executable, "-c", _COLD_START_PROBE, request.getfixturevalue(fixture)],
         capture_output=True, text=True, timeout=60, env=_checkout_env(),

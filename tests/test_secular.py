@@ -1,4 +1,4 @@
-"""Secular-matrix solver tests.
+"""Graph-route solver tests.
 
 Expected values are computed first from independent closed-form relations
 (fixed points of scalar equations solved with brentq) and only then compared
@@ -35,13 +35,11 @@ from qgbind import (
     SolverOptions,
     VertexSpec,
     as_chain_graph,
-    build_secular_matrix,
     classify_coefficients,
     classify_edge_index,
     find_ground_state,
     ground_state_line,
     reconstruct_eigenfunction,
-    singularity_indicator,
     vertex_condition_residuals,
 )
 from qgbind import secular as secular_module
@@ -77,31 +75,12 @@ def test_two_lead_coefficients_split_mass():
     assert gs.indices == (0, 0)
 
 
-# ------------------------------------------------------- exact indicators
-
-def test_indicator_zero_at_two_lead_root():
-    g = single_vertex_graph(-2.0, 2)
-    assert singularity_indicator(build_secular_matrix(g, 1.0)) == 0.0
-    assert singularity_indicator(build_secular_matrix(g, 0.7)) != 0.0
-
-
-def test_indicator_zero_at_one_lead_root():
-    g = single_vertex_graph(-2.0, 1)
-    assert singularity_indicator(build_secular_matrix(g, 2.0)) == 0.0
-    assert singularity_indicator(build_secular_matrix(g, 1.0)) != 0.0
-
-
-def test_indicator_sign_change_across_root():
-    g = robin_interval(-1.0, -1.0, 4.0)
-    root = brentq(lambda k: k * math.tanh(2.0 * k) - 1.0, 0.5, 3.0, xtol=1e-14)
-    below = singularity_indicator(build_secular_matrix(g, root - 1e-3))
-    above = singularity_indicator(build_secular_matrix(g, root + 1e-3))
-    assert below * above < 0
-
+# ------------------------------------------------- vertex conditions
 
 def test_secular_indicator_changes_sign_at_the_solved_root():
-    # the D x D matching system, an independent formulation, checks the root
-    # found on the vertex-reduced matrix
+    # the state built from M(kappa0) meets every vertex condition on the edge
+    # functions themselves (psi and psi' at the edge ends, not M), and is
+    # positive
     rng = np.random.default_rng(20240611)
     graphs = [single_vertex_graph(-2.0, 3), robin_interval(-1.0, -0.5, 2.0),
               star_graph(-1.0), star_graph(-2.5, L2=0.4),
@@ -110,44 +89,9 @@ def test_secular_indicator_changes_sign_at_the_solved_root():
     graphs += [random_tree_graph(rng) for _ in range(10)]
     graphs += [random_mixed_graph(rng) for _ in range(20)]
     for g in graphs:
-        kappa0 = find_ground_state(g).kappa0
-        below = singularity_indicator(build_secular_matrix(g, kappa0 * (1 - 1e-8)))
-        above = singularity_indicator(build_secular_matrix(g, kappa0 * (1 + 1e-8)))
-        assert below * above < 0, g
-
-
-def test_secular_matrix_matches_hand_written_single_edge():
-    # edge e from v1 to v2 with a lead at each end; E = exp(-kappa l) = 1/2.
-    # Rows: continuity p + E q = c1, coupling -kappa p + kappa E q - kappa c1
-    # = alpha1 (p + E q) at v1, then the same at v2 with p and q swapped.
-    kappa, E = 0.5, 0.5
-    g = MetricGraph(
-        (VertexSpec("v1", -1.0), VertexSpec("v2", -2.0)),
-        (FiniteEdge("e", "v1", "v2", 2.0 * math.log(2.0)),),
-        (InfiniteEdge("t1", "v1"), InfiniteEdge("t2", "v2")),
-    )
-    m = build_secular_matrix(g, kappa)
-    assert m.kappa == kappa
-    assert m.row_labels == (("continuity", "v1", 0), ("coupling", "v1"),
-                            ("continuity", "v2", 0), ("coupling", "v2"))
-    assert m.col_labels == (("p", "e"), ("q", "e"), ("lead", "t1"), ("lead", "t2"))
-    expected = np.array([
-        [1.0, E, -1.0, 0.0],
-        [-kappa + 1.0, kappa * E + E, -kappa, 0.0],
-        [E, 1.0, 0.0, -1.0],
-        [kappa * E + 2.0 * E, -kappa + 2.0, 0.0, -kappa],
-    ])
-    assert m.entries.shape == (4, 4)
-    assert m.entries.flags.c_contiguous
-    np.testing.assert_allclose(m.entries, expected, rtol=0.0, atol=1e-15)
-
-
-def test_secular_matrix_rejects_bad_kappa():
-    g = single_vertex_graph(-2.0, 1)
-    with pytest.raises(ValueError):
-        build_secular_matrix(g, 0.0)
-    with pytest.raises(ValueError):
-        build_secular_matrix(g, math.inf)
+        d = find_ground_state(g).diagnostics
+        assert max(d.continuity_residual, d.coupling_residual) < 1e-12, g
+        assert d.min_sampled > 0.0, g
 
 
 # ------------------------------------------------------ interval problems
@@ -264,12 +208,6 @@ def _uniform_chain(n):
     return as_chain_graph(LineConfig(tuple(float(i) for i in range(n)), (-1.0,) * n))
 
 
-def test_secular_matrix_entries_are_c_contiguous():
-    m = build_secular_matrix(star_graph(-1.0), 0.8)
-    assert m.entries.shape == (6, 6)
-    assert m.entries.flags.c_contiguous
-
-
 def _peak_mib(fn):
     tracemalloc.start()
     try:
@@ -368,8 +306,8 @@ def test_short_edge_matches_kernel_route(length):
 
 def test_cluster_of_short_edges_with_cycles():
     # u, v, x joined by four short edges (two of them parallel), x to w by a
-    # unit edge; the D x D matching system, in the exponential edge basis,
-    # checks the root
+    # unit edge; the vertex residuals, in the exponential edge basis, check
+    # the state
     g = MetricGraph(
         (VertexSpec("u", -1.0), VertexSpec("v", -0.5), VertexSpec("x", -0.2),
          VertexSpec("w", -0.3)),
@@ -378,11 +316,7 @@ def test_cluster_of_short_edges_with_cycles():
          FiniteEdge("e5", "x", "w", 1.0)),
         (InfiniteEdge("t1", "u"), InfiniteEdge("t2", "w")),
     )
-    gs = find_ground_state(g)
-    below = singularity_indicator(build_secular_matrix(g, gs.kappa0 * (1 - 1e-10)))
-    above = singularity_indicator(build_secular_matrix(g, gs.kappa0 * (1 + 1e-10)))
-    assert below * above < 0
-    d = gs.diagnostics
+    d = find_ground_state(g).diagnostics
     assert max(d.continuity_residual, d.coupling_residual) < 1e-12
     assert d.min_sampled > 0.0
 
@@ -514,12 +448,6 @@ def test_exact_edge_minimum_survives_long_edges():
     assert abs(m - 2.0 * math.exp(-600.0)) <= 1e-15 * m
 
 
-def test_scaled_solution_keeps_shape():
-    sol = EdgeSolution.finite("e", 1.3, 2.0, 0.7, 0.2)
-    doubled = sol.scaled(2.0)
-    assert abs(doubled.value(0.5) - 2.0 * sol.value(0.5)) < 1e-14
-
-
 # -------------------------------------------------------- classification
 
 def test_classify_coefficients_basic():
@@ -614,7 +542,7 @@ def test_deterministic_resolve():
     b = find_ground_state(g)
     assert a.kappa0 == b.kappa0
     assert a.lambda0 == b.lambda0
-    assert [s.coefficients for s in a.solutions] == [s.coefficients for s in b.solutions]
+    assert a.solutions == b.solutions
 
 
 def test_agrees_with_kernel_path_on_chain():

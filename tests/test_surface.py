@@ -1,0 +1,39 @@
+"""The public surface: the names ``qgbind`` exports and the command-line
+flags its README documents."""
+
+import argparse
+import re
+from pathlib import Path
+
+import qgbind
+from qgbind.cli import build_parser
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+# flags of pip and pytest that the README's install and test commands use
+FOREIGN_FLAGS = {"--no-build-isolation", "--continue-on-collection-errors"}
+
+
+def test_exports_are_unique_and_resolve():
+    names = qgbind.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        assert hasattr(qgbind, name), name
+    removed = {"SecularMatrix", "build_secular_matrix", "singularity_indicator",
+               "mu0", "min_eigenpair", "derivative_signs"}
+    assert removed.isdisjoint(names)
+
+
+def _accepted_flags() -> set[str]:
+    parser = build_parser()
+    parsers = [parser]
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            parsers += action.choices.values()
+    return {flag for p in parsers for action in p._actions for flag in action.option_strings}
+
+
+def test_every_readme_flag_is_accepted_by_the_cli():
+    documented = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", README.read_text(encoding="utf-8")))
+    assert documented, "no --flag found in README.md"
+    assert documented - FOREIGN_FLAGS - _accepted_flags() == set()
