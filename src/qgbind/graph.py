@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 
 class GraphFormatError(ValueError):
     """A graph file does not parse against the schema."""
@@ -98,29 +100,52 @@ class ValidationReport:
         return not self.problems
 
 
-def validate(graph: MetricGraph) -> ValidationReport:
-    """Check admissibility; returns a report and never raises.
+def parameters(graph: MetricGraph) -> tuple[np.ndarray, np.ndarray]:
+    """The graph's alphas, shape (1, vertices), and finite-edge lengths,
+    shape (1, finite edges): one member for :func:`parameter_problems`."""
+    return (np.array([[v.alpha for v in graph.vertices]], dtype=float),
+            np.array([[e.length for e in graph.finite_edges]], dtype=float))
 
-    Admissible means: at least one vertex, all alpha finite and <= 0, at
-    least one alpha < 0, positive finite edge lengths, no self-loops, known
-    endpoints, unique ids, no isolated vertices, and a connected layout
-    (leads attach to a single vertex and do not join components).
+
+def parameter_problems(
+    graph: MetricGraph, alphas: np.ndarray, lengths: np.ndarray
+) -> list[tuple[str, ...]]:
+    """The alpha and length rules, per member: row i of ``alphas`` and
+    ``lengths`` replaces the graph's alphas and finite-edge lengths, and
+    entry i lists its problems (empty when it passes).
+
+    The rules: every alpha finite and <= 0, at least one alpha < 0, every
+    length finite and > 0.
     """
+    out = []
+    for alpha_row, length_row in zip(alphas.tolist(), lengths.tolist()):
+        problems = []
+        for v, alpha in zip(graph.vertices, alpha_row):
+            if not math.isfinite(alpha):
+                problems.append(f"vertex {v.id!r}: non-finite alpha")
+            elif alpha > 0:
+                problems.append(f"vertex {v.id!r}: positive alpha {alpha!r}")
+        if alpha_row and not any(alpha < 0 for alpha in alpha_row if math.isfinite(alpha)):
+            problems.append("no attractive vertex (every alpha is zero)")
+        for e, length in zip(graph.finite_edges, length_row):
+            if not math.isfinite(length):
+                problems.append(f"edge {e.id!r}: non-finite length")
+            elif length <= 0:
+                problems.append(f"edge {e.id!r}: nonpositive length {length!r}")
+        out.append(tuple(problems))
+    return out
+
+
+def _id_problems(graph: MetricGraph) -> list[str]:
+    """Duplicate ids, unknown endpoints, self-loops and an empty graph."""
     problems: list[str] = []
     seen_v: set[str] = set()
     for v in graph.vertices:
         if v.id in seen_v:
             problems.append(f"duplicate vertex id {v.id!r}")
         seen_v.add(v.id)
-        if not math.isfinite(v.alpha):
-            problems.append(f"vertex {v.id!r}: non-finite alpha")
-        elif v.alpha > 0:
-            problems.append(f"vertex {v.id!r}: positive alpha {v.alpha!r}")
     if not graph.vertices:
         problems.append("graph has no vertices")
-    elif not any(v.alpha < 0 for v in graph.vertices if math.isfinite(v.alpha)):
-        problems.append("no attractive vertex (every alpha is zero)")
-
     seen_e: set[str] = set()
     for e in graph.finite_edges:
         if e.id in seen_e:
@@ -131,36 +156,58 @@ def validate(graph: MetricGraph) -> ValidationReport:
                 problems.append(f"edge {e.id!r}: unknown vertex {endpoint!r}")
         if e.start == e.end:
             problems.append(f"edge {e.id!r}: self-loop at {e.start!r}")
-        if not math.isfinite(e.length):
-            problems.append(f"edge {e.id!r}: non-finite length")
-        elif e.length <= 0:
-            problems.append(f"edge {e.id!r}: nonpositive length {e.length!r}")
     for e in graph.infinite_edges:
         if e.id in seen_e:
             problems.append(f"duplicate edge id {e.id!r}")
         seen_e.add(e.id)
         if e.anchor not in seen_v:
             problems.append(f"lead {e.id!r}: unknown vertex {e.anchor!r}")
+    return problems
 
+
+def _layout_problems(graph: MetricGraph) -> list[str]:
+    """Isolated vertices and disconnected components; the ids must be sound."""
+    problems = []
+    incidences = vertex_incidences(graph)
+    for v in graph.vertices:
+        if not incidences[v.id]:
+            problems.append(f"vertex {v.id!r}: isolated vertex (degree 0)")
+    comp = {v.id: v.id for v in graph.vertices}
+
+    def find(x: str) -> str:
+        while comp[x] != x:
+            comp[x] = comp[comp[x]]
+            x = comp[x]
+        return x
+
+    for e in graph.finite_edges:
+        comp[find(e.start)] = find(e.end)
+    roots = {find(v.id) for v in graph.vertices}
+    if len(roots) > 1:
+        problems.append(f"disconnected graph ({len(roots)} components)")
+    return problems
+
+
+def topology_ok(graph: MetricGraph) -> bool:
+    """Whether the graph passes every check of :func:`validate` that does
+    not read an alpha or a length: a family of graphs that shares this
+    topology needs only :func:`parameter_problems` per member."""
+    return not _id_problems(graph) and not _layout_problems(graph)
+
+
+def validate(graph: MetricGraph) -> ValidationReport:
+    """Check admissibility; returns a report and never raises.
+
+    Admissible means: at least one vertex, all alpha finite and <= 0, at
+    least one alpha < 0, positive finite edge lengths, no self-loops, known
+    endpoints, unique ids, no isolated vertices, and a connected layout
+    (leads attach to a single vertex and do not join components).  The
+    layout is checked only when everything else passes.
+    """
+    problems = _id_problems(graph)
+    problems += parameter_problems(graph, *parameters(graph))[0]
     if not problems:
-        incidences = vertex_incidences(graph)
-        for v in graph.vertices:
-            if not incidences[v.id]:
-                problems.append(f"vertex {v.id!r}: isolated vertex (degree 0)")
-        comp = {v.id: v.id for v in graph.vertices}
-
-        def find(x: str) -> str:
-            while comp[x] != x:
-                comp[x] = comp[comp[x]]
-                x = comp[x]
-            return x
-
-        for e in graph.finite_edges:
-            comp[find(e.start)] = find(e.end)
-        roots = {find(v.id) for v in graph.vertices}
-        if len(roots) > 1:
-            problems.append(f"disconnected graph ({len(roots)} components)")
-
+        problems += _layout_problems(graph)
     return ValidationReport(tuple(problems))
 
 

@@ -16,8 +16,8 @@ from typing import Callable
 
 import numpy as np
 
-from .graph import MetricGraph, require_valid
-from .secular import GroundState, _vertex_values
+from .graph import MetricGraph, require_valid, vertex_incidences
+from .secular import GroundState
 
 
 @dataclass(frozen=True)
@@ -56,10 +56,22 @@ class GraphTrial:
         return cls(vals, ders)
 
 
+def _vertex_values(graph, values) -> dict[str, list[float]]:
+    """Per vertex id: the values at the incident edge ends; ``values`` maps
+    edge ids to callables of the edge coordinate."""
+    out: dict[str, list[float]] = {}
+    for vid, incs in vertex_incidences(graph).items():
+        out[vid] = []
+        for kind, i in incs:
+            e = graph.infinite_edges[i] if kind == "lead" else graph.finite_edges[i]
+            out[vid].append(float(values[e.id](e.length if kind == "end" else 0.0)))
+    return out
+
+
 def _add_vertex_terms(energy, graph, vertex_vals):
     """energy + sum_v alpha_v * psi(v)**2, psi(v) the mean incident value."""
     for v in graph.vertices:
-        vals = vertex_vals[v.id][0]
+        vals = vertex_vals[v.id]
         energy += v.alpha * (sum(vals) / len(vals)) ** 2
     return energy
 
@@ -90,8 +102,8 @@ def rayleigh_quotient(
         raise ValueError(f"trial does not cover edges: {missing}")
 
     vertex_vals = _vertex_values(graph, trial.values)
-    scale = max(abs(v) for vals, _ in vertex_vals.values() for v in vals)
-    for vid, (vals, _) in vertex_vals.items():
+    scale = max(abs(v) for vals in vertex_vals.values() for v in vals)
+    for vid, vals in vertex_vals.items():
         if max(vals) - min(vals) > continuity_tol * max(scale, 1e-300):
             raise ValueError(f"trial is discontinuous at vertex {vid!r}")
 

@@ -1,11 +1,13 @@
 """Root finding in one variable, shared by the graph route and the kernel
-route: Newton's method in s = kappa**2 (:func:`increasing_root`)."""
+route: Newton's method in s = kappa**2 (:func:`newton_steps`), driven for one
+root (:func:`increasing_root`) or for many in lockstep
+(:func:`increasing_roots`)."""
 
 from __future__ import annotations
 
 import math
 import sys
-from typing import Callable
+from typing import Callable, Sequence
 
 MAX_STEPS = 100
 
@@ -21,30 +23,25 @@ def _removed(*args, **kwargs):
 scan_down = probe_geometric = bisect_sign = brentq = _removed
 
 
-def increasing_root(
-    f: Callable[[float], tuple[float, float]],
-    lo: float,
-    tol: float,
-    error: type[Exception],
-    *,
-    ceiling: float = math.inf,
-) -> tuple[float, float, float]:
-    """The one root of mu0, as (root, lo, hi) with mu0(lo) <= 0 <= mu0(hi).
+def newton_steps(lo: float, tol: float, error: type[Exception], *, ceiling: float = math.inf):
+    """Newton's method in s = kappa**2 for the one root of mu0, one step at a
+    time: a generator that yields each kappa, is sent (mu0, dmu0/ds) there
+    and returns (root, lo, hi) with mu0(lo) <= 0 <= mu0(hi).
 
-    ``f(kappa)`` returns mu0 and its slope dmu0/ds in s = kappa**2; mu0 must
-    be increasing and concave in s.  The tangent of a concave function lies
-    above it, so a Newton step in s from a point with mu0 <= 0 lands at or
-    below the root: from ``lo``, a proven lower bound, every iterate is a
-    lower bound too, and none goes below ``lo`` (rounding can make mu0
-    slightly positive there).  mu0 == 0 at an iterate returns it unchanged.
-    Convergence is quadratic, so once a step is at most sqrt(tol) * kappa
-    the new iterate is within about tol of the root: mu0 >= 0 at hi = kappa
-    (1 + 2 tol), never past ``ceiling``, certifies it; otherwise hi is a
-    lower bound and the iteration goes on.  The Newton step down from hi is
-    a lower bound too; the larger one is returned, within 2 tol of the root.
-    A tol below eps counts as eps, so that hi lies above kappa.  An iterate
-    above ``ceiling``, a value or step that is not finite, a slope that is
-    not positive and MAX_STEPS values without convergence raise ``error``.
+    mu0 must be increasing and concave in s.  The tangent of a concave
+    function lies above it, so a Newton step in s from a point with mu0 <= 0
+    lands at or below the root: from ``lo``, a proven lower bound, every
+    iterate is a lower bound too, and none goes below ``lo`` (rounding can
+    make mu0 slightly positive there).  mu0 == 0 at an iterate returns it
+    unchanged.  Convergence is quadratic, so once a step is at most
+    sqrt(tol) * kappa the new iterate is within about tol of the root: mu0
+    >= 0 at hi = kappa (1 + 2 tol), never past ``ceiling``, certifies it;
+    otherwise hi is a lower bound and the iteration goes on.  The Newton step
+    down from hi is a lower bound too; the larger one is returned, within 2
+    tol of the root.  A tol below eps counts as eps, so that hi lies above
+    kappa.  An iterate above ``ceiling``, a value or step that is not finite,
+    a slope that is not positive and MAX_STEPS values without convergence
+    raise ``error``.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol_kappa must be positive and finite, got {tol!r}")
@@ -55,7 +52,7 @@ def increasing_root(
         if kappa > ceiling:
             raise error(f"mu0 < 0 at the ceiling kappa_max={ceiling!r}: "
                         f"the ground state lies above it, at kappa >= {kappa!r}")
-        mu, slope = f(kappa)
+        mu, slope = yield kappa
         s = kappa * kappa - mu / slope if slope > 0.0 else math.nan
         if not math.isfinite(s):
             raise error(f"mu0 is not finite and increasing at kappa={kappa!r}")
@@ -71,3 +68,58 @@ def increasing_root(
         else:
             root, kappa = None, new
     raise error(f"mu0 has no root after {MAX_STEPS} Newton steps from kappa={floor!r}")
+
+
+def increasing_root(
+    f: Callable[[float], tuple[float, float]],
+    lo: float,
+    tol: float,
+    error: type[Exception],
+    *,
+    ceiling: float = math.inf,
+) -> tuple[float, float, float]:
+    """The one root of mu0 by :func:`newton_steps`, as (root, lo, hi);
+    ``f(kappa)`` returns mu0 and its slope dmu0/ds in s = kappa**2."""
+    steps = newton_steps(lo, tol, error, ceiling=ceiling)
+    try:
+        kappa = next(steps)
+        while True:
+            kappa = steps.send(f(kappa))
+    except StopIteration as done:
+        return done.value
+
+
+def increasing_roots(
+    f: Callable[[list[int], list[float]], tuple[Sequence[float], Sequence[float]]],
+    los: Sequence[float],
+    tol: float,
+    error: type[Exception],
+    *,
+    ceiling: float = math.inf,
+) -> list:
+    """The roots of many mu0 in lockstep, one :func:`newton_steps` per lower
+    bound in ``los``: ``f(members, kappas)`` returns the values and slopes of
+    the listed members at their kappas, all pending members at once.
+
+    Each outcome is (root, lo, hi), or the ``error`` that member raised while
+    the others go on.  A member's steps see only its own values, so its
+    outcome is the one :func:`increasing_root` gives it alone.
+    """
+    walks = [newton_steps(lo, tol, error, ceiling=ceiling) for lo in los]
+    out: list = [None] * len(walks)
+    members, kappas = list(range(len(walks))), [None] * len(walks)
+    while members:
+        pending, values = [], []
+        for i, value in zip(members, kappas):
+            try:
+                values.append(walks[i].send(value))
+                pending.append(i)
+            except StopIteration as done:
+                out[i] = done.value
+            except error as exc:
+                out[i] = exc
+        if not pending:
+            break
+        mu, slope = f(pending, values)
+        members, kappas = pending, list(zip(mu, slope))
+    return out

@@ -23,18 +23,41 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .graph import MetricGraph, require_valid, vertex_incidences
-from .rootscan import increasing_root
+from .graph import (
+    InvalidGraphError,
+    MetricGraph,
+    ValidationReport,
+    parameter_problems,
+    parameters,
+    require_valid,
+    topology_ok,
+    validate,
+)
+from .rootscan import increasing_roots
 # stubs that raise, unused here; perfbench/tracer.py wraps them until ROADMAP item 1
 from .rootscan import _removed as _equilibrated_det  # noqa: F401
 from .rootscan import bisect_sign, probe_geometric, scan_down  # noqa: F401
 
 NULLSPACE_GAP_MIN = 1e6
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
+
+try:
+    from numpy.linalg._umath_linalg import eigh_lo
+
+    def _eigh(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """numpy.linalg.eigh of a stack of float64 symmetric matrices, from
+        the lower triangle, without its per-call dtype checks and error-state
+        context, which cost more than LAPACK on the small matrices here (a
+        tenth of a star's solve).  A value that does not converge comes back
+        NaN, which the Newton steps and the gap test refuse."""
+        return eigh_lo(S, signature="d->dd")
+except ImportError:  # the private gufunc moved: the public wrapper
+    _eigh = np.linalg.eigh
 
 
 class NoBoundState(RuntimeError):
@@ -154,11 +177,10 @@ class EdgeSolution:
         """
         if self.kind == "infinite":
             return self.c
-        ends = float(np.min(self.value([0.0, self.length])))
-        p, q, kl = self.p, self.q, self.kappa * self.length
-        if p > 0 and q > 0 and abs(math.log(p) - math.log(q)) < kl:
-            return min(ends, 2.0 * math.sqrt(p) * math.sqrt(q) * math.exp(-kl / 2))
-        return ends
+        p, q, kl = (np.array(x) for x in (self.p, self.q, self.kappa * self.length))
+        E = np.exp(-kl)
+        qE, pE = q * E, p * E
+        return float(_edge_minima(p, q, qE, pE, np.minimum(p + qE, pE + q), kl))
 
 
 @dataclass(frozen=True)
@@ -169,7 +191,7 @@ class Diagnostics:
     smallest eigenvalue mu0 of M(kappa): the last Newton iterate below the
     root and the certificate point (see :func:`rootscan.increasing_root`).
     ``nullspace_gap`` is mu1 / max(|mu0|, tau) at kappa0, tau the rounding
-    of an eigenvalue (see :func:`_reconstruct`): large when the zero
+    of an eigenvalue (see :func:`_states`): large when the zero
     eigenvalue is simple.  ``min_sampled`` is the
     exact minimum of the normalized state.  ``indicator_evaluations``
     counts the matrices M(kappa) built; ``dips`` is always empty (the
@@ -210,136 +232,197 @@ class GroundState:
         return self.indices[self.solutions.index(self.solution(edge_id))]
 
 
-def _dtn_parts(graph: MetricGraph):
-    """(parts, profiles), two functions of kappa on index arrays built once.
-
-    parts(kappa) = (a, W) with M(kappa) = diag(a + W 1) - W (see
-    :func:`vertex_matrix`).  coth(x) = tanh(x/2) + csch(x) splits an edge's
-    terms: it adds kappa tanh(kappa l / 2) to a at both ends and the weight
-    w = kappa csch(kappa l) = 2 kappa E / (1 - E**2) between them; a lead
-    adds kappa to a.  So a = alpha + O(kappa) and every w > 0, and a short
-    edge's large w never has to cancel against a (see :func:`_reduced`).
-
-    profiles(kappa, fk, kept, steps, roots) = (p, q, c, mass) of the state
-    with values fk at the ``kept`` vertices of :func:`_reduced`; the others
-    get f_v = sum_j w_vj f_j / p_v in reverse order of ``steps``, through
-    delta_v = f_v - f_root = sum_j (w_vj / p_v) (f_j - f_root) - (a_v /
-    p_v) f_root.  On an edge from u to v, p = (f_u - E f_v) / (1 - E**2)
-    and q = (f_v - E f_u) / (1 - E**2), with f_u - f_v = delta_u - delta_v
-    within a cluster of short edges, where plain subtraction would lose
-    eps / (kappa l) of the O(kappa l) terms; c = f at a lead's vertex.  The
-    L2 mass is (p**2 + q**2)(1 - E**2)/(2 kappa) + 2 p q l E per edge plus
-    c**2 / (2 kappa) per lead.
+class _Topology:
+    """Index arrays of a graph's layout, built once and shared by every
+    member of a batch: member i replaces the graph's alphas and finite-edge
+    lengths by row i of ``alphas`` (k, vertices) and ``lengths`` (k, finite
+    edges).  Functions of kappa take one kappa per member, kappa (k,), and
+    return arrays with the members in rows.
     """
-    n = len(graph.vertices)
-    ids = {v.id: i for i, v in enumerate(graph.vertices)}
-    start = np.array([ids[e.start] for e in graph.finite_edges], dtype=np.intp)
-    end = np.array([ids[e.end] for e in graph.finite_edges], dtype=np.intp)
-    anchors = np.array([ids[e.anchor] for e in graph.infinite_edges], dtype=np.intp)
-    lengths = np.array([e.length for e in graph.finite_edges], dtype=float)
-    alphas = np.array([v.alpha for v in graph.vertices], dtype=float)
-    leads = np.bincount(anchors, minlength=n).astype(float)
-    # W's entries, then a's edge terms, in one accumulation
-    index = np.concatenate((start * n + end, end * n + start, n * n + start, n * n + end))
 
-    def parts(kappa: float) -> tuple[np.ndarray, np.ndarray]:
-        kl = kappa * lengths
-        E = np.exp(-kl)
-        g = -np.expm1(-kl)  # 1 - E without cancellation
-        w = 2.0 * kappa * E / (g * (1.0 + E))
-        half_tanh = kappa * g / (1.0 + E)
-        acc = np.bincount(index, np.concatenate((w, w, half_tanh, half_tanh)),
-                          minlength=n * n + n).astype(float, copy=False)  # int if no edges
-        return alphas + kappa * leads + acc[n * n:], acc[: n * n].reshape(n, n)
+    def __init__(self, graph: MetricGraph):
+        n = self.n = len(graph.vertices)
+        ids = {v.id: i for i, v in enumerate(graph.vertices)}
+        start = [ids[e.start] for e in graph.finite_edges]
+        end = [ids[e.end] for e in graph.finite_edges]
+        anchors = [ids[e.anchor] for e in graph.infinite_edges]
+        # the edge ends at each vertex in the order of vertex_incidences, as
+        # positions in the concatenation (start ends, end ends, leads)
+        ends = [[] for _ in range(n)]
+        for i, (u, v) in enumerate(zip(start, end)):
+            ends[u].append(i)
+            ends[v].append(len(start) + i)
+        for j, u in enumerate(anchors):
+            ends[u].append(2 * len(start) + j)
+        degree = [len(at) for at in ends]
+        self.order = np.array([i for at in ends for i in at], dtype=np.intp)
+        self.first = np.array([0] + degree[:-1], dtype=np.intp).cumsum()
+        self.degree = np.array(degree, dtype=float)
+        self.max_degree = max(degree)
+        self.start, self.end, self.anchors = (np.array(x, dtype=np.intp)
+                                              for x in (start, end, anchors))
+        self.leads = np.bincount(self.anchors, minlength=n).astype(float)
+        # W's entries, then a's edge terms, in one accumulation
+        self.index = np.array([u * n + v for u, v in zip(start, end)]
+                              + [v * n + u for u, v in zip(start, end)]
+                              + [n * n + u for u in start] + [n * n + v for v in end], dtype=np.intp)
+        self.bins = self.index[None]  # per member, offset by its row; grown on demand
 
-    def profiles(kappa: float, fk: np.ndarray, kept, steps, roots: np.ndarray):
+    def parts(self, kappa: np.ndarray, alphas: np.ndarray, lengths: np.ndarray):
+        """(a, W, E, den) with M(kappa) = diag(a + W 1) - W (see
+        :func:`vertex_matrix`), E = exp(-kappa l) and den = 1 - E**2 per edge.
+
+        coth(x) = tanh(x/2) + csch(x) splits an edge's terms: it adds kappa
+        tanh(kappa l / 2) to a at both ends and the weight w = kappa csch(kappa
+        l) = 2 kappa E / (1 - E**2) between them; a lead adds kappa to a.  So a
+        = alpha + O(kappa) and every w > 0, and a short edge's large w never
+        has to cancel against a (see :func:`_reduced`).  One bincount builds
+        every member's matrix.
+        """
+        n, k = self.n, len(kappa)
+        if len(self.bins) < k:
+            self.bins = self.index + n * (n + 1) * np.arange(k)[:, None]
+        kappa = kappa[:, None]
+        nkl = kappa * -lengths
+        E = np.exp(nkl)
+        g = -np.expm1(nkl)  # 1 - E without cancellation
+        h = 1.0 + E
+        w = 2.0 * kappa * E / (g * h)
+        half_tanh = kappa * g / h
+        acc = np.bincount(self.bins[:k].ravel(),
+                          np.concatenate((w, w, half_tanh, half_tanh), axis=1).ravel(),
+                          minlength=k * n * (n + 1)).astype(float, copy=False)  # int if no edges
+        acc = acc.reshape(k, n * (n + 1))
+        return (alphas + kappa * self.leads + acc[:, n * n:], acc[:, : n * n].reshape(k, n, n),
+                E, g * h)
+
+    def profiles(self, kappa, lengths, E, den, fk, kept, steps, roots):
+        """(p, q, c, mass) of the states with values fk at the ``kept``
+        vertices of :func:`_reduced`, with E and den from :meth:`parts`.
+
+        The other vertices get f_v = sum_j w_vj f_j / p_v in reverse order of
+        ``steps``, through delta_v = f_v - f_root = sum_j (w_vj / p_v) (f_j -
+        f_root) - (a_v / p_v) f_root.  On an edge from u to v, p = (f_u - E
+        f_v) / (1 - E**2) and q = (f_v - E f_u) / (1 - E**2), with f_u - f_v =
+        delta_u - delta_v within a cluster of short edges, where plain
+        subtraction would lose eps / (kappa l) of the O(kappa l) terms; c = f
+        at a lead's vertex.  The L2 mass is (p**2 + q**2)(1 - E**2)/(2 kappa) +
+        2 p q l E per edge plus c**2 / (2 kappa) per lead.
+        """
         f = fk
         if steps:
-            f, delta = np.zeros(n), np.zeros(n)
-            f[kept] = fk
+            f, delta = np.zeros((len(fk), self.n)), np.zeros((len(fk), self.n))
+            f[:, kept] = fk
             for v, wv, a_v, pivot in reversed(steps):
                 r = roots[v]
-                from_root = np.where(roots == r, delta, f - f[r])
-                delta[v] = (wv @ from_root - a_v * f[r]) / pivot
-                f[v] = f[r] + delta[v]
-        kl = kappa * lengths
-        E = np.exp(-kl)
-        den = -np.expm1(-2.0 * kl)  # 1 - E**2
-        fu, fv = f[start], f[end]
+                from_root = np.where(roots == r, delta, f - f[:, r, None])
+                delta[:, v] = ((wv * from_root).sum(axis=1) - a_v * f[:, r]) / pivot
+                f[:, v] = f[:, r] + delta[:, v]
+        fu, fv = f.take(self.start, axis=1), f.take(self.end, axis=1)
         p, q = fu - E * fv, fv - E * fu
         if steps:
-            same = np.flatnonzero(roots[start] == roots[end])
-            d, g = delta[start[same]] - delta[end[same]], -np.expm1(-kl[same])
-            p[same], q[same] = d + g * fv[same], g * fu[same] - d
+            same = np.flatnonzero(roots[self.start] == roots[self.end])
+            d = delta[:, self.start[same]] - delta[:, self.end[same]]
+            g = -np.expm1(kappa[:, None] * -lengths[:, same])
+            p[:, same], q[:, same] = d + g * fv[:, same], g * fu[:, same] - d
         p /= den
         q /= den
-        c = f[anchors]
-        mass = ((p * p + q * q) @ den + c @ c) / (2.0 * kappa) + 2.0 * ((p * q) @ (lengths * E))
-        return p, q, c, float(mass)
+        c = f.take(self.anchors, axis=1)
+        mass = (np.add.reduce((p * p + q * q) * den, 1) + np.add.reduce(c * c, 1)) / (2.0 * kappa)
+        return p, q, c, mass + 2.0 * np.add.reduce(p * q * (lengths * E), 1)
 
-    return parts, profiles
+    def clusters(self, kl: np.ndarray) -> tuple[np.ndarray, list[int]]:
+        """Per vertex, the first vertex of its cluster joined by edges with
+        kappa l = ``kl`` < 1e-3, and the other vertices of the clusters,
+        which are eliminated before the eigensolve.
 
+        Such an edge's weight ~ 1/l would swamp the O(kappa) terms of M in
+        rounding (kappa0 off by 1e-7 relative at l = 1e-9); eliminated, it
+        leaves no entry larger than about 1e3 kappa.
+        """
+        root = list(range(self.n))
 
-def _short_edge_roots(graph: MetricGraph, kappa: float) -> tuple[np.ndarray, list[int]]:
-    """Per vertex, the first vertex of its cluster joined by edges with
-    kappa * l < 1e-3, and the list of the other vertices of the clusters,
-    which are eliminated before the eigensolve.
+        def find(i):
+            while root[i] != i:
+                root[i] = root[root[i]]
+                i = root[i]
+            return i
 
-    Such an edge's weight ~ 1/l would swamp the O(kappa) terms of M in
-    rounding (kappa0 off by 1e-7 relative at l = 1e-9); eliminated, it
-    leaves no entry larger than about 1e3 kappa.
-    """
-    ids = {v.id: i for i, v in enumerate(graph.vertices)}
-    root = list(range(len(graph.vertices)))
-
-    def find(i):
-        while root[i] != i:
-            root[i] = root[root[i]]
-            i = root[i]
-        return i
-
-    for e in graph.finite_edges:
-        if kappa * e.length < 1e-3:
-            u, v = sorted((find(ids[e.start]), find(ids[e.end])))
+        short = kl < 1e-3
+        for s, e in zip(self.start[short].tolist(), self.end[short].tolist()):
+            u, v = sorted((find(s), find(e)))
             root[v] = u
-    roots = [find(i) for i in range(len(root))]
-    return np.array(roots), [i for i, r in enumerate(roots) if r != i]
+        roots = [find(i) for i in range(self.n)]
+        return np.array(roots), [i for i, r in enumerate(roots) if r != i]
+
+    def audit(self, kappa, alphas, lengths, p, q, c, E):
+        """Shape indices, exact minima and vertex residuals of the states
+        with coefficients p, q, c: (indices, minimum, continuity, coupling).
+
+        Leads have index 0 and minimum c.  The residuals are those of
+        :func:`vertex_condition_residuals`, from the values and outward
+        derivatives of psi at the edge ends, relative to the largest value
+        (the sup norm of a positive state convex on the edges).
+        """
+        qE, pE = q * E, p * E
+        first, last, b = p + qE, pE + q, qE - p
+        # values and outward slopes (derivatives / kappa) at the edge ends
+        ends = np.concatenate((first, last, c, b, pE - q, -c), axis=1)
+        ends = ends.reshape(len(p), 2, -1).take(self.order, axis=2)
+        vals, sums = ends[:, 0], np.add.reduceat(ends, self.first, 2)
+        sup = np.maximum.reduce(np.abs(vals), 1)
+        spread = np.maximum.reduceat(vals, self.first, 1) - np.minimum.reduceat(vals, self.first, 1)
+        mismatch = np.abs(kappa[:, None] * sums[:, 1] - alphas * (sums[:, 0] / self.degree))
+        edges = _edge_minima(p, q, qE, pE, np.minimum(first, last), kappa[:, None] * lengths)
+        diff, big = _edge_shapes(p, q, E, first, b)
+        indices = _shape_indices(np.concatenate((diff, np.zeros(c.shape)), axis=1),
+                                 np.concatenate((big, np.abs(c)), axis=1))
+        return (indices, np.minimum.reduce(np.concatenate((edges, c), axis=1), 1),
+                np.maximum.reduce(spread, 1) / sup,
+                np.maximum.reduce(mismatch, 1) / (sup * np.maximum(1.0, kappa)))
 
 
 def _reduced(a, W, order):
     """Schur complement S of M = diag(a + W 1) - W on the vertices not in
-    ``order``, eliminating those in order, with the kept vertices and the
-    steps that recover the others; a and W are overwritten.
+    ``order``, eliminating those in order, members in rows, with the kept
+    vertices (None without an order), the steps that recover the others and
+    the positions of the members whose pivots are all positive (None when
+    that is every member); a and W are overwritten.
 
     Eliminating v with pivot p = a_v + sum_j w_vj adds w_vi a_v / p to a_i
     and w_vi w_vj / p to w_ij: sums of like-signed terms, with no
-    cancellation against a large pivot.  Returns None when a pivot is not
-    positive: then M is not positive definite, so mu0(M) < 0.  Otherwise S
-    has the inertia of M (Haynsworth), so mu0(S) has the sign of mu0(M) and
-    the same one root.
+    cancellation against a large pivot.  A pivot that is not positive proves
+    that M is not positive definite, so mu0(M) < 0: that member is left out
+    of S, the steps and the positions.  Otherwise S has the inertia of M
+    (Haynsworth), so mu0(S) has the sign of mu0(M) and the same one root.
     """
-    steps = []
-    kept = np.arange(len(a))
-    if order:
-        for v in order:
-            wv = W[v].copy()
-            p = a[v] + wv.sum()
-            if not p > 0.0:
-                return None
-            a += wv * (a[v] / p)
-            W += np.outer(wv, wv) / p
-            W[v, :] = W[:, v] = 0.0
-            np.fill_diagonal(W, 0.0)
-            steps.append((v, wv, a[v], p))
-        kept = np.setdiff1d(kept, order)
-        a, W = a[kept], W[np.ix_(kept, kept)]
-    return _assemble(a, W), kept, steps
+    if not order:
+        return _assemble(a, W), None, [], None
+    steps, members, alive = [], len(a), np.arange(len(a))
+    diagonal = np.arange(a.shape[1])
+    for v in order:
+        wv = W[:, v].copy()
+        p = a[:, v] + wv.sum(axis=1)
+        ok = p > 0.0
+        if not ok.all():
+            a, W, wv, p, alive = a[ok], W[ok], wv[ok], p[ok], alive[ok]
+            steps = [(u, wu[ok], au[ok], pu[ok]) for u, wu, au, pu in steps]
+        a += wv * (a[:, v] / p)[:, None]
+        W += wv[:, :, None] * wv[:, None, :] / p[:, None, None]
+        W[:, v, :] = W[:, :, v] = 0.0
+        W[:, diagonal, diagonal] = 0.0
+        steps.append((v, wv, a[:, v].copy(), p))
+    kept = np.setdiff1d(diagonal, order)
+    return (_assemble(a[:, kept], W[:, kept][:, :, kept]), kept, steps,
+            None if len(alive) == members else alive)
 
 
 def _assemble(a: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """diag(a + W 1) - W, overwriting W (whose diagonal is zero)."""
+    """diag(a + W 1) - W, overwriting W (whose diagonal is zero); a leading
+    member axis is kept."""
     W *= -1.0
-    W.flat[:: len(a) + 1] = a - W.sum(axis=1)
+    diagonal = np.arange(a.shape[-1])
+    W[..., diagonal, diagonal] = a - np.add.reduce(W, -1)
     return W
 
 
@@ -354,61 +437,68 @@ def vertex_matrix(graph: MetricGraph, kappa: float) -> np.ndarray:
     vertices' diagonal entries and -2 kappa E / (1 - E**2) to the entry
     joining them; a lead adds kappa to its vertex's diagonal entry, and
     parallel edges add up; it is assembled as diag(a + W 1) - W (see
-    :func:`_dtn_parts`).  dM/dkappa is positive definite, so every
+    :meth:`_Topology.parts`).  dM/dkappa is positive definite, so every
     eigenvalue increases with kappa.  The graph is not validated: the
     alphas are used as given.
     """
-    return _assemble(*_dtn_parts(graph)[0](kappa))
+    a, W, _, _ = _Topology(graph).parts(np.array([float(kappa)]), *parameters(graph))
+    return _assemble(a, W)[0]
 
 
-def _shape_index(diff: float, big: float, epsilon_idx: float) -> int:
-    """Sign of diff = |a| - |b|, or 0 when it is within epsilon_idx of
+def _shape_indices(diff, big, epsilon_idx: float = 1e-9):
+    """Sign of diff = |a| - |b|, or 0 where it is within epsilon_idx of
     big = max(|a|, |b|)."""
+    return np.where(np.abs(diff) <= epsilon_idx * big, 0, np.where(diff > 0, 1, -1))
+
+
+def _edge_shapes(p, q, E, a, b):
+    """(diff, big) of each finite edge for :func:`_shape_indices`, from a =
+    p + q E and b = q E - p.
+
+    The comparison |a| vs |b| is done through the identity |a|**2 - |b|**2 =
+    4 p q E, which avoids the cancellation in a and b when kappa l is large.
+    """
+    fa, fb = np.abs(a), np.abs(b)
+    # fa + fb = 0 only where p = q E = 0, and then diff = 0
+    return 4.0 * p * q * E / np.maximum(fa + fb, _TINY), np.maximum(fa, fb)
+
+
+def _edge_minima(p, q, qE, pE, ends, kl):
+    """Exact minimum of psi = p exp(-kappa x) + q exp(-kappa (l - x)) on
+    each finite edge, from the smaller end value ``ends`` (see
+    :meth:`EdgeSolution.minimum`).
+
+    The critical point x* = (l + ln(p/q) / kappa) / 2 of psi lies inside
+    the edge where p > q E and q > p E, which also make p, q > 0 and psi
+    convex.
+    """
+    dip = 2.0 * np.sqrt(np.maximum(p, 0.0)) * np.sqrt(np.maximum(q, 0.0)) * np.exp(-0.5 * kl)
+    return np.where((p > qE) & (q > pE), np.minimum(ends, dip), ends)
+
+
+def _classify(diff: float, big: float, epsilon_idx: float) -> int:
+    """:func:`_shape_indices` of one edge, which must not be zero."""
     if big == 0.0:
         raise ValueError("zero solution on edge cannot be classified")
-    if abs(diff) <= epsilon_idx * big:
-        return 0
-    return 1 if diff > 0 else -1
+    return int(_shape_indices(diff, big, epsilon_idx))
 
 
 def classify_coefficients(a: float, b: float, epsilon_idx: float = 1e-9) -> int:
     """Shape index from cosh/sinh coefficients: +1 cosh-like, -1 sinh-like,
     0 for a pure exponential (|a| and |b| equal to relative epsilon_idx)."""
     fa, fb = abs(a), abs(b)
-    return _shape_index(fa - fb, max(fa, fb), epsilon_idx)
+    return _classify(fa - fb, max(fa, fb), epsilon_idx)
 
 
 def classify_edge_index(solution: EdgeSolution, epsilon_idx: float = 1e-9) -> int:
-    """Shape index of one edge component; leads are always 0.
-
-    For finite edges the comparison |a| vs |b| is done through the identity
-    |a|**2 - |b|**2 = 4*p*q*exp(-kappa l), which avoids the cancellation in
-    a and b when kappa*l is large.
-    """
+    """Shape index of one edge component (see :func:`_edge_shapes`); leads
+    are always 0."""
     if solution.kind == "infinite":
-        return _shape_index(0.0, abs(solution.c), epsilon_idx)
-    fa, fb = abs(solution.a), abs(solution.b)
-    diff = 4.0 * solution.p * solution.q * math.exp(-solution.kappa * solution.length)
-    return _shape_index(diff / (fa + fb) if fa + fb else 0.0, max(fa, fb), epsilon_idx)
-
-
-def _vertex_values(graph, values, derivatives=None):
-    """Per vertex id: (values, outward derivatives) at the incident edge ends.
-
-    ``values`` and ``derivatives`` map edge ids to callables of the edge
-    coordinate; without ``derivatives`` the second list stays empty.
-    """
-    out: dict[str, tuple[list[float], list[float]]] = {}
-    for vid, incs in vertex_incidences(graph).items():
-        vals, outd = [], []
-        for kind, i in incs:
-            e = graph.infinite_edges[i] if kind == "lead" else graph.finite_edges[i]
-            x = e.length if kind == "end" else 0.0
-            vals.append(float(values[e.id](x)))
-            if derivatives is not None:
-                outd.append((-1.0 if kind == "end" else 1.0) * float(derivatives[e.id](x)))
-        out[vid] = (vals, outd)
-    return out
+        return _classify(0.0, abs(solution.c), epsilon_idx)
+    p, q = np.array(solution.p), np.array(solution.q)
+    E = np.exp(-np.array(solution.kappa * solution.length))
+    diff, big = _edge_shapes(p, q, E, p + q * E, q * E - p)
+    return _classify(float(diff), float(big), epsilon_idx)
 
 
 def vertex_condition_residuals(
@@ -421,49 +511,43 @@ def vertex_condition_residuals(
     additionally scaled by max(1, kappa) since derivative terms grow with
     kappa.
     """
-    kappa = solutions[0].kappa
-    per_vertex = _vertex_values(
-        graph,
-        {s.edge_id: s.value for s in solutions},
-        {s.edge_id: s.derivative for s in solutions},
-    )
-    sup = max(abs(v) for vals, _ in per_vertex.values() for v in vals)
-    if sup == 0.0:
+    kappa = np.array([solutions[0].kappa])
+    by_id = {s.edge_id: s for s in solutions}
+    p, q = (np.array([[getattr(by_id[e.id], x) for e in graph.finite_edges]]) for x in "pq")
+    c = np.array([[by_id[e.id].c for e in graph.infinite_edges]])
+    if not (p.any() or q.any() or c.any()):  # no scale
         return math.inf, math.inf
-    cont = 0.0
-    coup = 0.0
-    for v in graph.vertices:
-        vals, outd = per_vertex[v.id]
-        cont = max(cont, (max(vals) - min(vals)) / sup)
-        mismatch = abs(sum(outd) - v.alpha * (sum(vals) / len(vals)))
-        coup = max(coup, mismatch / (sup * max(1.0, kappa)))
-    return cont, coup
+    alphas, lengths = parameters(graph)
+    E = np.exp(kappa[:, None] * -lengths)
+    _, _, cont, coup = _Topology(graph).audit(kappa, alphas, lengths, p, q, c, E)
+    return float(cont[0]), float(coup[0])
 
 
 def _positive_tail(matrix: np.ndarray, mu0: float, f: np.ndarray) -> np.ndarray:
     """The Perron vector f of M with its small components recomputed.
 
     ``eigh`` resolves components only to about eps * max|f| and can deflate
-    an exponentially small one to exactly 0.  Row i of M f = mu0 f gives
-    f_i = sum_j (-M_ij) f_j / (M_ii - mu0); with M_ij <= 0 off the diagonal
-    every term is >= 0, so the sum has no cancellation.  Components below
-    sqrt(eps) * max f are recomputed from the largest down, so each one sees
-    its larger neighbours already done.
+    an exponentially small one to exactly 0.  The rows S of M f = mu0 f with
+    f_S <= sqrt(eps) * max f give (M_SS - mu0 I) f_S = -M_SL f_L from the
+    large components L.  M is an irreducible Z-matrix and mu0 its simple
+    smallest eigenvalue, so M_SS - mu0 I is a nonsingular M-matrix: its
+    inverse and -M_SL are nonnegative, and f_S comes out positive to working
+    accuracy, however far down an exponential tail it lies.
     """
+    small = f <= math.sqrt(_EPS) * f.max()
+    if not small.any():
+        return f
     f = f.copy()
-    small = np.flatnonzero(f <= math.sqrt(_EPS) * f.max())
-    for i in small[np.argsort(-f[small], kind="stable")]:
-        den = matrix[i, i] - mu0
-        if den > 0.0:
-            neighbours = -matrix[i]
-            neighbours[i] = 0.0
-            f[i] = (neighbours @ f) / den
+    block = matrix[np.ix_(small, small)]
+    block.flat[:: len(block) + 1] -= mu0
+    f[small] = np.linalg.solve(block, -matrix[np.ix_(small, ~small)] @ f[~small])
     return f
 
 
-def _reconstruct(graph, kappa0, reduced, roots, profiles):
-    """State at kappa0 from the eigenvector of the reduced M(kappa0) whose
-    eigenvalue is nearest zero, with its simplicity gap and exact minimum.
+def _states(topo: _Topology, kappa, alphas, lengths, roots, order) -> list:
+    """States at converged roots, members in rows: from the eigenvector of
+    the reduced M(kappa) whose eigenvalue is nearest zero, with shape
+    indices, simplicity gap, exact minimum and vertex residuals.
 
     At the ground-state root that eigenvalue is mu0 and the gap is
     mu1 / max(|mu0|, tau), with tau = n * eps * (||S|| + max|alpha| +
@@ -473,45 +557,178 @@ def _reconstruct(graph, kappa0, reduced, roots, profiles):
     kappa = 1).  At an excited root the eigenvalue nearest zero is a higher
     one, whose vector changes sign, so the positivity check refuses it; the
     vector of mu0 is positive, and a zero in it is underflow.
-    """
-    if reduced is None:
-        raise PositivityViolation(
-            f"M is not positive semidefinite at kappa={kappa0!r}: "
-            "kappa lies below the ground-state root"
-        )
-    matrix, kept, steps = reduced
-    w, vecs = np.linalg.eigh(matrix)
-    k = int(np.argmin(np.abs(w)))
-    terms = (max(abs(v.alpha) for v in graph.vertices)
-             + kappa0 * max(len(incs) for incs in vertex_incidences(graph).values()))
-    tau = len(w) * _EPS * (float(np.max(np.abs(w))) + terms)
-    others = np.delete(np.abs(w), k)
-    gap = (float(others.min() / max(abs(w[k]), tau, np.finfo(float).tiny))
-           if others.size else math.inf)
-    if gap < NULLSPACE_GAP_MIN:
-        raise DegenerateRoot(
-            f"nullspace not simple at kappa={kappa0!r}: "
-            f"eigenvalue gap {gap:.3g} < {NULLSPACE_GAP_MIN:.0e}"
-        )
-    fk = vecs[:, k]
-    if fk[np.argmax(np.abs(fk))] < 0:
-        fk = -fk
-    if k == 0:
-        fk = _positive_tail(matrix, float(w[0]), fk)
-    p, q, c, mass = profiles(kappa0, fk, kept, steps, roots)
-    p, q, c = ((x / math.sqrt(mass)).tolist() for x in (p, q, c))
-    sols = [EdgeSolution.finite(e.id, kappa0, e.length, pe, qe)
-            for e, pe, qe in zip(graph.finite_edges, p, q)]
-    sols += [EdgeSolution.infinite(e.id, kappa0, ce) for e, ce in zip(graph.infinite_edges, c)]
 
-    min_value = min(s.minimum() for s in sols)
-    if not min_value > 0.0:
-        kl = kappa0 * max((e.length for e in graph.finite_edges), default=0.0)
-        why = (f"it underflows: exp(-kappa0 l) leaves the double range beyond kappa0 l "
-               f"~ 745, and the longest edge has kappa0 l = {kl:.4g}" if k == 0
-               else "kappa may be an excited root")
-        raise PositivityViolation(f"state is not strictly positive (min {min_value:.3g}); {why}")
-    return tuple(sols), gap, float(min_value)
+    Returns per member (p, q, c, indices, gap, minimum, continuity,
+    coupling), or the DegenerateRoot or PositivityViolation it raises.
+    """
+    out: list = [None] * len(kappa)
+    a, W, E, den = topo.parts(kappa, alphas, lengths)
+    S, kept, steps, alive = _reduced(a, W, order)
+    rows = range(len(kappa))
+    if alive is not None:
+        for i in np.setdiff1d(rows, alive).tolist():
+            out[i] = PositivityViolation(
+                f"M is not positive semidefinite at kappa={float(kappa[i])!r}: "
+                "kappa lies below the ground-state root"
+            )
+        kappa, alphas, lengths, E, den = (x[alive] for x in (kappa, alphas, lengths, E, den))
+        rows = alive.tolist()
+    w, vecs = _eigh(S)
+    aw = np.abs(w)
+    near = np.argmin(aw, axis=1)
+    gap = np.full(len(rows), math.inf)
+    if w.shape[1] > 1:
+        low = np.sort(aw, axis=1)  # low[:, 0] = |w[near]|, low[:, 1] the next
+        tau = w.shape[1] * _EPS * (low[:, -1] + (np.maximum.reduce(np.abs(alphas), 1)
+                                                 + kappa * topo.max_degree))
+        gap = low[:, 1] / np.maximum(np.maximum(low[:, 0], tau), _TINY)
+    at = np.arange(len(rows))
+    fk = vecs[at, :, near]
+    fk *= np.sign(fk[at, np.argmax(np.abs(fk), axis=1)])[:, None]
+    top = np.maximum.reduce(fk, 1)
+    for i in np.flatnonzero(np.minimum.reduce(fk, 1) <= math.sqrt(_EPS) * top).tolist():
+        if near[i] == 0 and gap[i] >= NULLSPACE_GAP_MIN:
+            fk[i] = _positive_tail(S[i], float(w[i, 0]), fk[i])
+    p, q, c, mass = topo.profiles(kappa, lengths, E, den, fk, kept, steps, roots)
+    scale = np.sqrt(mass)[:, None]
+    p, q, c = p / scale, q / scale, c / scale
+    indices, minimum, cont, coup = topo.audit(kappa, alphas, lengths, p, q, c, E)
+    for i, r, index, *certificate in zip(range(len(rows)), rows, indices.tolist(),
+                                         gap.tolist(), minimum.tolist(), cont.tolist(),
+                                         coup.tolist()):
+        if not certificate[0] >= NULLSPACE_GAP_MIN:
+            out[r] = DegenerateRoot(
+                f"nullspace not simple at kappa={float(kappa[i])!r}: "
+                f"eigenvalue gap {certificate[0]:.3g} < {NULLSPACE_GAP_MIN:.0e}")
+        elif not certificate[1] > 0.0:
+            kl = float(kappa[i]) * max(lengths[i].tolist(), default=0.0)
+            why = (f"it underflows: exp(-kappa0 l) leaves the double range beyond kappa0 l "
+                   f"~ 745, and the longest edge has kappa0 l = {kl:.4g}"
+                   if near[i] == 0 else "kappa may be an excited root")
+            out[r] = PositivityViolation(
+                f"state is not strictly positive (min {certificate[1]:.3g}); {why}")
+        else:
+            out[r] = (p[i], q[i], c[i], tuple(index), *certificate)
+    return out
+
+
+class _State(NamedTuple):
+    """One member's ground state (see :func:`_ground_states`)."""
+
+    kappa0: float
+    bracket: tuple[float, float]
+    evaluations: int
+    p: np.ndarray
+    q: np.ndarray
+    c: np.ndarray
+    indices: tuple[int, ...]
+    gap: float
+    minimum: float
+    continuity: float
+    coupling: float
+
+
+def _ground_states(graph: MetricGraph, alphas: np.ndarray, lengths: np.ndarray,
+                   options: SolverOptions | None = None) -> list:
+    """Ground states of a family of graphs with the layout of ``graph``,
+    which must pass :func:`graph.topology_ok`: member i has the alphas
+    ``alphas[i]`` and the finite-edge lengths ``lengths[i]``.
+
+    Each member gets the :class:`_State` that :func:`find_ground_state`
+    computes for it alone, bit for bit, or the exception it raises there:
+    InvalidGraphError for a member that breaks an alpha or length rule,
+    NoBoundState, DegenerateRoot or PositivityViolation.  The Newton steps
+    of the pending members run in lockstep (:func:`rootscan.increasing_roots`):
+    each round builds their matrices with one bincount and solves them with
+    one stacked eigh per group of members that eliminate the same
+    short-edge clusters.
+    """
+    opts = options or SolverOptions()
+    if opts.kappa_max is not None and not (math.isfinite(opts.kappa_max) and opts.kappa_max > 0):
+        raise ValueError(f"kappa_max must be positive and finite, got {opts.kappa_max!r}")
+    results: list = [None] * len(alphas)
+    members = []
+    for i, problems in enumerate(parameter_problems(graph, alphas, lengths)):
+        if problems:
+            results[i] = InvalidGraphError(ValidationReport(problems))
+        else:
+            members.append(i)
+    if len(members) < len(alphas):
+        alphas, lengths = alphas[members], lengths[members]
+    topo = _Topology(graph)
+    # the positive root of L kappa**2 + N kappa + sum alpha, N leads, L the
+    # total edge length: mu0 <= 0 there (see find_ground_state)
+    n_leads = len(graph.infinite_edges)
+    alpha_sum, total = np.add.reduce(alphas, 1), np.add.reduce(lengths, 1)
+    lo = -2.0 * alpha_sum / (n_leads + np.sqrt(n_leads * n_leads - 4.0 * total * alpha_sum))
+    # members that eliminate the same clusters share a group; group 0 has none
+    groups, group, keys = [(None, [])], [0] * len(members), {}
+    for j in np.flatnonzero((lo[:, None] * lengths < 1e-3).any(axis=1)).tolist():
+        roots, order = topo.clusters(lo[j] * lengths[j])
+        group[j] = keys.setdefault(tuple(roots.tolist()), len(groups))
+        if group[j] == len(groups):
+            groups.append((roots, order))
+    in_group = np.array(group) if len(groups) > 1 else None
+    evaluations = [0] * len(members)
+
+    def values(rows, kappa, roots, order):
+        if len(rows) == len(lengths):  # every member, in order
+            A, L = alphas, lengths
+        else:
+            A, L = alphas.take(rows, axis=0), lengths.take(rows, axis=0)
+        a, W, E, den = topo.parts(kappa, A, L)
+        S, kept, steps, alive = _reduced(a, W, order)
+        w, vecs = _eigh(S)
+        if alive is None:
+            return w[:, 0], topo.profiles(kappa, L, E, den, vecs[:, :, 0], kept, steps, roots)[3]
+        slope = topo.profiles(kappa[alive], L[alive], E[alive], den[alive], vecs[:, :, 0],
+                              kept, steps, roots)[3]
+        # a pivot <= 0 proves kappa < kappa0: those members step on M itself
+        both = np.empty((2, len(rows)))
+        both[:, alive] = w[:, 0], slope
+        rest = np.setdiff1d(np.arange(len(rows)), alive)
+        for j in rows[rest].tolist():
+            evaluations[j] += 1
+        both[:, rest] = values(rows[rest], kappa[rest], roots, [])
+        return both
+
+    def newton_values(batch, kappas):
+        for j in batch:
+            evaluations[j] += 1
+        batch, kappa = np.array(batch), np.array(kappas)
+        if len(groups) == 1:
+            mu, slope = values(batch, kappa, None, [])
+        else:
+            mu, slope = np.empty(len(batch)), np.empty(len(batch))
+            for g, (roots, order) in enumerate(groups):
+                sel = np.flatnonzero(in_group[batch] == g)
+                if sel.size:
+                    mu[sel], slope[sel] = values(batch[sel], kappa[sel], roots, order)
+        return mu.tolist(), slope.tolist()
+
+    outcomes = increasing_roots(newton_values, lo.tolist(), opts.tol_kappa, NoBoundState,
+                                ceiling=opts.kappa_max or math.inf)
+    for g, (roots, order) in enumerate(groups):
+        sel = [j for j, o in enumerate(outcomes) if group[j] == g and isinstance(o, tuple)]
+        if not sel:
+            continue
+        kappa0 = np.array([outcomes[j][0] for j in sel])
+        states = _states(topo, kappa0, alphas.take(sel, axis=0), lengths.take(sel, axis=0),
+                         roots, order)
+        for j, state in zip(sel, states):
+            root, lo_j, hi = outcomes[j]
+            outcomes[j] = (state if isinstance(state, Exception)
+                           else _State(root, (lo_j, hi), evaluations[j] + 1, *state))
+    for i, outcome in zip(members, outcomes):
+        results[i] = outcome
+    return results
+
+
+def _edge_solutions(graph: MetricGraph, kappa0: float, p, q, c) -> list[EdgeSolution]:
+    sols = [EdgeSolution.finite(e.id, kappa0, e.length, pe, qe)
+            for e, pe, qe in zip(graph.finite_edges, p.tolist(), q.tolist())]
+    return sols + [EdgeSolution.infinite(e.id, kappa0, ce)
+                   for e, ce in zip(graph.infinite_edges, c.tolist())]
 
 
 def reconstruct_eigenfunction(graph: MetricGraph, kappa0: float) -> list[EdgeSolution]:
@@ -527,11 +744,13 @@ def reconstruct_eigenfunction(graph: MetricGraph, kappa0: float) -> list[EdgeSol
     if not kappa0 > 0:
         raise ValueError("kappa0 must be positive")
     kappa0 = float(kappa0)
-    parts, profiles = _dtn_parts(graph)
-    roots, order = _short_edge_roots(graph, kappa0)
-    reduced = _reduced(*parts(kappa0), order)
-    sols, _, _ = _reconstruct(graph, kappa0, reduced, roots, profiles)
-    return list(sols)
+    topo = _Topology(graph)
+    alphas, lengths = parameters(graph)
+    state = _states(topo, np.array([kappa0]), alphas, lengths,
+                    *topo.clusters(kappa0 * lengths[0]))[0]
+    if isinstance(state, Exception):
+        raise state
+    return _edge_solutions(graph, kappa0, *state[:3])
 
 
 def find_ground_state(graph: MetricGraph, options: SolverOptions | None = None) -> GroundState:
@@ -542,7 +761,7 @@ def find_ground_state(graph: MetricGraph, options: SolverOptions | None = None) 
     M'(kappa) is positive definite, so mu0 increases and has exactly one
     root, and M_uv <= 0 makes its vector f positive (Perron-Frobenius).
     f^T M f is a minimum of functions affine in s = kappa**2, so mu0 is
-    concave in s: :func:`rootscan.increasing_root` runs Newton's method in s
+    concave in s: :func:`rootscan.newton_steps` runs Newton's method in s
     with the Hellmann-Feynman slope ||psi||**2 / ||f||**2, psi the state
     with vertex values f.  It starts at the positive root lo of L kappa**2 +
     N kappa + sum alpha (N leads, L the total edge length): the constant
@@ -551,42 +770,22 @@ def find_ground_state(graph: MetricGraph, options: SolverOptions | None = None) 
     are eliminated first (see :func:`_reduced`); the Schur complement keeps
     the sign, the root and the concavity of mu0, and where a pivot is not
     positive (kappa < kappa0) the step is taken on M itself.  ``kappa_max``
-    is a hard ceiling: NoBoundState when an iterate passes it.
+    is a hard ceiling: NoBoundState when an iterate passes it.  The graph is
+    a batch of one for :func:`_ground_states`.
     """
-    require_valid(graph)
-    opts = options or SolverOptions()
-    if opts.kappa_max is not None and not (math.isfinite(opts.kappa_max) and opts.kappa_max > 0):
-        raise ValueError(f"kappa_max must be positive and finite, got {opts.kappa_max!r}")
-    alpha_sum = sum(v.alpha for v in graph.vertices)  # < 0 on a valid graph
-    n_leads = len(graph.infinite_edges)
-    total = sum(e.length for e in graph.finite_edges)
-    lo = -2.0 * alpha_sum / (n_leads + math.sqrt(n_leads * n_leads - 4.0 * total * alpha_sum))
-    parts, profiles = _dtn_parts(graph)
-    roots, order = _short_edge_roots(graph, lo)
-    evals = 0
-
-    def reduced(kappa: float, order=order):
-        nonlocal evals
-        evals += 1
-        return _reduced(*parts(kappa), order)
-
-    def mu0_slope(kappa: float) -> tuple[float, float]:
-        # None from _reduced: a pivot <= 0 proves kappa < kappa0; step on M itself
-        matrix, kept, steps = reduced(kappa) or reduced(kappa, [])
-        w, vecs = np.linalg.eigh(matrix)
-        return float(w[0]), profiles(kappa, vecs[:, 0], kept, steps, roots)[3]
-
-    kappa0, lo, hi = increasing_root(mu0_slope, lo, opts.tol_kappa, NoBoundState,
-                                     ceiling=opts.kappa_max or math.inf)
-    sols, gap, min_sampled = _reconstruct(graph, kappa0, reduced(kappa0), roots, profiles)
-    indices = tuple(classify_edge_index(s) for s in sols)
-    cont, coup = vertex_condition_residuals(graph, sols)
+    if not topology_ok(graph):
+        raise InvalidGraphError(validate(graph))
+    state = _ground_states(graph, *parameters(graph), options)[0]
+    if isinstance(state, Exception):
+        raise state
     diag = Diagnostics(
-        continuity_residual=cont,
-        coupling_residual=coup,
-        nullspace_gap=gap,
-        min_sampled=min_sampled,
-        bracket=(lo, hi),
-        indicator_evaluations=evals,
+        continuity_residual=state.continuity,
+        coupling_residual=state.coupling,
+        nullspace_gap=state.gap,
+        min_sampled=state.minimum,
+        bracket=state.bracket,
+        indicator_evaluations=state.evaluations,
     )
-    return GroundState(kappa0, -kappa0 * kappa0, sols, indices, diag)
+    kappa0 = state.kappa0
+    sols = _edge_solutions(graph, kappa0, state.p, state.q, state.c)
+    return GroundState(kappa0, -kappa0 * kappa0, tuple(sols), state.indices, diag)

@@ -1,11 +1,13 @@
 """Parameter sweeps over edge lengths and coupling strengths.
 
-A sweep is a 1-D or 2-D grid over (edge length | vertex alpha) targets; each
-grid point is an independent ground-state solve, run in grid order.  Failed
-points carry a status string instead of aborting the sweep.  The critical
-coupling of a star graph is the center alpha at which the energy stops
-depending on the axial edge length; it is computed in closed form from the
-vertex-reduced matrix and then checked on a grid of axial lengths.
+A sweep is a 1-D or 2-D grid over (edge length | vertex alpha) targets.  The
+grid shares one topology, so it is solved as one batch
+(:func:`secular._ground_states`): each point gets exactly the ground state,
+checks and outcome of its own :func:`find_ground_state`.  Failed points carry
+a status string instead of aborting the sweep.  The critical coupling of a
+star graph is the center alpha at which the energy stops depending on the
+axial edge length; it is computed in closed form from the vertex-reduced
+matrix and then checked on a batch of axial lengths.
 """
 
 from __future__ import annotations
@@ -15,19 +17,18 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graph import InvalidGraphError, MetricGraph, degree, require_valid
+from .graph import (
+    InvalidGraphError,
+    MetricGraph,
+    degree,
+    parameters,
+    require_valid,
+    topology_ok,
+    validate,
+)
 # unused here; perfbench/tracer.py wraps it until ROADMAP item 1
 from .rootscan import brentq  # noqa: F401
-from .secular import (
-    DegenerateRoot,
-    NoBoundState,
-    PositivityViolation,
-    SolverOptions,
-    find_ground_state,
-    vertex_matrix,
-)
-
-_POINT_ERRORS = (InvalidGraphError, NoBoundState, DegenerateRoot, PositivityViolation)
+from .secular import SolverOptions, _ground_states, vertex_matrix
 
 
 class CritError(RuntimeError):
@@ -114,16 +115,17 @@ def apply_target(graph: MetricGraph, target: SweepTarget, value: float) -> Metri
     return replace(graph, vertices=vertices)
 
 
-def _solve_point(
-    graph: MetricGraph, assignments, options: SolverOptions | None
-) -> tuple[str, float | None, float | None, tuple[int, ...]]:
-    try:
-        for target, value in assignments:
-            graph = apply_target(graph, target, value)
-        gs = find_ground_state(graph, options)
-        return ("ok", gs.kappa0, gs.lambda0, gs.indices)
-    except _POINT_ERRORS as exc:
-        return (f"error:{type(exc).__name__}", None, None, ())
+def _family(graph: MetricGraph, targets, columns: np.ndarray):
+    """The graph's alphas and finite-edge lengths, one row per row of
+    ``columns``, with column j written to ``targets[j]``."""
+    alphas, lengths = parameters(graph)
+    alphas, lengths = alphas.repeat(len(columns), axis=0), lengths.repeat(len(columns), axis=0)
+    for target, column in zip(targets, columns.T):
+        if target.kind == "edge":
+            lengths[:, [e.id == target.ref for e in graph.finite_edges]] = column[:, None]
+        else:
+            alphas[:, [v.id == target.ref for v in graph.vertices]] = column[:, None]
+    return alphas, lengths
 
 
 def run_sweep(
@@ -146,18 +148,23 @@ def run_sweep(
         points = [(float(v),) for v in grids[0]]
     else:
         points = [(float(u), float(v)) for u in grids[0] for v in grids[1]]
-    targets = [spec.target for spec in specs]
+    if topology_ok(graph):
+        states = _ground_states(graph, *_family(graph, [s.target for s in specs], np.array(points)),
+                                options)
+    else:  # every point fails validation
+        states = [InvalidGraphError(validate(graph))] * len(points)
 
     out: list[SweepPoint] = []
     prev_indices: tuple[int, ...] | None = None
-    for vals in points:
-        status, kappa0, lambda0, indices = _solve_point(graph, zip(targets, vals), options)
-        change = (
-            status == "ok" and prev_indices is not None and indices != prev_indices
-        )
-        out.append(SweepPoint(vals, status, kappa0, lambda0, indices, change))
-        if status == "ok":
-            prev_indices = indices
+    for vals, state in zip(points, states):
+        if isinstance(state, Exception):
+            out.append(SweepPoint(vals, f"error:{type(state).__name__}", None, None, (), False))
+            continue
+        indices = state.indices
+        change = prev_indices is not None and indices != prev_indices
+        out.append(SweepPoint(vals, "ok", state.kappa0, -state.kappa0 * state.kappa0, indices,
+                              change))
+        prev_indices = indices
     return out
 
 
@@ -271,19 +278,22 @@ def find_critical_coupling(
             "of the length-dependence gap there"
         )
 
-    g = apply_target(graph, SweepTarget("vertex", center), alpha_crit)
-    target_len = SweepTarget("edge", axial_edge_id)
     lengths = np.linspace(lo, hi, flat_points)
-    states = [find_ground_state(apply_target(g, target_len, float(L)), options)
-              for L in lengths]
-    lambdas = np.array([s.lambda0 for s in states])
+    columns = np.column_stack((np.full(flat_points, alpha_crit), lengths))
+    targets = (SweepTarget("vertex", center), SweepTarget("edge", axial_edge_id))
+    states = _ground_states(graph, *_family(graph, targets, columns), options)
+    for state in states:
+        if isinstance(state, Exception):
+            raise state
+    lambdas = np.array([-s.kappa0 * s.kappa0 for s in states])
     variation = float(np.max(np.abs(lambdas - lambdas[0])))
     evidence = float(np.max(np.abs(np.diff(lambdas) / np.diff(lengths))))
     mid = states[flat_points // 2]
+    axial = next(i for i, e in enumerate(graph.finite_edges) if e.id == axial_edge_id)
     return CritResult(
         alpha_crit=alpha_crit,
         evidence=evidence,
-        axial_index=mid.index(axial_edge_id),
+        axial_index=mid.indices[axial],
         variation=variation,
         kappa0=mid.kappa0,
         window=(lo, hi),

@@ -11,7 +11,7 @@ from qgbind import LineConfig, LoopConfig, find_ground_state, ground_state_line
 from qgbind import line as line_module
 from qgbind import rootscan
 from qgbind import secular as secular_module
-from qgbind.rootscan import increasing_root
+from qgbind.rootscan import increasing_root, increasing_roots
 
 
 def _sqrt_minus(root, calls=None):
@@ -147,6 +147,25 @@ def test_non_finite_indicator_raises():
             increasing_root(lambda k, value=value: value, 1.0, 1e-12, KeyError)
 
 
+def test_lockstep_members_match_their_solo_walks():
+    # one member passes the ceiling and raises; every other member's
+    # (root, lo, hi) is the one its own increasing_root gives, bit for bit
+    makes = [_sqrt_minus(2.0), _one_minus(math.pi), _linear(9.0), _sqrt_minus(50.0)]
+    los = [1.0, 0.5, 1.0, 1.0]
+    rounds = []
+
+    def f(members, kappas):
+        rounds.append(list(members))
+        values = [makes[i](k) for i, k in zip(members, kappas)]
+        return [mu for mu, _ in values], [slope for _, slope in values]
+
+    got = increasing_roots(f, los, 1e-12, KeyError, ceiling=20.0)
+    assert isinstance(got[3], KeyError) and "ceiling" in str(got[3])
+    for i in range(3):
+        assert got[i] == increasing_root(makes[i], los[i], 1e-12, KeyError, ceiling=20.0)
+    assert rounds[0] == [0, 1, 2, 3] and 3 not in rounds[-1]
+
+
 def test_removed_scan_names_raise():
     for name in ("scan_down", "probe_geometric", "bisect_sign", "brentq"):
         with pytest.raises(RuntimeError, match="use increasing_root"):
@@ -171,6 +190,21 @@ def _record(monkeypatch, module):
     return calls
 
 
+def _record_batch(monkeypatch, module):
+    """The same for a route that solves a batch (rootscan.increasing_roots)."""
+    calls = []
+
+    def recording(f, *args, **kwargs):
+        def g(members, kappas):
+            mu, slope = f(members, kappas)
+            calls.extend(zip(kappas, mu))
+            return mu, slope
+        return increasing_roots(g, *args, **kwargs)
+
+    monkeypatch.setattr(module, "increasing_roots", recording)
+    return calls
+
+
 def _check_iterates(calls, kappa0):
     # below the root but for rounding, and the last value certifies it
     assert all(k <= kappa0 * (1 + 1e-12) for k, _ in calls[:-1])
@@ -180,7 +214,7 @@ def _check_iterates(calls, kappa0):
 def test_graph_route_iterates_stay_below_the_root(monkeypatch):
     # cycles, parallel edges and short-edge clusters: mu0 of M, and of its
     # Schur complement, stays concave in s
-    calls = _record(monkeypatch, secular_module)
+    calls = _record_batch(monkeypatch, secular_module)
     rng = np.random.default_rng(2024)
     for _ in range(100):
         calls.clear()

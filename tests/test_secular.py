@@ -277,6 +277,30 @@ def test_deflated_perron_component_is_recovered():
     assert abs(f[0] * math.cosh(100.0) - 1.0) <= 1e-12
 
 
+def test_exponential_tail_is_solved_as_one_block():
+    # the path v2-v1-v0-v3 with a lead at v0: v0, v1, v2 lie 12, 35 and 51
+    # orders of magnitude below v3, all under eigh's resolution; recomputed
+    # one at a time, each from neighbours still holding junk, v2 came out
+    # -6.5e-32 and the state was refused as underflow (kappa0 l = 52.55).
+    # Reference: the vertex values from a 120-digit eigenvector.
+    g = MetricGraph(
+        (VertexSpec("v0", -24.450961214610192), VertexSpec("v1", -16.751373498718134),
+         VertexSpec("v2", -9.653975379312165), VertexSpec("v3", -17.635366325145302)),
+        (FiniteEdge("e0", "v0", "v1", 2.980071768054838),
+         FiniteEdge("e1", "v1", "v2", 2.174038230118531),
+         FiniteEdge("e2", "v0", "v3", 1.5398373240022791)),
+        (InfiniteEdge("t1", "v0"),),
+    )
+    gs = find_ground_state(g)
+    assert gs.kappa0 == pytest.approx(17.635366325145306, rel=1e-14)
+    assert gs.indices == (0, 0, 1, 0)
+    e0, e1, e2 = (gs.solution(e) for e in ("e0", "e1", "e2"))
+    v3 = float(e2.value(e2.length))
+    got = [float(e0.value(0.0)), float(e1.value(0.0)), float(e1.value(e1.length))]
+    for value, reference in zip(got, (1.9940158e-12, 5.6927153e-35, 5.6211094e-51)):
+        assert value / v3 == pytest.approx(reference, rel=1e-6)
+
+
 @pytest.mark.parametrize("alpha", [-1e-6, -1e-9])
 def test_weak_coupling_is_exact(alpha):
     gs = find_ground_state(single_vertex_graph(alpha, 2))
@@ -336,7 +360,7 @@ def test_negative_pivot_steps_on_the_unreduced_matrix(monkeypatch):
     monkeypatch.setattr(secular_module, "_reduced",
                         lambda *args: results.append(real(*args)) or results[-1])
     gs = find_ground_state(g)
-    assert any(r is None for r in results)
+    assert any(r[3] is not None for r in results)  # the member was dropped
     below, above = (np.linalg.eigvalsh(vertex_matrix(g, gs.kappa0 * (1 + d)))[0]
                     for d in (-1e-10, 1e-10))
     assert below < 0.0 < above

@@ -6,6 +6,7 @@ import pytest
 from conftest import ALPHA_CRIT, star_graph
 from qgbind import (
     CritError,
+    SolverOptions,
     SweepSpec,
     SweepTarget,
     apply_target,
@@ -84,6 +85,44 @@ def test_one_dimensional_sweep_matches_direct_solves():
     assert not rows[0].class_change
 
 
+def _direct(graph, targets, values, options):
+    try:
+        for target, value in zip(targets, values):
+            graph = apply_target(graph, target, value)
+        return find_ground_state(graph, options)
+    except Exception as exc:
+        return exc
+
+
+@pytest.mark.parametrize("specs,options", [
+    ([("vertex:c", -2.6, -2.0, 3), ("edge:axial", 0.5, 2.5, 4)], None),
+    # arm1 shorter than 1e-3 / kappa at some points: members in different
+    # elimination groups, and one without any
+    ([("edge:arm1", 1e-6, 0.5, 6)], None),
+    # the stronger centers bind above kappa_max
+    ([("vertex:c", -4.0, -0.5, 8)], SolverOptions(kappa_max=2.03)),
+], ids=["grid", "short-edge", "kappa-max"])
+def test_batched_sweep_matches_direct_solves(specs, options):
+    # a sweep solves its grid as one batch; each point is its direct solve,
+    # bit for bit, or fails as it does
+    g = star_graph(-2.5)
+    specs = [SweepSpec(SweepTarget.parse(t), lo, hi, n) for t, lo, hi, n in specs]
+    rows = run_sweep(g, specs, options)
+    statuses = set()
+    for row in rows:
+        direct = _direct(g, [s.target for s in specs], row.values, options)
+        if isinstance(direct, Exception):
+            assert row.status == f"error:{type(direct).__name__}"
+            assert (row.kappa0, row.lambda0, row.indices) == (None, None, ())
+        else:
+            assert row.status == "ok"
+            assert (row.kappa0, row.lambda0, row.indices) == (
+                direct.kappa0, direct.lambda0, direct.indices)
+        statuses.add(row.status)
+    assert "ok" in statuses
+    assert len(statuses) == (2 if options else 1)
+
+
 def test_class_change_fires_once_crossing_critical_alpha():
     # the axial profile is pure exponential exactly at the critical alpha,
     # so its shape index flips once as alpha sweeps across it
@@ -109,6 +148,11 @@ def test_error_rows_do_not_abort_sweep():
     for r in rows[3:]:
         assert r.kappa0 is None and r.lambda0 is None and r.indices == ()
         assert not r.class_change
+    # a length crossing zero: the nonpositive lengths fail the same way
+    spec = SweepSpec(SweepTarget("edge", "axial"), -0.4, 0.4, 5)
+    rows = run_sweep(g, [spec])
+    assert [r.status for r in rows] == ["error:InvalidGraphError"] * 3 + ["ok", "ok"]
+    assert not rows[3].class_change
 
 
 def test_two_dimensional_sweep_row_major():

@@ -25,7 +25,8 @@ from qgbind import (
     find_critical_coupling,
     find_ground_state,
 )
-from qgbind.secular import _assemble, _dtn_parts, _reduced, _short_edge_roots, vertex_matrix
+from qgbind.graph import parameters
+from qgbind.secular import _assemble, _reduced, _Topology, vertex_matrix
 
 
 def _parallel_graph():
@@ -78,13 +79,17 @@ def test_elimination_gives_the_schur_complement():
     a = rng.uniform(-0.5, 0.5, 5)
     m = np.diag(a + W.sum(axis=1)) - W
     np.testing.assert_allclose(_assemble(a, W.copy()), m, rtol=1e-15)
-    reduced, kept, steps = _reduced(a.copy(), W.copy(), [1, 3])
+    reduced, kept, steps, alive = _reduced(a[None].copy(), W[None].copy(), [1, 3])
     k, e = [0, 2, 4], [1, 3]
     schur = m[np.ix_(k, k)] - m[np.ix_(k, e)] @ np.linalg.solve(m[np.ix_(e, e)], m[np.ix_(e, k)])
-    np.testing.assert_allclose(reduced, schur, rtol=1e-13, atol=1e-14)
-    assert list(kept) == k and [v for v, *_ in steps] == e
-    # a pivot <= 0: M is not positive definite, so mu0(M) < 0
-    assert _reduced(np.array([-5.0, 1.0]), np.array([[0.0, 1.0], [1.0, 0.0]]), [0]) is None
+    np.testing.assert_allclose(reduced[0], schur, rtol=1e-13, atol=1e-14)
+    assert list(kept) == k and [v for v, *_ in steps] == e and alive is None
+    # a pivot <= 0: M is not positive definite, so mu0(M) < 0; that member
+    # is left out, the others are reduced as on their own
+    a2, W2 = np.array([[1.0, 1.0], [-5.0, 1.0]]), np.array([[[0.0, 1.0], [1.0, 0.0]]] * 2)
+    reduced, _, _, alive = _reduced(a2, W2, [0])
+    assert list(alive) == [0] and reduced.shape == (1, 1, 1)
+    assert reduced[0, 0, 0] == 1.0 + 1.0 - 1.0 / 2.0
 
 
 def test_newton_slope_is_the_derivative_of_mu0_in_kappa_squared():
@@ -94,16 +99,19 @@ def test_newton_slope_is_the_derivative_of_mu0_in_kappa_squared():
     rng = np.random.default_rng(8)
     for _ in range(40):
         graph = random_cyclic_graph(rng)
-        parts, profiles = _dtn_parts(graph)
+        topo, (alphas, lengths) = _Topology(graph), parameters(graph)
         kappa = float(rng.uniform(0.3, 3.0))
-        roots, order = _short_edge_roots(graph, kappa)
+        roots, order = topo.clusters(kappa * lengths[0])
 
         def mu0(s):
-            return np.linalg.eigvalsh(_reduced(*parts(np.sqrt(s)), order)[0])[0]
+            a, W, _, _ = topo.parts(np.array([np.sqrt(s)]), alphas, lengths)
+            return np.linalg.eigvalsh(_reduced(a, W, order)[0][0])[0]
 
-        reduced, kept, steps = _reduced(*parts(kappa), order)
-        mu, vecs = np.linalg.eigh(reduced)
-        slope = profiles(kappa, vecs[:, 0], kept, steps, roots)[3]
+        a, W, E, den = topo.parts(np.array([kappa]), alphas, lengths)
+        reduced, kept, steps, _ = _reduced(a, W, order)
+        mu, vecs = np.linalg.eigh(reduced[0])
+        slope = topo.profiles(np.array([kappa]), lengths, E, den, vecs[None, :, 0], kept, steps,
+                              roots)[3][0]
         s, h = kappa * kappa, 1e-5 * kappa * kappa
         assert abs(slope - (mu0(s + h) - mu0(s - h)) / (2 * h)) <= 1e-6 * slope
 
