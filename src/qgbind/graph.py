@@ -15,6 +15,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -102,23 +103,30 @@ class ValidationReport:
 
 def parameters(graph: MetricGraph) -> tuple[np.ndarray, np.ndarray]:
     """The graph's alphas, shape (1, vertices), and finite-edge lengths,
-    shape (1, finite edges): one member for :func:`parameter_problems`."""
-    return (np.array([[v.alpha for v in graph.vertices]], dtype=float),
-            np.array([[e.length for e in graph.finite_edges]], dtype=float))
+    shape (1, finite edges), as floats: one member of a batch.  They are
+    not checked against the rules (see :func:`parameter_problems`), but a
+    value that is not a number raises TypeError, as in :func:`validate`."""
+    rows = (np.array([[v.alpha for v in graph.vertices]]),
+            np.array([[e.length for e in graph.finite_edges]]))
+    for row in rows:
+        if row.dtype.kind not in "biuf":
+            raise TypeError(f"alphas and lengths must be numbers, got {row.tolist()!r}")
+    return rows[0].astype(float), rows[1].astype(float)
 
 
 def parameter_problems(
-    graph: MetricGraph, alphas: np.ndarray, lengths: np.ndarray
+    graph: MetricGraph, alphas: Sequence[Sequence[float]], lengths: Sequence[Sequence[float]]
 ) -> list[tuple[str, ...]]:
     """The alpha and length rules, per member: row i of ``alphas`` and
-    ``lengths`` replaces the graph's alphas and finite-edge lengths, and
-    entry i lists its problems (empty when it passes).
+    ``lengths`` (lists of numbers) replaces the graph's alphas and
+    finite-edge lengths, and entry i lists its problems (empty when it
+    passes).  A value that is not a real number raises TypeError.
 
     The rules: every alpha finite and <= 0, at least one alpha < 0, every
     length finite and > 0.
     """
     out = []
-    for alpha_row, length_row in zip(alphas.tolist(), lengths.tolist()):
+    for alpha_row, length_row in zip(alphas, lengths):
         problems = []
         for v, alpha in zip(graph.vertices, alpha_row):
             if not math.isfinite(alpha):
@@ -205,7 +213,8 @@ def validate(graph: MetricGraph) -> ValidationReport:
     layout is checked only when everything else passes.
     """
     problems = _id_problems(graph)
-    problems += parameter_problems(graph, *parameters(graph))[0]
+    problems += parameter_problems(graph, [[v.alpha for v in graph.vertices]],
+                                   [[e.length for e in graph.finite_edges]])[0]
     if not problems:
         problems += _layout_problems(graph)
     return ValidationReport(tuple(problems))

@@ -23,9 +23,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 import numpy as np
+from numpy.linalg._umath_linalg import eigh_lo
 
 from .graph import (
     InvalidGraphError,
@@ -46,18 +48,15 @@ NULLSPACE_GAP_MIN = 1e6
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 
-try:
-    from numpy.linalg._umath_linalg import eigh_lo
 
-    def _eigh(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """numpy.linalg.eigh of a stack of float64 symmetric matrices, from
-        the lower triangle, without its per-call dtype checks and error-state
-        context, which cost more than LAPACK on the small matrices here (a
-        tenth of a star's solve).  A value that does not converge comes back
-        NaN, which the Newton steps and the gap test refuse."""
-        return eigh_lo(S, signature="d->dd")
-except ImportError:  # the private gufunc moved: the public wrapper
-    _eigh = np.linalg.eigh
+def _eigh(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """numpy.linalg.eigh of a stack of float64 symmetric matrices, from the
+    lower triangle, through its gufunc: the public wrapper's per-call checks
+    and error state add about 40% to the eigensolve of the small matrices
+    here.  A member that does not converge comes back NaN, and its Newton
+    step or gap test refuses it; the other members are unaffected.  The gufunc
+    flags that as an invalid value: callers hold np.errstate(invalid="ignore")."""
+    return eigh_lo(S, signature="d->dd")
 
 
 class NoBoundState(RuntimeError):
@@ -240,7 +239,7 @@ class _Topology:
     return arrays with the members in rows.
     """
 
-    def __init__(self, graph: MetricGraph):
+    def __init__(self, graph: MetricGraph, members: int = 1):
         n = self.n = len(graph.vertices)
         ids = {v.id: i for i, v in enumerate(graph.vertices)}
         start = [ids[e.start] for e in graph.finite_edges]
@@ -252,21 +251,24 @@ class _Topology:
         for i, (u, v) in enumerate(zip(start, end)):
             ends[u].append(i)
             ends[v].append(len(start) + i)
+        leads = [0] * n
         for j, u in enumerate(anchors):
             ends[u].append(2 * len(start) + j)
+            leads[u] += 1
         degree = [len(at) for at in ends]
         self.order = np.array([i for at in ends for i in at], dtype=np.intp)
-        self.first = np.array([0] + degree[:-1], dtype=np.intp).cumsum()
+        self.first = np.array([0, *accumulate(degree[:-1])], dtype=np.intp)
         self.degree = np.array(degree, dtype=float)
         self.max_degree = max(degree)
         self.start, self.end, self.anchors = (np.array(x, dtype=np.intp)
                                               for x in (start, end, anchors))
-        self.leads = np.bincount(self.anchors, minlength=n).astype(float)
-        # W's entries, then a's edge terms, in one accumulation
-        self.index = np.array([u * n + v for u, v in zip(start, end)]
-                              + [v * n + u for u, v in zip(start, end)]
-                              + [n * n + u for u in start] + [n * n + v for v in end], dtype=np.intp)
-        self.bins = self.index[None]  # per member, offset by its row; grown on demand
+        self.leads = np.array(leads, dtype=float)
+        # W's entries, then a's edge terms, in one accumulation; row i, for
+        # any i-th of up to ``members`` members, is offset by i n (n + 1)
+        index = np.array([u * n + v for u, v in zip(start, end)]
+                         + [v * n + u for u, v in zip(start, end)]
+                         + [n * n + u for u in start] + [n * n + v for v in end], dtype=np.intp)
+        self.bins = index + n * (n + 1) * np.arange(members)[:, None]
 
     def parts(self, kappa: np.ndarray, alphas: np.ndarray, lengths: np.ndarray):
         """(a, W, E, den) with M(kappa) = diag(a + W 1) - W (see
@@ -280,21 +282,20 @@ class _Topology:
         every member's matrix.
         """
         n, k = self.n, len(kappa)
-        if len(self.bins) < k:
-            self.bins = self.index + n * (n + 1) * np.arange(k)[:, None]
         kappa = kappa[:, None]
         nkl = kappa * -lengths
         E = np.exp(nkl)
         g = -np.expm1(nkl)  # 1 - E without cancellation
         h = 1.0 + E
-        w = 2.0 * kappa * E / (g * h)
+        den = g * h
+        w = 2.0 * kappa * E / den
         half_tanh = kappa * g / h
         acc = np.bincount(self.bins[:k].ravel(),
                           np.concatenate((w, w, half_tanh, half_tanh), axis=1).ravel(),
-                          minlength=k * n * (n + 1)).astype(float, copy=False)  # int if no edges
-        acc = acc.reshape(k, n * (n + 1))
-        return (alphas + kappa * self.leads + acc[:, n * n:], acc[:, : n * n].reshape(k, n, n),
-                E, g * h)
+                          minlength=k * n * (n + 1)).reshape(k, n * (n + 1))
+        # without edges bincount returns integer zeros
+        return (alphas + kappa * self.leads + acc[:, n * n:],
+                acc[:, : n * n].reshape(k, n, n).astype(float, copy=False), E, den)
 
     def profiles(self, kappa, lengths, E, den, fk, kept, steps, roots):
         """(p, q, c, mass) of the states with values fk at the ``kept``
@@ -356,10 +357,12 @@ class _Topology:
         return np.array(roots), [i for i, r in enumerate(roots) if r != i]
 
     def audit(self, kappa, alphas, lengths, p, q, c, E):
-        """Shape indices, exact minima and vertex residuals of the states
-        with coefficients p, q, c: (indices, minimum, continuity, coupling).
+        """Shape indices of the finite edges, exact minima and vertex
+        residuals of the states with coefficients p, q, c: (indices, minimum,
+        continuity, coupling).
 
-        Leads have index 0 and minimum c.  The residuals are those of
+        A lead's minimum is c, and its index is 0 (see
+        :func:`classify_edge_index`).  The residuals are those of
         :func:`vertex_condition_residuals`, from the values and outward
         derivatives of psi at the edge ends, relative to the largest value
         (the sup norm of a positive state convex on the edges).
@@ -374,10 +377,8 @@ class _Topology:
         spread = np.maximum.reduceat(vals, self.first, 1) - np.minimum.reduceat(vals, self.first, 1)
         mismatch = np.abs(kappa[:, None] * sums[:, 1] - alphas * (sums[:, 0] / self.degree))
         edges = _edge_minima(p, q, qE, pE, np.minimum(first, last), kappa[:, None] * lengths)
-        diff, big = _edge_shapes(p, q, E, first, b)
-        indices = _shape_indices(np.concatenate((diff, np.zeros(c.shape)), axis=1),
-                                 np.concatenate((big, np.abs(c)), axis=1))
-        return (indices, np.minimum.reduce(np.concatenate((edges, c), axis=1), 1),
+        return (_shape_indices(*_edge_shapes(p, q, E, first, b)),
+                np.minimum.reduce(np.concatenate((edges, c), axis=1), 1),
                 np.maximum.reduce(spread, 1) / sup,
                 np.maximum.reduce(mismatch, 1) / (sup * np.maximum(1.0, kappa)))
 
@@ -573,7 +574,8 @@ def _states(topo: _Topology, kappa, alphas, lengths, roots, order) -> list:
             )
         kappa, alphas, lengths, E, den = (x[alive] for x in (kappa, alphas, lengths, E, den))
         rows = alive.tolist()
-    w, vecs = _eigh(S)
+    with np.errstate(invalid="ignore"):  # see _eigh
+        w, vecs = _eigh(S)
     aw = np.abs(w)
     near = np.argmin(aw, axis=1)
     gap = np.full(len(rows), math.inf)
@@ -585,14 +587,15 @@ def _states(topo: _Topology, kappa, alphas, lengths, roots, order) -> list:
     at = np.arange(len(rows))
     fk = vecs[at, :, near]
     fk *= np.sign(fk[at, np.argmax(np.abs(fk), axis=1)])[:, None]
-    top = np.maximum.reduce(fk, 1)
-    for i in np.flatnonzero(np.minimum.reduce(fk, 1) <= math.sqrt(_EPS) * top).tolist():
+    small = np.minimum.reduce(fk, 1) <= math.sqrt(_EPS) * np.maximum.reduce(fk, 1)
+    for i in np.flatnonzero(small).tolist():
         if near[i] == 0 and gap[i] >= NULLSPACE_GAP_MIN:
             fk[i] = _positive_tail(S[i], float(w[i, 0]), fk[i])
     p, q, c, mass = topo.profiles(kappa, lengths, E, den, fk, kept, steps, roots)
     scale = np.sqrt(mass)[:, None]
     p, q, c = p / scale, q / scale, c / scale
     indices, minimum, cont, coup = topo.audit(kappa, alphas, lengths, p, q, c, E)
+    leads = (0,) * c.shape[1]
     for i, r, index, *certificate in zip(range(len(rows)), rows, indices.tolist(),
                                          gap.tolist(), minimum.tolist(), cont.tolist(),
                                          coup.tolist()):
@@ -608,7 +611,7 @@ def _states(topo: _Topology, kappa, alphas, lengths, roots, order) -> list:
             out[r] = PositivityViolation(
                 f"state is not strictly positive (min {certificate[1]:.3g}); {why}")
         else:
-            out[r] = (p[i], q[i], c[i], tuple(index), *certificate)
+            out[r] = (p[i], q[i], c[i], tuple(index) + leads, *certificate)
     return out
 
 
@@ -628,11 +631,12 @@ class _State(NamedTuple):
     coupling: float
 
 
-def _ground_states(graph: MetricGraph, alphas: np.ndarray, lengths: np.ndarray,
+def _ground_states(graph: MetricGraph, alphas: list, lengths: list,
                    options: SolverOptions | None = None) -> list:
     """Ground states of a family of graphs with the layout of ``graph``,
     which must pass :func:`graph.topology_ok`: member i has the alphas
-    ``alphas[i]`` and the finite-edge lengths ``lengths[i]``.
+    ``alphas[i]`` and the finite-edge lengths ``lengths[i]``, lists of
+    numbers as :func:`graph.parameter_problems` takes them.
 
     Each member gets the :class:`_State` that :func:`find_ground_state`
     computes for it alone, bit for bit, or the exception it raises there:
@@ -653,30 +657,29 @@ def _ground_states(graph: MetricGraph, alphas: np.ndarray, lengths: np.ndarray,
             results[i] = InvalidGraphError(ValidationReport(problems))
         else:
             members.append(i)
-    if len(members) < len(alphas):
-        alphas, lengths = alphas[members], lengths[members]
-    topo = _Topology(graph)
+    alpha_rows, rows = [alphas[i] for i in members], [lengths[i] for i in members]
+    alphas = np.array(alpha_rows, dtype=float).reshape(len(members), len(graph.vertices))
+    lengths = np.array(rows, dtype=float).reshape(len(members), len(graph.finite_edges))
+    topo = _Topology(graph, len(members))
     # the positive root of L kappa**2 + N kappa + sum alpha, N leads, L the
     # total edge length: mu0 <= 0 there (see find_ground_state)
     n_leads = len(graph.infinite_edges)
-    alpha_sum, total = np.add.reduce(alphas, 1), np.add.reduce(lengths, 1)
-    lo = -2.0 * alpha_sum / (n_leads + np.sqrt(n_leads * n_leads - 4.0 * total * alpha_sum))
+    lo = [-2.0 * s / (n_leads + math.sqrt(n_leads * n_leads - 4.0 * sum(row) * s))
+          for s, row in zip(map(sum, alpha_rows), rows)]
     # members that eliminate the same clusters share a group; group 0 has none
     groups, group, keys = [(None, [])], [0] * len(members), {}
-    for j in np.flatnonzero((lo[:, None] * lengths < 1e-3).any(axis=1)).tolist():
-        roots, order = topo.clusters(lo[j] * lengths[j])
-        group[j] = keys.setdefault(tuple(roots.tolist()), len(groups))
-        if group[j] == len(groups):
-            groups.append((roots, order))
+    for j, (lo_j, row) in enumerate(zip(lo, rows)):
+        if row and lo_j * min(row) < 1e-3:
+            roots, order = topo.clusters(lo_j * lengths[j])
+            group[j] = keys.setdefault(tuple(roots.tolist()), len(groups))
+            if group[j] == len(groups):
+                groups.append((roots, order))
     in_group = np.array(group) if len(groups) > 1 else None
     evaluations = [0] * len(members)
 
     def values(rows, kappa, roots, order):
-        if len(rows) == len(lengths):  # every member, in order
-            A, L = alphas, lengths
-        else:
-            A, L = alphas.take(rows, axis=0), lengths.take(rows, axis=0)
-        a, W, E, den = topo.parts(kappa, A, L)
+        L = lengths.take(rows, axis=0)
+        a, W, E, den = topo.parts(kappa, alphas.take(rows, axis=0), L)
         S, kept, steps, alive = _reduced(a, W, order)
         w, vecs = _eigh(S)
         if alive is None:
@@ -696,7 +699,7 @@ def _ground_states(graph: MetricGraph, alphas: np.ndarray, lengths: np.ndarray,
         for j in batch:
             evaluations[j] += 1
         batch, kappa = np.array(batch), np.array(kappas)
-        if len(groups) == 1:
+        if in_group is None:
             mu, slope = values(batch, kappa, None, [])
         else:
             mu, slope = np.empty(len(batch)), np.empty(len(batch))
@@ -706,8 +709,9 @@ def _ground_states(graph: MetricGraph, alphas: np.ndarray, lengths: np.ndarray,
                     mu[sel], slope[sel] = values(batch[sel], kappa[sel], roots, order)
         return mu.tolist(), slope.tolist()
 
-    outcomes = increasing_roots(newton_values, lo.tolist(), opts.tol_kappa, NoBoundState,
-                                ceiling=opts.kappa_max or math.inf)
+    with np.errstate(invalid="ignore"):  # see _eigh
+        outcomes = increasing_roots(newton_values, lo, opts.tol_kappa, NoBoundState,
+                                    ceiling=opts.kappa_max or math.inf)
     for g, (roots, order) in enumerate(groups):
         sel = [j for j, o in enumerate(outcomes) if group[j] == g and isinstance(o, tuple)]
         if not sel:
@@ -775,7 +779,8 @@ def find_ground_state(graph: MetricGraph, options: SolverOptions | None = None) 
     """
     if not topology_ok(graph):
         raise InvalidGraphError(validate(graph))
-    state = _ground_states(graph, *parameters(graph), options)[0]
+    state = _ground_states(graph, [[v.alpha for v in graph.vertices]],
+                           [[e.length for e in graph.finite_edges]], options)[0]
     if isinstance(state, Exception):
         raise state
     diag = Diagnostics(

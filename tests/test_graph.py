@@ -13,11 +13,15 @@ from qgbind import (
     InvalidGraphError,
     LineConfig,
     MetricGraph,
+    SweepSpec,
+    SweepTarget,
     VertexSpec,
     as_chain_graph,
     degree,
+    find_ground_state,
     load_graph,
     require_valid,
+    run_sweep,
     save_graph,
     validate,
     vertex_incidences,
@@ -64,6 +68,34 @@ def test_positive_alpha_rejected():
     report = validate(g)
     assert not report.ok
     assert any("positive alpha" in p for p in report.problems)
+
+
+def test_problem_strings_show_the_values_as_given():
+    # an int stays an int in the message; it is not read through a float array
+    g = MetricGraph(
+        (VertexSpec("a", 1), VertexSpec("b", -1)),
+        (FiniteEdge("e", "a", "b", 0),),
+    )
+    assert validate(g).problems == (
+        "vertex 'a': positive alpha 1",
+        "edge 'e': nonpositive length 0",
+    )
+
+
+@pytest.mark.parametrize("field", ["alpha", "length"])
+def test_non_numeric_value_is_rejected(field):
+    alpha, length = ("-1", 1.0) if field == "alpha" else (-1.0, "1")
+    g = MetricGraph(
+        (VertexSpec("a", alpha), VertexSpec("b", -1.0)),
+        (FiniteEdge("e", "a", "b", length),),
+    )
+    with pytest.raises(TypeError):
+        validate(g)
+    with pytest.raises(TypeError):
+        find_ground_state(g)
+    # a sweep of another value does not read it as a float either
+    with pytest.raises(TypeError):
+        run_sweep(g, [SweepSpec(SweepTarget("vertex", "b"), -2.0, -1.0, 3)])
 
 
 def test_all_zero_alpha_rejected():

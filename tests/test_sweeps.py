@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import ALPHA_CRIT, star_graph
+from qgbind import secular
 from qgbind import (
     CritError,
     SolverOptions,
@@ -121,6 +122,28 @@ def test_batched_sweep_matches_direct_solves(specs, options):
         statuses.add(row.status)
     assert "ok" in statuses
     assert len(statuses) == (2 if options else 1)
+
+
+def test_a_point_the_eigensolver_fails_on_fails_alone(monkeypatch):
+    # LAPACK cannot diagonalize a NaN matrix: that point's values come back
+    # NaN, with no warning (warnings are errors here), its Newton step
+    # refuses them, and the other points of the batch are their direct solves
+    g = star_graph(-2.5)
+    spec = SweepSpec(SweepTarget("vertex", "c"), -2.6, -2.0, 4)
+    bad, parts = spec.values()[1], secular._Topology.parts
+
+    def poisoned(self, kappa, alphas, lengths):
+        a, W, E, den = parts(self, kappa, alphas, lengths)
+        W[alphas[:, 0] == bad] = np.nan
+        return a, W, E, den
+
+    monkeypatch.setattr(secular._Topology, "parts", poisoned)
+    rows = run_sweep(g, [spec])
+    monkeypatch.undo()
+    assert [row.status for row in rows] == ["ok", "error:NoBoundState", "ok", "ok"]
+    for row in rows[::2] + rows[3:]:
+        direct = find_ground_state(apply_target(g, spec.target, row.values[0]))
+        assert (row.kappa0, row.indices) == (direct.kappa0, direct.indices)
 
 
 def test_class_change_fires_once_crossing_critical_alpha():
