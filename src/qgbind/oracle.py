@@ -19,6 +19,7 @@ from .graph import InfiniteEdge, MetricGraph, VertexSpec, require_valid
 from .secular import GroundState
 
 _DENSE_CUTOFF = 32
+_MAX_NODES = 10**8
 
 
 class OracleError(RuntimeError):
@@ -82,56 +83,51 @@ def discretize(graph: MetricGraph, h: float, R: float | None = None) -> Discreti
             raise OracleError("graphs with leads need a positive truncation length R")
 
     vertex_nodes = {v.id: i for i, v in enumerate(graph.vertices)}
-    node_table: dict[tuple[str, int], int] = {}
-    next_node = len(graph.vertices)
-
-    # (g0, g1, h_e) per element; g1 = -1 marks the eliminated Dirichlet node
-    elements: list[tuple[int, int, float]] = []
-    for edge in graph.finite_edges:
-        n = max(1, round(edge.length / h))
-        he = edge.length / n
-        chain = [vertex_nodes[edge.start]]
-        for _ in range(n - 1):
-            chain.append(next_node)
-            next_node += 1
-        chain.append(vertex_nodes[edge.end])
-        for k, g in enumerate(chain):
-            node_table[(edge.id, k)] = g
-        elements.extend((chain[k], chain[k + 1], he) for k in range(n))
-    for lead in graph.infinite_edges:
-        n = max(1, round(R / h))
-        he = R / n
-        chain = [vertex_nodes[lead.anchor]]
-        for _ in range(n - 1):
-            chain.append(next_node)
-            next_node += 1
-        chain.append(-1)
-        for k, g in enumerate(chain[:-1]):
-            node_table[(lead.id, k)] = g
-        elements.extend((chain[k], chain[k + 1], he) for k in range(n))
-
-    if not elements:
+    # (id, first node, last node, length) per edge; a lead ends at the
+    # eliminated Dirichlet node -1
+    pieces = [(e.id, vertex_nodes[e.start], vertex_nodes[e.end], e.length)
+              for e in graph.finite_edges]
+    pieces += [(t.id, vertex_nodes[t.anchor], -1, R) for t in graph.infinite_edges]
+    if not pieces:
         raise OracleError("empty mesh")
+    # counts as floats, so the size is checked before anything is allocated
+    # (length / h may even overflow to inf)
+    counts = [max(1.0, round(length / h, 0)) for *_, length in pieces]
+    node_count = len(vertex_nodes) + sum(n - 1.0 for n in counts)
+    if not node_count <= _MAX_NODES:
+        raise OracleError(
+            f"mesh size h={h!r} needs {node_count:.4g} nodes, "
+            f"more than the limit of {_MAX_NODES:.0e}"
+        )
 
-    rows: list[int] = []
-    cols: list[int] = []
-    kdat: list[float] = []
-    mdat: list[float] = []
-    for g0, g1, he in elements:
-        pairs = (((g0, g0), 1.0, 2.0), ((g1, g1), 1.0, 2.0),
-                 ((g0, g1), -1.0, 1.0), ((g1, g0), -1.0, 1.0))
-        for (r, c), kw, mw in pairs:
-            if r < 0 or c < 0:
-                continue
-            rows.append(r)
-            cols.append(c)
-            kdat.append(kw / he)
-            mdat.append(mw * he / 6.0)
-    for v in graph.vertices:
-        rows.append(vertex_nodes[v.id])
-        cols.append(vertex_nodes[v.id])
-        kdat.append(v.alpha)
-        mdat.append(0.0)
+    node_table: dict[tuple[str, int], int] = {}
+    next_node = len(vertex_nodes)
+    g0s, g1s, hes = [], [], []
+    for (eid, first, last, length), n in zip(pieces, map(int, counts)):
+        chain = np.concatenate(([first], np.arange(next_node, next_node + n - 1), [last]))
+        next_node += n - 1
+        kept = chain if last >= 0 else chain[:-1]
+        node_table.update(zip([(eid, k) for k in range(len(kept))], kept.tolist()))
+        g0s.append(chain[:-1])
+        g1s.append(chain[1:])
+        hes.append(np.full(n, length / n))
+    g0, g1, he = np.concatenate(g0s), np.concatenate(g1s), np.concatenate(hes)
+
+    # per element (g0,g0), (g1,g1), (g0,g1), (g1,g0), entries on the
+    # Dirichlet node dropped, then the vertex couplings: tocsr sums the
+    # duplicates in this order
+    rows = np.stack((g0, g1, g0, g1), axis=1).ravel()
+    cols = np.stack((g0, g1, g1, g0), axis=1).ravel()
+    inv = 1.0 / he
+    kdat = np.stack((inv, inv, -inv, -inv), axis=1).ravel()
+    diag, off = 2.0 * he / 6.0, he / 6.0
+    mdat = np.stack((diag, diag, off, off), axis=1).ravel()
+    keep = (rows >= 0) & (cols >= 0)
+    vertices = np.arange(len(vertex_nodes))
+    rows = np.concatenate((rows[keep], vertices))
+    cols = np.concatenate((cols[keep], vertices))
+    kdat = np.concatenate((kdat[keep], [float(v.alpha) for v in graph.vertices]))
+    mdat = np.concatenate((mdat[keep], np.zeros(len(vertices))))
 
     shape = (next_node, next_node)
     stiffness = sp.coo_matrix((kdat, (rows, cols)), shape=shape).tocsr()
@@ -156,10 +152,13 @@ def smallest_eigenvalue(
 ) -> OracleResult:
     """Smallest generalized eigenvalue of (K, M) by shift-and-invert.
 
-    ``shift`` should sit below the target eigenvalue; the default is the
-    coarse a-priori bound -(sum |alpha|)^2 - 1.  Seeding is deterministic.
-    The reported error bound is heuristic: |lambda|^2 h^2 / 4 plus the lead
-    truncation term.
+    ``shift`` must sit below every eigenvalue; the default is the coarse
+    a-priori bound -(sum |alpha|)^2 - 1.  Shift-and-invert returns the level
+    nearest the shift, so before it runs, a banded Cholesky factor of
+    K - shift*M proves that matrix positive definite (by Sylvester's law of
+    inertia, no level lies below the shift) or raises OracleError.  Seeding
+    is deterministic.  The reported error bound is heuristic:
+    |lambda|^2 h^2 / 4 plus the lead truncation term.
     """
     import scipy.linalg
     from scipy.sparse.linalg import eigsh
@@ -173,6 +172,7 @@ def smallest_eigenvalue(
         )
         lam = float(w[0])
     else:
+        _certify_shift(disc, shift)
         v0 = np.full(n, 1.0 / math.sqrt(n))
         try:
             w = eigsh(
@@ -195,6 +195,35 @@ def smallest_eigenvalue(
         trunc = math.exp(-2.0 * kref * (disc.R - disc.extent))
     bound = lam * lam * disc.h**2 / 4.0 + trunc
     return OracleResult(lam, disc.h, disc.R, bound, n)
+
+
+def _certify_shift(disc: Discretization, shift: float) -> None:
+    """Raise OracleError unless K - shift*M is positive definite.
+
+    A reverse Cuthill-McKee order keeps the band narrow (width 1-4 on the
+    usual graphs), so the factor costs about as much as the assembly.
+    """
+    from scipy.linalg import LinAlgError, cholesky_banded
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+    a = disc.stiffness - shift * disc.mass
+    perm = reverse_cuthill_mckee(a, symmetric_mode=True)
+    pos = np.empty_like(perm)
+    pos[perm] = np.arange(len(perm))
+    a = a.tocoo()
+    i, j = pos[a.row], pos[a.col]
+    upper = i <= j
+    i, j, data = i[upper], j[upper], a.data[upper]
+    width = int(np.max(j - i))
+    band = np.zeros((width + 1, disc.node_count))
+    band[width + i - j, j] = data
+    try:
+        cholesky_banded(band, lower=False, check_finite=False)
+    except LinAlgError:
+        raise OracleError(
+            f"shift {shift!r} is not below every finite-element level "
+            "(K - shift*M is not positive definite)"
+        ) from None
 
 
 _CMP_HEADROOM = 100.0
@@ -234,6 +263,10 @@ def compare(
     On graphs with leads the truncation term of the tolerance is
     exp(-2 kappa0 (R - extent)), extent the total finite edge length, so R
     must exceed the extent; the default is extent + max(15, 25 / kappa0).
+    The eigensolve is shifted just below lambda0; when the shift is refuted
+    (some level lies below it, so lambda0 is an excited level or too high),
+    the oracle solves again from the a-priori bound and the report carries
+    the true smallest level.
     """
     if graph.infinite_edges:
         extent = sum(e.length for e in graph.finite_edges)
@@ -245,7 +278,13 @@ def compare(
             )
     disc = discretize(graph, h, R if graph.infinite_edges else None)
     shift = ground.lambda0 - max(0.5, 0.5 * abs(ground.lambda0))
-    oracle = smallest_eigenvalue(disc, shift=shift, kappa_ref=ground.kappa0)
+    try:
+        oracle = smallest_eigenvalue(disc, shift=shift, kappa_ref=ground.kappa0)
+    except OracleError:
+        # the shift is refuted (a level lies below it, so lambda0 is not
+        # the ground state) or the solve failed there: solve again from the
+        # a-priori bound and report that level
+        oracle = smallest_eigenvalue(disc, kappa_ref=ground.kappa0)
     tol = comparison_constant() * h * h
     if graph.infinite_edges:
         tol += math.exp(-2.0 * ground.kappa0 * (R - disc.extent))

@@ -367,6 +367,12 @@ def test_compare_fail_under_harsh_truncation(delta_file, capsys):
     assert "verdict: FAIL" in out
 
 
+def test_compare_refuses_a_mesh_too_large(delta_file, capsys):
+    rc = main(["compare", delta_file, "--h", "1e-12"])
+    assert rc == 3
+    assert "nodes, more than the limit" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("R", ["2", "1.5"])
 def test_compare_rejects_truncation_inside_extent(tmp_path, R, capsys):
     path = tmp_path / "chain.json"

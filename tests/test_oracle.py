@@ -6,19 +6,23 @@ order-2 convergence) and on scalar fixed points solved in-test, never on the
 solver under test.
 """
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from conftest import robin_interval, single_vertex_graph, star_graph
+from conftest import ALPHA_CRIT, robin_interval, single_vertex_graph, star_graph
 from qgbind import (
     FiniteEdge,
     InfiniteEdge,
+    LineConfig,
     MetricGraph,
     OracleError,
     VertexSpec,
+    as_chain_graph,
     compare,
     comparison_constant,
     discretize,
@@ -89,6 +93,109 @@ def test_discretize_rejects_bad_input():
         discretize(robin_interval(-1.0, -1.0, 1.0), h=0.0)
     with pytest.raises(OracleError):
         discretize(single_vertex_graph(-2.0, 1), h=0.1)  # lead without R
+
+
+def test_discretize_refuses_a_mesh_too_large_to_allocate():
+    tracemalloc.start()
+    try:
+        with pytest.raises(OracleError, match="1e\\+12 nodes"):
+            discretize(robin_interval(-1.0, -1.0, 1.0), h=1e-12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+    # at a subnormal h the element count overflows a float
+    with pytest.raises(OracleError, match="inf nodes"):
+        discretize(robin_interval(-1.0, -1.0, 1e10), h=1e-310)
+
+
+def _reference_discretize(graph, h, R):
+    """The per-element assembly loop, kept as the reference for the arrays."""
+    import scipy.sparse as sp
+
+    vertex_nodes = {v.id: i for i, v in enumerate(graph.vertices)}
+    node_table = {}
+    next_node = len(graph.vertices)
+    elements = []
+    for edge in graph.finite_edges:
+        n = max(1, round(edge.length / h))
+        he = edge.length / n
+        chain = [vertex_nodes[edge.start]]
+        for _ in range(n - 1):
+            chain.append(next_node)
+            next_node += 1
+        chain.append(vertex_nodes[edge.end])
+        for k, g in enumerate(chain):
+            node_table[(edge.id, k)] = g
+        elements.extend((chain[k], chain[k + 1], he) for k in range(n))
+    for lead in graph.infinite_edges:
+        n = max(1, round(R / h))
+        he = R / n
+        chain = [vertex_nodes[lead.anchor]]
+        for _ in range(n - 1):
+            chain.append(next_node)
+            next_node += 1
+        chain.append(-1)
+        for k, g in enumerate(chain[:-1]):
+            node_table[(lead.id, k)] = g
+        elements.extend((chain[k], chain[k + 1], he) for k in range(n))
+    rows, cols, kdat, mdat = [], [], [], []
+    for g0, g1, he in elements:
+        pairs = (((g0, g0), 1.0, 2.0), ((g1, g1), 1.0, 2.0),
+                 ((g0, g1), -1.0, 1.0), ((g1, g0), -1.0, 1.0))
+        for (r, c), kw, mw in pairs:
+            if r < 0 or c < 0:
+                continue
+            rows.append(r)
+            cols.append(c)
+            kdat.append(kw / he)
+            mdat.append(mw * he / 6.0)
+    for v in graph.vertices:
+        rows.append(vertex_nodes[v.id])
+        cols.append(vertex_nodes[v.id])
+        kdat.append(v.alpha)
+        mdat.append(0.0)
+    shape = (next_node, next_node)
+    stiffness = sp.coo_matrix((kdat, (rows, cols)), shape=shape).tocsr()
+    mass = sp.coo_matrix((mdat, (rows, cols)), shape=shape).tocsr()
+    return next_node, node_table, stiffness, mass
+
+
+def _parallel_cycle():
+    """Three vertices on a cycle, a doubled edge, a reversed edge, a lead."""
+    return MetricGraph(
+        (VertexSpec("a", -1.0), VertexSpec("b", -2.0), VertexSpec("c", -0.5)),
+        (FiniteEdge("e1", "a", "b", 1.0), FiniteEdge("e2", "a", "b", 0.7),
+         FiniteEdge("e3", "b", "c", 0.4), FiniteEdge("e4", "a", "c", 1.3)),
+        (InfiniteEdge("t", "b"),),
+    )
+
+
+_CRITERION_07 = [
+    (single_vertex_graph(-2.0, 2), 15.0),
+    (as_chain_graph(LineConfig((0.0, 1.0), (-2.0, -2.0))), 15.0),
+    (star_graph(-2.5, L2=1.0), None),
+    (star_graph(-1.0, L2=0.5), None),
+    (star_graph(-0.6, L2=2.0), None),
+]
+
+
+@pytest.mark.parametrize("graph, h, R", [
+    (star_graph(ALPHA_CRIT), 0.05, None),
+    (_parallel_cycle(), 0.03, 4.0),
+    (single_vertex_graph(-2.0, 3), 0.5, 0.2),  # R < h: no interior lead node
+    (_parallel_cycle(), 1.0, 3.0),  # e3 = 0.4 < h/2: one element
+] + [(g, 0.01, R) for g, R in _CRITERION_07])
+def test_array_assembly_matches_the_element_loop(graph, h, R):
+    disc = discretize(graph, h, R)
+    node_count, node_table, stiffness, mass = _reference_discretize(graph, h, R)
+    assert disc.node_count == node_count
+    assert disc.node_table == node_table
+    for got, want in ((disc.stiffness, stiffness), (disc.mass, mass)):
+        for part in ("indptr", "indices", "data"):
+            a, b = getattr(got, part), getattr(want, part)
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
 
 
 # -------------------------------------------------------- eigenvalues
@@ -230,3 +337,29 @@ def test_compare_rejects_wrong_ground_state_on_long_graph(length):
     assert rep.tolerance < 1e-2
     assert rep.R > length
     assert compare(g, find_ground_state(g)).ok
+
+
+def _excited_chain():
+    """Sites 0 and 10 with alpha -4 and -1: lambda0 = -4, and the weak
+    site carries a level near -0.25."""
+    return as_chain_graph(LineConfig((0.0, 10.0), (-4.0, -1.0)))
+
+
+def test_shift_above_the_ground_level_is_refuted():
+    disc = discretize(_excited_chain(), h=0.01, R=25.0)
+    with pytest.raises(OracleError, match="not positive definite"):
+        smallest_eigenvalue(disc, shift=-0.75)
+    assert abs(smallest_eigenvalue(disc, shift=-5.0).lambda_min + 4.0) < 1e-3
+
+
+def test_compare_fails_on_an_excited_level():
+    # the shift below a fabricated lambda0 = -0.25 would land next to the
+    # weak site's level; the certificate refutes it and the report carries
+    # the true ground level
+    g = _excited_chain()
+    gs = find_ground_state(g)
+    rep = compare(g, dataclasses.replace(gs, kappa0=0.5, lambda0=-0.25))
+    assert not rep.ok
+    assert abs(rep.lambda_oracle + 4.0) < 1e-3
+    assert abs(rep.difference - 3.75) < 1e-3
+    assert compare(g, gs).ok
