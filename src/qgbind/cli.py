@@ -281,6 +281,7 @@ def cmd_compare(args) -> int:
         print(json.dumps({
             "lambda0_secular": rep.lambda_secular,
             "lambda0_fe": rep.lambda_oracle,
+            "correction": rep.correction,
             "difference": rep.difference,
             "tolerance": rep.tolerance,
             "ok": rep.ok,
@@ -290,6 +291,7 @@ def cmd_compare(args) -> int:
     else:
         print(f"lambda0 (secular) = {_fmt(rep.lambda_secular)}")
         print(f"lambda0 (fe)      = {_fmt(rep.lambda_oracle)}")
+        print(f"P1 correction     = {rep.correction:.3e}")
         print(f"difference = {rep.difference:.3e}  tolerance = {rep.tolerance:.3e}")
         print("verdict: " + ("PASS" if rep.ok else "FAIL"))
     return EXIT_OK if rep.ok else EXIT_NUMERICS

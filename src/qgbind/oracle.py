@@ -11,6 +11,7 @@ eigenvalue always sits above the true one and converges at O(h^2).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,7 @@ from .secular import GroundState
 
 _DENSE_CUTOFF = 32
 _MAX_NODES = 10**8
+_MAX_ITERATIONS = 1000
 
 
 class OracleError(RuntimeError):
@@ -32,7 +34,9 @@ class Discretization:
 
     ``node_table`` maps (edge_id, local node index) to global node; the
     Dirichlet node at the truncated end of a lead is absent.  Vertex nodes
-    are shared across incident edges.
+    are shared across incident edges.  ``kappa_bound`` is the kappa* of the
+    proven bound lambda0 >= -kappa*^2 behind the default shift of
+    ``smallest_eigenvalue``.
     """
 
     h: float
@@ -43,7 +47,7 @@ class Discretization:
     vertex_nodes: dict[str, int]
     node_table: dict[tuple[str, int], int]
     extent: float
-    alpha_magnitude: float
+    kappa_bound: float
 
 
 @dataclass(frozen=True)
@@ -59,6 +63,7 @@ class OracleResult:
 class ComparisonReport:
     lambda_secular: float
     lambda_oracle: float
+    correction: float
     difference: float
     tolerance: float
     ok: bool
@@ -141,8 +146,30 @@ def discretize(graph: MetricGraph, h: float, R: float | None = None) -> Discreti
         vertex_nodes=vertex_nodes,
         node_table=node_table,
         extent=sum(e.length for e in graph.finite_edges),
-        alpha_magnitude=sum(abs(v.alpha) for v in graph.vertices),
+        kappa_bound=_kappa_bound(graph),
     )
+
+
+def _kappa_bound(graph: MetricGraph) -> float:
+    """kappa* with lambda0 >= -kappa*^2.
+
+    Split each edge at its midpoint.  On a half-edge of length l (infinite
+    on a lead) |f(0)|^2 <= (coth(k l)/k)(|f'|^2 + k^2 |f|^2), and with
+    tanh x >= x/(1+x) each coupling term alpha_v |f(v)|^2 is at least
+    -(|f'|^2 + k^2 |f|^2) summed over the half-edges at v once
+    k >= a/2 + sqrt(a^2/4 + a/l), a = max(-alpha_v, 0)/deg v (k >= a on a
+    lead).  kappa* is the largest such k.
+    """
+    alpha = {v.id: v.alpha for v in graph.vertices}
+    ends = [(e.start, e.length / 2.0) for e in graph.finite_edges]
+    ends += [(e.end, e.length / 2.0) for e in graph.finite_edges]
+    ends += [(t.anchor, math.inf) for t in graph.infinite_edges]
+    degree = Counter(v for v, _ in ends)
+    bound = 0.0
+    for v, half in ends:
+        a = max(-alpha[v], 0.0) / degree[v]
+        bound = max(bound, a / 2.0 + math.sqrt(a * a / 4.0 + a / half))
+    return bound
 
 
 def smallest_eigenvalue(
@@ -150,44 +177,38 @@ def smallest_eigenvalue(
     shift: float | None = None,
     kappa_ref: float | None = None,
 ) -> OracleResult:
-    """Smallest generalized eigenvalue of (K, M) by shift-and-invert.
+    """Smallest generalized eigenvalue of (K, M) by inverse iteration.
 
-    ``shift`` must sit below every eigenvalue; the default is the coarse
-    a-priori bound -(sum |alpha|)^2 - 1.  Shift-and-invert returns the level
-    nearest the shift, so before it runs, a banded Cholesky factor of
-    K - shift*M proves that matrix positive definite (by Sylvester's law of
-    inertia, no level lies below the shift) or raises OracleError.  Seeding
-    is deterministic.  The reported error bound is heuristic:
-    |lambda|^2 h^2 / 4 plus the lead truncation term.
+    ``shift`` must sit below every eigenvalue.  The default
+    -kappa_bound^2 - 1 lies below the graph's lambda0 (``_kappa_bound``),
+    hence below every finite-element level: truncation and the P1 trial
+    space only raise levels.
+
+    A banded Cholesky factor of K - shift*M first proves that matrix
+    positive definite (by Sylvester's law of inertia, no level lies below
+    the shift) or raises OracleError.  Inverse iteration on that factor from
+    the uniform vector then converges to the lowest level, never to an
+    excited one: every level lies above the shift, so the lowest is the
+    largest eigenvalue of (K - shift*M)^-1 M.  Each step solves
+    (K - shift*M) y = M x; the Rayleigh quotient of y is then
+    shift + y'Mx / y'My, with no product by K.  It stops once the quotient
+    has fallen by at most 1e-14 |lambda|, and raises OracleError if it has
+    not within a fixed budget.  Meshes of at most 32 nodes are solved
+    densely.  The reported error bound is heuristic: |lambda|^2 h^2 / 4 plus
+    the lead truncation term.
     """
     import scipy.linalg
-    from scipy.sparse.linalg import eigsh
 
     n = disc.node_count
     if shift is None:
-        shift = -disc.alpha_magnitude**2 - 1.0
+        shift = -disc.kappa_bound**2 - 1.0
     if n <= _DENSE_CUTOFF:
         w = scipy.linalg.eigh(
             disc.stiffness.toarray(), disc.mass.toarray(), eigvals_only=True
         )
         lam = float(w[0])
     else:
-        _certify_shift(disc, shift)
-        v0 = np.full(n, 1.0 / math.sqrt(n))
-        try:
-            w = eigsh(
-                disc.stiffness.tocsc(),
-                k=1,
-                M=disc.mass.tocsc(),
-                sigma=shift,
-                which="LM",
-                v0=v0,
-                tol=0,
-                return_eigenvectors=False,
-            )
-        except Exception as exc:
-            raise OracleError(f"generalized eigensolve failed: {exc}") from exc
-        lam = float(w[0])
+        lam = _inverse_iteration(disc, shift)
 
     kref = kappa_ref if kappa_ref is not None else math.sqrt(abs(lam))
     trunc = 0.0
@@ -197,11 +218,39 @@ def smallest_eigenvalue(
     return OracleResult(lam, disc.h, disc.R, bound, n)
 
 
-def _certify_shift(disc: Discretization, shift: float) -> None:
-    """Raise OracleError unless K - shift*M is positive definite.
+def _inverse_iteration(disc: Discretization, shift: float) -> float:
+    """Lowest level of (K, M) by inverse iteration on the certified factor."""
+    from scipy.linalg import cho_solve_banded
 
-    A reverse Cuthill-McKee order keeps the band narrow (width 1-4 on the
-    usual graphs), so the factor costs about as much as the assembly.
+    factor, perm = _certify_shift(disc, shift)
+    mass = disc.mass
+    n = disc.node_count
+    mx = mass @ np.full(n, 1.0 / math.sqrt(n))
+    y = np.empty(n)
+    lam = math.inf
+    for _ in range(_MAX_ITERATIONS):
+        y[perm] = cho_solve_banded((factor, False), mx[perm], check_finite=False)
+        my = mass @ y
+        norm2 = float(y @ my)
+        new = shift + float(y @ mx) / norm2
+        if lam - new <= 1e-14 * abs(new):
+            return new
+        lam = new
+        # x = y / |y|_M, so M x is M y scaled: no second product by M
+        mx = my / math.sqrt(norm2)
+    raise OracleError(
+        f"inverse iteration from shift {shift!r} did not settle "
+        f"in {_MAX_ITERATIONS} steps"
+    )
+
+
+def _certify_shift(disc: Discretization, shift: float) -> tuple[np.ndarray, np.ndarray]:
+    """Banded Cholesky factor of K - shift*M and its row order.
+
+    Raises OracleError unless K - shift*M is positive definite.  The factor
+    is the upper one of the matrix permuted to ``perm``, a reverse
+    Cuthill-McKee order that keeps the band narrow (width 1-4 on the usual
+    graphs), so it costs about as much as the assembly.
     """
     from scipy.linalg import LinAlgError, cholesky_banded
     from scipy.sparse.csgraph import reverse_cuthill_mckee
@@ -218,12 +267,13 @@ def _certify_shift(disc: Discretization, shift: float) -> None:
     band = np.zeros((width + 1, disc.node_count))
     band[width + i - j, j] = data
     try:
-        cholesky_banded(band, lower=False, check_finite=False)
+        factor = cholesky_banded(band, lower=False, check_finite=False)
     except LinAlgError:
         raise OracleError(
             f"shift {shift!r} is not below every finite-element level "
             "(K - shift*M is not positive definite)"
         ) from None
+    return factor, perm
 
 
 _CMP_HEADROOM = 100.0
@@ -265,8 +315,15 @@ def compare(
     must exceed the extent; the default is extent + max(15, 25 / kappa0).
     The eigensolve is shifted just below lambda0; when the shift is refuted
     (some level lies below it, so lambda0 is an excited level or too high),
-    the oracle solves again from the a-priori bound and the report carries
-    the true smallest level.
+    the oracle solves again from the proven default shift and the report
+    carries the true smallest level.
+
+    ``lambda_oracle`` is the raw level lambda_h.  The verdict judges
+    |lambda_h - correction - lambda0| against the tolerance, where
+    correction = lambda_h^2 h^2 / 12 is the leading P1 error term on a
+    uniform mesh (Strang-Fix, ch. 6), taken from the oracle alone.  Without
+    it the error grows as kappa0^4 h^2 / 12 and outruns C h^2 once kappa0
+    exceeds about 3.2.
     """
     if graph.infinite_edges:
         extent = sum(e.length for e in graph.finite_edges)
@@ -283,15 +340,17 @@ def compare(
     except OracleError:
         # the shift is refuted (a level lies below it, so lambda0 is not
         # the ground state) or the solve failed there: solve again from the
-        # a-priori bound and report that level
+        # proven default shift and report that level
         oracle = smallest_eigenvalue(disc, kappa_ref=ground.kappa0)
     tol = comparison_constant() * h * h
     if graph.infinite_edges:
         tol += math.exp(-2.0 * ground.kappa0 * (R - disc.extent))
-    diff = abs(oracle.lambda_min - ground.lambda0)
+    correction = oracle.lambda_min**2 * h * h / 12.0
+    diff = abs(oracle.lambda_min - correction - ground.lambda0)
     return ComparisonReport(
         lambda_secular=ground.lambda0,
         lambda_oracle=oracle.lambda_min,
+        correction=correction,
         difference=diff,
         tolerance=tol,
         ok=bool(diff <= tol),

@@ -358,6 +358,21 @@ def test_compare_pass(delta_file, capsys):
     assert abs(payload["lambda0_secular"] - (-1.0)) < 1e-12
 
 
+@pytest.mark.parametrize("alpha, leads", [(-10.0, 2), (-20.0, 2), (-40.0, 3)])
+def test_compare_passes_at_strong_coupling(tmp_path, alpha, leads, capsys):
+    path = tmp_path / "vertex.json"
+    save_graph(single_vertex_graph(alpha, leads), path)
+    rc = main(["compare", str(path), "--json"])
+    assert rc == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["ok"] is True
+    assert payload["correction"] > payload["tolerance"] > payload["difference"]
+    rc = main(["compare", str(path)])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "P1 correction" in out and "verdict: PASS" in out
+
+
 def test_compare_fail_under_harsh_truncation(delta_file, capsys):
     # R = 1 puts the truncated problem at its binding threshold, so the
     # finite-element value collapses toward zero and the verdict fails

@@ -12,9 +12,18 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.optimize import brentq
 
-from conftest import ALPHA_CRIT, robin_interval, single_vertex_graph, star_graph
+from conftest import (
+    ALPHA_CRIT,
+    random_cyclic_graph,
+    random_mixed_graph,
+    random_tree_graph,
+    robin_interval,
+    single_vertex_graph,
+    star_graph,
+)
 from qgbind import (
     FiniteEdge,
     InfiniteEdge,
@@ -29,6 +38,7 @@ from qgbind import (
     find_ground_state,
     smallest_eigenvalue,
 )
+from qgbind import oracle
 from qgbind.oracle import _interval_dirichlet
 
 TWO_DELTA_LAMBDA = -1.6344715870972812
@@ -218,6 +228,9 @@ def test_single_delta_lead_case():
 def test_default_shift_path():
     g = single_vertex_graph(-2.0, 2)
     disc = discretize(g, h=0.02, R=12.0)
+    # alpha = -2 shared by two leads: a = 1 per lead, so the bound
+    # lambda0 >= -kappa*^2 is exact
+    assert disc.kappa_bound == 1.0
     res = smallest_eigenvalue(disc)
     assert abs(res.lambda_min + 1.0) < 2e-3
 
@@ -230,6 +243,56 @@ def test_dense_path_small_mesh():
     # discretization error ~ lambda^2 h^2 / 12 ~ 0.095 at this h
     assert abs(res.lambda_min + kappa * kappa) < 0.15
     assert res.lambda_min >= -kappa * kappa
+
+
+@pytest.mark.parametrize("graph, h, R", [
+    (star_graph(-2.5, L2=1.0), 0.01, None),
+    (star_graph(-1.0, L2=0.5), 0.01, None),
+    (star_graph(-0.6, L2=2.0), 0.01, None),
+    (single_vertex_graph(-2.0, 2), 0.05, 15.0),
+])
+def test_inverse_iteration_matches_dense_eigh(graph, h, R):
+    disc = discretize(graph, h=h, R=R)
+    assert disc.node_count > 32
+    dense = scipy.linalg.eigh(disc.stiffness.toarray(), disc.mass.toarray(),
+                              eigvals_only=True, subset_by_index=[0, 0])[0]
+    for shift in (None, dense - 0.5):
+        assert abs(smallest_eigenvalue(disc, shift=shift).lambda_min - dense) < 1e-10
+
+
+def test_inverse_iteration_raises_when_its_budget_runs_out(monkeypatch):
+    disc = discretize(star_graph(-2.5, L2=1.0), h=0.01)
+    monkeypatch.setattr(oracle, "_MAX_ITERATIONS", 2)
+    with pytest.raises(OracleError, match="did not settle in 2 steps"):
+        smallest_eigenvalue(disc)
+
+
+def test_default_shift_is_below_a_short_robin_edge():
+    # two alpha = -1 ends 0.4 apart bind at lambda0 = -5.35, below the old
+    # default -(sum |alpha|)^2 - 1 = -5; the half-edge bound gives
+    # kappa* = 0.5 + sqrt(0.25 + 5)
+    g = robin_interval(-1.0, -1.0, 0.4)
+    kappa = brentq(lambda k: k * math.tanh(0.2 * k) - 1.0, 1.0, 5.0, xtol=1e-14)
+    disc = discretize(g, h=0.01)
+    assert disc.kappa_bound == pytest.approx(0.5 + math.sqrt(5.25), rel=1e-15)
+    res = smallest_eigenvalue(disc)
+    assert 0.0 <= res.lambda_min + kappa * kappa < 1e-3
+    gs = find_ground_state(g)
+    rep = compare(g, dataclasses.replace(gs, kappa0=0.5, lambda0=-0.25))
+    assert not rep.ok
+    assert abs(rep.lambda_oracle + kappa * kappa) < 1e-3
+
+
+def test_default_shift_bound_lies_below_the_ground_state():
+    rng = np.random.default_rng(21)
+    for k in range(40):
+        g = (random_mixed_graph, random_cyclic_graph, random_tree_graph)[k % 3](rng)
+        if k % 2:
+            g = dataclasses.replace(g, finite_edges=tuple(
+                dataclasses.replace(e, length=e.length * 10 ** rng.uniform(-3, 0))
+                for e in g.finite_edges))
+        kappa_bound = discretize(g, h=10.0, R=1.0).kappa_bound
+        assert find_ground_state(g).kappa0 <= kappa_bound
 
 
 def test_two_delta_line_value():
@@ -314,6 +377,21 @@ def test_compare_fails_under_harsh_truncation():
     assert rep.difference > rep.tolerance
     assert abs(rep.lambda_oracle) < 0.05
     assert abs(rep.difference - 1.0) < 0.05
+
+
+@pytest.mark.parametrize("alpha, leads", [(-10.0, 2), (-20.0, 2), (-40.0, 3)])
+def test_compare_passes_exact_ground_states_at_strong_coupling(alpha, leads):
+    # kappa0 = |alpha| / leads = 5, 10, 13.3: the raw P1 error
+    # kappa0^4 h^2 / 12 is far above the tolerance, the corrected one is not
+    g = single_vertex_graph(alpha, leads)
+    gs = find_ground_state(g)
+    assert gs.kappa0 == pytest.approx(-alpha / leads, rel=1e-12)
+    rep = compare(g, gs)
+    assert rep.ok
+    assert rep.correction > 5.0 * rep.tolerance
+    assert rep.correction == rep.lambda_oracle**2 * 1e-4 / 12.0
+    assert rep.difference == abs(rep.lambda_oracle - rep.correction - gs.lambda0)
+    assert rep.difference < 1e-9
 
 
 def _pendant_graph(alpha: float, length: float) -> MetricGraph:
