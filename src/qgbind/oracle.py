@@ -34,9 +34,10 @@ class Discretization:
 
     ``node_table`` maps (edge_id, local node index) to global node; the
     Dirichlet node at the truncated end of a lead is absent.  Vertex nodes
-    are shared across incident edges.  ``kappa_bound`` is the kappa* of the
-    proven bound lambda0 >= -kappa*^2 behind the default shift of
-    ``smallest_eigenvalue``.
+    are shared across incident edges.  ``elements`` holds the two nodes of
+    each element (-1 for the Dirichlet node), ``element_lengths`` their
+    lengths.  ``kappa_bound`` is the kappa* of the proven bound
+    lambda0 >= -kappa*^2 behind the default shift of ``smallest_eigenvalue``.
     """
 
     h: float
@@ -46,6 +47,8 @@ class Discretization:
     mass: "scipy.sparse.csr_matrix"
     vertex_nodes: dict[str, int]
     node_table: dict[tuple[str, int], int]
+    elements: np.ndarray
+    element_lengths: np.ndarray
     extent: float
     kappa_bound: float
 
@@ -57,6 +60,7 @@ class OracleResult:
     R: float | None
     error_bound: float
     node_count: int
+    p1_error: float
 
 
 @dataclass(frozen=True)
@@ -145,6 +149,8 @@ def discretize(graph: MetricGraph, h: float, R: float | None = None) -> Discreti
         mass=mass,
         vertex_nodes=vertex_nodes,
         node_table=node_table,
+        elements=np.stack((g0, g1), axis=1),
+        element_lengths=he,
         extent=sum(e.length for e in graph.finite_edges),
         kappa_bound=_kappa_bound(graph),
     )
@@ -191,11 +197,18 @@ def smallest_eigenvalue(
     excited one: every level lies above the shift, so the lowest is the
     largest eigenvalue of (K - shift*M)^-1 M.  Each step solves
     (K - shift*M) y = M x; the Rayleigh quotient of y is then
-    shift + y'Mx / y'My, with no product by K.  It stops once the quotient
-    has fallen by at most 1e-14 |lambda|, and raises OracleError if it has
-    not within a fixed budget.  Meshes of at most 32 nodes are solved
-    densely.  The reported error bound is heuristic: |lambda|^2 h^2 / 4 plus
-    the lead truncation term.
+    shift + y'Mx / y'My, with no product by K.  While that quotient falls
+    slowly, the shift moves up by certified bisection (``_inverse_iteration``),
+    so the step count does not grow as the gap above the lowest level
+    closes.  It stops once the quotient has fallen by at most 1e-14 |lambda|,
+    and raises OracleError if it has not within a fixed budget.  Meshes of
+    at most 32 nodes are solved densely.
+
+    ``p1_error`` is the leading P1 error of the level,
+    lambda^2 / 12 * sum_e h_e^2 int_e u_h^2 over the elements e, with u_h
+    the M-normalized eigenvector (Strang-Fix, ch. 6); on a uniform mesh it
+    is lambda^2 h^2 / 12.  The reported error bound is heuristic:
+    |lambda|^2 h^2 / 4 plus the lead truncation term.
     """
     import scipy.linalg
 
@@ -203,77 +216,112 @@ def smallest_eigenvalue(
     if shift is None:
         shift = -disc.kappa_bound**2 - 1.0
     if n <= _DENSE_CUTOFF:
-        w = scipy.linalg.eigh(
-            disc.stiffness.toarray(), disc.mass.toarray(), eigvals_only=True
-        )
-        lam = float(w[0])
+        w, v = scipy.linalg.eigh(disc.stiffness.toarray(), disc.mass.toarray())
+        lam, x = float(w[0]), v[:, 0]
     else:
-        lam = _inverse_iteration(disc, shift)
+        lam, x = _inverse_iteration(disc, shift)
+    # int_e u_h^2 = h_e (u0^2 + u0 u1 + u1^2) / 3; the Dirichlet node reads 0
+    u0, u1 = np.append(x, 0.0)[disc.elements].T
+    he = disc.element_lengths
+    p1 = lam * lam / 36.0 * float(np.sum(he**3 * (u0 * u0 + u0 * u1 + u1 * u1)))
 
     kref = kappa_ref if kappa_ref is not None else math.sqrt(abs(lam))
     trunc = 0.0
     if disc.R is not None and kref > 0:
         trunc = math.exp(-2.0 * kref * (disc.R - disc.extent))
     bound = lam * lam * disc.h**2 / 4.0 + trunc
-    return OracleResult(lam, disc.h, disc.R, bound, n)
+    return OracleResult(lam, disc.h, disc.R, bound, n, p1)
 
 
-def _inverse_iteration(disc: Discretization, shift: float) -> float:
-    """Lowest level of (K, M) by inverse iteration on the certified factor."""
+def _inverse_iteration(disc: Discretization, shift: float) -> tuple[float, np.ndarray]:
+    """Lowest level of (K, M) and its M-normalized vector, by inverse
+    iteration on certified factors.
+
+    While the quotient falls by more than a quarter of its previous fall a
+    step, the shift sits farther below the lowest level than the next level
+    sits above it.  The lowest level lies between the shift and the current
+    quotient, so the shift moves to their midpoint if the factor there
+    certifies it, and that midpoint becomes the upper end otherwise: a
+    bisection that leaves the shift within about one gap of the level
+    however small the gap is.
+    """
     from scipy.linalg import cho_solve_banded
 
-    factor, perm = _certify_shift(disc, shift)
+    kband, mband, perm = _bands(disc)
+    factor = _factor(kband, mband, shift)
+    if factor is None:
+        raise OracleError(
+            f"shift {shift!r} is not below every finite-element level "
+            "(K - shift*M is not positive definite)"
+        )
     mass = disc.mass
     n = disc.node_count
     mx = mass @ np.full(n, 1.0 / math.sqrt(n))
     y = np.empty(n)
-    lam = math.inf
+    lam = fall = top = math.inf
     for _ in range(_MAX_ITERATIONS):
         y[perm] = cho_solve_banded((factor, False), mx[perm], check_finite=False)
         my = mass @ y
         norm2 = float(y @ my)
         new = shift + float(y @ mx) / norm2
         if lam - new <= 1e-14 * abs(new):
-            return new
-        lam = new
+            return new, y / math.sqrt(norm2)
         # x = y / |y|_M, so M x is M y scaled: no second product by M
         mx = my / math.sqrt(norm2)
+        slow = lam - new > 0.25 * fall
+        lam, fall = new, lam - new
+        if slow:
+            mid = 0.5 * (shift + min(new, top))
+            better = _factor(kband, mband, mid)
+            if better is None:
+                top = mid
+            else:
+                shift, factor, fall = mid, better, math.inf
     raise OracleError(
-        f"inverse iteration from shift {shift!r} did not settle "
-        f"in {_MAX_ITERATIONS} steps"
+        f"inverse iteration did not settle in {_MAX_ITERATIONS} steps "
+        f"(last shift {shift!r})"
     )
 
 
-def _certify_shift(disc: Discretization, shift: float) -> tuple[np.ndarray, np.ndarray]:
-    """Banded Cholesky factor of K - shift*M and its row order.
+def _bands(disc: Discretization) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """K and M as upper bands of the matrices permuted to ``perm``.
 
-    Raises OracleError unless K - shift*M is positive definite.  The factor
-    is the upper one of the matrix permuted to ``perm``, a reverse
-    Cuthill-McKee order that keeps the band narrow (width 1-4 on the usual
-    graphs), so it costs about as much as the assembly.
+    ``perm`` is a reverse Cuthill-McKee order that keeps the band narrow
+    (width 1-4 on the usual graphs), so K - shift*M is one band operation
+    for any shift.  ``discretize`` assembles K and M from the same
+    triplets, so they share one sparsity pattern.
     """
-    from scipy.linalg import LinAlgError, cholesky_banded
     from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-    a = disc.stiffness - shift * disc.mass
-    perm = reverse_cuthill_mckee(a, symmetric_mode=True)
+    k, m = disc.stiffness, disc.mass
+    perm = reverse_cuthill_mckee(k, symmetric_mode=True)
     pos = np.empty_like(perm)
     pos[perm] = np.arange(len(perm))
-    a = a.tocoo()
-    i, j = pos[a.row], pos[a.col]
+    i = pos[np.repeat(np.arange(disc.node_count), np.diff(k.indptr))]
+    j = pos[k.indices]
     upper = i <= j
-    i, j, data = i[upper], j[upper], a.data[upper]
+    i, j = i[upper], j[upper]
     width = int(np.max(j - i))
-    band = np.zeros((width + 1, disc.node_count))
-    band[width + i - j, j] = data
+    kband = np.zeros((width + 1, disc.node_count))
+    mband = np.zeros((width + 1, disc.node_count))
+    kband[width + i - j, j] = k.data[upper]
+    mband[width + i - j, j] = m.data[upper]
+    return kband, mband, perm
+
+
+def _factor(kband: np.ndarray, mband: np.ndarray, shift: float) -> np.ndarray | None:
+    """Upper banded Cholesky factor of K - shift*M, or None.
+
+    A factor exists exactly when K - shift*M is positive definite, which by
+    Sylvester's law of inertia certifies that no level lies at or below
+    the shift.
+    """
+    from scipy.linalg import LinAlgError, cholesky_banded
+
     try:
-        factor = cholesky_banded(band, lower=False, check_finite=False)
+        return cholesky_banded(kband - shift * mband, lower=False, check_finite=False)
     except LinAlgError:
-        raise OracleError(
-            f"shift {shift!r} is not below every finite-element level "
-            "(K - shift*M is not positive definite)"
-        ) from None
-    return factor, perm
+        return None
 
 
 _CMP_HEADROOM = 100.0
@@ -313,17 +361,18 @@ def compare(
     On graphs with leads the truncation term of the tolerance is
     exp(-2 kappa0 (R - extent)), extent the total finite edge length, so R
     must exceed the extent; the default is extent + max(15, 25 / kappa0).
-    The eigensolve is shifted just below lambda0; when the shift is refuted
-    (some level lies below it, so lambda0 is an excited level or too high),
-    the oracle solves again from the proven default shift and the report
-    carries the true smallest level.
+    The eigensolve is shifted to 1.5 lambda0, |lambda0| / 2 below the level
+    of a true ground state however weakly it is bound; when the shift is
+    refuted (some level lies below it, so lambda0 is an excited level or too
+    high), the oracle solves again from the proven default shift and the
+    report carries the true smallest level.
 
     ``lambda_oracle`` is the raw level lambda_h.  The verdict judges
-    |lambda_h - correction - lambda0| against the tolerance, where
-    correction = lambda_h^2 h^2 / 12 is the leading P1 error term on a
-    uniform mesh (Strang-Fix, ch. 6), taken from the oracle alone.  Without
-    it the error grows as kappa0^4 h^2 / 12 and outruns C h^2 once kappa0
-    exceeds about 3.2.
+    |lambda_h - correction - lambda0| against the tolerance, where the
+    correction is the oracle's own leading P1 error term (``p1_error`` of
+    ``smallest_eigenvalue``: lambda_h^2 h^2 / 12 on a uniform mesh, weighted
+    by h_e^2 per element otherwise).  Without it the error grows as
+    kappa0^4 h^2 / 12 and outruns C h^2 once kappa0 exceeds about 3.2.
     """
     if graph.infinite_edges:
         extent = sum(e.length for e in graph.finite_edges)
@@ -334,7 +383,10 @@ def compare(
                 f"lead truncation R={R!r} must exceed the finite extent {extent!r}"
             )
     disc = discretize(graph, h, R if graph.infinite_edges else None)
-    shift = ground.lambda0 - max(0.5, 0.5 * abs(ground.lambda0))
+    # lambda_h >= lambda0 for a true ground state, so this shift is certified;
+    # on a weakly bound state the next level (near 0 on a lead) sits about
+    # twice as far above, so the iteration seldom has to move the shift
+    shift = 1.5 * ground.lambda0
     try:
         oracle = smallest_eigenvalue(disc, shift=shift, kappa_ref=ground.kappa0)
     except OracleError:
@@ -345,7 +397,7 @@ def compare(
     tol = comparison_constant() * h * h
     if graph.infinite_edges:
         tol += math.exp(-2.0 * ground.kappa0 * (R - disc.extent))
-    correction = oracle.lambda_min**2 * h * h / 12.0
+    correction = oracle.p1_error
     diff = abs(oracle.lambda_min - correction - ground.lambda0)
     return ComparisonReport(
         lambda_secular=ground.lambda0,

@@ -250,6 +250,9 @@ def test_dense_path_small_mesh():
     (star_graph(-1.0, L2=0.5), 0.01, None),
     (star_graph(-0.6, L2=2.0), 0.01, None),
     (single_vertex_graph(-2.0, 2), 0.05, 15.0),
+    # weakly bound: the default shift sits about 1 below a level of -0.006
+    # whose gap to the next is 0.02
+    (robin_interval(-0.05, -0.05, 20.0), 0.05, None),
 ])
 def test_inverse_iteration_matches_dense_eigh(graph, h, R):
     disc = discretize(graph, h=h, R=R)
@@ -258,6 +261,19 @@ def test_inverse_iteration_matches_dense_eigh(graph, h, R):
                               eigvals_only=True, subset_by_index=[0, 0])[0]
     for shift in (None, dense - 0.5):
         assert abs(smallest_eigenvalue(disc, shift=shift).lambda_min - dense) < 1e-10
+
+
+def test_inverse_iteration_step_count_does_not_grow_as_the_gap_closes(monkeypatch):
+    # kappa0 = 0.05: from the default shift -1.0025 plain inverse iteration
+    # shrinks the error by only 1 - 1e-2 a step; the certified bisection of
+    # the shift settles in a few dozen steps
+    monkeypatch.setattr(oracle, "_MAX_ITERATIONS", 60)
+    disc = discretize(single_vertex_graph(-0.1, 2), h=0.1, R=200.0)
+    lams = [smallest_eigenvalue(disc, shift=s).lambda_min
+            for s in (None, -0.5, 1.5 * -0.0025)]
+    # rounding in K (entries up to 2/h) limits agreement to about 1e-13
+    assert max(lams) - min(lams) < 1e-13
+    assert 0.0 < lams[0] + 0.0025 < 1e-8
 
 
 def test_inverse_iteration_raises_when_its_budget_runs_out(monkeypatch):
@@ -379,6 +395,15 @@ def test_compare_fails_under_harsh_truncation():
     assert abs(rep.difference - 1.0) < 0.05
 
 
+def _pendant_graph(alpha: float, length: float) -> MetricGraph:
+    """Vertex with two leads and a pendant edge to a weak vertex."""
+    return MetricGraph(
+        (VertexSpec("v", alpha), VertexSpec("w", -0.05)),
+        (FiniteEdge("p", "v", "w", length),),
+        (InfiniteEdge("t1", "v"), InfiniteEdge("t2", "v")),
+    )
+
+
 @pytest.mark.parametrize("alpha, leads", [(-10.0, 2), (-20.0, 2), (-40.0, 3)])
 def test_compare_passes_exact_ground_states_at_strong_coupling(alpha, leads):
     # kappa0 = |alpha| / leads = 5, 10, 13.3: the raw P1 error
@@ -389,18 +414,37 @@ def test_compare_passes_exact_ground_states_at_strong_coupling(alpha, leads):
     rep = compare(g, gs)
     assert rep.ok
     assert rep.correction > 5.0 * rep.tolerance
-    assert rep.correction == rep.lambda_oracle**2 * 1e-4 / 12.0
+    # a uniform mesh: the element-weighted term is lambda_h^2 h^2 / 12
+    assert rep.correction == pytest.approx(rep.lambda_oracle**2 * 1e-4 / 12.0, rel=1e-12)
     assert rep.difference == abs(rep.lambda_oracle - rep.correction - gs.lambda0)
     assert rep.difference < 1e-9
 
 
-def _pendant_graph(alpha: float, length: float) -> MetricGraph:
-    """Vertex with two leads and a pendant edge to a weak vertex."""
-    return MetricGraph(
-        (VertexSpec("v", alpha), VertexSpec("w", -0.05)),
-        (FiniteEdge("p", "v", "w", length),),
-        (InfiniteEdge("t1", "v"), InfiniteEdge("t2", "v")),
-    )
+@pytest.mark.parametrize("alpha", [-10.0, -20.0])
+def test_compare_weights_the_correction_by_element_length(alpha):
+    # a pendant edge of 1.4 h is one element of 1.4 h next to the strong
+    # vertex; at kappa0 = 9.4 the uniform term lambda_h^2 h^2 / 12 leaves
+    # 7e-3, the element-weighted one 8e-6
+    g = _pendant_graph(alpha, 0.014)
+    gs = find_ground_state(g)
+    rep = compare(g, gs)
+    assert rep.ok
+    assert rep.difference < 1e-4
+    uniform = abs(rep.lambda_oracle - rep.lambda_oracle**2 * 1e-4 / 12.0 - gs.lambda0)
+    if alpha == -20.0:
+        assert uniform > 5.0 * rep.tolerance
+
+
+@pytest.mark.parametrize("graph", [
+    single_vertex_graph(-0.1, 2),  # kappa0 = 0.05, leads truncated at 500
+    single_vertex_graph(-0.16, 2),
+    star_graph(ALPHA_CRIT - 0.01),
+    robin_interval(-0.05, -0.05, 20.0),
+])
+def test_compare_passes_weakly_bound_ground_states(graph):
+    rep = compare(graph, find_ground_state(graph))
+    assert rep.ok
+    assert rep.difference < 1e-9
 
 
 @pytest.mark.parametrize("length", [5.0, 30.0])
