@@ -50,7 +50,6 @@ from .oracle import (
 )
 from .rayleigh import GraphTrial, rayleigh_quotient, scaled_trial_quotient
 from .secular import (
-    NULLSPACE_GAP_MIN,
     DegenerateRoot,
     Diagnostics,
     EdgeSolution,
@@ -61,7 +60,6 @@ from .secular import (
     classify_coefficients,
     classify_edge_index,
     find_ground_state,
-    reconstruct_eigenfunction,
     vertex_condition_residuals,
 )
 from .sweeps import (
@@ -88,10 +86,10 @@ __all__ = [
     "ComparisonReport", "Discretization", "OracleError", "OracleResult",
     "compare", "comparison_constant", "discretize", "smallest_eigenvalue",
     "GraphTrial", "rayleigh_quotient", "scaled_trial_quotient",
-    "NULLSPACE_GAP_MIN", "DegenerateRoot", "Diagnostics", "EdgeSolution",
-    "GroundState", "NoBoundState", "PositivityViolation", "SolverOptions",
+    "DegenerateRoot", "Diagnostics", "EdgeSolution", "GroundState",
+    "NoBoundState", "PositivityViolation", "SolverOptions",
     "classify_coefficients", "classify_edge_index", "find_ground_state",
-    "reconstruct_eigenfunction", "vertex_condition_residuals",
+    "vertex_condition_residuals",
     "CritError", "CritResult", "SweepPoint", "SweepSpec", "SweepTarget",
     "apply_target", "find_critical_coupling", "run_sweep",
     "__version__",

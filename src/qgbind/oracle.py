@@ -19,9 +19,9 @@ import numpy as np
 from .graph import InfiniteEdge, MetricGraph, VertexSpec, require_valid
 from .secular import GroundState
 
-_DENSE_CUTOFF = 32
 _MAX_NODES = 10**8
 _MAX_ITERATIONS = 1000
+_EPS = float(np.finfo(float).eps)
 
 
 class OracleError(RuntimeError):
@@ -32,12 +32,12 @@ class OracleError(RuntimeError):
 class Discretization:
     """Assembled P1 matrices for a (truncated) graph mesh.
 
-    ``node_table`` maps (edge_id, local node index) to global node; the
-    Dirichlet node at the truncated end of a lead is absent.  Vertex nodes
-    are shared across incident edges.  ``elements`` holds the two nodes of
-    each element (-1 for the Dirichlet node), ``element_lengths`` their
-    lengths.  ``kappa_bound`` is the kappa* of the proven bound
-    lambda0 >= -kappa*^2 behind the default shift of ``smallest_eigenvalue``.
+    ``elements`` holds the two global nodes of each element, edge by edge
+    along its chain, then lead by lead; vertex nodes are shared across
+    incident edges, and the Dirichlet node at the truncated end of a lead
+    is -1.  ``element_lengths`` holds their lengths.  ``kappa_bound`` is the
+    kappa* of the proven bound lambda0 >= -kappa*^2 behind the default
+    shift of ``smallest_eigenvalue``.
     """
 
     h: float
@@ -46,7 +46,6 @@ class Discretization:
     stiffness: "scipy.sparse.csr_matrix"
     mass: "scipy.sparse.csr_matrix"
     vertex_nodes: dict[str, int]
-    node_table: dict[tuple[str, int], int]
     elements: np.ndarray
     element_lengths: np.ndarray
     extent: float
@@ -58,7 +57,6 @@ class OracleResult:
     lambda_min: float
     h: float
     R: float | None
-    error_bound: float
     node_count: int
     p1_error: float
 
@@ -92,11 +90,11 @@ def discretize(graph: MetricGraph, h: float, R: float | None = None) -> Discreti
             raise OracleError("graphs with leads need a positive truncation length R")
 
     vertex_nodes = {v.id: i for i, v in enumerate(graph.vertices)}
-    # (id, first node, last node, length) per edge; a lead ends at the
+    # (first node, last node, length) per edge; a lead ends at the
     # eliminated Dirichlet node -1
-    pieces = [(e.id, vertex_nodes[e.start], vertex_nodes[e.end], e.length)
+    pieces = [(vertex_nodes[e.start], vertex_nodes[e.end], e.length)
               for e in graph.finite_edges]
-    pieces += [(t.id, vertex_nodes[t.anchor], -1, R) for t in graph.infinite_edges]
+    pieces += [(vertex_nodes[t.anchor], -1, R) for t in graph.infinite_edges]
     if not pieces:
         raise OracleError("empty mesh")
     # counts as floats, so the size is checked before anything is allocated
@@ -109,14 +107,11 @@ def discretize(graph: MetricGraph, h: float, R: float | None = None) -> Discreti
             f"more than the limit of {_MAX_NODES:.0e}"
         )
 
-    node_table: dict[tuple[str, int], int] = {}
     next_node = len(vertex_nodes)
     g0s, g1s, hes = [], [], []
-    for (eid, first, last, length), n in zip(pieces, map(int, counts)):
+    for (first, last, length), n in zip(pieces, map(int, counts)):
         chain = np.concatenate(([first], np.arange(next_node, next_node + n - 1), [last]))
         next_node += n - 1
-        kept = chain if last >= 0 else chain[:-1]
-        node_table.update(zip([(eid, k) for k in range(len(kept))], kept.tolist()))
         g0s.append(chain[:-1])
         g1s.append(chain[1:])
         hes.append(np.full(n, length / n))
@@ -148,7 +143,6 @@ def discretize(graph: MetricGraph, h: float, R: float | None = None) -> Discreti
         stiffness=stiffness,
         mass=mass,
         vertex_nodes=vertex_nodes,
-        node_table=node_table,
         elements=np.stack((g0, g1), axis=1),
         element_lengths=he,
         extent=sum(e.length for e in graph.finite_edges),
@@ -178,11 +172,7 @@ def _kappa_bound(graph: MetricGraph) -> float:
     return bound
 
 
-def smallest_eigenvalue(
-    disc: Discretization,
-    shift: float | None = None,
-    kappa_ref: float | None = None,
-) -> OracleResult:
+def smallest_eigenvalue(disc: Discretization, shift: float | None = None) -> OracleResult:
     """Smallest generalized eigenvalue of (K, M) by inverse iteration.
 
     ``shift`` must sit below every eigenvalue.  The default
@@ -200,37 +190,23 @@ def smallest_eigenvalue(
     shift + y'Mx / y'My, with no product by K.  While that quotient falls
     slowly, the shift moves up by certified bisection (``_inverse_iteration``),
     so the step count does not grow as the gap above the lowest level
-    closes.  It stops once the quotient has fallen by at most 1e-14 |lambda|,
-    and raises OracleError if it has not within a fixed budget.  Meshes of
-    at most 32 nodes are solved densely.
+    closes.  It stops once the quotient has fallen by at most 1e-14 |lambda|
+    and its rounding is below that too, and raises OracleError if it has
+    not within a fixed budget.  Every mesh, however small, takes this path.
 
     ``p1_error`` is the leading P1 error of the level,
     lambda^2 / 12 * sum_e h_e^2 int_e u_h^2 over the elements e, with u_h
     the M-normalized eigenvector (Strang-Fix, ch. 6); on a uniform mesh it
-    is lambda^2 h^2 / 12.  The reported error bound is heuristic:
-    |lambda|^2 h^2 / 4 plus the lead truncation term.
+    is lambda^2 h^2 / 12.
     """
-    import scipy.linalg
-
-    n = disc.node_count
     if shift is None:
         shift = -disc.kappa_bound**2 - 1.0
-    if n <= _DENSE_CUTOFF:
-        w, v = scipy.linalg.eigh(disc.stiffness.toarray(), disc.mass.toarray())
-        lam, x = float(w[0]), v[:, 0]
-    else:
-        lam, x = _inverse_iteration(disc, shift)
+    lam, x = _inverse_iteration(disc, shift)
     # int_e u_h^2 = h_e (u0^2 + u0 u1 + u1^2) / 3; the Dirichlet node reads 0
     u0, u1 = np.append(x, 0.0)[disc.elements].T
     he = disc.element_lengths
     p1 = lam * lam / 36.0 * float(np.sum(he**3 * (u0 * u0 + u0 * u1 + u1 * u1)))
-
-    kref = kappa_ref if kappa_ref is not None else math.sqrt(abs(lam))
-    trunc = 0.0
-    if disc.R is not None and kref > 0:
-        trunc = math.exp(-2.0 * kref * (disc.R - disc.extent))
-    bound = lam * lam * disc.h**2 / 4.0 + trunc
-    return OracleResult(lam, disc.h, disc.R, bound, n, p1)
+    return OracleResult(lam, disc.h, disc.R, disc.node_count, p1)
 
 
 def _inverse_iteration(disc: Discretization, shift: float) -> tuple[float, np.ndarray]:
@@ -244,6 +220,13 @@ def _inverse_iteration(disc: Discretization, shift: float) -> tuple[float, np.nd
     certifies it, and that midpoint becomes the upper end otherwise: a
     bisection that leaves the shift within about one gap of the level
     however small the gap is.
+
+    The quotient is shift + g, and g carries a rounding of about 4 eps g,
+    so a smaller fall is not measured: such a step counts as slow, and the
+    quotient is not taken as settled while that rounding exceeds the
+    stopping tolerance.  Otherwise a shift far below the level (an edge of
+    1e-8 puts the default near -1e8) stops at the quotient of the start
+    vector.
     """
     from scipy.linalg import cho_solve_banded
 
@@ -263,12 +246,14 @@ def _inverse_iteration(disc: Discretization, shift: float) -> tuple[float, np.nd
         y[perm] = cho_solve_banded((factor, False), mx[perm], check_finite=False)
         my = mass @ y
         norm2 = float(y @ my)
-        new = shift + float(y @ mx) / norm2
-        if lam - new <= 1e-14 * abs(new):
+        gain = float(y @ mx) / norm2
+        new = shift + gain
+        rounding = 4.0 * _EPS * gain
+        if lam - new <= 1e-14 * abs(new) and rounding <= 1e-14 * abs(new):
             return new, y / math.sqrt(norm2)
         # x = y / |y|_M, so M x is M y scaled: no second product by M
         mx = my / math.sqrt(norm2)
-        slow = lam - new > 0.25 * fall
+        slow = lam - new > 0.25 * fall or lam - new <= rounding
         lam, fall = new, lam - new
         if slow:
             mid = 0.5 * (shift + min(new, top))
@@ -388,12 +373,12 @@ def compare(
     # twice as far above, so the iteration seldom has to move the shift
     shift = 1.5 * ground.lambda0
     try:
-        oracle = smallest_eigenvalue(disc, shift=shift, kappa_ref=ground.kappa0)
+        oracle = smallest_eigenvalue(disc, shift=shift)
     except OracleError:
         # the shift is refuted (a level lies below it, so lambda0 is not
         # the ground state) or the solve failed there: solve again from the
         # proven default shift and report that level
-        oracle = smallest_eigenvalue(disc, kappa_ref=ground.kappa0)
+        oracle = smallest_eigenvalue(disc)
     tol = comparison_constant() * h * h
     if graph.infinite_edges:
         tol += math.exp(-2.0 * ground.kappa0 * (R - disc.extent))
@@ -409,25 +394,3 @@ def compare(
         h=h,
         R=disc.R,
     )
-
-
-def _interval_dirichlet(length: float, h: float) -> float:
-    """Smallest Dirichlet eigenvalue of -d2/dx2 on [0, length], P1 mesh.
-
-    Assembly sanity case only: no graph, no coupling; exact value is
-    (pi/length)^2.
-    """
-    import scipy.linalg
-    import scipy.sparse as sp
-
-    n = max(2, round(length / h))
-    he = length / n
-    m = n - 1
-    k_main = np.full(m, 2.0 / he)
-    k_off = np.full(m - 1, -1.0 / he)
-    m_main = np.full(m, 4.0 * he / 6.0)
-    m_off = np.full(m - 1, he / 6.0)
-    K = sp.diags([k_off, k_main, k_off], [-1, 0, 1]).toarray()
-    M = sp.diags([m_off, m_main, m_off], [-1, 0, 1]).toarray()
-    w = scipy.linalg.eigh(K, M, eigvals_only=True)
-    return float(w[0])

@@ -35,7 +35,6 @@ from .graph import (
     ValidationReport,
     parameter_problems,
     parameters,
-    require_valid,
     topology_ok,
     validate,
 )
@@ -44,7 +43,7 @@ from .rootscan import increasing_roots
 from .rootscan import _removed as _equilibrated_det  # noqa: F401
 from .rootscan import bisect_sign, probe_geometric, scan_down  # noqa: F401
 
-NULLSPACE_GAP_MIN = 1e6
+_GAP_MIN = 1e6
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 
@@ -546,18 +545,17 @@ def _positive_tail(matrix: np.ndarray, mu0: float, f: np.ndarray) -> np.ndarray:
 
 
 def _states(topo: _Topology, kappa, alphas, lengths, roots, order) -> list:
-    """States at converged roots, members in rows: from the eigenvector of
-    the reduced M(kappa) whose eigenvalue is nearest zero, with shape
-    indices, simplicity gap, exact minimum and vertex residuals.
+    """States at the certified roots of mu0, members in rows: from the
+    vector of mu0, the smallest eigenvalue of the reduced M(kappa), with
+    shape indices, simplicity gap, exact minimum and vertex residuals.
 
-    At the ground-state root that eigenvalue is mu0 and the gap is
-    mu1 / max(|mu0|, tau), with tau = n * eps * (||S|| + max|alpha| +
-    kappa * max degree) the rounding of an eigenvalue: Weyl's bound for the
-    eigensolver plus the rounding of summing an entry's terms, which can
-    cancel (two wells alpha = -2 at distance 400 give entries of 4e-174 at
-    kappa = 1).  At an excited root the eigenvalue nearest zero is a higher
-    one, whose vector changes sign, so the positivity check refuses it; the
-    vector of mu0 is positive, and a zero in it is underflow.
+    The gap is mu1 / max(|mu0|, tau), with tau = n * eps * (||S|| +
+    max|alpha| + kappa * max degree) the rounding of an eigenvalue: Weyl's
+    bound for the eigensolver plus the rounding of summing an entry's terms,
+    which can cancel (two wells alpha = -2 at distance 400 give entries of
+    4e-174 at kappa = 1).  The bracket mu0(lo) <= 0 <= mu0(hi) makes kappa
+    a root of mu0, never an excited root, so the vector of mu0 is positive
+    (Perron-Frobenius), and a zero in it is underflow.
 
     Returns per member (p, q, c, indices, gap, minimum, continuity,
     coupling), or the DegenerateRoot or PositivityViolation it raises.
@@ -577,19 +575,17 @@ def _states(topo: _Topology, kappa, alphas, lengths, roots, order) -> list:
     with np.errstate(invalid="ignore"):  # see _eigh
         w, vecs = _eigh(S)
     aw = np.abs(w)
-    near = np.argmin(aw, axis=1)
     gap = np.full(len(rows), math.inf)
     if w.shape[1] > 1:
-        low = np.sort(aw, axis=1)  # low[:, 0] = |w[near]|, low[:, 1] the next
-        tau = w.shape[1] * _EPS * (low[:, -1] + (np.maximum.reduce(np.abs(alphas), 1)
-                                                 + kappa * topo.max_degree))
-        gap = low[:, 1] / np.maximum(np.maximum(low[:, 0], tau), _TINY)
+        tau = w.shape[1] * _EPS * (aw[:, -1] + (np.maximum.reduce(np.abs(alphas), 1)
+                                                + kappa * topo.max_degree))
+        gap = aw[:, 1] / np.maximum(np.maximum(aw[:, 0], tau), _TINY)
     at = np.arange(len(rows))
-    fk = vecs[at, :, near]
+    fk = vecs[:, :, 0].copy()
     fk *= np.sign(fk[at, np.argmax(np.abs(fk), axis=1)])[:, None]
     small = np.minimum.reduce(fk, 1) <= math.sqrt(_EPS) * np.maximum.reduce(fk, 1)
     for i in np.flatnonzero(small).tolist():
-        if near[i] == 0 and gap[i] >= NULLSPACE_GAP_MIN:
+        if gap[i] >= _GAP_MIN:
             fk[i] = _positive_tail(S[i], float(w[i, 0]), fk[i])
     p, q, c, mass = topo.profiles(kappa, lengths, E, den, fk, kept, steps, roots)
     scale = np.sqrt(mass)[:, None]
@@ -599,17 +595,16 @@ def _states(topo: _Topology, kappa, alphas, lengths, roots, order) -> list:
     for i, r, index, *certificate in zip(range(len(rows)), rows, indices.tolist(),
                                          gap.tolist(), minimum.tolist(), cont.tolist(),
                                          coup.tolist()):
-        if not certificate[0] >= NULLSPACE_GAP_MIN:
+        if not certificate[0] >= _GAP_MIN:
             out[r] = DegenerateRoot(
                 f"nullspace not simple at kappa={float(kappa[i])!r}: "
-                f"eigenvalue gap {certificate[0]:.3g} < {NULLSPACE_GAP_MIN:.0e}")
+                f"eigenvalue gap {certificate[0]:.3g} < {_GAP_MIN:.0e}")
         elif not certificate[1] > 0.0:
             kl = float(kappa[i]) * max(lengths[i].tolist(), default=0.0)
-            why = (f"it underflows: exp(-kappa0 l) leaves the double range beyond kappa0 l "
-                   f"~ 745, and the longest edge has kappa0 l = {kl:.4g}"
-                   if near[i] == 0 else "kappa may be an excited root")
             out[r] = PositivityViolation(
-                f"state is not strictly positive (min {certificate[1]:.3g}); {why}")
+                f"state is not strictly positive (min {certificate[1]:.3g}); "
+                f"it underflows: exp(-kappa0 l) leaves the double range beyond kappa0 l "
+                f"~ 745, and the longest edge has kappa0 l = {kl:.4g}")
         else:
             out[r] = (p[i], q[i], c[i], tuple(index) + leads, *certificate)
     return out
@@ -728,35 +723,6 @@ def _ground_states(graph: MetricGraph, alphas: list, lengths: list,
     return results
 
 
-def _edge_solutions(graph: MetricGraph, kappa0: float, p, q, c) -> list[EdgeSolution]:
-    sols = [EdgeSolution.finite(e.id, kappa0, e.length, pe, qe)
-            for e, pe, qe in zip(graph.finite_edges, p.tolist(), q.tolist())]
-    return sols + [EdgeSolution.infinite(e.id, kappa0, ce)
-                   for e, ce in zip(graph.infinite_edges, c.tolist())]
-
-
-def reconstruct_eigenfunction(graph: MetricGraph, kappa0: float) -> list[EdgeSolution]:
-    """Normalized positive eigenfunction at a converged root kappa0.
-
-    The state is built from the eigenvector of M(kappa0) whose eigenvalue is
-    nearest zero.  Raises DegenerateRoot when that eigenvalue is not
-    separated from the rest (kappa0 is no simple root) and
-    PositivityViolation when the state changes sign (kappa0 is an excited
-    root).
-    """
-    require_valid(graph)
-    if not kappa0 > 0:
-        raise ValueError("kappa0 must be positive")
-    kappa0 = float(kappa0)
-    topo = _Topology(graph)
-    alphas, lengths = parameters(graph)
-    state = _states(topo, np.array([kappa0]), alphas, lengths,
-                    *topo.clusters(kappa0 * lengths[0]))[0]
-    if isinstance(state, Exception):
-        raise state
-    return _edge_solutions(graph, kappa0, *state[:3])
-
-
 def find_ground_state(graph: MetricGraph, options: SolverOptions | None = None) -> GroundState:
     """Ground state: the one root kappa0 of mu0(kappa), the smallest
     eigenvalue of the vertex-reduced matrix M(kappa); then the state,
@@ -792,5 +758,8 @@ def find_ground_state(graph: MetricGraph, options: SolverOptions | None = None) 
         indicator_evaluations=state.evaluations,
     )
     kappa0 = state.kappa0
-    sols = _edge_solutions(graph, kappa0, state.p, state.q, state.c)
+    sols = [EdgeSolution.finite(e.id, kappa0, e.length, pe, qe)
+            for e, pe, qe in zip(graph.finite_edges, state.p.tolist(), state.q.tolist())]
+    sols += [EdgeSolution.infinite(e.id, kappa0, ce)
+             for e, ce in zip(graph.infinite_edges, state.c.tolist())]
     return GroundState(kappa0, -kappa0 * kappa0, tuple(sols), state.indices, diag)

@@ -17,6 +17,7 @@ from scipy.optimize import brentq
 
 from conftest import (
     ALPHA_CRIT,
+    chain_graph,
     random_cyclic_graph,
     random_mixed_graph,
     random_tree_graph,
@@ -39,7 +40,6 @@ from qgbind import (
     smallest_eigenvalue,
 )
 from qgbind import oracle
-from qgbind.oracle import _interval_dirichlet
 
 TWO_DELTA_LAMBDA = -1.6344715870972812
 
@@ -58,7 +58,7 @@ def test_edge_lengths_are_preserved_by_rounding():
     # length 1.04 at h = 0.5 rounds to 2 elements of 0.52 each
     disc = discretize(robin_interval(-1.0, -1.0, 1.04), h=0.5)
     assert disc.node_count == 3
-    mid = disc.node_table[("e1", 1)]
+    mid = disc.elements[0, 1]
     row = disc.stiffness.getrow(mid).toarray().ravel()
     assert abs(row[mid] - (2.0 / 0.52)) < 1e-12
 
@@ -93,9 +93,8 @@ def test_vertex_nodes_are_shared():
     g = star_graph(-1.0)
     disc = discretize(g, h=0.5)
     center = disc.vertex_nodes["c"]
-    assert disc.node_table[("arm1", 0)] == center
-    assert disc.node_table[("arm2", 0)] == center
-    assert disc.node_table[("axial", 0)] == center
+    # one element of each of arm1, arm2 and axial ends at the centre
+    assert np.count_nonzero(disc.elements == center) == 3
 
 
 def test_discretize_rejects_bad_input():
@@ -124,7 +123,6 @@ def _reference_discretize(graph, h, R):
     import scipy.sparse as sp
 
     vertex_nodes = {v.id: i for i, v in enumerate(graph.vertices)}
-    node_table = {}
     next_node = len(graph.vertices)
     elements = []
     for edge in graph.finite_edges:
@@ -135,8 +133,6 @@ def _reference_discretize(graph, h, R):
             chain.append(next_node)
             next_node += 1
         chain.append(vertex_nodes[edge.end])
-        for k, g in enumerate(chain):
-            node_table[(edge.id, k)] = g
         elements.extend((chain[k], chain[k + 1], he) for k in range(n))
     for lead in graph.infinite_edges:
         n = max(1, round(R / h))
@@ -146,8 +142,6 @@ def _reference_discretize(graph, h, R):
             chain.append(next_node)
             next_node += 1
         chain.append(-1)
-        for k, g in enumerate(chain[:-1]):
-            node_table[(lead.id, k)] = g
         elements.extend((chain[k], chain[k + 1], he) for k in range(n))
     rows, cols, kdat, mdat = [], [], [], []
     for g0, g1, he in elements:
@@ -168,7 +162,7 @@ def _reference_discretize(graph, h, R):
     shape = (next_node, next_node)
     stiffness = sp.coo_matrix((kdat, (rows, cols)), shape=shape).tocsr()
     mass = sp.coo_matrix((mdat, (rows, cols)), shape=shape).tocsr()
-    return next_node, node_table, stiffness, mass
+    return next_node, elements, stiffness, mass
 
 
 def _parallel_cycle():
@@ -198,9 +192,10 @@ _CRITERION_07 = [
 ] + [(g, 0.01, R) for g, R in _CRITERION_07])
 def test_array_assembly_matches_the_element_loop(graph, h, R):
     disc = discretize(graph, h, R)
-    node_count, node_table, stiffness, mass = _reference_discretize(graph, h, R)
+    node_count, elements, stiffness, mass = _reference_discretize(graph, h, R)
     assert disc.node_count == node_count
-    assert disc.node_table == node_table
+    assert disc.elements.tolist() == [[g0, g1] for g0, g1, _ in elements]
+    assert disc.element_lengths.tolist() == [he for *_, he in elements]
     for got, want in ((disc.stiffness, stiffness), (disc.mass, mass)):
         for part in ("indptr", "indices", "data"):
             a, b = getattr(got, part), getattr(want, part)
@@ -209,6 +204,27 @@ def test_array_assembly_matches_the_element_loop(graph, h, R):
 
 
 # -------------------------------------------------------- eigenvalues
+
+def _interval_dirichlet(length: float, h: float) -> float:
+    """Smallest Dirichlet eigenvalue of -d2/dx2 on [0, length], P1 mesh.
+
+    Assembly sanity case only: no graph, no coupling; exact value is
+    (pi/length)^2.
+    """
+    import scipy.sparse as sp
+
+    n = max(2, round(length / h))
+    he = length / n
+    m = n - 1
+    k_main = np.full(m, 2.0 / he)
+    k_off = np.full(m - 1, -1.0 / he)
+    m_main = np.full(m, 4.0 * he / 6.0)
+    m_off = np.full(m - 1, he / 6.0)
+    K = sp.diags([k_off, k_main, k_off], [-1, 0, 1]).toarray()
+    M = sp.diags([m_off, m_main, m_off], [-1, 0, 1]).toarray()
+    w = scipy.linalg.eigh(K, M, eigvals_only=True)
+    return float(w[0])
+
 
 def test_dirichlet_interval_classic():
     # no coupling: smallest eigenvalue of the length-pi string is exactly 1,
@@ -221,7 +237,7 @@ def test_dirichlet_interval_classic():
 def test_single_delta_lead_case():
     g = single_vertex_graph(-2.0, 2)
     disc = discretize(g, h=0.01, R=15.0)
-    res = smallest_eigenvalue(disc, shift=-1.5, kappa_ref=1.0)
+    res = smallest_eigenvalue(disc, shift=-1.5)
     assert abs(res.lambda_min + 1.0) < 1e-3
 
 
@@ -235,14 +251,21 @@ def test_default_shift_path():
     assert abs(res.lambda_min + 1.0) < 2e-3
 
 
-def test_dense_path_small_mesh():
+def test_small_mesh_by_inverse_iteration():
     disc = discretize(robin_interval(-2.0, -2.0, 2.0), h=0.25)
-    assert disc.node_count <= 32
+    assert disc.node_count == 9
     kappa = brentq(lambda k: k * math.tanh(k) - 2.0, 0.5, 5.0, xtol=1e-14)
     res = smallest_eigenvalue(disc)
     # discretization error ~ lambda^2 h^2 / 12 ~ 0.095 at this h
     assert abs(res.lambda_min + kappa * kappa) < 0.15
     assert res.lambda_min >= -kappa * kappa
+
+
+def test_a_shift_above_the_lowest_level_is_refused_on_a_small_mesh():
+    # the lowest level of this 9-node mesh is about -4.17, below shift 0
+    disc = discretize(robin_interval(-2.0, -2.0, 2.0), h=0.25)
+    with pytest.raises(OracleError, match="not positive definite"):
+        smallest_eigenvalue(disc, shift=0.0)
 
 
 @pytest.mark.parametrize("graph, h, R", [
@@ -253,10 +276,11 @@ def test_dense_path_small_mesh():
     # weakly bound: the default shift sits about 1 below a level of -0.006
     # whose gap to the next is 0.02
     (robin_interval(-0.05, -0.05, 20.0), 0.05, None),
+    (robin_interval(-2.0, -2.0, 2.0), 0.25, None),  # 9 nodes
+    (single_vertex_graph(-2.0, 2), 1.0, 0.5),  # 1 node: each lead one element
 ])
 def test_inverse_iteration_matches_dense_eigh(graph, h, R):
     disc = discretize(graph, h=h, R=R)
-    assert disc.node_count > 32
     dense = scipy.linalg.eigh(disc.stiffness.toarray(), disc.mass.toarray(),
                               eigvals_only=True, subset_by_index=[0, 0])[0]
     for shift in (None, dense - 0.5):
@@ -299,6 +323,19 @@ def test_default_shift_is_below_a_short_robin_edge():
     assert abs(rep.lambda_oracle + kappa * kappa) < 1e-3
 
 
+def test_a_far_default_shift_does_not_stop_at_the_start_vector():
+    # an edge of 1e-8 puts the proven default shift near -1e8, where a step
+    # moves the quotient by less than its rounding; the quotient of the
+    # start vector there is -0.900, the level -0.94356.  The stiffness entry
+    # 1e8 of that edge limits any level to about eps * 1e8.
+    disc = discretize(chain_graph([-2.0, -1.0, -0.5], [1.0, 1e-8]), h=1.0, R=1.0)
+    assert disc.node_count == 3
+    assert disc.kappa_bound > 1e4
+    near = smallest_eigenvalue(disc, shift=-1.5).lambda_min
+    assert abs(near + 0.9435595762) < 1e-8
+    assert abs(smallest_eigenvalue(disc).lambda_min - near) < 1e-7 * abs(near)
+
+
 def test_default_shift_bound_lies_below_the_ground_state():
     rng = np.random.default_rng(21)
     for k in range(40):
@@ -316,7 +353,7 @@ def test_two_delta_line_value():
 
     g = as_chain_graph(LineConfig((0.0, 1.0), (-2.0, -2.0)))
     disc = discretize(g, h=5e-3, R=15.0)
-    res = smallest_eigenvalue(disc, shift=-2.0, kappa_ref=1.28)
+    res = smallest_eigenvalue(disc, shift=-2.0)
     assert abs(res.lambda_min - TWO_DELTA_LAMBDA) < 2e-3
 
 
@@ -327,7 +364,7 @@ def test_variational_upper_bound():
         gs = find_ground_state(g)
         R = 12.0 if g.infinite_edges else None
         disc = discretize(g, h=0.02, R=R)
-        res = smallest_eigenvalue(disc, shift=gs.lambda0 - 1.0, kappa_ref=gs.kappa0)
+        res = smallest_eigenvalue(disc, shift=gs.lambda0 - 1.0)
         assert res.lambda_min >= gs.lambda0 - 1e-10
 
 
@@ -336,7 +373,7 @@ def test_order_two_convergence():
     errors = []
     for h in (0.04, 0.02, 0.01):
         disc = discretize(g, h=h, R=15.0)
-        res = smallest_eigenvalue(disc, shift=-1.5, kappa_ref=1.0)
+        res = smallest_eigenvalue(disc, shift=-1.5)
         errors.append(abs(res.lambda_min + 1.0))
     assert 3.5 < errors[0] / errors[1] < 4.5
     assert 3.5 < errors[1] / errors[2] < 4.5
@@ -347,7 +384,7 @@ def test_truncation_monotone_in_R():
     lams = []
     for R in (5.0, 8.0, 12.0):
         disc = discretize(g, h=0.02, R=R)
-        lams.append(smallest_eigenvalue(disc, shift=-1.5, kappa_ref=1.0).lambda_min)
+        lams.append(smallest_eigenvalue(disc, shift=-1.5).lambda_min)
     assert lams[0] > lams[1] > lams[2] >= -1.0
 
 

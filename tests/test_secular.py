@@ -39,10 +39,10 @@ from qgbind import (
     classify_edge_index,
     find_ground_state,
     ground_state_line,
-    reconstruct_eigenfunction,
     vertex_condition_residuals,
 )
 from qgbind import secular as secular_module
+from qgbind.graph import parameters
 from qgbind.secular import _positive_tail, vertex_matrix
 
 # fixed point of kappa = 1 + exp(-kappa): two sites at distance 1, alpha -2
@@ -149,6 +149,18 @@ def test_small_kappa_max_option_still_converges():
 
 # ----------------------------------------------------------- error paths
 
+def _state_at(graph, kappa):
+    """The state :func:`secular._states` builds at one kappa, as if Newton
+    had certified it a root; raises the refusal it returns instead."""
+    topo = secular_module._Topology(graph)
+    alphas, lengths = parameters(graph)
+    state = secular_module._states(topo, np.array([kappa]), alphas, lengths,
+                                   *topo.clusters(kappa * lengths[0]))[0]
+    if isinstance(state, Exception):
+        raise state
+    return state
+
+
 def test_excited_root_rejected_as_nonpositive():
     # interval l=4, alpha=-1: odd root kappa*coth(2 kappa)=1 sits below the
     # even root kappa*tanh(2 kappa)=1; the state at the odd root changes
@@ -158,8 +170,9 @@ def test_excited_root_rejected_as_nonpositive():
     assert kx < 1.0 < kg
     g = robin_interval(-1.0, -1.0, 4.0)
     assert np.linalg.eigvalsh(vertex_matrix(g, kx))[0] < 0
-    with pytest.raises(PositivityViolation):
-        reconstruct_eigenfunction(g, kx)
+    # the vector of mu0 < 0 = mu1 is refused by the gap before positivity
+    with pytest.raises(DegenerateRoot, match="nullspace not simple"):
+        _state_at(g, kx)
 
 
 def test_underflowing_state_is_reported_as_underflow():
@@ -175,19 +188,13 @@ def test_underflowing_state_is_reported_as_underflow():
 def test_reconstruct_at_nonroot_is_degenerate():
     g = robin_interval(-1.0, -1.0, 4.0)
     with pytest.raises(DegenerateRoot):
-        reconstruct_eigenfunction(g, 1.7)
+        _state_at(g, 1.7)
 
 
 def test_no_bound_state_when_ceiling_capped():
     g = single_vertex_graph(-2.0, 1)
     with pytest.raises(NoBoundState):
         find_ground_state(g, SolverOptions(kappa_max=0.5))
-
-
-def test_reconstruct_rejects_nonpositive_kappa():
-    g = single_vertex_graph(-2.0, 1)
-    with pytest.raises(ValueError):
-        reconstruct_eigenfunction(g, -1.0)
 
 
 @pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])

@@ -20,7 +20,8 @@ def test_exports_are_unique_and_resolve():
     for name in names:
         assert hasattr(qgbind, name), name
     removed = {"SecularMatrix", "build_secular_matrix", "singularity_indicator",
-               "mu0", "min_eigenpair", "derivative_signs"}
+               "mu0", "min_eigenpair", "derivative_signs", "NULLSPACE_GAP_MIN",
+               "reconstruct_eigenfunction"}
     assert removed.isdisjoint(names)
 
 
