@@ -2,7 +2,7 @@
 
 Two independent solution paths (vertex-reduced matrix on general graphs,
 kernel matrix for interactions on a line or loop), a finite-element oracle,
-edge shape classification, and length-monotonicity experiment harnesses.
+edge shape classification, parameter sweeps and the edge-scaling quotient.
 """
 
 from .graph import (
@@ -25,15 +25,11 @@ from .line import (
     LineConfig,
     LineGroundState,
     LoopConfig,
-    MonotonicityReport,
-    MonotonicityViolation,
     NoRoot,
     as_chain_graph,
     as_cycle_graph,
-    check_monotonicity_line,
     gamma_line,
     gamma_loop,
-    grow_loop,
     ground_state_line,
     ground_state_loop,
     stretch_gap,
@@ -79,10 +75,9 @@ __all__ = [
     "FiniteEdge", "GraphFormatError", "InfiniteEdge", "InvalidGraphError",
     "MetricGraph", "ValidationReport", "VertexSpec", "degree", "load_graph",
     "require_valid", "save_graph", "validate", "vertex_incidences",
-    "GammaMatrix", "LineConfig", "LineGroundState", "LoopConfig",
-    "MonotonicityReport", "MonotonicityViolation", "NoRoot", "as_chain_graph",
-    "as_cycle_graph", "check_monotonicity_line", "gamma_line", "gamma_loop",
-    "grow_loop", "ground_state_line", "ground_state_loop", "stretch_gap",
+    "GammaMatrix", "LineConfig", "LineGroundState", "LoopConfig", "NoRoot",
+    "as_chain_graph", "as_cycle_graph", "gamma_line", "gamma_loop",
+    "ground_state_line", "ground_state_loop", "stretch_gap",
     "ComparisonReport", "Discretization", "OracleError", "OracleResult",
     "compare", "comparison_constant", "discretize", "smallest_eigenvalue",
     "GraphTrial", "rayleigh_quotient", "scaled_trial_quotient",

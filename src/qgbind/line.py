@@ -14,7 +14,8 @@ exponentials,
 with d the arc distance, so it stays finite for large kappa*L.  For a fixed
 positive vector c the quadratic form (c, Gamma(kappa) c) is strictly
 increasing in kappa and in every pairwise distance, which is what drives the
-distance monotonicity of the energy checked here.
+distance monotonicity of the energy; :func:`stretch_gap` builds the
+stretched configurations that test it.
 """
 
 from __future__ import annotations
@@ -34,10 +35,6 @@ from .rootscan import brentq, probe_geometric, scan_down  # noqa: F401
 class NoRoot(RuntimeError):
     """mu0 has no root in the searched range; for attractive configs this
     signals a numerics problem."""
-
-
-class MonotonicityViolation(AssertionError):
-    """A stretched configuration failed to raise the ground-state energy."""
 
 
 def _set_sites_strengths(config) -> None:
@@ -239,48 +236,6 @@ def stretch_gap(config: LineConfig, gap_index: int, eta: float) -> LineConfig:
     for j in range(gap_index + 1, config.n):
         sites[j] += eta
     return LineConfig(tuple(sites), config.strengths)
-
-
-def grow_loop(config: LoopConfig, delta: float) -> LoopConfig:
-    """Lengthen the circumference by delta, keeping site positions fixed;
-    no pairwise arc distance shrinks."""
-    if not delta > 0:
-        raise ValueError("delta must be positive")
-    return LoopConfig(config.circumference + delta, config.sites, config.strengths)
-
-
-@dataclass(frozen=True)
-class MonotonicityReport:
-    lambda_before: float
-    lambda_after: float
-
-    @property
-    def margin(self) -> float:
-        return self.lambda_after - self.lambda_before
-
-
-def check_monotonicity_line(base: LineConfig, stretched: LineConfig) -> MonotonicityReport:
-    """Solve both configurations and assert the energy strictly increased.
-
-    Precondition: same strengths, no pairwise distance shrinks, and at least
-    one grows.  Raises MonotonicityViolation with both values otherwise.
-    """
-    if base.strengths != stretched.strengths:
-        raise ValueError("configurations must share strengths")
-    d0 = _line_distances(base)
-    d1 = _line_distances(stretched)
-    if np.any(d1 < d0 - 1e-15):
-        raise ValueError("stretched configuration shrinks a pairwise distance")
-    if not np.any(d1 > d0 + 1e-15):
-        raise ValueError("stretched configuration increases no pairwise distance")
-    before = ground_state_line(base)
-    after = ground_state_line(stretched)
-    report = MonotonicityReport(before.lambda0, after.lambda0)
-    if not report.margin > 0:
-        raise MonotonicityViolation(
-            f"energy did not increase: before={before.lambda0!r} after={after.lambda0!r}"
-        )
-    return report
 
 
 def as_chain_graph(config: LineConfig) -> MetricGraph:

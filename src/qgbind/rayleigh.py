@@ -11,6 +11,7 @@ variational mechanism behind the edge-length monotonicity of the energy.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -18,6 +19,9 @@ import numpy as np
 
 from .graph import MetricGraph, require_valid, vertex_incidences
 from .secular import GroundState
+
+_CONTINUITY_TOL = 1e-8  # relative spread of the values met at one vertex
+_INTERIOR_FRACTION = 0.8  # centered share of the edge that xi scales
 
 
 @dataclass(frozen=True)
@@ -83,16 +87,12 @@ def _edge_coordinates(graph):
     return spans
 
 
-def rayleigh_quotient(
-    graph: MetricGraph,
-    trial: GraphTrial,
-    *,
-    continuity_tol: float = 1e-8,
-) -> float:
+def rayleigh_quotient(graph: MetricGraph, trial: GraphTrial) -> float:
     """q[trial] / ||trial||^2 by adaptive quadrature.
 
-    The trial must cover every edge and be continuous at the vertices; a
-    visible mismatch or a zero-norm trial raises ValueError.
+    The trial must cover every edge and be continuous at the vertices (to
+    relative _CONTINUITY_TOL); a mismatch or a zero-norm trial raises
+    ValueError.
     """
     from scipy.integrate import quad
 
@@ -104,7 +104,7 @@ def rayleigh_quotient(
     vertex_vals = _vertex_values(graph, trial.values)
     scale = max(abs(v) for vals in vertex_vals.values() for v in vals)
     for vid, vals in vertex_vals.items():
-        if max(vals) - min(vals) > continuity_tol * max(scale, 1e-300):
+        if max(vals) - min(vals) > _CONTINUITY_TOL * max(scale, 1e-300):
             raise ValueError(f"trial is discontinuous at vertex {vid!r}")
 
     energy = 0.0
@@ -128,27 +128,32 @@ def scaled_trial_quotient(
     ground: GroundState,
     edge_id: str,
     xi: float,
-    interior_fraction: float = 0.8,
 ) -> float:
     """Energy quotient after scaling an interior segment of one edge by xi.
 
-    The segment J is the centered ``interior_fraction`` of the finite edge.
+    The segment J is the centered _INTERIOR_FRACTION of the finite edge.
     With A, C the energy and mass outside J and B, D inside, the quotient is
     (A + B/xi) / (C + D*xi): stretching the segment scales its mass by xi
     and its bending energy by 1/xi while everything else (including the
     vertex terms, since J is interior) is carried along unchanged.  At
     xi = 1 this is the Rayleigh identity, so the value is lambda0.
+
+    ``ground`` must be the ground state of ``graph``: a graph whose edge ids
+    or finite-edge lengths differ from ``ground.solutions`` raises
+    ValueError.  Different alphas (GroundState does not store them) and
+    different edge endpoints or lead anchors are not detected.
     """
     require_valid(graph)
-    if not (isinstance(xi, (int, float)) and math.isfinite(xi) and xi > 0):
+    if not (isinstance(xi, numbers.Real) and math.isfinite(xi) and xi > 0):
         raise ValueError(f"xi must be positive, got {xi!r}")
-    if not 0 < interior_fraction < 1:
-        raise ValueError("interior_fraction must be in (0, 1)")
+    xi = float(xi)
+    if _edge_coordinates(graph) != [(s.edge_id, s.length) for s in ground.solutions]:
+        raise ValueError("ground state was not solved on this graph: edge ids or lengths differ")
     sol = ground.solution(edge_id)
     if sol.kind != "finite":
         raise ValueError(f"edge {edge_id!r} is not a finite edge")
 
-    x0 = 0.5 * (1.0 - interior_fraction) * sol.length
+    x0 = 0.5 * (1.0 - _INTERIOR_FRACTION) * sol.length
     x1 = sol.length - x0
     b_seg = sol.dirichlet_energy(x0, x1)
     d_seg = sol.l2_mass(x0, x1)

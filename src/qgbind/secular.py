@@ -46,6 +46,7 @@ from .rootscan import bisect_sign, probe_geometric, scan_down  # noqa: F401
 _GAP_MIN = 1e6
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
+_EPSILON_IDX = 1e-9  # relative |a| - |b| below which an edge index is 0
 
 
 def _eigh(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -445,10 +446,10 @@ def vertex_matrix(graph: MetricGraph, kappa: float) -> np.ndarray:
     return _assemble(a, W)[0]
 
 
-def _shape_indices(diff, big, epsilon_idx: float = 1e-9):
-    """Sign of diff = |a| - |b|, or 0 where it is within epsilon_idx of
+def _shape_indices(diff, big):
+    """Sign of diff = |a| - |b|, or 0 where it is within _EPSILON_IDX of
     big = max(|a|, |b|)."""
-    return np.where(np.abs(diff) <= epsilon_idx * big, 0, np.where(diff > 0, 1, -1))
+    return np.where(np.abs(diff) <= _EPSILON_IDX * big, 0, np.where(diff > 0, 1, -1))
 
 
 def _edge_shapes(p, q, E, a, b):
@@ -476,29 +477,29 @@ def _edge_minima(p, q, qE, pE, ends, kl):
     return np.where((p > qE) & (q > pE), np.minimum(ends, dip), ends)
 
 
-def _classify(diff: float, big: float, epsilon_idx: float) -> int:
+def _classify(diff: float, big: float) -> int:
     """:func:`_shape_indices` of one edge, which must not be zero."""
     if big == 0.0:
         raise ValueError("zero solution on edge cannot be classified")
-    return int(_shape_indices(diff, big, epsilon_idx))
+    return int(_shape_indices(diff, big))
 
 
-def classify_coefficients(a: float, b: float, epsilon_idx: float = 1e-9) -> int:
+def classify_coefficients(a: float, b: float) -> int:
     """Shape index from cosh/sinh coefficients: +1 cosh-like, -1 sinh-like,
-    0 for a pure exponential (|a| and |b| equal to relative epsilon_idx)."""
+    0 for a pure exponential (|a| and |b| equal to relative _EPSILON_IDX)."""
     fa, fb = abs(a), abs(b)
-    return _classify(fa - fb, max(fa, fb), epsilon_idx)
+    return _classify(fa - fb, max(fa, fb))
 
 
-def classify_edge_index(solution: EdgeSolution, epsilon_idx: float = 1e-9) -> int:
-    """Shape index of one edge component (see :func:`_edge_shapes`); leads
-    are always 0."""
+def classify_edge_index(solution: EdgeSolution) -> int:
+    """Shape index of one edge component (see :func:`_edge_shapes`), 0
+    within relative _EPSILON_IDX; leads are always 0."""
     if solution.kind == "infinite":
-        return _classify(0.0, abs(solution.c), epsilon_idx)
+        return _classify(0.0, abs(solution.c))
     p, q = np.array(solution.p), np.array(solution.q)
     E = np.exp(-np.array(solution.kappa * solution.length))
     diff, big = _edge_shapes(p, q, E, p + q * E, q * E - p)
-    return _classify(float(diff), float(big), epsilon_idx)
+    return _classify(float(diff), float(big))
 
 
 def vertex_condition_residuals(

@@ -30,6 +30,8 @@ from .graph import (
 from .rootscan import brentq  # noqa: F401
 from .secular import SolverOptions, _ground_states, vertex_matrix
 
+_FLAT_POINTS = 13  # axial lengths that find_critical_coupling solves at alpha_c
+
 
 class CritError(RuntimeError):
     """No center alpha in the bracket makes the energy flat in the axial
@@ -253,7 +255,6 @@ def find_critical_coupling(
     window: tuple[float, float] = (0.5, 3.0),
     alpha_bracket: tuple[float, float] = (-3.0, -0.1),
     options: SolverOptions | None = None,
-    flat_points: int = 13,
 ) -> CritResult:
     """Center alpha at which the energy is flat in the axial edge length.
 
@@ -261,7 +262,7 @@ def find_critical_coupling(
     :func:`_closed_form_alpha`); at alpha_c the ground state is
     kappa0 = |alpha of the outer vertex| for every axial length.  alpha_c
     must lie in ``alpha_bracket`` (either order).  The graph route then
-    solves ``flat_points`` axial lengths across ``window`` as independent
+    solves ``_FLAT_POINTS`` axial lengths across ``window`` as independent
     evidence: their largest energy change and slope, and the axial edge's
     index at the middle length.
     """
@@ -278,8 +279,8 @@ def find_critical_coupling(
             "of the length-dependence gap there"
         )
 
-    lengths = np.linspace(lo, hi, flat_points)
-    columns = np.column_stack((np.full(flat_points, alpha_crit), lengths))
+    lengths = np.linspace(lo, hi, _FLAT_POINTS)
+    columns = np.column_stack((np.full(_FLAT_POINTS, alpha_crit), lengths))
     targets = (SweepTarget("vertex", center), SweepTarget("edge", axial_edge_id))
     states = _ground_states(graph, *_family(graph, targets, columns), options)
     for state in states:
@@ -288,7 +289,7 @@ def find_critical_coupling(
     lambdas = np.array([-s.kappa0 * s.kappa0 for s in states])
     variation = float(np.max(np.abs(lambdas - lambdas[0])))
     evidence = float(np.max(np.abs(np.diff(lambdas) / np.diff(lengths))))
-    mid = states[flat_points // 2]
+    mid = states[_FLAT_POINTS // 2]
     axial = next(i for i, e in enumerate(graph.finite_edges) if e.id == axial_edge_id)
     return CritResult(
         alpha_crit=alpha_crit,

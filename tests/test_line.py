@@ -16,15 +16,12 @@ import qgbind.line as line_module
 from qgbind import (
     LineConfig,
     LoopConfig,
-    MonotonicityViolation,
     NoRoot,
     as_chain_graph,
     as_cycle_graph,
-    check_monotonicity_line,
     find_ground_state,
     gamma_line,
     gamma_loop,
-    grow_loop,
     ground_state_line,
     ground_state_loop,
     stretch_gap,
@@ -288,15 +285,6 @@ def test_loop_energy_rises_toward_line_value():
     assert gaps[0] > gaps[1] > gaps[2] > 0.0
 
 
-def test_grow_loop_preserves_sites():
-    config = LoopConfig(10.0, (0.0, 0.5), (-0.1, -0.1))
-    grown = grow_loop(config, 5.0)
-    assert grown.circumference == 15.0
-    assert grown.sites == config.sites
-    with pytest.raises(ValueError):
-        grow_loop(config, 0.0)
-
-
 # -------------------------------------------------- stretching machinery
 
 def test_stretch_gap_moves_tail_only():
@@ -316,43 +304,18 @@ def test_stretch_gap_validates_arguments():
 
 def test_stretching_raises_energy():
     config = LineConfig((0.0, 1.0, 2.5), (-1.0, -0.5, -0.8))
-    report = check_monotonicity_line(config, stretch_gap(config, 1, 0.4))
-    assert report.margin > 0.0
-    assert report.lambda_before < report.lambda_after < 0.0
-
-
-def test_monotonicity_rejects_mismatched_strengths():
-    a = LineConfig((0.0, 1.0), (-1.0, -1.0))
-    b = LineConfig((0.0, 1.5), (-1.0, -0.9))
-    with pytest.raises(ValueError):
-        check_monotonicity_line(a, b)
-
-
-def test_monotonicity_rejects_shrunk_distance():
-    a = LineConfig((0.0, 1.0), (-1.0, -1.0))
-    b = LineConfig((0.0, 0.8), (-1.0, -1.0))
-    with pytest.raises(ValueError):
-        check_monotonicity_line(a, b)
-
-
-def test_monotonicity_rejects_pure_translation():
-    a = LineConfig((0.0, 1.0), (-1.0, -1.0))
-    with pytest.raises(ValueError):
-        check_monotonicity_line(a, a.translated(2.0))
+    before = ground_state_line(config).lambda0
+    after = ground_state_line(stretch_gap(config, 1, 0.4)).lambda0
+    assert before < after < 0.0
 
 
 def test_tiny_stretch_still_resolves_positive_margin():
     # a 1e-13 gap change sits far above the kappa tolerance; the margin
     # must already be strictly positive, not lost to rounding
     a = LineConfig((0.0, 1.0, 1.2), (-1.0, -0.5, -0.5))
-    report = check_monotonicity_line(a, stretch_gap(a, 0, 1e-13))
-    assert report.margin > 0.0
-
-
-def test_monotonicity_violation_is_an_assertion():
-    # the violation branch is unreachable for true stretches (that is the
-    # theorem); only its contract is checked here
-    assert issubclass(MonotonicityViolation, AssertionError)
+    before = ground_state_line(a).lambda0
+    after = ground_state_line(stretch_gap(a, 0, 1e-13)).lambda0
+    assert after - before > 0.0
 
 
 # ------------------------------------------------------- config checks

@@ -7,11 +7,16 @@ lead integrals are geometric and evaluate in closed form.
 
 import math
 
+import numpy as np
 import pytest
 
 from conftest import robin_interval, single_vertex_graph, star_graph
 from qgbind import (
+    FiniteEdge,
     GraphTrial,
+    InfiniteEdge,
+    MetricGraph,
+    VertexSpec,
     find_ground_state,
     rayleigh_quotient,
     scaled_trial_quotient,
@@ -144,10 +149,27 @@ def test_scaled_quotient_validates_arguments():
         scaled_trial_quotient(g, gs, "axial", 0.0)
     with pytest.raises(ValueError):
         scaled_trial_quotient(g, gs, "axial", float("nan"))
-    with pytest.raises(ValueError):
-        scaled_trial_quotient(g, gs, "axial", 1.0, interior_fraction=1.0)
     with pytest.raises(KeyError):
         scaled_trial_quotient(g, gs, "nope", 1.0)
+    # any real scalar, NumPy's included, is a valid xi
+    assert scaled_trial_quotient(g, gs, "axial", np.float32(1.0)) == (
+        scaled_trial_quotient(g, gs, "axial", 1.0))
+
+
+def test_scaled_quotient_rejects_another_graphs_ground_state():
+    def graph(length, edge_id="e"):
+        return MetricGraph(
+            (VertexSpec("c", -1.0), VertexSpec("p", -1.5)),
+            (FiniteEdge(edge_id, "c", "p", length),),
+            (InfiniteEdge("lead", "c"),),
+        )
+
+    gs = find_ground_state(graph(1.0))
+    # a longer edge under the same ids gave -88.37 for lambda0 = -2.44
+    with pytest.raises(ValueError, match="not solved on this graph"):
+        scaled_trial_quotient(graph(2.0), gs, "e", 1.0)
+    with pytest.raises(ValueError, match="not solved on this graph"):
+        scaled_trial_quotient(graph(1.0, "f"), gs, "f", 1.0)
 
 
 def test_scaled_quotient_rejects_leads():
@@ -165,7 +187,7 @@ def test_scaled_quotient_is_variational_bound():
     g = star_graph(-2.5, L2=1.0)
     gs = find_ground_state(g)
     xi = 1.05
-    f_xi = scaled_trial_quotient(g, gs, "axial", xi, interior_fraction=0.8)
+    f_xi = scaled_trial_quotient(g, gs, "axial", xi)
     stretched = star_graph(-2.5, L2=1.0 + 0.8 * 0.05)
     gs2 = find_ground_state(stretched)
     assert gs2.lambda0 <= f_xi + 1e-12

@@ -21,7 +21,8 @@ def test_exports_are_unique_and_resolve():
         assert hasattr(qgbind, name), name
     removed = {"SecularMatrix", "build_secular_matrix", "singularity_indicator",
                "mu0", "min_eigenpair", "derivative_signs", "NULLSPACE_GAP_MIN",
-               "reconstruct_eigenfunction"}
+               "reconstruct_eigenfunction", "check_monotonicity_line",
+               "MonotonicityReport", "MonotonicityViolation", "grow_loop"}
     assert removed.isdisjoint(names)
 
 
