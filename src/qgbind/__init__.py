@@ -53,7 +53,6 @@ from .secular import (
     NoBoundState,
     PositivityViolation,
     SolverOptions,
-    classify_coefficients,
     classify_edge_index,
     find_ground_state,
     vertex_condition_residuals,
@@ -83,8 +82,7 @@ __all__ = [
     "GraphTrial", "rayleigh_quotient", "scaled_trial_quotient",
     "DegenerateRoot", "Diagnostics", "EdgeSolution", "GroundState",
     "NoBoundState", "PositivityViolation", "SolverOptions",
-    "classify_coefficients", "classify_edge_index", "find_ground_state",
-    "vertex_condition_residuals",
+    "classify_edge_index", "find_ground_state", "vertex_condition_residuals",
     "CritError", "CritResult", "SweepPoint", "SweepSpec", "SweepTarget",
     "apply_target", "find_critical_coupling", "run_sweep",
     "__version__",

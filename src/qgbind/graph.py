@@ -180,20 +180,30 @@ def _layout_problems(graph: MetricGraph) -> list[str]:
     for v in graph.vertices:
         if not incidences[v.id]:
             problems.append(f"vertex {v.id!r}: isolated vertex (degree 0)")
-    comp = {v.id: v.id for v in graph.vertices}
-
-    def find(x: str) -> str:
-        while comp[x] != x:
-            comp[x] = comp[comp[x]]
-            x = comp[x]
-        return x
-
-    for e in graph.finite_edges:
-        comp[find(e.start)] = find(e.end)
-    roots = {find(v.id) for v in graph.vertices}
+    ids = {v.id: i for i, v in enumerate(graph.vertices)}
+    roots = set(_components(len(ids), [(ids[e.start], ids[e.end]) for e in graph.finite_edges]))
     if len(roots) > 1:
         problems.append(f"disconnected graph ({len(roots)} components)")
     return problems
+
+
+def _components(n: int, pairs) -> list[int]:
+    """Per index in range(n), the smallest index of its component when each
+    pair (u, v) in ``pairs`` joins u and v (union-find with path halving)."""
+    root = list(range(n))
+
+    def find(i):
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    for u, v in pairs:
+        u, v = find(u), find(v)
+        if u > v:
+            u, v = v, u
+        root[v] = u
+    return [find(i) for i in range(n)]
 
 
 def topology_ok(graph: MetricGraph) -> bool:
@@ -228,14 +238,10 @@ def require_valid(graph: MetricGraph) -> None:
 
 def degree(graph: MetricGraph, vertex_id: str) -> int:
     """Number of edge ends meeting the vertex; parallel edges count twice."""
-    if all(v.id != vertex_id for v in graph.vertices):
+    ends = vertex_incidences(graph).get(vertex_id)
+    if ends is None:
         raise KeyError(f"unknown vertex id: {vertex_id!r}")
-    n = 0
-    for e in graph.finite_edges:
-        n += (e.start == vertex_id) + (e.end == vertex_id)
-    for e in graph.infinite_edges:
-        n += e.anchor == vertex_id
-    return n
+    return len(ends)
 
 
 def vertex_incidences(graph: MetricGraph) -> dict[str, list[tuple[str, int]]]:

@@ -11,12 +11,11 @@ eigenvalue always sits above the true one and converges at O(h^2).
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import InfiniteEdge, MetricGraph, VertexSpec, require_valid
+from .graph import InfiniteEdge, MetricGraph, VertexSpec, require_valid, vertex_incidences
 from .secular import GroundState
 
 _MAX_NODES = 10**8
@@ -95,8 +94,6 @@ def discretize(graph: MetricGraph, h: float, R: float | None = None) -> Discreti
     pieces = [(vertex_nodes[e.start], vertex_nodes[e.end], e.length)
               for e in graph.finite_edges]
     pieces += [(vertex_nodes[t.anchor], -1, R) for t in graph.infinite_edges]
-    if not pieces:
-        raise OracleError("empty mesh")
     # counts as floats, so the size is checked before anything is allocated
     # (length / h may even overflow to inf)
     counts = [max(1.0, round(length / h, 0)) for *_, length in pieces]
@@ -160,15 +157,13 @@ def _kappa_bound(graph: MetricGraph) -> float:
     k >= a/2 + sqrt(a^2/4 + a/l), a = max(-alpha_v, 0)/deg v (k >= a on a
     lead).  kappa* is the largest such k.
     """
-    alpha = {v.id: v.alpha for v in graph.vertices}
-    ends = [(e.start, e.length / 2.0) for e in graph.finite_edges]
-    ends += [(e.end, e.length / 2.0) for e in graph.finite_edges]
-    ends += [(t.anchor, math.inf) for t in graph.infinite_edges]
-    degree = Counter(v for v, _ in ends)
+    incidences = vertex_incidences(graph)
     bound = 0.0
-    for v, half in ends:
-        a = max(-alpha[v], 0.0) / degree[v]
-        bound = max(bound, a / 2.0 + math.sqrt(a * a / 4.0 + a / half))
+    for v in graph.vertices:
+        a = max(-v.alpha, 0.0) / len(incidences[v.id])
+        for kind, i in incidences[v.id]:
+            half = math.inf if kind == "lead" else graph.finite_edges[i].length / 2.0
+            bound = max(bound, a / 2.0 + math.sqrt(a * a / 4.0 + a / half))
     return bound
 
 

@@ -62,13 +62,18 @@ class GraphTrial:
 
 def _vertex_values(graph, values) -> dict[str, list[float]]:
     """Per vertex id: the values at the incident edge ends; ``values`` maps
-    edge ids to callables of the edge coordinate."""
+    edge ids to callables of the edge coordinate.  Values that disagree at a
+    vertex by more than relative _CONTINUITY_TOL raise ValueError."""
     out: dict[str, list[float]] = {}
     for vid, incs in vertex_incidences(graph).items():
         out[vid] = []
         for kind, i in incs:
             e = graph.infinite_edges[i] if kind == "lead" else graph.finite_edges[i]
             out[vid].append(float(values[e.id](e.length if kind == "end" else 0.0)))
+    scale = max(abs(v) for vals in out.values() for v in vals)
+    for vid, vals in out.items():
+        if max(vals) - min(vals) > _CONTINUITY_TOL * max(scale, 1e-300):
+            raise ValueError(f"trial is discontinuous at vertex {vid!r}")
     return out
 
 
@@ -102,11 +107,6 @@ def rayleigh_quotient(graph: MetricGraph, trial: GraphTrial) -> float:
         raise ValueError(f"trial does not cover edges: {missing}")
 
     vertex_vals = _vertex_values(graph, trial.values)
-    scale = max(abs(v) for vals in vertex_vals.values() for v in vals)
-    for vid, vals in vertex_vals.items():
-        if max(vals) - min(vals) > _CONTINUITY_TOL * max(scale, 1e-300):
-            raise ValueError(f"trial is discontinuous at vertex {vid!r}")
-
     energy = 0.0
     norm2 = 0.0
     for eid, hi in _edge_coordinates(graph):
@@ -139,9 +139,10 @@ def scaled_trial_quotient(
     xi = 1 this is the Rayleigh identity, so the value is lambda0.
 
     ``ground`` must be the ground state of ``graph``: a graph whose edge ids
-    or finite-edge lengths differ from ``ground.solutions`` raises
-    ValueError.  Different alphas (GroundState does not store them) and
-    different edge endpoints or lead anchors are not detected.
+    or finite-edge lengths differ from ``ground.solutions``, or on which the
+    state is discontinuous at a vertex (an edge turned round, a lead moved),
+    raises ValueError.  Different alphas are not detected (GroundState does
+    not store them).
     """
     require_valid(graph)
     if not (isinstance(xi, numbers.Real) and math.isfinite(xi) and xi > 0):

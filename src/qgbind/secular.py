@@ -33,10 +33,12 @@ from .graph import (
     InvalidGraphError,
     MetricGraph,
     ValidationReport,
+    _components,
     parameter_problems,
     parameters,
     topology_ok,
     validate,
+    vertex_incidences,
 )
 from .rootscan import increasing_roots
 # stubs that raise, unused here; perfbench/tracer.py wraps them until ROADMAP item 1
@@ -236,33 +238,31 @@ class _Topology:
     member of a batch: member i replaces the graph's alphas and finite-edge
     lengths by row i of ``alphas`` (k, vertices) and ``lengths`` (k, finite
     edges).  Functions of kappa take one kappa per member, kappa (k,), and
-    return arrays with the members in rows.
+    return arrays with the members in rows.  The edge ends at each vertex,
+    in order, are those of :func:`graph.vertex_incidences`.
     """
 
     def __init__(self, graph: MetricGraph, members: int = 1):
         n = self.n = len(graph.vertices)
-        ids = {v.id: i for i, v in enumerate(graph.vertices)}
-        start = [ids[e.start] for e in graph.finite_edges]
-        end = [ids[e.end] for e in graph.finite_edges]
-        anchors = [ids[e.anchor] for e in graph.infinite_edges]
-        # the edge ends at each vertex in the order of vertex_incidences, as
-        # positions in the concatenation (start ends, end ends, leads)
-        ends = [[] for _ in range(n)]
-        for i, (u, v) in enumerate(zip(start, end)):
-            ends[u].append(i)
-            ends[v].append(len(start) + i)
-        leads = [0] * n
-        for j, u in enumerate(anchors):
-            ends[u].append(2 * len(start) + j)
-            leads[u] += 1
-        degree = [len(at) for at in ends]
-        self.order = np.array([i for at in ends for i in at], dtype=np.intp)
+        m = len(graph.finite_edges)
+        # each edge end's vertex, and the ends at each vertex as positions in
+        # the concatenation (start ends, end ends, leads), in one pass
+        start, end, anchors = [0] * m, [0] * m, [0] * len(graph.infinite_edges)
+        where = {"start": (start, 0), "end": (end, m), "lead": (anchors, 2 * m)}
+        order, degree = [], []
+        for u, ends in enumerate(vertex_incidences(graph).values()):
+            for kind, i in ends:
+                at, offset = where[kind]
+                at[i] = u
+                order.append(offset + i)
+            degree.append(len(ends))
+        self.order = np.array(order, dtype=np.intp)
         self.first = np.array([0, *accumulate(degree[:-1])], dtype=np.intp)
         self.degree = np.array(degree, dtype=float)
         self.max_degree = max(degree)
         self.start, self.end, self.anchors = (np.array(x, dtype=np.intp)
                                               for x in (start, end, anchors))
-        self.leads = np.array(leads, dtype=float)
+        self.leads = np.bincount(self.anchors, minlength=n).astype(float)
         # W's entries, then a's edge terms, in one accumulation; row i, for
         # any i-th of up to ``members`` members, is offset by i n (n + 1)
         index = np.array([u * n + v for u, v in zip(start, end)]
@@ -341,19 +341,8 @@ class _Topology:
         rounding (kappa0 off by 1e-7 relative at l = 1e-9); eliminated, it
         leaves no entry larger than about 1e3 kappa.
         """
-        root = list(range(self.n))
-
-        def find(i):
-            while root[i] != i:
-                root[i] = root[root[i]]
-                i = root[i]
-            return i
-
         short = kl < 1e-3
-        for s, e in zip(self.start[short].tolist(), self.end[short].tolist()):
-            u, v = sorted((find(s), find(e)))
-            root[v] = u
-        roots = [find(i) for i in range(self.n)]
+        roots = _components(self.n, zip(self.start[short].tolist(), self.end[short].tolist()))
         return np.array(roots), [i for i, r in enumerate(roots) if r != i]
 
     def audit(self, kappa, alphas, lengths, p, q, c, E):
@@ -477,29 +466,19 @@ def _edge_minima(p, q, qE, pE, ends, kl):
     return np.where((p > qE) & (q > pE), np.minimum(ends, dip), ends)
 
 
-def _classify(diff: float, big: float) -> int:
-    """:func:`_shape_indices` of one edge, which must not be zero."""
+def classify_edge_index(solution: EdgeSolution) -> int:
+    """Shape index of one edge component (see :func:`_edge_shapes`): +1
+    cosh-like, -1 sinh-like, 0 within relative _EPSILON_IDX and on leads; a
+    zero component raises ValueError."""
+    if solution.kind == "infinite":
+        diff, big = 0.0, abs(solution.c)
+    else:
+        p, q = np.array(solution.p), np.array(solution.q)
+        E = np.exp(-np.array(solution.kappa * solution.length))
+        diff, big = _edge_shapes(p, q, E, p + q * E, q * E - p)
     if big == 0.0:
         raise ValueError("zero solution on edge cannot be classified")
     return int(_shape_indices(diff, big))
-
-
-def classify_coefficients(a: float, b: float) -> int:
-    """Shape index from cosh/sinh coefficients: +1 cosh-like, -1 sinh-like,
-    0 for a pure exponential (|a| and |b| equal to relative _EPSILON_IDX)."""
-    fa, fb = abs(a), abs(b)
-    return _classify(fa - fb, max(fa, fb))
-
-
-def classify_edge_index(solution: EdgeSolution) -> int:
-    """Shape index of one edge component (see :func:`_edge_shapes`), 0
-    within relative _EPSILON_IDX; leads are always 0."""
-    if solution.kind == "infinite":
-        return _classify(0.0, abs(solution.c))
-    p, q = np.array(solution.p), np.array(solution.q)
-    E = np.exp(-np.array(solution.kappa * solution.length))
-    diff, big = _edge_shapes(p, q, E, p + q * E, q * E - p)
-    return _classify(float(diff), float(big))
 
 
 def vertex_condition_residuals(
@@ -558,8 +537,8 @@ def _states(topo: _Topology, kappa, alphas, lengths, roots, order) -> list:
     a root of mu0, never an excited root, so the vector of mu0 is positive
     (Perron-Frobenius), and a zero in it is underflow.
 
-    Returns per member (p, q, c, indices, gap, minimum, continuity,
-    coupling), or the DegenerateRoot or PositivityViolation it raises.
+    Returns per member (p, q, c, indices, continuity, coupling, gap,
+    minimum), or the DegenerateRoot or PositivityViolation it raises.
     """
     out: list = [None] * len(kappa)
     a, W, E, den = topo.parts(kappa, alphas, lengths)
@@ -593,38 +572,39 @@ def _states(topo: _Topology, kappa, alphas, lengths, roots, order) -> list:
     p, q, c = p / scale, q / scale, c / scale
     indices, minimum, cont, coup = topo.audit(kappa, alphas, lengths, p, q, c, E)
     leads = (0,) * c.shape[1]
-    for i, r, index, *certificate in zip(range(len(rows)), rows, indices.tolist(),
-                                         gap.tolist(), minimum.tolist(), cont.tolist(),
-                                         coup.tolist()):
-        if not certificate[0] >= _GAP_MIN:
+    for i, r, index, cont_i, coup_i, gap_i, min_i in zip(
+            range(len(rows)), rows, indices.tolist(), cont.tolist(), coup.tolist(),
+            gap.tolist(), minimum.tolist()):
+        if not gap_i >= _GAP_MIN:
             out[r] = DegenerateRoot(
                 f"nullspace not simple at kappa={float(kappa[i])!r}: "
-                f"eigenvalue gap {certificate[0]:.3g} < {_GAP_MIN:.0e}")
-        elif not certificate[1] > 0.0:
+                f"eigenvalue gap {gap_i:.3g} < {_GAP_MIN:.0e}")
+        elif not min_i > 0.0:
             kl = float(kappa[i]) * max(lengths[i].tolist(), default=0.0)
             out[r] = PositivityViolation(
-                f"state is not strictly positive (min {certificate[1]:.3g}); "
+                f"state is not strictly positive (min {min_i:.3g}); "
                 f"it underflows: exp(-kappa0 l) leaves the double range beyond kappa0 l "
                 f"~ 745, and the longest edge has kappa0 l = {kl:.4g}")
         else:
-            out[r] = (p[i], q[i], c[i], tuple(index) + leads, *certificate)
+            out[r] = (p[i], q[i], c[i], tuple(index) + leads, cont_i, coup_i, gap_i, min_i)
     return out
 
 
 class _State(NamedTuple):
-    """One member's ground state (see :func:`_ground_states`)."""
+    """One member's ground state (see :func:`_ground_states`); the fields
+    after ``indices`` are those of :class:`Diagnostics`, in its order."""
 
     kappa0: float
-    bracket: tuple[float, float]
-    evaluations: int
     p: np.ndarray
     q: np.ndarray
     c: np.ndarray
     indices: tuple[int, ...]
-    gap: float
-    minimum: float
-    continuity: float
-    coupling: float
+    continuity_residual: float
+    coupling_residual: float
+    nullspace_gap: float
+    min_sampled: float
+    bracket: tuple[float, float]
+    indicator_evaluations: int
 
 
 def _ground_states(graph: MetricGraph, alphas: list, lengths: list,
@@ -637,11 +617,11 @@ def _ground_states(graph: MetricGraph, alphas: list, lengths: list,
     Each member gets the :class:`_State` that :func:`find_ground_state`
     computes for it alone, bit for bit, or the exception it raises there:
     InvalidGraphError for a member that breaks an alpha or length rule,
-    NoBoundState, DegenerateRoot or PositivityViolation.  The Newton steps
-    of the pending members run in lockstep (:func:`rootscan.increasing_roots`):
+    NoBoundState, DegenerateRoot or PositivityViolation.  Members that
+    eliminate the same short-edge clusters form a group, and the Newton steps
+    of a group's members run in lockstep (:func:`rootscan.increasing_roots`):
     each round builds their matrices with one bincount and solves them with
-    one stacked eigh per group of members that eliminate the same
-    short-edge clusters.
+    one stacked eigh.
     """
     opts = options or SolverOptions()
     if opts.kappa_max is not None and not (math.isfinite(opts.kappa_max) and opts.kappa_max > 0):
@@ -662,16 +642,15 @@ def _ground_states(graph: MetricGraph, alphas: list, lengths: list,
     n_leads = len(graph.infinite_edges)
     lo = [-2.0 * s / (n_leads + math.sqrt(n_leads * n_leads - 4.0 * sum(row) * s))
           for s, row in zip(map(sum, alpha_rows), rows)]
-    # members that eliminate the same clusters share a group; group 0 has none
-    groups, group, keys = [(None, [])], [0] * len(members), {}
+    groups: dict = {}  # cluster roots (None without clusters) -> (roots, order, members)
     for j, (lo_j, row) in enumerate(zip(lo, rows)):
+        roots, order = None, []
         if row and lo_j * min(row) < 1e-3:
             roots, order = topo.clusters(lo_j * lengths[j])
-            group[j] = keys.setdefault(tuple(roots.tolist()), len(groups))
-            if group[j] == len(groups):
-                groups.append((roots, order))
-    in_group = np.array(group) if len(groups) > 1 else None
+        key = None if roots is None else tuple(roots.tolist())
+        groups.setdefault(key, (roots, order, []))[2].append(j)
     evaluations = [0] * len(members)
+    outcomes: list = [None] * len(members)
 
     def values(rows, kappa, roots, order):
         L = lengths.take(rows, axis=0)
@@ -691,25 +670,20 @@ def _ground_states(graph: MetricGraph, alphas: list, lengths: list,
         both[:, rest] = values(rows[rest], kappa[rest], roots, [])
         return both
 
-    def newton_values(batch, kappas):
-        for j in batch:
-            evaluations[j] += 1
-        batch, kappa = np.array(batch), np.array(kappas)
-        if in_group is None:
-            mu, slope = values(batch, kappa, None, [])
-        else:
-            mu, slope = np.empty(len(batch)), np.empty(len(batch))
-            for g, (roots, order) in enumerate(groups):
-                sel = np.flatnonzero(in_group[batch] == g)
-                if sel.size:
-                    mu[sel], slope[sel] = values(batch[sel], kappa[sel], roots, order)
-        return mu.tolist(), slope.tolist()
+    for roots, order, group in groups.values():
+        def newton_values(batch, kappas):
+            batch = [group[b] for b in batch]
+            for j in batch:
+                evaluations[j] += 1
+            mu, slope = values(np.array(batch), np.array(kappas), roots, order)
+            return mu.tolist(), slope.tolist()
 
-    with np.errstate(invalid="ignore"):  # see _eigh
-        outcomes = increasing_roots(newton_values, lo, opts.tol_kappa, NoBoundState,
-                                    ceiling=opts.kappa_max or math.inf)
-    for g, (roots, order) in enumerate(groups):
-        sel = [j for j, o in enumerate(outcomes) if group[j] == g and isinstance(o, tuple)]
+        with np.errstate(invalid="ignore"):  # see _eigh
+            found = increasing_roots(newton_values, [lo[j] for j in group], opts.tol_kappa,
+                                     NoBoundState, ceiling=opts.kappa_max or math.inf)
+        for j, outcome in zip(group, found):
+            outcomes[j] = outcome
+        sel = [j for j in group if isinstance(outcomes[j], tuple)]
         if not sel:
             continue
         kappa0 = np.array([outcomes[j][0] for j in sel])
@@ -718,7 +692,7 @@ def _ground_states(graph: MetricGraph, alphas: list, lengths: list,
         for j, state in zip(sel, states):
             root, lo_j, hi = outcomes[j]
             outcomes[j] = (state if isinstance(state, Exception)
-                           else _State(root, (lo_j, hi), evaluations[j] + 1, *state))
+                           else _State(root, *state, (lo_j, hi), evaluations[j] + 1))
     for i, outcome in zip(members, outcomes):
         results[i] = outcome
     return results
@@ -750,17 +724,10 @@ def find_ground_state(graph: MetricGraph, options: SolverOptions | None = None) 
                            [[e.length for e in graph.finite_edges]], options)[0]
     if isinstance(state, Exception):
         raise state
-    diag = Diagnostics(
-        continuity_residual=state.continuity,
-        coupling_residual=state.coupling,
-        nullspace_gap=state.gap,
-        min_sampled=state.minimum,
-        bracket=state.bracket,
-        indicator_evaluations=state.evaluations,
-    )
     kappa0 = state.kappa0
     sols = [EdgeSolution.finite(e.id, kappa0, e.length, pe, qe)
             for e, pe, qe in zip(graph.finite_edges, state.p.tolist(), state.q.tolist())]
     sols += [EdgeSolution.infinite(e.id, kappa0, ce)
              for e, ce in zip(graph.infinite_edges, state.c.tolist())]
-    return GroundState(kappa0, -kappa0 * kappa0, tuple(sols), state.indices, diag)
+    return GroundState(kappa0, -kappa0 * kappa0, tuple(sols), state.indices,
+                       Diagnostics(*state[5:]))

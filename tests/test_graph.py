@@ -3,6 +3,7 @@
 import json
 import time
 
+import numpy as np
 import pytest
 
 from conftest import chain_graph, single_vertex_graph, star_graph
@@ -26,6 +27,7 @@ from qgbind import (
     validate,
     vertex_incidences,
 )
+from qgbind.graph import _components
 
 
 def test_star_is_admissible():
@@ -44,6 +46,41 @@ def test_degrees_on_star():
 def test_degree_counts_leads():
     g = single_vertex_graph(-2.0, 3)
     assert degree(g, "v") == 3
+
+
+def test_degree_counts_parallel_edges_twice_and_leads_once():
+    g = MetricGraph(
+        (VertexSpec("u", -1.0), VertexSpec("v", -0.5)),
+        (FiniteEdge("e1", "u", "v", 1.0), FiniteEdge("e2", "v", "u", 2.0)),
+        (InfiniteEdge("t", "u"),),
+    )
+    assert (degree(g, "u"), degree(g, "v")) == (3, 2)
+    with pytest.raises(KeyError, match="unknown vertex id: 'w'"):
+        degree(g, "w")
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_components_match_a_breadth_first_search(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 30))
+    pairs = [tuple(int(x) for x in rng.integers(0, n, size=2))
+             for _ in range(int(rng.integers(0, 2 * n)))]
+    roots = _components(n, pairs)
+    neighbours = [set() for _ in range(n)]
+    for u, v in pairs:
+        neighbours[u].add(v)
+        neighbours[v].add(u)
+    seen = set()
+    for i in range(n):
+        if i in seen:
+            continue
+        component, queue = {i}, [i]
+        while queue:
+            for j in neighbours[queue.pop()] - component:
+                component.add(j)
+                queue.append(j)
+        seen |= component
+        assert {roots[j] for j in component} == {min(component)}
 
 
 def test_degree_sum_identity():

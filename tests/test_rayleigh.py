@@ -157,11 +157,11 @@ def test_scaled_quotient_validates_arguments():
 
 
 def test_scaled_quotient_rejects_another_graphs_ground_state():
-    def graph(length, edge_id="e"):
+    def graph(length, edge_id="e", ends=("c", "p"), anchor="c"):
         return MetricGraph(
             (VertexSpec("c", -1.0), VertexSpec("p", -1.5)),
-            (FiniteEdge(edge_id, "c", "p", length),),
-            (InfiniteEdge("lead", "c"),),
+            (FiniteEdge(edge_id, *ends, length),),
+            (InfiniteEdge("lead", anchor),),
         )
 
     gs = find_ground_state(graph(1.0))
@@ -170,6 +170,11 @@ def test_scaled_quotient_rejects_another_graphs_ground_state():
         scaled_trial_quotient(graph(2.0), gs, "e", 1.0)
     with pytest.raises(ValueError, match="not solved on this graph"):
         scaled_trial_quotient(graph(1.0, "f"), gs, "f", 1.0)
+    # the edge turned round gave 0.379, the lead moved to p gave -0.076
+    with pytest.raises(ValueError, match="discontinuous at vertex 'c'"):
+        scaled_trial_quotient(graph(1.0, ends=("p", "c")), gs, "e", 1.0)
+    with pytest.raises(ValueError, match="discontinuous at vertex 'p'"):
+        scaled_trial_quotient(graph(1.0, anchor="p"), gs, "e", 1.0)
 
 
 def test_scaled_quotient_rejects_leads():

@@ -35,7 +35,6 @@ from qgbind import (
     SolverOptions,
     VertexSpec,
     as_chain_graph,
-    classify_coefficients,
     classify_edge_index,
     find_ground_state,
     ground_state_line,
@@ -481,24 +480,21 @@ def test_exact_edge_minimum_survives_long_edges():
 
 # -------------------------------------------------------- classification
 
-def test_classify_coefficients_basic():
-    assert classify_coefficients(1.0, 0.0) == 1
-    assert classify_coefficients(0.0, 1.0) == -1
-    assert classify_coefficients(1.0, -1.0) == 0
-    assert classify_coefficients(1.0, 1.0 - 1e-12) == 0
-    assert classify_coefficients(1.0, 0.5) == 1
-    assert classify_coefficients(-0.5, 1.0) == -1
+def test_classify_edge_index_from_cosh_sinh_coefficients():
+    # a cosh + b sinh on an edge is p = (a - b) / 2, q E = (a + b) / 2
+    kappa, length = 1.2, 1.5
+    E = math.exp(-kappa * length)
+    for a, b, index in [(1.0, 0.0, 1), (0.0, 1.0, -1), (1.0, -1.0, 0), (1.0, 1.0 - 1e-12, 0),
+                        (1.0, 0.5, 1), (-0.5, 1.0, -1)]:
+        sol = EdgeSolution.finite("e", kappa, length, (a - b) / 2, (a + b) / 2 / E)
+        assert classify_edge_index(sol) == index, (a, b)
 
 
-def test_classify_coefficients_rejects_zero():
-    with pytest.raises(ValueError):
-        classify_coefficients(0.0, 0.0)
-
-
-def test_classify_edge_index_agrees_with_coefficients():
-    for p, q in [(0.7, 0.2), (0.5, -0.1), (-0.3, -0.4), (1.0, 0.0)]:
-        sol = EdgeSolution.finite("e", 1.2, 1.5, p, q)
-        assert classify_edge_index(sol) == classify_coefficients(sol.a, sol.b)
+def test_classify_edge_index_rejects_a_zero_component():
+    with pytest.raises(ValueError, match="zero solution"):
+        classify_edge_index(EdgeSolution.finite("e", 1.2, 1.5, 0.0, 0.0))
+    with pytest.raises(ValueError, match="zero solution"):
+        classify_edge_index(EdgeSolution.infinite("t", 1.2, 0.0))
 
 
 def test_classify_edge_index_near_the_exponential_threshold():

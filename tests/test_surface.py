@@ -22,7 +22,8 @@ def test_exports_are_unique_and_resolve():
     removed = {"SecularMatrix", "build_secular_matrix", "singularity_indicator",
                "mu0", "min_eigenpair", "derivative_signs", "NULLSPACE_GAP_MIN",
                "reconstruct_eigenfunction", "check_monotonicity_line",
-               "MonotonicityReport", "MonotonicityViolation", "grow_loop"}
+               "MonotonicityReport", "MonotonicityViolation", "grow_loop",
+               "classify_coefficients"}
     assert removed.isdisjoint(names)
 
 
