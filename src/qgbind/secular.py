@@ -634,8 +634,7 @@ def _ground_states(graph: MetricGraph, alphas: list, lengths: list,
         else:
             members.append(i)
     alpha_rows, rows = [alphas[i] for i in members], [lengths[i] for i in members]
-    alphas = np.array(alpha_rows, dtype=float).reshape(len(members), len(graph.vertices))
-    lengths = np.array(rows, dtype=float).reshape(len(members), len(graph.finite_edges))
+    n, m = len(graph.vertices), len(graph.finite_edges)
     topo = _Topology(graph, len(members))
     # the positive root of L kappa**2 + N kappa + sum alpha, N leads, L the
     # total edge length: mu0 <= 0 there (see find_ground_state)
@@ -646,55 +645,54 @@ def _ground_states(graph: MetricGraph, alphas: list, lengths: list,
     for j, (lo_j, row) in enumerate(zip(lo, rows)):
         roots, order = None, []
         if row and lo_j * min(row) < 1e-3:
-            roots, order = topo.clusters(lo_j * lengths[j])
+            roots, order = topo.clusters(lo_j * np.array(row, dtype=float))
         key = None if roots is None else tuple(roots.tolist())
         groups.setdefault(key, (roots, order, []))[2].append(j)
-    evaluations = [0] * len(members)
-    outcomes: list = [None] * len(members)
-
-    def values(rows, kappa, roots, order):
-        L = lengths.take(rows, axis=0)
-        a, W, E, den = topo.parts(kappa, alphas.take(rows, axis=0), L)
-        S, kept, steps, alive = _reduced(a, W, order)
-        w, vecs = _eigh(S)
-        if alive is None:
-            return w[:, 0], topo.profiles(kappa, L, E, den, vecs[:, :, 0], kept, steps, roots)[3]
-        slope = topo.profiles(kappa[alive], L[alive], E[alive], den[alive], vecs[:, :, 0],
-                              kept, steps, roots)[3]
-        # a pivot <= 0 proves kappa < kappa0: those members step on M itself
-        both = np.empty((2, len(rows)))
-        both[:, alive] = w[:, 0], slope
-        rest = np.setdiff1d(np.arange(len(rows)), alive)
-        for j in rows[rest].tolist():
-            evaluations[j] += 1
-        both[:, rest] = values(rows[rest], kappa[rest], roots, [])
-        return both
 
     for roots, order, group in groups.values():
+        alphas = np.array([alpha_rows[j] for j in group], dtype=float).reshape(len(group), n)
+        lengths = np.array([rows[j] for j in group], dtype=float).reshape(len(group), m)
+        evaluations = [0] * len(group)
+
+        def values(batch, kappa, order):
+            L = lengths.take(batch, axis=0)
+            a, W, E, den = topo.parts(kappa, alphas.take(batch, axis=0), L)
+            S, kept, steps, alive = _reduced(a, W, order)
+            w, vecs = _eigh(S)
+            if alive is None:
+                return w[:, 0], topo.profiles(kappa, L, E, den, vecs[:, :, 0], kept, steps,
+                                              roots)[3]
+            slope = topo.profiles(kappa[alive], L[alive], E[alive], den[alive], vecs[:, :, 0],
+                                  kept, steps, roots)[3]
+            # a pivot <= 0 proves kappa < kappa0: those members step on M itself
+            both = np.empty((2, len(batch)))
+            both[:, alive] = w[:, 0], slope
+            rest = np.setdiff1d(np.arange(len(batch)), alive)
+            for i in batch[rest].tolist():
+                evaluations[i] += 1
+            both[:, rest] = values(batch[rest], kappa[rest], [])
+            return both
+
         def newton_values(batch, kappas):
-            batch = [group[b] for b in batch]
-            for j in batch:
-                evaluations[j] += 1
-            mu, slope = values(np.array(batch), np.array(kappas), roots, order)
+            for i in batch:
+                evaluations[i] += 1
+            mu, slope = values(np.array(batch), np.array(kappas), order)
             return mu.tolist(), slope.tolist()
 
         with np.errstate(invalid="ignore"):  # see _eigh
             found = increasing_roots(newton_values, [lo[j] for j in group], opts.tol_kappa,
                                      NoBoundState, ceiling=opts.kappa_max or math.inf)
+        sel = [i for i, outcome in enumerate(found) if isinstance(outcome, tuple)]
+        if sel:
+            kappa0 = np.array([found[i][0] for i in sel])
+            states = _states(topo, kappa0, alphas.take(sel, axis=0), lengths.take(sel, axis=0),
+                             roots, order)
+            for i, state in zip(sel, states):
+                root, lo_i, hi = found[i]
+                found[i] = (state if isinstance(state, Exception)
+                            else _State(root, *state, (lo_i, hi), evaluations[i] + 1))
         for j, outcome in zip(group, found):
-            outcomes[j] = outcome
-        sel = [j for j in group if isinstance(outcomes[j], tuple)]
-        if not sel:
-            continue
-        kappa0 = np.array([outcomes[j][0] for j in sel])
-        states = _states(topo, kappa0, alphas.take(sel, axis=0), lengths.take(sel, axis=0),
-                         roots, order)
-        for j, state in zip(sel, states):
-            root, lo_j, hi = outcomes[j]
-            outcomes[j] = (state if isinstance(state, Exception)
-                           else _State(root, *state, (lo_j, hi), evaluations[j] + 1))
-    for i, outcome in zip(members, outcomes):
-        results[i] = outcome
+            results[members[j]] = outcome
     return results
 
 

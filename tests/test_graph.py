@@ -59,28 +59,28 @@ def test_degree_counts_parallel_edges_twice_and_leads_once():
         degree(g, "w")
 
 
-@pytest.mark.parametrize("seed", range(20))
-def test_components_match_a_breadth_first_search(seed):
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(1, 30))
-    pairs = [tuple(int(x) for x in rng.integers(0, n, size=2))
-             for _ in range(int(rng.integers(0, 2 * n)))]
-    roots = _components(n, pairs)
-    neighbours = [set() for _ in range(n)]
-    for u, v in pairs:
-        neighbours[u].add(v)
-        neighbours[v].add(u)
-    seen = set()
-    for i in range(n):
-        if i in seen:
-            continue
-        component, queue = {i}, [i]
-        while queue:
-            for j in neighbours[queue.pop()] - component:
-                component.add(j)
-                queue.append(j)
-        seen |= component
-        assert {roots[j] for j in component} == {min(component)}
+def test_components_match_a_breadth_first_search():
+    # each index's root is the smallest index of its component
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        n = int(rng.integers(1, 30))
+        pairs = [tuple(int(x) for x in rng.integers(0, n, size=2))
+                 for _ in range(int(rng.integers(0, 2 * n)))]
+        roots = _components(n, pairs)
+        neighbours = [set() for _ in range(n)]
+        for u, v in pairs:
+            neighbours[u].add(v)
+            neighbours[v].add(u)
+        unseen = set(range(n))
+        while unseen:
+            component, queue = set(), [min(unseen)]
+            while queue:
+                i = queue.pop(0)
+                if i not in component:
+                    component.add(i)
+                    queue += neighbours[i]
+            unseen -= component
+            assert {roots[i] for i in component} == {min(component)}, pairs
 
 
 def test_degree_sum_identity():
