@@ -92,6 +92,21 @@ def _edge_coordinates(graph):
     return spans
 
 
+def _interval_integrals(kappa, p, q, l, x0, x1):
+    """(mass, energy): the integrals of psi**2 and psi'**2 over [x0, x1] of
+    psi = p exp(-kappa x) + q exp(-kappa (l - x)), entrywise.
+
+    psi = u + w splits into its two exponentials (u' = -kappa u, w' = kappa
+    w, u w = p q exp(-kappa l) constant).  With S = 2 kappa int(u**2 + w**2)
+    and C = int 2 u w, the mass is S / (2 kappa) + C and the energy is
+    S kappa / 2 - C kappa**2.
+    """
+    sq = (p**2 * (np.exp(-2 * kappa * x0) - np.exp(-2 * kappa * x1))
+          + q**2 * (np.exp(-2 * kappa * (l - x1)) - np.exp(-2 * kappa * (l - x0))))
+    cross = 2 * p * q * np.exp(-kappa * l) * (x1 - x0)
+    return sq / (2 * kappa) + cross, sq * kappa / 2 - cross * kappa**2
+
+
 def rayleigh_quotient(graph: MetricGraph, trial: GraphTrial) -> float:
     """q[trial] / ||trial||^2 by adaptive quadrature.
 
@@ -154,16 +169,19 @@ def scaled_trial_quotient(
     if sol.kind != "finite":
         raise ValueError(f"edge {edge_id!r} is not a finite edge")
 
+    kappa, m = ground.kappa0, len(graph.finite_edges)
     x0 = 0.5 * (1.0 - _INTERIOR_FRACTION) * sol.length
-    x1 = sol.length - x0
-    b_seg = sol.dirichlet_energy(x0, x1)
-    d_seg = sol.l2_mass(x0, x1)
-
-    energy = sum(s.dirichlet_energy() for s in ground.solutions)
-    norm2 = sum(s.l2_mass() for s in ground.solutions)
+    d_seg, b_seg = _interval_integrals(kappa, sol.p, sol.q, sol.length, x0, sol.length - x0)
+    # finite edges (in graph order, by the check above), then leads c exp(-kappa x)
+    p, q, lengths = (np.array([getattr(s, f) for s in ground.solutions[:m]], dtype=float)
+                     for f in ("p", "q", "length"))
+    c2 = np.array([s.c for s in ground.solutions[m:]], dtype=float) ** 2
+    mass, energy = _interval_integrals(kappa, p, q, lengths, 0.0, lengths)
+    norm2 = sum(np.concatenate((mass, c2 / (2 * kappa))).tolist())
+    energy = sum(np.concatenate((energy, c2 * kappa / 2)).tolist())
     vertex_vals = _vertex_values(graph, GraphTrial.from_ground_state(ground).values)
     energy = _add_vertex_terms(energy, graph, vertex_vals)
 
     a_rest = energy - b_seg
     c_rest = norm2 - d_seg
-    return (a_rest + b_seg / xi) / (c_rest + d_seg * xi)
+    return float((a_rest + b_seg / xi) / (c_rest + d_seg * xi))

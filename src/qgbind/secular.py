@@ -138,51 +138,6 @@ class EdgeSolution:
             return k * (-self.p * np.exp(-k * x) + self.q * np.exp(-k * (self.length - x)))
         return -k * self.c * np.exp(-k * x)
 
-    def _integrals(self, x0: float, x1: float | None) -> tuple[float, float]:
-        """S = 2 kappa int(u**2 + w**2) and C = int 2 u w over [x0, x1], with
-        psi = u + w split into its two exponentials (u' = -kappa u,
-        w' = kappa w, u w constant)."""
-        k = self.kappa
-        if self.kind == "infinite":
-            hi = 0.0 if x1 is None else math.exp(-2 * k * x1)
-            return self.c**2 * (math.exp(-2 * k * x0) - hi), 0.0
-        x1 = self.length if x1 is None else x1
-        sq = (self.p**2 * (math.exp(-2 * k * x0) - math.exp(-2 * k * x1))
-              + self.q**2 * (math.exp(-2 * k * (self.length - x1))
-                             - math.exp(-2 * k * (self.length - x0))))
-        cross = 2 * self.p * self.q * math.exp(-k * self.length) * (x1 - x0)
-        return sq, cross
-
-    def l2_mass(self, x0: float = 0.0, x1: float | None = None) -> float:
-        """Integral of psi**2 over [x0, x1] (whole edge by default)."""
-        sq, cross = self._integrals(x0, x1)
-        return sq / (2 * self.kappa) + cross
-
-    def dirichlet_energy(self, x0: float = 0.0, x1: float | None = None) -> float:
-        """Integral of psi'(x)**2 over [x0, x1] (whole edge by default)."""
-        sq, cross = self._integrals(x0, x1)
-        return sq * self.kappa / 2 - cross * self.kappa**2
-
-    def minimum(self) -> float:
-        """Exact minimum of psi on the edge.
-
-        On a lead this is c, the vertex value: c*exp(-kappa x) keeps the
-        sign of c and decays to 0.  On a finite edge with p, q > 0 psi is
-        convex with its critical point at x* = (l + ln(p/q)/kappa) / 2; when
-        x* lies inside the edge the minimum is 2*sqrt(p q)*exp(-kappa l / 2),
-        written without exp(-kappa l), which underflows long before its
-        square root does.  Otherwise psi is monotone on the edge and the
-        minimum is the smaller endpoint value.  With x* at an end, rounding
-        can put the closed form an ulp above that end's value, so the smaller
-        of the two is returned.
-        """
-        if self.kind == "infinite":
-            return self.c
-        p, q, kl = (np.array(x) for x in (self.p, self.q, self.kappa * self.length))
-        E = np.exp(-kl)
-        qE, pE = q * E, p * E
-        return float(_edge_minima(p, q, qE, pE, np.minimum(p + qE, pE + q), kl))
-
 
 @dataclass(frozen=True)
 class Diagnostics:
@@ -203,7 +158,7 @@ class Diagnostics:
     continuity_residual: float
     coupling_residual: float
     nullspace_gap: float
-    min_sampled: float  # exact minimum of the state (EdgeSolution.minimum)
+    min_sampled: float  # exact minimum of the state (see _Topology.audit)
     bracket: tuple[float, float]
     indicator_evaluations: int
     dips: tuple = ()
@@ -455,12 +410,16 @@ def _edge_shapes(p, q, E, a, b):
 
 def _edge_minima(p, q, qE, pE, ends, kl):
     """Exact minimum of psi = p exp(-kappa x) + q exp(-kappa (l - x)) on
-    each finite edge, from the smaller end value ``ends`` (see
-    :meth:`EdgeSolution.minimum`).
+    each finite edge, from qE = q E, pE = p E (E = exp(-kappa l)), the
+    smaller end value ``ends`` and kl = kappa l.
 
     The critical point x* = (l + ln(p/q) / kappa) / 2 of psi lies inside
     the edge where p > q E and q > p E, which also make p, q > 0 and psi
-    convex.
+    convex; the minimum there is 2 sqrt(p q) exp(-kappa l / 2), written
+    without E, which underflows long before its square root does.
+    Elsewhere psi is monotone on the edge and the minimum is the smaller
+    end value.  With x* at an end, rounding can put the closed form an ulp
+    above that end's value, so the smaller of the two is returned.
     """
     dip = 2.0 * np.sqrt(np.maximum(p, 0.0)) * np.sqrt(np.maximum(q, 0.0)) * np.exp(-0.5 * kl)
     return np.where((p > qE) & (q > pE), np.minimum(ends, dip), ends)
@@ -609,20 +568,24 @@ class _State(NamedTuple):
 
 def _ground_states(graph: MetricGraph, alphas: list, lengths: list,
                    options: SolverOptions | None = None) -> list:
-    """Ground states of a family of graphs with the layout of ``graph``,
-    which must pass :func:`graph.topology_ok`: member i has the alphas
+    """Ground states of a family of graphs with the layout of ``graph``:
+    member i has the alphas
     ``alphas[i]`` and the finite-edge lengths ``lengths[i]``, lists of
     numbers as :func:`graph.parameter_problems` takes them.
 
     Each member gets the :class:`_State` that :func:`find_ground_state`
     computes for it alone, bit for bit, or the exception it raises there:
-    InvalidGraphError for a member that breaks an alpha or length rule,
+    InvalidGraphError with the report of :func:`graph.validate` for every
+    member when the layout fails :func:`graph.topology_ok`, and for a
+    member that breaks an alpha or length rule,
     NoBoundState, DegenerateRoot or PositivityViolation.  Members that
     eliminate the same short-edge clusters form a group, and the Newton steps
     of a group's members run in lockstep (:func:`rootscan.increasing_roots`):
     each round builds their matrices with one bincount and solves them with
     one stacked eigh.
     """
+    if not topology_ok(graph):  # every member fails as the graph does
+        return [InvalidGraphError(validate(graph))] * len(alphas)
     opts = options or SolverOptions()
     if opts.kappa_max is not None and not (math.isfinite(opts.kappa_max) and opts.kappa_max > 0):
         raise ValueError(f"kappa_max must be positive and finite, got {opts.kappa_max!r}")
@@ -716,8 +679,6 @@ def find_ground_state(graph: MetricGraph, options: SolverOptions | None = None) 
     is a hard ceiling: NoBoundState when an iterate passes it.  The graph is
     a batch of one for :func:`_ground_states`.
     """
-    if not topology_ok(graph):
-        raise InvalidGraphError(validate(graph))
     state = _ground_states(graph, [[v.alpha for v in graph.vertices]],
                            [[e.length for e in graph.finite_edges]], options)[0]
     if isinstance(state, Exception):

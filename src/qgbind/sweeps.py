@@ -17,15 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graph import (
-    InvalidGraphError,
-    MetricGraph,
-    degree,
-    parameters,
-    require_valid,
-    topology_ok,
-    validate,
-)
+from .graph import MetricGraph, degree, parameters, require_valid
 # unused here; perfbench/tracer.py wraps it until ROADMAP item 1
 from .rootscan import brentq  # noqa: F401
 from .secular import SolverOptions, _ground_states, vertex_matrix
@@ -150,11 +142,8 @@ def run_sweep(
         points = [(float(v),) for v in grids[0]]
     else:
         points = [(float(u), float(v)) for u in grids[0] for v in grids[1]]
-    if topology_ok(graph):
-        states = _ground_states(graph, *_family(graph, [s.target for s in specs], np.array(points)),
-                                options)
-    else:  # every point fails validation
-        states = [InvalidGraphError(validate(graph))] * len(points)
+    states = _ground_states(graph, *_family(graph, [s.target for s in specs], np.array(points)),
+                            options)
 
     out: list[SweepPoint] = []
     prev_indices: tuple[int, ...] | None = None

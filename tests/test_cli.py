@@ -9,9 +9,11 @@ format stays in sync with the loader.
 
 import json
 import os
+import re
 import subprocess
 import sys
 from importlib.metadata import EntryPoint
+from itertools import takewhile
 from pathlib import Path
 
 import pytest
@@ -322,31 +324,57 @@ def test_crit_without_a_flat_coupling_is_numeric_failure(tmp_path, graph, messag
     assert err.startswith("numerical failure: ") and message in err
 
 
-def _readme_crit_example() -> tuple[list[str], list[str]]:
-    """The README's crit command (after the program name) and its output."""
+def _readme_examples() -> list:
+    """Each README command-line example that shows its output, as (argv after
+    the program name, the output lines), and the sweep example with the CSV
+    sample's header and row, which follow the schema line."""
     lines = (PYPROJECT.parent / "README.md").read_text(encoding="utf-8").splitlines()
-    start = next(i for i, line in enumerate(lines) if line.startswith("qgbind crit "))
-    output = []
-    for line in lines[start + 1:]:
-        if not line.startswith("    "):
-            break
-        output.append(line.strip())
-    return lines[start].split()[1:], output
+    examples = []
+    for i, line in enumerate(lines):
+        if line.startswith("qgbind "):
+            output = [out[4:] for out in takewhile(lambda x: x.startswith("    "), lines[i + 1:])]
+            if line.startswith("qgbind sweep "):
+                header = next(j for j, row in enumerate(lines) if row.startswith("param1,"))
+                output = list(takewhile(lambda x: not x.startswith("```"), lines[header:]))
+            if output:
+                examples.append(pytest.param(line.split()[1:], output, id=line.split()[1]))
+    return examples
 
 
-def test_readme_crit_example_matches_the_cli(star_file, capsys):
-    # README's star.json is the reference star
-    argv, expected = _readme_crit_example()
-    assert argv[1] == "star.json"
-    assert main([argv[0], star_file] + argv[2:]) == 0
+_FIGURE = re.compile(r"-?(?:\d+\.?\d*|\.\d+)(?:e[-+]\d+)?")
+
+
+def _same_line(got: str, expected: str) -> bool:
+    """Words equal; a %.3e figure as printed, or both below 1e-12 (noise);
+    any other number within 1e-12 relative, which is exact for integers."""
+    if _FIGURE.split(got) != _FIGURE.split(expected):
+        return False
+    for mine, theirs in zip(_FIGURE.findall(got), _FIGURE.findall(expected)):
+        a, b = float(mine), float(theirs)
+        if re.fullmatch(r"-?\d\.\d{3}e[-+]\d+", theirs):
+            if mine != theirs and max(abs(a), abs(b)) >= 1e-12:
+                return False
+        elif abs(a - b) > 1e-12 * abs(b):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("argv, expected", _readme_examples())
+def test_readme_example_matches_the_cli(argv, expected, star_file, delta_file, tmp_path, capsys):
+    # README's star.json is the reference star and delta.json the single
+    # vertex of the delta_file fixture; a "..." line ends the comparison
+    csv = tmp_path / "out.csv"
+    files = {"star.json": star_file, "delta.json": delta_file, "out.csv": str(csv)}
+    assert main([files.get(arg, arg) for arg in argv]) == 0
     got = capsys.readouterr().out.splitlines()
-    assert [line.split(" = ")[0] for line in got] == [line.split(" = ")[0] for line in expected]
+    if argv[0] == "sweep":  # the header and the first row
+        got = csv.read_text(encoding="utf-8").splitlines()[1:1 + len(expected)]
+    if "..." in expected:
+        expected = expected[:expected.index("...")]
+        got = got[:len(expected)]
+    assert len(got) == len(expected)
     for mine, theirs in zip(got, expected):
-        label, value = mine.split(" = ")
-        if label in ("alpha_crit", "kappa0 at criticality"):
-            assert abs(float(value) - float(theirs.split(" = ")[1])) <= 1e-12
-        elif label == "axial edge index":
-            assert mine == theirs
+        assert _same_line(mine, theirs), (mine, theirs)
 
 
 def test_compare_pass(delta_file, capsys):

@@ -42,7 +42,8 @@ from qgbind import (
 )
 from qgbind import secular as secular_module
 from qgbind.graph import parameters
-from qgbind.secular import _positive_tail, vertex_matrix
+from qgbind.rayleigh import _interval_integrals
+from qgbind.secular import _Topology, _edge_minima, _positive_tail, vertex_matrix
 
 # fixed point of kappa = 1 + exp(-kappa): two sites at distance 1, alpha -2
 TWO_DELTA_KAPPA = 1.2784645427610737
@@ -424,21 +425,32 @@ def test_closed_form_mass_and_energy_match_quadrature():
     mass, _ = quad(lambda x: sol.value(x) ** 2, 0.0, 1.8, epsabs=1e-13, epsrel=1e-13)
     energy, _ = quad(lambda x: sol.derivative(x) ** 2, 0.0, 1.8, epsabs=1e-13,
                      epsrel=1e-13)
-    assert abs(sol.l2_mass() - mass) < 1e-12
-    assert abs(sol.dirichlet_energy() - energy) < 1e-11
+    closed_mass, closed_energy = _interval_integrals(1.1, 0.5, 0.3, 1.8, 0.0, 1.8)
+    assert abs(closed_mass - mass) < 1e-12
+    assert abs(closed_energy - energy) < 1e-11
 
 
 def test_partial_interval_mass_adds_up():
-    sol = EdgeSolution.finite("e", 1.1, 1.8, 0.5, 0.3)
-    assert abs(sol.l2_mass(0.0, 0.6) + sol.l2_mass(0.6, 1.8) - sol.l2_mass()) < 1e-13
+    x0, x1 = np.array([0.0, 0.6, 0.0]), np.array([0.6, 1.8, 1.8])
+    left, right, whole = _interval_integrals(1.1, 0.5, 0.3, 1.8, x0, x1)[0]
+    assert abs(left + right - whole) < 1e-13
 
 
 def test_lead_solution_mass():
     sol = EdgeSolution.infinite("t", 2.0, 2.0)
-    # integral of (2 e^{-2x})^2 = 4 / (2*2) = 1
-    assert abs(sol.l2_mass() - 1.0) < 1e-14
+    # integral of (2 e^{-2x})^2 = 4 / (2*2) = 1, of its derivative squared 4:
+    # q = 0 on an edge along which e^{-2 kappa x} underflows gives them exactly
+    assert _interval_integrals(2.0, 2.0, 0.0, 400.0, 0.0, 400.0) == (1.0, 4.0)
     assert abs(sol.value(0.0) - 2.0) < 1e-15
     assert abs(sol.derivative(0.0) + 4.0) < 1e-15
+
+
+def _edge_minimum(kappa, length, p, q):
+    """secular._edge_minima on one edge."""
+    p, q, kl = (np.array([x]) for x in (p, q, kappa * length))
+    E = np.exp(-kl)
+    qE, pE = q * E, p * E
+    return float(_edge_minima(p, q, qE, pE, np.minimum(p + qE, pE + q), kl)[0])
 
 
 @pytest.mark.parametrize("kappa,length,p,q", [
@@ -452,7 +464,7 @@ def test_lead_solution_mass():
 def test_exact_edge_minimum_is_below_a_dense_sample(kappa, length, p, q):
     sol = EdgeSolution.finite("e", kappa, length, p, q)
     sample = sol.value(np.linspace(0.0, length, 200001))
-    exact = sol.minimum()
+    exact = _edge_minimum(kappa, length, p, q)
     assert exact <= sample.min()
     assert sample.min() - exact <= 1e-9 * abs(exact)
 
@@ -461,19 +473,23 @@ def test_exact_edge_minimum_interior_closed_form():
     sol = EdgeSolution.finite("e", 1.3, 2.0, 0.7, 0.2)
     x_star = (2.0 + math.log(0.7 / 0.2) / 1.3) / 2.0
     assert 0.0 < x_star < 2.0
-    assert abs(sol.minimum() - float(sol.value(x_star))) < 1e-15
+    assert abs(_edge_minimum(1.3, 2.0, 0.7, 0.2) - float(sol.value(x_star))) < 1e-15
 
 
 def test_exact_lead_minimum_is_its_amplitude():
-    assert EdgeSolution.infinite("t", 2.0, 0.3).minimum() == 0.3
-    assert EdgeSolution.infinite("t", 2.0, -0.3).minimum() == -0.3
+    # the audit's minimum over a lead alone is its vertex value c
+    topo = _Topology(single_vertex_graph(-2.0, 1))
+    none = np.zeros((1, 0))
+    for c in (0.3, -0.3):
+        minimum = topo.audit(np.array([2.0]), np.array([[-2.0]]), none, none, none,
+                             np.array([[c]]), none)[1]
+        assert minimum.tolist() == [c]
 
 
 def test_exact_edge_minimum_survives_long_edges():
     # kappa*l = 1200: exp(-kappa l) underflows to 0, exp(-kappa l / 2) does not
-    sol = EdgeSolution.finite("e", 1.0, 1200.0, 1.0, 1.0)
     assert math.exp(-1200.0) == 0.0
-    m = sol.minimum()
+    m = _edge_minimum(1.0, 1200.0, 1.0, 1.0)
     assert m > 0.0
     assert abs(m - 2.0 * math.exp(-600.0)) <= 1e-15 * m
 
@@ -525,9 +541,15 @@ def test_star_residuals_and_structure():
 
 
 def test_state_is_l2_normalized():
-    gs = find_ground_state(star_graph(-1.0))
-    total = sum(sol.l2_mass() for sol in gs.solutions)
-    assert abs(total - 1.0) < 1e-10
+    # by quadrature of value**2, independent of the closed-form masses
+    for graph in (star_graph(-1.0), chain_graph([-1.0, -2.0, -1.5], [0.7, 1.2])):
+        gs = find_ground_state(graph)
+        total = 0.0
+        for sol in gs.solutions:
+            upper = math.inf if sol.kind == "infinite" else sol.length
+            total += quad(lambda x: float(sol.value(x)) ** 2, 0.0, upper,
+                          epsabs=1e-13, epsrel=1e-13)[0]
+        assert abs(total - 1.0) < 1e-10
 
 
 def test_axial_index_flips_with_center_strength():
