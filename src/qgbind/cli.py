@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 input or configuration error, 3 numerical failure
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -64,7 +65,10 @@ def _add_solver_flags(
     p.add_argument("--kappa-max", type=float, default=None, help=kappa_max_help)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The qgbind parser, built once and shared by every :func:`main` call;
+    its defaults are immutable, so no call can change another's."""
     p = argparse.ArgumentParser(
         prog="qgbind",
         description="Ground states of metric-graph Laplacians with attractive "
@@ -95,9 +99,9 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("crit", help="critical center coupling of a star graph")
     c.add_argument("graph", help="graph JSON file")
     c.add_argument("--axial-edge", required=True, metavar="ID")
-    c.add_argument("--window", nargs=2, type=float, default=[0.5, 3.0], metavar=("LO", "HI"),
+    c.add_argument("--window", nargs=2, type=float, default=(0.5, 3.0), metavar=("LO", "HI"),
                    help="axial length window that must become energy-flat")
-    c.add_argument("--alpha-bracket", nargs=2, type=float, default=[-3.0, -0.1],
+    c.add_argument("--alpha-bracket", nargs=2, type=float, default=(-3.0, -0.1),
                    metavar=("LO", "HI"),
                    help="range (either order) the critical center alpha must lie in")
     c.add_argument("--json", action="store_true")

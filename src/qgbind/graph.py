@@ -106,12 +106,16 @@ def parameters(graph: MetricGraph) -> tuple[np.ndarray, np.ndarray]:
     shape (1, finite edges), as floats: one member of a batch.  They are
     not checked against the rules (see :func:`parameter_problems`), but a
     value that is not a number raises TypeError, as in :func:`validate`."""
-    rows = (np.array([[v.alpha for v in graph.vertices]]),
-            np.array([[e.length for e in graph.finite_edges]]))
-    for row in rows:
-        if row.dtype.kind not in "biuf":
-            raise TypeError(f"alphas and lengths must be numbers, got {row.tolist()!r}")
-    return rows[0].astype(float), rows[1].astype(float)
+    rows = []
+    for values in ([v.alpha for v in graph.vertices], [e.length for e in graph.finite_edges]):
+        try:
+            row = np.array([values])
+        except ValueError:  # a sequence beside numbers: "inhomogeneous shape"
+            row = None
+        if row is None or row.ndim != 2 or row.dtype.kind not in "biuf":
+            raise TypeError(f"alphas and lengths must be numbers, got {values!r}")
+        rows.append(row.astype(float))
+    return rows[0], rows[1]
 
 
 def parameter_problems(

@@ -21,7 +21,7 @@ import pytest
 import qgbind
 from conftest import chain_graph, robin_interval, single_vertex_graph, star_graph
 from qgbind import find_ground_state, save_graph
-from qgbind.cli import main
+from qgbind.cli import build_parser, main
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
@@ -324,6 +324,52 @@ def test_crit_without_a_flat_coupling_is_numeric_failure(tmp_path, graph, messag
     assert err.startswith("numerical failure: ") and message in err
 
 
+# main() reuses one parser for the life of the process; a call must see none
+# of an earlier call's arguments, whether that call succeeded or not
+
+def _alone(argv, capsys):
+    """main(argv) with a parser built for this call alone, and its stdout."""
+    build_parser.cache_clear()
+    rc = main(argv)
+    return rc, capsys.readouterr().out
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_sweep_after_a_sweep_writes_what_it_writes_alone(star_file, tmp_path, capsys):
+    grid = ["sweep", star_file, "--target", "edge:axial", "--range", "1", "2", "--steps", "3",
+            "--target", "vertex:c", "--range", "-2", "-1", "--steps", "2"]
+    line = ["sweep", star_file, "--target", "edge:arm1", "--range", "0.5", "1", "--steps", "4"]
+    alone = []
+    for argv in (grid, line):
+        assert _alone(argv + ["--csv", str(tmp_path / "alone.csv")], capsys)[0] == 0
+        alone.append((tmp_path / "alone.csv").read_bytes())
+    for k, argv in enumerate((grid, line)):
+        assert main(argv + ["--csv", str(tmp_path / f"{k}.csv")]) == 0
+    assert [(tmp_path / f"{k}.csv").read_bytes() for k in range(2)] == alone
+    assert alone[0].count(b"\n") == 2 + 6 and alone[1].count(b"\n") == 2 + 4
+
+
+def test_crit_after_a_crit_with_a_window_uses_the_default_window(star_file, capsys):
+    crit = ["crit", star_file, "--axial-edge", "axial", "--json"]
+    assert main(crit + ["--window", "1", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["window"] == [1.0, 2.0]
+    assert main(crit) == 0
+    assert json.loads(capsys.readouterr().out)["window"] == [0.5, 3.0]
+
+
+def test_groundstate_after_a_usage_error_matches_a_fresh_call(delta_file, capsys):
+    argv = ["groundstate", delta_file, "--json"]
+    fresh = _alone(argv, capsys)
+    with pytest.raises(SystemExit) as exc:
+        main(["groundstate", delta_file, "--tol-kappa"])
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+    assert (main(argv), capsys.readouterr().out) == fresh
+
+
 def _readme_examples() -> list:
     """Each README command-line example that shows its output, as (argv after
     the program name, the output lines), and the sweep example with the CSV
@@ -480,7 +526,7 @@ def heavy():
     return sorted(roots & {"scipy", "multiprocessing", "concurrent"})
 
 import qgbind
-from qgbind.cli import main
+from qgbind.cli import build_parser, main
 print("import", heavy())
 with contextlib.redirect_stdout(io.StringIO()) as out:
     rc = main(["groundstate", sys.argv[1], "--json"])
@@ -502,7 +548,7 @@ def test_cold_groundstate_loads_no_scipy_or_process_pool(fixture, request):
 
 _COLD_CRIT_PROBE = """
 import contextlib, io, sys
-from qgbind.cli import main
+from qgbind.cli import build_parser, main
 with contextlib.redirect_stdout(io.StringIO()) as out:
     rc = main(["crit", sys.argv[1], "--axial-edge", "axial", "--json"])
 roots = {m.split(".")[0] for m in sys.modules}

@@ -27,7 +27,7 @@ from qgbind import (
     validate,
     vertex_incidences,
 )
-from qgbind.graph import _components
+from qgbind.graph import _components, parameters
 
 
 def test_star_is_admissible():
@@ -133,6 +133,21 @@ def test_non_numeric_value_is_rejected(field):
     # a sweep of another value does not read it as a float either
     with pytest.raises(TypeError):
         run_sweep(g, [SweepSpec(SweepTarget("vertex", "b"), -2.0, -1.0, 3)])
+
+
+# beside numbers, a list makes numpy raise ValueError ("inhomogeneous shape");
+# a list in every slot would build a 3-D array of floats
+@pytest.mark.parametrize("lengths", [(1.0, [1.0]), ([1.0], [1.0])])
+def test_sequence_valued_length_is_a_type_error(lengths):
+    g = chain_graph([-1.0, -1.0, -1.0], [1.0, 1.0])
+    g = MetricGraph(g.vertices, tuple(FiniteEdge(e.id, e.start, e.end, l)
+                                      for e, l in zip(g.finite_edges, lengths)), g.infinite_edges)
+    with pytest.raises(TypeError, match=r"must be numbers, got \["):
+        parameters(g)
+    with pytest.raises(TypeError):
+        find_ground_state(g)
+    with pytest.raises(TypeError):
+        run_sweep(g, [SweepSpec(SweepTarget("vertex", "v1"), -2.0, -1.0, 3)])
 
 
 def test_all_zero_alpha_rejected():

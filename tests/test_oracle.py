@@ -412,6 +412,15 @@ def test_compare_star_passes():
     assert rep.ok
 
 
+def test_compare_passes_on_random_cyclic_graphs():
+    # cycles, parallel edges and clusters of short edges (1e-8 to 1e-3)
+    rng = np.random.default_rng(5)
+    for _ in range(12):
+        g = random_cyclic_graph(rng)
+        rep = compare(g, find_ground_state(g))
+        assert rep.ok, (g, rep)
+
+
 def test_compare_compact_graph_has_no_truncation_term():
     g = robin_interval(-2.0, -2.0, 2.0)
     rep = compare(g, find_ground_state(g), h=0.01)
