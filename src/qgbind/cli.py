@@ -291,6 +291,8 @@ def cmd_compare(args) -> int:
             "ok": rep.ok,
             "h": rep.h,
             "R": rep.R,
+            "solves": rep.solves,
+            "factors": rep.factors,
         }, indent=2))
     else:
         print(f"lambda0 (secular) = {_fmt(rep.lambda_secular)}")

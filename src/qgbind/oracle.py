@@ -24,7 +24,16 @@ _EPS = float(np.finfo(float).eps)
 
 
 class OracleError(RuntimeError):
-    """Discretization or eigensolve failure."""
+    """Discretization or eigensolve failure.
+
+    ``solves`` and ``factors`` count the banded solves and Cholesky
+    factorizations a failed eigensolve made before it gave up (0 when it
+    made none).
+    """
+
+    def __init__(self, message: str, solves: int = 0, factors: int = 0):
+        super().__init__(message)
+        self.solves, self.factors = solves, factors
 
 
 @dataclass
@@ -58,6 +67,8 @@ class OracleResult:
     R: float | None
     node_count: int
     p1_error: float
+    solves: int
+    factors: int
 
 
 @dataclass(frozen=True)
@@ -70,6 +81,8 @@ class ComparisonReport:
     ok: bool
     h: float
     R: float | None
+    solves: int
+    factors: int
 
 
 def discretize(graph: MetricGraph, h: float, R: float | None = None) -> Discretization:
@@ -170,10 +183,13 @@ def _kappa_bound(graph: MetricGraph) -> float:
 def smallest_eigenvalue(disc: Discretization, shift: float | None = None) -> OracleResult:
     """Smallest generalized eigenvalue of (K, M) by inverse iteration.
 
-    ``shift`` must sit below every eigenvalue.  The default
+    ``shift`` must be finite and sit below every eigenvalue.  The default
     -kappa_bound^2 - 1 lies below the graph's lambda0 (``_kappa_bound``),
     hence below every finite-element level: truncation and the P1 trial
-    space only raise levels.
+    space only raise levels.  A shift just below the level converges
+    fastest: plain inverse iteration shrinks the error of the quotient by
+    r^2 a step, r = (lambda - shift) / (lambda_1 - shift), lambda_1 the
+    next level.
 
     A banded Cholesky factor of K - shift*M first proves that matrix
     positive definite (by Sylvester's law of inertia, no level lies below
@@ -187,7 +203,10 @@ def smallest_eigenvalue(disc: Discretization, shift: float | None = None) -> Ora
     so the step count does not grow as the gap above the lowest level
     closes.  It stops once the quotient has fallen by at most 1e-14 |lambda|
     and its rounding is below that too, and raises OracleError if it has
-    not within a fixed budget.  Every mesh, however small, takes this path.
+    not within a fixed budget, or if y'My leaves the positive floats (a
+    shift so far below the level that y underflows).  Every mesh, however
+    small, takes this path.  ``solves`` and ``factors`` count its banded
+    solves and Cholesky factorizations, refused ones included.
 
     ``p1_error`` is the leading P1 error of the level,
     lambda^2 / 12 * sum_e h_e^2 int_e u_h^2 over the elements e, with u_h
@@ -196,17 +215,22 @@ def smallest_eigenvalue(disc: Discretization, shift: float | None = None) -> Ora
     """
     if shift is None:
         shift = -disc.kappa_bound**2 - 1.0
-    lam, x = _inverse_iteration(disc, shift)
+    elif not math.isfinite(shift):
+        raise OracleError(f"shift {shift!r} is not finite")
+    lam, x, solves, factors = _inverse_iteration(disc, shift)
     # int_e u_h^2 = h_e (u0^2 + u0 u1 + u1^2) / 3; the Dirichlet node reads 0
     u0, u1 = np.append(x, 0.0)[disc.elements].T
     he = disc.element_lengths
     p1 = lam * lam / 36.0 * float(np.sum(he**3 * (u0 * u0 + u0 * u1 + u1 * u1)))
-    return OracleResult(lam, disc.h, disc.R, disc.node_count, p1)
+    return OracleResult(lam, disc.h, disc.R, disc.node_count, p1, solves, factors)
 
 
-def _inverse_iteration(disc: Discretization, shift: float) -> tuple[float, np.ndarray]:
-    """Lowest level of (K, M) and its M-normalized vector, by inverse
-    iteration on certified factors.
+def _inverse_iteration(
+    disc: Discretization, shift: float,
+) -> tuple[float, np.ndarray, int, int]:
+    """Lowest level of (K, M), its M-normalized vector, and the counts of
+    banded solves and factorizations, by inverse iteration on certified
+    factors.
 
     While the quotient falls by more than a quarter of its previous fall a
     step, the shift sits farther below the lowest level than the next level
@@ -227,10 +251,11 @@ def _inverse_iteration(disc: Discretization, shift: float) -> tuple[float, np.nd
 
     kband, mband, perm = _bands(disc)
     factor = _factor(kband, mband, shift)
+    solves, factors = 0, 1
     if factor is None:
         raise OracleError(
             f"shift {shift!r} is not below every finite-element level "
-            "(K - shift*M is not positive definite)"
+            "(K - shift*M is not positive definite)", solves, factors,
         )
     mass = disc.mass
     n = disc.node_count
@@ -239,13 +264,19 @@ def _inverse_iteration(disc: Discretization, shift: float) -> tuple[float, np.nd
     lam = fall = top = math.inf
     for _ in range(_MAX_ITERATIONS):
         y[perm] = cho_solve_banded((factor, False), mx[perm], check_finite=False)
+        solves += 1
         my = mass @ y
         norm2 = float(y @ my)
+        if not 0.0 < norm2 < math.inf:
+            raise OracleError(
+                f"inverse iteration at shift {shift!r} gave y'My = {norm2!r}",
+                solves, factors,
+            )
         gain = float(y @ mx) / norm2
         new = shift + gain
         rounding = 4.0 * _EPS * gain
         if lam - new <= 1e-14 * abs(new) and rounding <= 1e-14 * abs(new):
-            return new, y / math.sqrt(norm2)
+            return new, y / math.sqrt(norm2), solves, factors
         # x = y / |y|_M, so M x is M y scaled: no second product by M
         mx = my / math.sqrt(norm2)
         slow = lam - new > 0.25 * fall or lam - new <= rounding
@@ -253,13 +284,14 @@ def _inverse_iteration(disc: Discretization, shift: float) -> tuple[float, np.nd
         if slow:
             mid = 0.5 * (shift + min(new, top))
             better = _factor(kband, mband, mid)
+            factors += 1
             if better is None:
                 top = mid
             else:
                 shift, factor, fall = mid, better, math.inf
     raise OracleError(
         f"inverse iteration did not settle in {_MAX_ITERATIONS} steps "
-        f"(last shift {shift!r})"
+        f"(last shift {shift!r})", solves, factors,
     )
 
 
@@ -341,11 +373,16 @@ def compare(
     On graphs with leads the truncation term of the tolerance is
     exp(-2 kappa0 (R - extent)), extent the total finite edge length, so R
     must exceed the extent; the default is extent + max(15, 25 / kappa0).
-    The eigensolve is shifted to 1.5 lambda0, |lambda0| / 2 below the level
-    of a true ground state however weakly it is bound; when the shift is
-    refuted (some level lies below it, so lambda0 is an excited level or too
-    high), the oracle solves again from the proven default shift and the
-    report carries the true smallest level.
+    The eigensolve is shifted to 1.01 lambda0, |lambda0| / 100 below the
+    level of a true ground state however weakly it is bound (Ritz:
+    lambda_h >= lambda0), so inverse iteration settles in about five banded
+    solves.  The factor at that shift is still the certificate: when it is
+    refused (some level lies below the shift, so lambda0 is an excited
+    level or more than 1% too high), the oracle solves again from the
+    proven default shift and the report carries the true smallest level.
+    A lambda0 less than 1% too high leaves the shift below the true level,
+    which the iteration then finds.  ``solves`` and ``factors`` count the
+    banded solves and Cholesky factorizations of both attempts.
 
     ``lambda_oracle`` is the raw level lambda_h.  The verdict judges
     |lambda_h - correction - lambda0| against the tolerance, where the
@@ -364,15 +401,16 @@ def compare(
             )
     disc = discretize(graph, h, R if graph.infinite_edges else None)
     # lambda_h >= lambda0 for a true ground state, so this shift is certified;
-    # on a weakly bound state the next level (near 0 on a lead) sits about
-    # twice as far above, so the iteration seldom has to move the shift
-    shift = 1.5 * ground.lambda0
+    # a next level near 0 (a lead's) sits about 100 times as far above it as
+    # lambda_h, so the error of the quotient shrinks by about 1e-4 a step
     try:
-        oracle = smallest_eigenvalue(disc, shift=shift)
-    except OracleError:
+        oracle = smallest_eigenvalue(disc, shift=1.01 * ground.lambda0)
+        spent = (0, 0)
+    except OracleError as refused:
         # the shift is refuted (a level lies below it, so lambda0 is not
         # the ground state) or the solve failed there: solve again from the
         # proven default shift and report that level
+        spent = (refused.solves, refused.factors)
         oracle = smallest_eigenvalue(disc)
     tol = comparison_constant() * h * h
     if graph.infinite_edges:
@@ -388,4 +426,6 @@ def compare(
         ok=bool(diff <= tol),
         h=h,
         R=disc.R,
+        solves=spent[0] + oracle.solves,
+        factors=spent[1] + oracle.factors,
     )

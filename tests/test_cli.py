@@ -430,6 +430,16 @@ def test_compare_pass(delta_file, capsys):
     assert payload["ok"] is True
     assert payload["difference"] <= payload["tolerance"]
     assert abs(payload["lambda0_secular"] - (-1.0)) < 1e-12
+    # the eigensolve's work: banded solves and Cholesky factorizations
+    assert (payload["solves"], payload["factors"]) == (5, 1)
+
+
+def test_compare_text_output_carries_no_counts(delta_file, capsys):
+    rc = main(["compare", delta_file, "--h", "0.02"])
+    assert rc == 0
+    labels = [line.split("=")[0].strip() for line in capsys.readouterr().out.splitlines()]
+    assert labels == ["lambda0 (secular)", "lambda0 (fe)", "P1 correction",
+                      "difference", "verdict: PASS"]
 
 
 @pytest.mark.parametrize("alpha, leads", [(-10.0, 2), (-20.0, 2), (-40.0, 3)])

@@ -307,6 +307,24 @@ def test_inverse_iteration_raises_when_its_budget_runs_out(monkeypatch):
         smallest_eigenvalue(disc)
 
 
+@pytest.mark.parametrize("shift", [math.nan, -math.inf, math.inf])
+def test_a_non_finite_shift_is_refused(shift):
+    # nan and -inf once passed a NaN factor off as a certificate and ran the
+    # whole step budget; +inf warned on inf * 0 in the band
+    disc = discretize(star_graph(-2.5, L2=1.0), h=0.05)
+    with pytest.raises(OracleError, match=f"shift {shift!r} is not finite"):
+        smallest_eigenvalue(disc, shift=shift)
+
+
+def test_a_shift_so_far_below_that_the_vector_underflows_is_refused():
+    # K + 1e300 M is positive definite, but y ~ 1e-304 and y'My underflows
+    # to 0; that was a ZeroDivisionError
+    disc = discretize(star_graph(-2.5, L2=1.0), h=0.05)
+    with pytest.raises(OracleError, match="gave y'My = 0.0") as failure:
+        smallest_eigenvalue(disc, shift=-1e300)
+    assert (failure.value.solves, failure.value.factors) == (1, 1)
+
+
 def test_default_shift_is_below_a_short_robin_edge():
     # two alpha = -1 ends 0.4 apart bind at lambda0 = -5.35, below the old
     # default -(sum |alpha|)^2 - 1 = -5; the half-edge bound gives
@@ -439,6 +457,53 @@ def test_compare_fails_under_harsh_truncation():
     assert rep.difference > rep.tolerance
     assert abs(rep.lambda_oracle) < 0.05
     assert abs(rep.difference - 1.0) < 0.05
+
+
+CRITERION_07_GRAPHS = [
+    single_vertex_graph(-2.0, 2),
+    as_chain_graph(LineConfig((0.0, 1.0), (-2.0, -2.0))),
+    star_graph(-2.5, L2=1.0),
+    star_graph(-1.0, L2=0.5),
+    star_graph(-0.6, L2=2.0),
+]
+
+
+@pytest.mark.parametrize("graph, solves", [
+    *zip(CRITERION_07_GRAPHS, (5, 5, 6, 5, 6)),
+    (single_vertex_graph(-0.1, 2), 5),  # kappa0 = 0.05
+    (single_vertex_graph(-10.0, 2), 5),  # kappa0 = 5
+    (single_vertex_graph(-40.0, 3), 6),  # kappa0 = 13.3
+])
+def test_compare_settles_in_a_few_solves_on_one_factor(graph, solves):
+    # the shift 1.01 lambda0 is certified by its first factor and leaves
+    # r = (lambda_h - shift) / (lambda_1 - shift) near 0.01, so the error of
+    # the quotient shrinks by about 1e-4 a solve
+    rep = compare(graph, find_ground_state(graph))
+    assert rep.ok
+    assert (rep.solves, rep.factors) == (solves, 1)
+
+
+@pytest.mark.parametrize("high", [0.005, 0.05])
+def test_the_shift_margin_cannot_hide_a_wrong_ground_state(high):
+    # a lambda0 0.5% too high leaves the shift 1.01 lambda0 below the true
+    # level, where the iteration finds it; at 5% the shift lies above the
+    # level, its factor is refused, and the default shift finds it.  Both
+    # FAIL with the true level, and the refused factor is counted.
+    g = single_vertex_graph(-2.0, 2)
+    gs = find_ground_state(g)
+    true = compare(g, gs)
+    wrong = dataclasses.replace(gs, kappa0=gs.kappa0 * math.sqrt(1.0 - high),
+                                lambda0=gs.lambda0 * (1.0 - high))
+    rep = compare(g, wrong, R=true.R)
+    assert not rep.ok
+    assert rep.difference > 4.0 * rep.tolerance
+    # the same level to its rounding, about eps * max(K_ii / M_ii) = 7e-12
+    assert abs(rep.lambda_oracle - true.lambda_oracle) < 1e-10
+    if high < 0.01:
+        assert rep.factors == 1
+    else:
+        default = smallest_eigenvalue(discretize(g, 0.01, true.R))
+        assert (rep.solves, rep.factors) == (default.solves, default.factors + 1)
 
 
 def _pendant_graph(alpha: float, length: float) -> MetricGraph:

@@ -2,13 +2,15 @@
 flags its README documents."""
 
 import argparse
+import importlib.util
 import re
 from pathlib import Path
 
 import qgbind
 from qgbind.cli import build_parser
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 # flags of pip and pytest that the README's install and test commands use
 FOREIGN_FLAGS = {"--no-build-isolation", "--continue-on-collection-errors"}
@@ -27,9 +29,17 @@ def test_exports_are_unique_and_resolve():
     assert removed.isdisjoint(names)
 
 
+def _bench_tool_parser() -> argparse.ArgumentParser:
+    spec = importlib.util.spec_from_file_location("bench_tool", ROOT / "tools" / "bench.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.build_parser()
+
+
 def _accepted_flags() -> set[str]:
+    """Flags of the qgbind CLI and of the README's ``tools/bench.py`` lines."""
     parser = build_parser()
-    parsers = [parser]
+    parsers = [parser, _bench_tool_parser()]
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):
             parsers += action.choices.values()
