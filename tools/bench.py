@@ -142,8 +142,7 @@ def bench(args) -> int:
     runs = {label: {w: [] for w in workloads} for label, _ in sides}
     first = {label: {w: [] for w in workloads} for label, _ in sides}
     for i, seed in enumerate(args.seeds):
-        # the seed's index, not a running count over workloads, picks the
-        # order, so each workload alternates on its own
+        # the seed's index picks the order, so each workload alternates
         order = sides if i % 2 == 0 else sides[::-1]
         for workload in workloads:
             for k, (label, checkout) in enumerate(order):
