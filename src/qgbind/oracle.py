@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import InfiniteEdge, MetricGraph, VertexSpec, require_valid, vertex_incidences
+from .graph import MetricGraph, require_valid, vertex_incidences
 from .secular import GroundState
 
 _MAX_NODES = 10**8
@@ -38,21 +38,27 @@ class OracleError(RuntimeError):
 
 @dataclass
 class Discretization:
-    """Assembled P1 matrices for a (truncated) graph mesh.
+    """Assembled P1 pair (K, M) on a (truncated) graph mesh.
 
-    ``elements`` holds the two global nodes of each element, edge by edge
-    along its chain, then lead by lead; vertex nodes are shared across
-    incident edges, and the Dirichlet node at the truncated end of a lead
-    is -1.  ``element_lengths`` holds their lengths.  ``kappa_bound`` is the
-    kappa* of the proven bound lambda0 >= -kappa*^2 behind the default
-    shift of ``smallest_eigenvalue``.
+    Nodes are numbered in a reverse Cuthill-McKee order of the element
+    adjacency, which keeps the band narrow (width 1 on a chain, 2 on a
+    star, up to 6 on the random cyclic test graphs).
+    ``stiffness`` and ``mass`` are the upper bands of K and M, the (w+1, n)
+    layout ``scipy.linalg.cholesky_banded(lower=False)`` reads: entry (i, j),
+    i <= j, sits at row w + i - j, column j, for band width w.
+    ``elements`` holds the two nodes of each element, edge by edge along its
+    chain, then lead by lead; vertex nodes (``vertex_nodes``) are shared
+    across incident edges, and the Dirichlet node at the truncated end of a
+    lead is -1.  ``element_lengths`` holds their lengths.  ``kappa_bound``
+    is the kappa* of the proven bound lambda0 >= -kappa*^2 behind the
+    default shift of ``smallest_eigenvalue``.
     """
 
     h: float
     R: float | None
     node_count: int
-    stiffness: "scipy.sparse.csr_matrix"
-    mass: "scipy.sparse.csr_matrix"
+    stiffness: np.ndarray
+    mass: np.ndarray
     vertex_nodes: dict[str, int]
     elements: np.ndarray
     element_lengths: np.ndarray
@@ -86,13 +92,14 @@ class ComparisonReport:
 
 
 def discretize(graph: MetricGraph, h: float, R: float | None = None) -> Discretization:
-    """Mesh the graph and assemble stiffness and mass matrices.
+    """Mesh the graph and assemble the stiffness and mass bands.
 
     Each edge gets the integer element count nearest to length/h (at least
     one), so stored lengths are met exactly.  Leads use length R and drop
     the far node.
     """
     import scipy.sparse as sp
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
 
     require_valid(graph)
     if not (math.isfinite(h) and h > 0):
@@ -117,42 +124,50 @@ def discretize(graph: MetricGraph, h: float, R: float | None = None) -> Discreti
             f"more than the limit of {_MAX_NODES:.0e}"
         )
 
-    next_node = len(vertex_nodes)
+    n = len(vertex_nodes)
     g0s, g1s, hes = [], [], []
-    for (first, last, length), n in zip(pieces, map(int, counts)):
-        chain = np.concatenate(([first], np.arange(next_node, next_node + n - 1), [last]))
-        next_node += n - 1
+    for (first, last, length), count in zip(pieces, map(int, counts)):
+        chain = np.concatenate(([first], np.arange(n, n + count - 1), [last]))
+        n += count - 1
         g0s.append(chain[:-1])
         g1s.append(chain[1:])
-        hes.append(np.full(n, length / n))
+        hes.append(np.full(count, length / count))
     g0, g1, he = np.concatenate(g0s), np.concatenate(g1s), np.concatenate(hes)
 
-    # per element (g0,g0), (g1,g1), (g0,g1), (g1,g0), entries on the
-    # Dirichlet node dropped, then the vertex couplings: tocsr sums the
-    # duplicates in this order
-    rows = np.stack((g0, g1, g0, g1), axis=1).ravel()
-    cols = np.stack((g0, g1, g1, g0), axis=1).ravel()
+    # renumber in reverse Cuthill-McKee order; only g1 is ever the Dirichlet
+    # node, and the extra last slot of pos keeps it at -1
+    inner = g1 >= 0
+    pairs = (np.concatenate((g0[inner], g1[inner])), np.concatenate((g1[inner], g0[inner])))
+    adjacency = sp.csr_matrix((np.ones(len(pairs[0])), pairs), shape=(n, n))
+    pos = np.full(n + 1, -1)
+    pos[reverse_cuthill_mckee(adjacency, symmetric_mode=True)] = np.arange(n)
+    g0, g1 = pos[g0], pos[g1]
+
+    # per element (g0,g0), (g1,g1), (min,max), entries on the Dirichlet
+    # node dropped, then the vertex couplings: bincount sums each band cell
+    # in this order, as the element-by-element loop does
+    rows = np.stack((g0, g1, np.minimum(g0, g1)), axis=1).ravel()
+    cols = np.stack((g0, g1, np.maximum(g0, g1)), axis=1).ravel()
     inv = 1.0 / he
-    kdat = np.stack((inv, inv, -inv, -inv), axis=1).ravel()
+    kdat = np.stack((inv, inv, -inv), axis=1).ravel()
     diag, off = 2.0 * he / 6.0, he / 6.0
-    mdat = np.stack((diag, diag, off, off), axis=1).ravel()
-    keep = (rows >= 0) & (cols >= 0)
-    vertices = np.arange(len(vertex_nodes))
+    mdat = np.stack((diag, diag, off), axis=1).ravel()
+    keep = rows >= 0
+    vertices = pos[:len(vertex_nodes)]
     rows = np.concatenate((rows[keep], vertices))
     cols = np.concatenate((cols[keep], vertices))
     kdat = np.concatenate((kdat[keep], [float(v.alpha) for v in graph.vertices]))
     mdat = np.concatenate((mdat[keep], np.zeros(len(vertices))))
-
-    shape = (next_node, next_node)
-    stiffness = sp.coo_matrix((kdat, (rows, cols)), shape=shape).tocsr()
-    mass = sp.coo_matrix((mdat, (rows, cols)), shape=shape).tocsr()
+    # band cell (w + i - j, j), laid out column by column as LAPACK reads it
+    width = int(np.max(cols - rows))
+    cells = cols * (width + 1) + width + rows - cols
     return Discretization(
         h=h,
         R=R if graph.infinite_edges else None,
-        node_count=next_node,
-        stiffness=stiffness,
-        mass=mass,
-        vertex_nodes=vertex_nodes,
+        node_count=n,
+        stiffness=np.bincount(cells, kdat, (width + 1) * n).reshape(n, width + 1).T,
+        mass=np.bincount(cells, mdat, (width + 1) * n).reshape(n, width + 1).T,
+        vertex_nodes={v: int(pos[i]) for v, i in vertex_nodes.items()},
         elements=np.stack((g0, g1), axis=1),
         element_lengths=he,
         extent=sum(e.length for e in graph.finite_edges),
@@ -248,24 +263,23 @@ def _inverse_iteration(
     vector.
     """
     from scipy.linalg import cho_solve_banded
+    from scipy.linalg.blas import dsbmv
 
-    kband, mband, perm = _bands(disc)
-    factor = _factor(kband, mband, shift)
+    factor = _factor(disc, shift)
     solves, factors = 0, 1
     if factor is None:
         raise OracleError(
             f"shift {shift!r} is not below every finite-element level "
             "(K - shift*M is not positive definite)", solves, factors,
         )
-    mass = disc.mass
+    mass, width = disc.mass, len(disc.mass) - 1
     n = disc.node_count
-    mx = mass @ np.full(n, 1.0 / math.sqrt(n))
-    y = np.empty(n)
+    mx = dsbmv(width, 1.0, mass, np.full(n, 1.0 / math.sqrt(n)))
     lam = fall = top = math.inf
     for _ in range(_MAX_ITERATIONS):
-        y[perm] = cho_solve_banded((factor, False), mx[perm], check_finite=False)
+        y = cho_solve_banded((factor, False), mx, check_finite=False)
         solves += 1
-        my = mass @ y
+        my = dsbmv(width, 1.0, mass, y)
         norm2 = float(y @ my)
         if not 0.0 < norm2 < math.inf:
             raise OracleError(
@@ -283,7 +297,7 @@ def _inverse_iteration(
         lam, fall = new, lam - new
         if slow:
             mid = 0.5 * (shift + min(new, top))
-            better = _factor(kband, mband, mid)
+            better = _factor(disc, mid)
             factors += 1
             if better is None:
                 top = mid
@@ -295,33 +309,7 @@ def _inverse_iteration(
     )
 
 
-def _bands(disc: Discretization) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """K and M as upper bands of the matrices permuted to ``perm``.
-
-    ``perm`` is a reverse Cuthill-McKee order that keeps the band narrow
-    (width 1-4 on the usual graphs), so K - shift*M is one band operation
-    for any shift.  ``discretize`` assembles K and M from the same
-    triplets, so they share one sparsity pattern.
-    """
-    from scipy.sparse.csgraph import reverse_cuthill_mckee
-
-    k, m = disc.stiffness, disc.mass
-    perm = reverse_cuthill_mckee(k, symmetric_mode=True)
-    pos = np.empty_like(perm)
-    pos[perm] = np.arange(len(perm))
-    i = pos[np.repeat(np.arange(disc.node_count), np.diff(k.indptr))]
-    j = pos[k.indices]
-    upper = i <= j
-    i, j = i[upper], j[upper]
-    width = int(np.max(j - i))
-    kband = np.zeros((width + 1, disc.node_count))
-    mband = np.zeros((width + 1, disc.node_count))
-    kband[width + i - j, j] = k.data[upper]
-    mband[width + i - j, j] = m.data[upper]
-    return kband, mband, perm
-
-
-def _factor(kband: np.ndarray, mband: np.ndarray, shift: float) -> np.ndarray | None:
+def _factor(disc: Discretization, shift: float) -> np.ndarray | None:
     """Upper banded Cholesky factor of K - shift*M, or None.
 
     A factor exists exactly when K - shift*M is positive definite, which by
@@ -331,35 +319,24 @@ def _factor(kband: np.ndarray, mband: np.ndarray, shift: float) -> np.ndarray | 
     from scipy.linalg import LinAlgError, cholesky_banded
 
     try:
-        return cholesky_banded(kband - shift * mband, lower=False, check_finite=False)
+        return cholesky_banded(disc.stiffness - shift * disc.mass, lower=False,
+                               check_finite=False)
     except LinAlgError:
         return None
 
 
 _CMP_HEADROOM = 100.0
-_CMP_CAL_H = 0.02
-_cmp_cache: dict[str, float] = {}
 
 
 def comparison_constant() -> float:
-    """Calibrated C in the comparison tolerance C*h^2 + truncation.
+    """C in the comparison tolerance C*h^2 + truncation.
 
-    Measured once per process on the one-vertex two-lead graph, whose exact
-    eigenvalue is -(|alpha|/2)^2 = -1, then padded with a fixed headroom
+    The leading P1 error lambda^2 h^2 / 12 of the one-vertex two-lead graph
+    with alpha = -2 (lambda = -1) over h^2, padded with a fixed headroom
     factor: target graphs carry deeper eigenvalues and mildly non-uniform
     meshes, both of which scale the h^2 coefficient up.
     """
-    if "C" not in _cmp_cache:
-        g = MetricGraph(
-            (VertexSpec("v", -2.0),),
-            (),
-            (InfiniteEdge("t1", "v"), InfiniteEdge("t2", "v")),
-        )
-        disc = discretize(g, _CMP_CAL_H, 15.0)
-        lam = smallest_eigenvalue(disc, shift=-1.5).lambda_min
-        measured = max(lam - (-1.0), 1e-9)
-        _cmp_cache["C"] = _CMP_HEADROOM * measured / _CMP_CAL_H**2
-    return _cmp_cache["C"]
+    return _CMP_HEADROOM / 12.0
 
 
 def compare(
@@ -370,9 +347,10 @@ def compare(
 ) -> ComparisonReport:
     """Cross-validate a secular result against the finite-element path.
 
-    On graphs with leads the truncation term of the tolerance is
-    exp(-2 kappa0 (R - extent)), extent the total finite edge length, so R
-    must exceed the extent; the default is extent + max(15, 25 / kappa0).
+    ``h`` must be finite and positive.  On graphs with leads the truncation
+    term of the tolerance is exp(-2 kappa0 (R - extent)), extent the total
+    finite edge length, so R must exceed the extent; the default is
+    extent + max(15, 25 / kappa0).  Either violation raises ValueError.
     The eigensolve is shifted to 1.01 lambda0, |lambda0| / 100 below the
     level of a true ground state however weakly it is bound (Ritz:
     lambda_h >= lambda0), so inverse iteration settles in about five banded
@@ -391,6 +369,8 @@ def compare(
     by h_e^2 per element otherwise).  Without it the error grows as
     kappa0^4 h^2 / 12 and outruns C h^2 once kappa0 exceeds about 3.2.
     """
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"mesh size h={h!r} must be finite and positive")
     if graph.infinite_edges:
         extent = sum(e.length for e in graph.finite_edges)
         if R is None:

@@ -472,6 +472,15 @@ def test_compare_refuses_a_mesh_too_large(delta_file, capsys):
     assert "nodes, more than the limit" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("h", ["0", "-1", "nan", "inf"])
+def test_compare_rejects_a_mesh_size_that_is_not_finite_and_positive(delta_file, h, capsys):
+    # an input error like any other bad numeric flag; it exited 3 as a
+    # numerical failure
+    rc = main(["compare", delta_file, "--h", h])
+    assert rc == 2
+    assert f"error: mesh size h={float(h)!r} must be finite and positive" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("R", ["2", "1.5"])
 def test_compare_rejects_truncation_inside_extent(tmp_path, R, capsys):
     path = tmp_path / "chain.json"

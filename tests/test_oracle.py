@@ -46,12 +46,25 @@ TWO_DELTA_LAMBDA = -1.6344715870972812
 
 # ----------------------------------------------------------- assembly
 
+def _dense(band):
+    """The symmetric matrix whose upper band, in the layout
+    ``scipy.linalg.cholesky_banded(lower=False)`` reads, is ``band``."""
+    w, n = band.shape[0] - 1, band.shape[1]
+    a = np.zeros((n, n))
+    for d in range(w + 1):
+        j = np.arange(d, n)
+        a[j - d, j] = band[w - d, d:]
+    return a + np.triu(a, 1).T
+
+
 def test_node_and_element_count_on_unit_interval():
     disc = discretize(robin_interval(-1.0, -1.0, 1.0), h=0.5)
     assert disc.node_count == 3
-    assert disc.stiffness.shape == (3, 3)
-    # tridiagonal pattern: 3 + 2*2 nonzeros
-    assert disc.stiffness.nnz == 7
+    # tridiagonal: band width 1, the 3 diagonal and 2 off-diagonal cells
+    # filled, the unused corner cell 0
+    assert disc.stiffness.shape == disc.mass.shape == (2, 3)
+    assert np.count_nonzero(disc.stiffness) == 5
+    assert disc.stiffness[0, 0] == 0.0
 
 
 def test_edge_lengths_are_preserved_by_rounding():
@@ -59,8 +72,7 @@ def test_edge_lengths_are_preserved_by_rounding():
     disc = discretize(robin_interval(-1.0, -1.0, 1.04), h=0.5)
     assert disc.node_count == 3
     mid = disc.elements[0, 1]
-    row = disc.stiffness.getrow(mid).toarray().ravel()
-    assert abs(row[mid] - (2.0 / 0.52)) < 1e-12
+    assert abs(disc.stiffness[-1, mid] - (2.0 / 0.52)) < 1e-12
 
 
 def test_stiffness_row_sums_equal_vertex_alphas():
@@ -68,7 +80,7 @@ def test_stiffness_row_sums_equal_vertex_alphas():
     # survive in the row sums, and they sit exactly on the vertex nodes
     g = star_graph(-1.25)
     disc = discretize(g, h=0.1)
-    sums = np.asarray(disc.stiffness.sum(axis=1)).ravel()
+    sums = _dense(disc.stiffness).sum(axis=1)
     expected = np.zeros(disc.node_count)
     for v in g.vertices:
         expected[disc.vertex_nodes[v.id]] = v.alpha
@@ -77,7 +89,7 @@ def test_stiffness_row_sums_equal_vertex_alphas():
 
 def test_mass_matrix_is_positive_definite():
     disc = discretize(star_graph(-1.0), h=0.25)
-    w = np.linalg.eigvalsh(disc.mass.toarray())
+    w = np.linalg.eigvalsh(_dense(disc.mass))
     assert w[0] > 0.0
 
 
@@ -194,13 +206,30 @@ def test_array_assembly_matches_the_element_loop(graph, h, R):
     disc = discretize(graph, h, R)
     node_count, elements, stiffness, mass = _reference_discretize(graph, h, R)
     assert disc.node_count == node_count
-    assert disc.elements.tolist() == [[g0, g1] for g0, g1, _ in elements]
+    # the elements keep their order; their nodes give the map from the
+    # loop's chain numbering to the band order (the last slot of new_of is
+    # the Dirichlet node -1)
+    ref = np.array([[g0, g1] for g0, g1, _ in elements])
+    new_of = np.full(node_count + 1, -1)
+    new_of[ref] = disc.elements
+    assert np.array_equal(new_of[ref], disc.elements)
+    assert sorted(new_of[:-1]) == list(range(node_count))
+    assert disc.vertex_nodes == {v.id: new_of[i] for i, v in enumerate(graph.vertices)}
     assert disc.element_lengths.tolist() == [he for *_, he in elements]
+    order = np.argsort(new_of[:-1])
     for got, want in ((disc.stiffness, stiffness), (disc.mass, mass)):
-        for part in ("indptr", "indices", "data"):
-            a, b = getattr(got, part), getattr(want, part)
-            assert a.dtype == b.dtype
-            assert np.array_equal(a, b)
+        assert got.dtype == want.dtype
+        assert np.array_equal(_dense(got), want.toarray()[np.ix_(order, order)])
+
+
+@pytest.mark.parametrize("graph, R, width", [
+    (g, R, w) for (g, R), w in zip(_CRITERION_07, (1, 1, 2, 2, 2))
+])
+def test_reverse_cuthill_mckee_keeps_the_band_narrow(graph, R, width):
+    # a delta on a line is a chain (width 1); a star's centre joins three
+    # chains, which the order interleaves at width 2
+    disc = discretize(graph, 0.01, R)
+    assert disc.stiffness.shape == disc.mass.shape == (width + 1, disc.node_count)
 
 
 # -------------------------------------------------------- eigenvalues
@@ -281,7 +310,7 @@ def test_a_shift_above_the_lowest_level_is_refused_on_a_small_mesh():
 ])
 def test_inverse_iteration_matches_dense_eigh(graph, h, R):
     disc = discretize(graph, h=h, R=R)
-    dense = scipy.linalg.eigh(disc.stiffness.toarray(), disc.mass.toarray(),
+    dense = scipy.linalg.eigh(_dense(disc.stiffness), _dense(disc.mass),
                               eigvals_only=True, subset_by_index=[0, 0])[0]
     for shift in (None, dense - 0.5):
         assert abs(smallest_eigenvalue(disc, shift=shift).lambda_min - dense) < 1e-10
@@ -408,12 +437,14 @@ def test_truncation_monotone_in_R():
 
 # -------------------------------------------------------- comparison
 
-def test_comparison_constant_is_cached_and_sane():
-    c1 = comparison_constant()
-    c2 = comparison_constant()
-    assert c1 == c2
-    # error ~ lambda^2 h^2 / 12 with lambda = -1, headroom factor 100
-    assert 1.0 < c1 < 100.0
+def test_comparison_constant_is_the_headroom_times_the_p1_term():
+    # the leading P1 error lambda^2 h^2 / 12 at lambda = -1, headroom 100
+    assert comparison_constant() == 100.0 / 12.0
+    # and that term is the error of the one-vertex two-lead graph
+    h = 0.02
+    disc = discretize(single_vertex_graph(-2.0, 2), h, 15.0)
+    err = smallest_eigenvalue(disc, shift=-1.5).lambda_min + 1.0
+    assert err == pytest.approx(h * h / 12.0, rel=1e-2)
 
 
 def test_compare_single_delta_passes():
