@@ -474,8 +474,8 @@ def test_compare_refuses_a_mesh_too_large(delta_file, capsys):
 
 @pytest.mark.parametrize("h", ["0", "-1", "nan", "inf"])
 def test_compare_rejects_a_mesh_size_that_is_not_finite_and_positive(delta_file, h, capsys):
-    # an input error like any other bad numeric flag; it exited 3 as a
-    # numerical failure
+    # an input error (exit 2) like any other bad numeric flag, not a
+    # numerical failure (exit 3)
     rc = main(["compare", delta_file, "--h", h])
     assert rc == 2
     assert f"error: mesh size h={float(h)!r} must be finite and positive" in capsys.readouterr().err
