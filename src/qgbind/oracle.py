@@ -10,6 +10,7 @@ eigenvalue always sits above the true one and converges at O(h^2).
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -21,6 +22,9 @@ from .secular import GroundState
 _MAX_NODES = 10**8
 _MAX_ITERATIONS = 1000
 _EPS = float(np.finfo(float).eps)
+# distance to a lead's Dirichlet end: past every node (at most 1e8),
+# and still an int64 once a chain length is added
+_FAR = 1 << 62
 
 
 class OracleError(RuntimeError):
@@ -40,18 +44,19 @@ class OracleError(RuntimeError):
 class Discretization:
     """Assembled P1 pair (K, M) on a (truncated) graph mesh.
 
-    Nodes are numbered in a reverse Cuthill-McKee order of the element
-    adjacency, which keeps the band narrow (width 1 on a chain, 2 on a
-    star, up to 6 on the random cyclic test graphs).
+    Nodes are numbered in a Cuthill-McKee level order read off the edge
+    chains (``_level_order``), which keeps the band narrow (width 1 on a
+    chain, 2 on a star, up to 6 on the random cyclic test graphs).
     ``stiffness`` and ``mass`` are the upper bands of K and M, the (w+1, n)
-    layout ``scipy.linalg.cholesky_banded(lower=False)`` reads: entry (i, j),
-    i <= j, sits at row w + i - j, column j, for band width w.
+    layout LAPACK's ``dpbtrf`` reads: entry (i, j), i <= j, sits at row
+    w + i - j, column j, for band width w.
     ``elements`` holds the two nodes of each element, edge by edge along its
     chain, then lead by lead; vertex nodes (``vertex_nodes``) are shared
     across incident edges, and the Dirichlet node at the truncated end of a
-    lead is -1.  ``element_lengths`` holds their lengths.  ``kappa_bound``
-    is the kappa* of the proven bound lambda0 >= -kappa*^2 behind the
-    default shift of ``smallest_eigenvalue``.
+    lead is -1.  ``element_lengths`` holds their lengths, and ``alphas``
+    the vertex couplings in the order of ``vertex_nodes``.
+    ``kappa_bound`` is the kappa* of the proven bound lambda0 >= -kappa*^2
+    behind the default shift of ``smallest_eigenvalue``.
     """
 
     h: float
@@ -60,6 +65,7 @@ class Discretization:
     stiffness: np.ndarray
     mass: np.ndarray
     vertex_nodes: dict[str, int]
+    alphas: np.ndarray
     elements: np.ndarray
     element_lengths: np.ndarray
     extent: float
@@ -98,9 +104,6 @@ def discretize(graph: MetricGraph, h: float, R: float | None = None) -> Discreti
     one), so stored lengths are met exactly.  Leads use length R and drop
     the far node.
     """
-    import scipy.sparse as sp
-    from scipy.sparse.csgraph import reverse_cuthill_mckee
-
     require_valid(graph)
     if not (math.isfinite(h) and h > 0):
         raise OracleError("mesh size h must be positive")
@@ -123,10 +126,11 @@ def discretize(graph: MetricGraph, h: float, R: float | None = None) -> Discreti
             f"mesh size h={h!r} needs {node_count:.4g} nodes, "
             f"more than the limit of {_MAX_NODES:.0e}"
         )
+    counts = [int(c) for c in counts]
 
     n = len(vertex_nodes)
     g0s, g1s, hes = [], [], []
-    for (first, last, length), count in zip(pieces, map(int, counts)):
+    for (first, last, length), count in zip(pieces, counts):
         chain = np.concatenate(([first], np.arange(n, n + count - 1), [last]))
         n += count - 1
         g0s.append(chain[:-1])
@@ -134,13 +138,10 @@ def discretize(graph: MetricGraph, h: float, R: float | None = None) -> Discreti
         hes.append(np.full(count, length / count))
     g0, g1, he = np.concatenate(g0s), np.concatenate(g1s), np.concatenate(hes)
 
-    # renumber in reverse Cuthill-McKee order; only g1 is ever the Dirichlet
-    # node, and the extra last slot of pos keeps it at -1
-    inner = g1 >= 0
-    pairs = (np.concatenate((g0[inner], g1[inner])), np.concatenate((g1[inner], g0[inner])))
-    adjacency = sp.csr_matrix((np.ones(len(pairs[0])), pairs), shape=(n, n))
+    # renumber in level order; only g1 is ever the Dirichlet node, and the
+    # extra last slot of pos keeps it at -1
     pos = np.full(n + 1, -1)
-    pos[reverse_cuthill_mckee(adjacency, symmetric_mode=True)] = np.arange(n)
+    pos[_level_order(len(vertex_nodes), [p[:2] for p in pieces], counts)] = np.arange(n)
     g0, g1 = pos[g0], pos[g1]
 
     # per element (g0,g0), (g1,g1), (min,max), entries on the Dirichlet
@@ -154,9 +155,10 @@ def discretize(graph: MetricGraph, h: float, R: float | None = None) -> Discreti
     mdat = np.stack((diag, diag, off), axis=1).ravel()
     keep = rows >= 0
     vertices = pos[:len(vertex_nodes)]
+    alphas = np.array([float(v.alpha) for v in graph.vertices])
     rows = np.concatenate((rows[keep], vertices))
     cols = np.concatenate((cols[keep], vertices))
-    kdat = np.concatenate((kdat[keep], [float(v.alpha) for v in graph.vertices]))
+    kdat = np.concatenate((kdat[keep], alphas))
     mdat = np.concatenate((mdat[keep], np.zeros(len(vertices))))
     # band cell (w + i - j, j), laid out column by column as LAPACK reads it
     width = int(np.max(cols - rows))
@@ -168,11 +170,112 @@ def discretize(graph: MetricGraph, h: float, R: float | None = None) -> Discreti
         stiffness=np.bincount(cells, kdat, (width + 1) * n).reshape(n, width + 1).T,
         mass=np.bincount(cells, mdat, (width + 1) * n).reshape(n, width + 1).T,
         vertex_nodes={v: int(pos[i]) for v, i in vertex_nodes.items()},
+        alphas=alphas,
         elements=np.stack((g0, g1), axis=1),
         element_lengths=he,
         extent=sum(e.length for e in graph.finite_edges),
         kappa_bound=_kappa_bound(graph),
     )
+
+
+def _level_order(vertex_count: int, ends: list[tuple[int, int]],
+                 counts: list[int]) -> np.ndarray:
+    """Mesh nodes in a Cuthill-McKee level order, read off the chains.
+
+    Nodes below ``vertex_count`` are the vertices; the count - 1 interior
+    nodes of each chain follow, chain by chain, from its first end
+    (``ends``: first and last vertex, last -1 on a lead).  A node's level is
+    its distance in elements from a start node.  The vertices' distances
+    come from Dijkstra on the vertex graph weighted by element counts;
+    interior node k of a chain sits at min(d_first + k, d_last + count - k).
+    The start is a leaf of the mesh (a vertex of degree one or the last
+    node of a lead; any vertex on a mesh without leaves): the first leaf, or
+    the leaf farthest from it (George-Liu), whichever gives the narrower
+    widest level, since the band is about as wide as that level.  Within a
+    level the nodes follow a depth-first slot of the half-chain tree: the
+    half-chains that leave a vertex take the place of the one that reached
+    it, so each level lists the half-chains that cross it in the order of
+    the level before.  Where the two half-chains of a cycle meet at a node
+    as far from both ends, that node takes the smaller slot.
+    """
+    # half-chain 2p runs from chain p's first end, 2p + 1 from its last
+    to = [end for first, last in ends for end in (last, first)]
+    leaving: list[list[int]] = [[] for _ in range(vertex_count)]
+    for p, (first, last) in enumerate(ends):
+        leaving[first].append(2 * p)
+        if last >= 0:
+            leaving[last].append(2 * p + 1)
+
+    def sweep(start):
+        """Distances from a start (its vertex's distance, the vertex, the
+        half-chain that reaches it or -1): of each vertex, of each chain's
+        first and last end, and the half-chain that reaches each vertex."""
+        dist, via = [-1] * vertex_count, [-1] * vertex_count
+        heap = [start]
+        while heap:
+            d, v, half = heapq.heappop(heap)
+            if dist[v] < 0:
+                dist[v], via[v] = d, half
+                for out in leaving[v]:
+                    if to[out] >= 0 and dist[to[out]] < 0:
+                        heapq.heappush(heap, (d + counts[out // 2], to[out], out))
+        d_first = [dist[first] for first, _ in ends]
+        d_last = [dist[last] if last >= 0 else _FAR for _, last in ends]
+        if start[2] >= 0:  # the start's lead ends one element past its last node
+            d_last[start[2] // 2] = -1
+        return dist, d_first, d_last, via, start
+
+    def runs(d_first, d_last, half_slot):
+        """Each chain's interior nodes as two runs (length, first level,
+        step, slot): the nodes nearer its first end, levels rising from
+        d_first + 1, then those nearer its last end, levels falling to
+        d_last + 1."""
+        out = []
+        for d0, d1, count, fore, back in zip(d_first, d_last, counts,
+                                             half_slot[::2], half_slot[1::2]):
+            span = d1 + count - d0
+            ahead = min(count - 1, max(0, (span - 1) // 2 + (span % 2 == 0 and fore < back)))
+            out += [(ahead, d0 + 1, 1, fore), (count - 1 - ahead, d1 + count - ahead - 1, -1, back)]
+        return out
+
+    def widest(dist, d_first, d_last, *_):
+        """Node count of the widest level."""
+        events = [(d, 1) for d in dist] + [(d + 1, -1) for d in dist]
+        for length, level, step, _ in runs(d_first, d_last, [0] * len(to)):
+            low = min(level, level + step * (length - 1))
+            events += [(low, 1), (low + length, -1)]
+        width = most = 0
+        for _, change in sorted(events):
+            width += change
+            most = max(most, width)
+        return most
+
+    leaves = [(0, v, -1) for v in range(vertex_count) if len(leaving[v]) == 1]
+    leaves += [(count - 1, first, 2 * p + 1)
+               for p, ((first, last), count) in enumerate(zip(ends, counts)) if last < 0]
+    leaves = leaves or [(0, v, -1) for v in range(vertex_count)]
+    near = sweep(leaves[0])
+    far = max(leaves, key=lambda leaf: 0 if leaf == leaves[0] else near[0][leaf[1]] + leaf[0])
+    dist, d_first, d_last, via, start = min(near, sweep(far), key=lambda s: widest(*s))
+
+    half_slot, vertex_slot = [0] * len(to), [0] * vertex_count
+    reached = {half: v for v, half in enumerate(via) if half >= 0}
+    stack = [start[2]] if start[2] >= 0 else leaving[start[1]][::-1]
+    slot = 0
+    while stack:
+        half = stack.pop()
+        half_slot[half] = slot
+        if half in reached:
+            vertex_slot[reached[half]] = slot
+            stack += leaving[reached[half]][::-1]
+        slot += 1
+
+    length, level, step, slot = (np.array(c) for c in zip(*runs(d_first, d_last, half_slot)))
+    at = np.cumsum(length) - length
+    i = np.arange(int(np.sum(length)))
+    level = np.repeat(level - step * at, length) + np.repeat(step, length) * i
+    return np.lexsort((np.concatenate((vertex_slot, np.repeat(slot, length))),
+                       np.concatenate((dist, level))))
 
 
 def _kappa_bound(graph: MetricGraph) -> float:
@@ -223,6 +326,13 @@ def smallest_eigenvalue(disc: Discretization, shift: float | None = None) -> Ora
     small, takes this path.  ``solves`` and ``factors`` count its banded
     solves and Cholesky factorizations, refused ones included.
 
+    The level returned is the Rayleigh quotient of the final vector u_h
+    summed element by element,
+    (sum_e (u1 - u0)^2 / h_e + sum_v alpha_v u_v^2) / sum_e h_e (u0^2 + u0 u1 + u1^2) / 3,
+    not shift + y'Mx / y'My: that form carries a rounding of about
+    eps * max K_ii / M_ii (1e-8 with an edge of 1e-8), the element-wise one
+    none from the short elements.
+
     ``p1_error`` is the leading P1 error of the level,
     lambda^2 / 12 * sum_e h_e^2 int_e u_h^2 over the elements e, with u_h
     the M-normalized eigenvector (Strang-Fix, ch. 6); on a uniform mesh it
@@ -232,18 +342,22 @@ def smallest_eigenvalue(disc: Discretization, shift: float | None = None) -> Ora
         shift = -disc.kappa_bound**2 - 1.0
     elif not math.isfinite(shift):
         raise OracleError(f"shift {shift!r} is not finite")
-    lam, x, solves, factors = _inverse_iteration(disc, shift)
+    x, solves, factors = _inverse_iteration(disc, shift)
     # int_e u_h^2 = h_e (u0^2 + u0 u1 + u1^2) / 3; the Dirichlet node reads 0
     u0, u1 = np.append(x, 0.0)[disc.elements].T
     he = disc.element_lengths
-    p1 = lam * lam / 36.0 * float(np.sum(he**3 * (u0 * u0 + u0 * u1 + u1 * u1)))
+    mass = u0 * u0 + u0 * u1 + u1 * u1
+    coupled = x[list(disc.vertex_nodes.values())]
+    energy = float(np.sum((u1 - u0) ** 2 / he)) + float(disc.alphas @ (coupled * coupled))
+    lam = energy / (float(np.sum(he * mass)) / 3.0)
+    p1 = lam * lam / 36.0 * float(np.sum(he**3 * mass))
     return OracleResult(lam, disc.h, disc.R, disc.node_count, p1, solves, factors)
 
 
 def _inverse_iteration(
     disc: Discretization, shift: float,
-) -> tuple[float, np.ndarray, int, int]:
-    """Lowest level of (K, M), its M-normalized vector, and the counts of
+) -> tuple[np.ndarray, int, int]:
+    """M-normalized vector of the lowest level of (K, M), and the counts of
     banded solves and factorizations, by inverse iteration on certified
     factors.
 
@@ -262,8 +376,8 @@ def _inverse_iteration(
     1e-8 puts the default near -1e8) stops at the quotient of the start
     vector.
     """
-    from scipy.linalg import cho_solve_banded
     from scipy.linalg.blas import dsbmv
+    from scipy.linalg.lapack import dpbtrs
 
     factor = _factor(disc, shift)
     solves, factors = 0, 1
@@ -277,7 +391,9 @@ def _inverse_iteration(
     mx = dsbmv(width, 1.0, mass, np.full(n, 1.0 / math.sqrt(n)))
     lam = fall = top = math.inf
     for _ in range(_MAX_ITERATIONS):
-        y = cho_solve_banded((factor, False), mx, check_finite=False)
+        y, info = dpbtrs(factor, mx)
+        if info < 0:
+            raise ValueError(f"dpbtrs: illegal value in argument {-info}")
         solves += 1
         my = dsbmv(width, 1.0, mass, y)
         norm2 = float(y @ my)
@@ -290,7 +406,7 @@ def _inverse_iteration(
         new = shift + gain
         rounding = 4.0 * _EPS * gain
         if lam - new <= 1e-14 * abs(new) and rounding <= 1e-14 * abs(new):
-            return new, y / math.sqrt(norm2), solves, factors
+            return y / math.sqrt(norm2), solves, factors
         # x = y / |y|_M, so M x is M y scaled: no second product by M
         mx = my / math.sqrt(norm2)
         slow = lam - new > 0.25 * fall or lam - new <= rounding
@@ -316,13 +432,13 @@ def _factor(disc: Discretization, shift: float) -> np.ndarray | None:
     Sylvester's law of inertia certifies that no level lies at or below
     the shift.
     """
-    from scipy.linalg import LinAlgError, cholesky_banded
+    from scipy.linalg.lapack import dpbtrf
 
-    try:
-        return cholesky_banded(disc.stiffness - shift * disc.mass, lower=False,
-                               check_finite=False)
-    except LinAlgError:
-        return None
+    # the difference is a fresh Fortran-ordered band, factored in place
+    factor, info = dpbtrf(disc.stiffness - shift * disc.mass, overwrite_ab=1)
+    if info < 0:
+        raise ValueError(f"dpbtrf: illegal value in argument {-info}")
+    return factor if info == 0 else None
 
 
 _CMP_HEADROOM = 100.0

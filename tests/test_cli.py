@@ -583,3 +583,24 @@ def test_cold_crit_loads_no_scipy(star_file):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["crit 0 True []"]
+
+
+_COLD_COMPARE_PROBE = """
+import contextlib, io, sys
+from qgbind.cli import main
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    rc = main(["compare", sys.argv[1], "--h", "0.02", "--json"])
+sparse = sorted(m for m in sys.modules if m.startswith("scipy.sparse"))
+print("compare", rc, '"lambda0_fe"' in out.getvalue(), sparse)
+"""
+
+
+def test_cold_compare_loads_no_scipy_sparse(delta_file):
+    # the oracle orders its mesh from the edge chains and calls LAPACK's
+    # banded Cholesky through scipy.linalg; no sparse matrix is built
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_COMPARE_PROBE, delta_file],
+        capture_output=True, text=True, timeout=60, env=_checkout_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["compare 0 True []"]

@@ -226,10 +226,36 @@ def test_array_assembly_matches_the_element_loop(graph, h, R):
     (g, R, w) for (g, R), w in zip(_CRITERION_07, (1, 1, 2, 2, 2))
 ])
 def test_reverse_cuthill_mckee_keeps_the_band_narrow(graph, R, width):
-    # a delta on a line is a chain (width 1); a star's centre joins three
-    # chains, which the order interleaves at width 2
+    # the level order keeps the widths the reverse Cuthill-McKee order had:
+    # a delta on a line is a chain (width 1); past a star's centre two
+    # chains run level by level side by side (width 2)
     disc = discretize(graph, 0.01, R)
     assert disc.stiffness.shape == disc.mass.shape == (width + 1, disc.node_count)
+
+
+def _reverse_cuthill_mckee_width(graph, h, R):
+    """Band width of the mesh of the element loop renumbered by scipy's
+    reverse Cuthill-McKee, the order the bands were assembled in before."""
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+    n, elements, *_ = _reference_discretize(graph, h, R)
+    g0, g1 = np.array([(g0, g1) for g0, g1, _ in elements if g1 >= 0]).T
+    adjacency = sp.csr_matrix((np.ones(len(g0)), (g0, g1)), shape=(n, n))
+    pos = np.empty(n, dtype=int)
+    pos[reverse_cuthill_mckee(adjacency + adjacency.T, symmetric_mode=True)] = np.arange(n)
+    return int(np.max(np.abs(pos[g0] - pos[g1])))
+
+
+def test_level_order_is_no_wider_than_reverse_cuthill_mckee():
+    # cycles, parallel edges, leads and short edges; the level order starts
+    # at whichever of two leaves gives the narrower widest level
+    rng = np.random.default_rng(5)
+    for _ in range(12):
+        g = random_cyclic_graph(rng)
+        R = compare(g, find_ground_state(g)).R
+        width = discretize(g, 0.01, R).stiffness.shape[0] - 1
+        assert width <= _reverse_cuthill_mckee_width(g, 0.01, R), g
 
 
 # -------------------------------------------------------- eigenvalues
@@ -468,6 +494,20 @@ def test_compare_passes_on_random_cyclic_graphs():
         g = random_cyclic_graph(rng)
         rep = compare(g, find_ground_state(g))
         assert rep.ok, (g, rep)
+
+
+def test_the_level_does_not_depend_on_the_shift():
+    # shift + y'Mx / y'My carried eps * max K_ii / M_ii: the levels from
+    # 1.5 lambda0 and 1.01 lambda0 differed by 3.3e-9 on the draw with an
+    # edge of 1.1e-8; the element-wise quotient of the vector does not
+    rng = np.random.default_rng(5)
+    for _ in range(12):
+        g = random_cyclic_graph(rng)
+        gs = find_ground_state(g)
+        disc = discretize(g, 0.01, compare(g, gs).R)
+        far, near = (smallest_eigenvalue(disc, shift=f * gs.lambda0).lambda_min
+                     for f in (1.5, 1.01))
+        assert abs(far - near) <= 1e-13 * abs(near), (g, far, near)
 
 
 def test_compare_compact_graph_has_no_truncation_term():
