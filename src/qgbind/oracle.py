@@ -13,6 +13,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -244,11 +245,7 @@ def _level_order(vertex_count: int, ends: list[tuple[int, int]],
         for length, level, step, _ in runs(d_first, d_last, [0] * len(to)):
             low = min(level, level + step * (length - 1))
             events += [(low, 1), (low + length, -1)]
-        width = most = 0
-        for _, change in sorted(events):
-            width += change
-            most = max(most, width)
-        return most
+        return max(accumulate(change for _, change in sorted(events)))
 
     leaves = [(0, v, -1) for v in range(vertex_count) if len(leaving[v]) == 1]
     leaves += [(count - 1, first, 2 * p + 1)
@@ -270,11 +267,11 @@ def _level_order(vertex_count: int, ends: list[tuple[int, int]],
             stack += leaving[reached[half]][::-1]
         slot += 1
 
-    length, level, step, slot = (np.array(c) for c in zip(*runs(d_first, d_last, half_slot)))
+    length, origin, step, slots = (np.array(c) for c in zip(*runs(d_first, d_last, half_slot)))
     at = np.cumsum(length) - length
     i = np.arange(int(np.sum(length)))
-    level = np.repeat(level - step * at, length) + np.repeat(step, length) * i
-    return np.lexsort((np.concatenate((vertex_slot, np.repeat(slot, length))),
+    level = np.repeat(origin - step * at, length) + np.repeat(step, length) * i
+    return np.lexsort((np.concatenate((vertex_slot, np.repeat(slots, length))),
                        np.concatenate((dist, level))))
 
 
