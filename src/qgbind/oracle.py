@@ -236,7 +236,8 @@ def _level_order(vertex_count: int, ends: list[tuple[int, int]],
                                              half_slot[::2], half_slot[1::2]):
             span = d1 + count - d0
             ahead = min(count - 1, max(0, (span - 1) // 2 + (span % 2 == 0 and fore < back)))
-            out += [(ahead, d0 + 1, 1, fore), (count - 1 - ahead, d1 + count - ahead - 1, -1, back)]
+            out += [(ahead, d0 + 1, 1, fore),
+                    (count - 1 - ahead, d1 + count - ahead - 1, -1, back)]
         return out
 
     def widest(dist, d_first, d_last, *_):
@@ -325,10 +326,11 @@ def smallest_eigenvalue(disc: Discretization, shift: float | None = None) -> Ora
 
     The level returned is the Rayleigh quotient of the final vector u_h
     summed element by element,
-    (sum_e (u1 - u0)^2 / h_e + sum_v alpha_v u_v^2) / sum_e h_e (u0^2 + u0 u1 + u1^2) / 3,
+    (sum_e (u1 - u0)^2 / h_e + sum_v alpha_v u_v^2)
+    / (sum_e h_e (u0^2 + u0 u1 + u1^2) / 3),
     not shift + y'Mx / y'My: that form carries a rounding of about
-    eps * max K_ii / M_ii (1e-8 with an edge of 1e-8), the element-wise one
-    none from the short elements.
+    eps * max K_ii / M_ii (1e-8 with an edge of 1e-8), while the sum takes
+    each difference u1 - u0 before it divides by h_e.
 
     ``p1_error`` is the leading P1 error of the level,
     lambda^2 / 12 * sum_e h_e^2 int_e u_h^2 over the elements e, with u_h
@@ -343,11 +345,11 @@ def smallest_eigenvalue(disc: Discretization, shift: float | None = None) -> Ora
     # int_e u_h^2 = h_e (u0^2 + u0 u1 + u1^2) / 3; the Dirichlet node reads 0
     u0, u1 = np.append(x, 0.0)[disc.elements].T
     he = disc.element_lengths
-    mass = u0 * u0 + u0 * u1 + u1 * u1
+    square = u0 * u0 + u0 * u1 + u1 * u1
     coupled = x[list(disc.vertex_nodes.values())]
     energy = float(np.sum((u1 - u0) ** 2 / he)) + float(disc.alphas @ (coupled * coupled))
-    lam = energy / (float(np.sum(he * mass)) / 3.0)
-    p1 = lam * lam / 36.0 * float(np.sum(he**3 * mass))
+    lam = energy / (float(np.sum(he * square)) / 3.0)
+    p1 = lam * lam / 36.0 * float(np.sum(he**3 * square))
     return OracleResult(lam, disc.h, disc.R, disc.node_count, p1, solves, factors)
 
 
