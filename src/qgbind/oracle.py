@@ -10,30 +10,28 @@ eigenvalue always sits above the true one and converges at O(h^2).
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
-from itertools import accumulate
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .graph import MetricGraph, require_valid, vertex_incidences
 from .secular import GroundState
 
-_MAX_NODES = 10**8
+# compare peaks at about 150 bytes a mesh node and 50 a pair of vertices
+# (tracemalloc), so a mesh at the node limit stays within this budget
+_MEMORY_BUDGET = 2e9
+_BYTES_PER_NODE, _BYTES_PER_VERTEX_PAIR = 160.0, 64.0
 _MAX_ITERATIONS = 1000
 _EPS = float(np.finfo(float).eps)
-# distance to a lead's Dirichlet end: past every node (at most 1e8),
-# and still an int64 once a chain length is added
-_FAR = 1 << 62
 
 
 class OracleError(RuntimeError):
     """Discretization or eigensolve failure.
 
-    ``solves`` and ``factors`` count the banded solves and Cholesky
-    factorizations a failed eigensolve made before it gave up (0 when it
-    made none).
+    ``solves`` and ``factors`` count the solves and factorizations a failed
+    eigensolve made before it gave up (0 when it made none).
     """
 
     def __init__(self, message: str, solves: int = 0, factors: int = 0):
@@ -41,21 +39,36 @@ class OracleError(RuntimeError):
         self.solves, self.factors = solves, factors
 
 
+class Blocks(NamedTuple):
+    """One of K and M, split at the vertices.
+
+    ``vertex`` is the dense block of the vertex nodes.  ``diagonal`` and
+    ``off`` are the tridiagonal block of the chain interiors: ``off[j]``
+    couples interior nodes j and j + 1, and is 0 at the last interior node
+    of each chain.  ``coupling`` is, per chain with interior nodes, the
+    entry between each end and the interior node next to it.
+    """
+
+    vertex: np.ndarray
+    diagonal: np.ndarray
+    off: np.ndarray
+    coupling: np.ndarray
+
+
 @dataclass
 class Discretization:
     """Assembled P1 pair (K, M) on a (truncated) graph mesh.
 
-    Nodes are numbered in a Cuthill-McKee level order read off the edge
-    chains (``_level_order``), which keeps the band narrow (width 1 on a
-    chain, 2 on a star, up to 6 on the random cyclic test graphs).
-    ``stiffness`` and ``mass`` are the upper bands of K and M, the (w+1, n)
-    layout LAPACK's ``dpbtrf`` reads: entry (i, j), i <= j, sits at row
-    w + i - j, column j, for band width w.
-    ``elements`` holds the two nodes of each element, edge by edge along its
-    chain, then lead by lead; vertex nodes (``vertex_nodes``) are shared
-    across incident edges, and the Dirichlet node at the truncated end of a
-    lead is -1.  ``element_lengths`` holds their lengths, and ``alphas``
-    the vertex couplings in the order of ``vertex_nodes``.
+    Nodes are numbered as the element loop meets them: the vertices in the
+    graph's order (``vertex_nodes``), then the interior nodes of each edge
+    and then of each lead, chain by chain from its first end.  ``stiffness``
+    and ``mass`` are K and M split at the vertices (``Blocks``).
+    ``elements`` holds the two nodes of each element in the loop's order,
+    ``element_lengths`` their lengths, and ``alphas`` the vertex couplings.
+    ``chain_ends`` and ``chain_nodes`` give, for each chain with interior
+    nodes, its end nodes and its first and last interior node.  Node -1 is
+    the Dirichlet node at the truncated end of a lead; an array or matrix
+    indexed by node gets one more slot, row and column for it, which read 0.
     ``kappa_bound`` is the kappa* of the proven bound lambda0 >= -kappa*^2
     behind the default shift of ``smallest_eigenvalue``.
     """
@@ -63,13 +76,14 @@ class Discretization:
     h: float
     R: float | None
     node_count: int
-    stiffness: np.ndarray
-    mass: np.ndarray
+    stiffness: Blocks
+    mass: Blocks
     vertex_nodes: dict[str, int]
     alphas: np.ndarray
     elements: np.ndarray
     element_lengths: np.ndarray
-    extent: float
+    chain_ends: np.ndarray
+    chain_nodes: np.ndarray
     kappa_bound: float
 
 
@@ -99,11 +113,12 @@ class ComparisonReport:
 
 
 def discretize(graph: MetricGraph, h: float, R: float | None = None) -> Discretization:
-    """Mesh the graph and assemble the stiffness and mass bands.
+    """Mesh the graph and assemble the blocks of K and M.
 
     Each edge gets the integer element count nearest to length/h (at least
     one), so stored lengths are met exactly.  Leads use length R and drop
-    the far node.
+    the far node.  A mesh that would not fit in a 2 GB budget (1.25e7 nodes
+    on a small graph) raises OracleError before anything is allocated.
     """
     require_valid(graph)
     if not (math.isfinite(h) and h > 0):
@@ -113,167 +128,64 @@ def discretize(graph: MetricGraph, h: float, R: float | None = None) -> Discreti
             raise OracleError("graphs with leads need a positive truncation length R")
 
     vertex_nodes = {v.id: i for i, v in enumerate(graph.vertices)}
-    # (first node, last node, length) per edge; a lead ends at the
+    nv = len(vertex_nodes)
+    # the end nodes of each chain, edges then leads; a lead ends at the
     # eliminated Dirichlet node -1
-    pieces = [(vertex_nodes[e.start], vertex_nodes[e.end], e.length)
-              for e in graph.finite_edges]
-    pieces += [(vertex_nodes[t.anchor], -1, R) for t in graph.infinite_edges]
+    ends = [(vertex_nodes[e.start], vertex_nodes[e.end]) for e in graph.finite_edges]
+    ends += [(vertex_nodes[t.anchor], -1) for t in graph.infinite_edges]
+    lengths = [e.length for e in graph.finite_edges] + [R] * len(graph.infinite_edges)
     # counts as floats, so the size is checked before anything is allocated
     # (length / h may even overflow to inf)
-    counts = [max(1.0, round(length / h, 0)) for *_, length in pieces]
-    node_count = len(vertex_nodes) + sum(n - 1.0 for n in counts)
-    if not node_count <= _MAX_NODES:
+    counts = [max(1.0, round(length / h, 0)) for length in lengths]
+    node_count = nv + sum(n - 1.0 for n in counts)
+    limit = (_MEMORY_BUDGET - _BYTES_PER_VERTEX_PAIR * nv * nv) / _BYTES_PER_NODE
+    if not node_count <= limit:
         raise OracleError(
-            f"mesh size h={h!r} needs {node_count:.4g} nodes, "
-            f"more than the limit of {_MAX_NODES:.0e}"
+            f"mesh size h={h!r} needs {node_count:.4g} nodes, more than the limit "
+            f"of {limit:.4g} that a {_MEMORY_BUDGET / 1e9:g} GB budget leaves"
         )
-    counts = [int(c) for c in counts]
 
-    n = len(vertex_nodes)
-    g0s, g1s, hes = [], [], []
-    for (first, last, length), count in zip(pieces, counts):
-        chain = np.concatenate(([first], np.arange(n, n + count - 1), [last]))
-        n += count - 1
-        g0s.append(chain[:-1])
-        g1s.append(chain[1:])
-        hes.append(np.full(count, length / count))
-    g0, g1, he = np.concatenate(g0s), np.concatenate(g1s), np.concatenate(hes)
-
-    # renumber in level order; only g1 is ever the Dirichlet node, and the
-    # extra last slot of pos keeps it at -1
-    pos = np.full(n + 1, -1)
-    pos[_level_order(len(vertex_nodes), [p[:2] for p in pieces], counts)] = np.arange(n)
-    g0, g1 = pos[g0], pos[g1]
-
-    # per element (g0,g0), (g1,g1), (min,max), entries on the Dirichlet
-    # node dropped, then the vertex couplings: bincount sums each band cell
-    # in this order, as the element-by-element loop does
-    rows = np.stack((g0, g1, np.minimum(g0, g1)), axis=1).ravel()
-    cols = np.stack((g0, g1, np.maximum(g0, g1)), axis=1).ravel()
-    inv = 1.0 / he
-    kdat = np.stack((inv, inv, -inv), axis=1).ravel()
-    diag, off = 2.0 * he / 6.0, he / 6.0
-    mdat = np.stack((diag, diag, off), axis=1).ravel()
-    keep = rows >= 0
-    vertices = pos[:len(vertex_nodes)]
+    counts = np.array(counts, dtype=int)
+    ends = np.array(ends, dtype=int).reshape(-1, 2)
+    he = np.array(lengths, dtype=float) / counts
+    interior = counts - 1
+    inner = np.arange(nv, nv + int(np.sum(interior)))
+    at = np.cumsum(interior) - interior
     alphas = np.array([float(v.alpha) for v in graph.vertices])
-    rows = np.concatenate((rows[keep], vertices))
-    cols = np.concatenate((cols[keep], vertices))
-    kdat = np.concatenate((kdat[keep], alphas))
-    mdat = np.concatenate((mdat[keep], np.zeros(len(vertices))))
-    # band cell (w + i - j, j), laid out column by column as LAPACK reads it
-    width = int(np.max(cols - rows))
-    cells = cols * (width + 1) + width + rows - cols
+    # the element matrix of K is [[1, -1], [-1, 1]] / h_e, that of M
+    # [[2, 1], [1, 2]] h_e / 6
     return Discretization(
         h=h,
         R=R if graph.infinite_edges else None,
-        node_count=n,
-        stiffness=np.bincount(cells, kdat, (width + 1) * n).reshape(n, width + 1).T,
-        mass=np.bincount(cells, mdat, (width + 1) * n).reshape(n, width + 1).T,
-        vertex_nodes={v: int(pos[i]) for v, i in vertex_nodes.items()},
+        node_count=nv + len(inner),
+        stiffness=_blocks(ends, interior, 1.0 / he, -1.0 / he, alphas),
+        mass=_blocks(ends, interior, 2.0 * he / 6.0, he / 6.0, np.zeros(nv)),
+        vertex_nodes=vertex_nodes,
         alphas=alphas,
-        elements=np.stack((g0, g1), axis=1),
-        element_lengths=he,
-        extent=sum(e.length for e in graph.finite_edges),
+        elements=np.stack((np.insert(inner, at, ends[:, 0]),
+                           np.insert(inner, at + interior, ends[:, 1])), axis=1),
+        element_lengths=np.repeat(he, counts),
+        chain_ends=ends[interior > 0],
+        chain_nodes=np.stack((at, at + interior - 1), axis=1)[interior > 0] + nv,
         kappa_bound=_kappa_bound(graph),
     )
 
 
-def _level_order(vertex_count: int, ends: list[tuple[int, int]],
-                 counts: list[int]) -> np.ndarray:
-    """Mesh nodes in a Cuthill-McKee level order, read off the chains.
-
-    Nodes below ``vertex_count`` are the vertices; the count - 1 interior
-    nodes of each chain follow, chain by chain, from its first end
-    (``ends``: first and last vertex, last -1 on a lead).  A node's level is
-    its distance in elements from a start node.  The vertices' distances
-    come from Dijkstra on the vertex graph weighted by element counts;
-    interior node k of a chain sits at min(d_first + k, d_last + count - k).
-    The start is a leaf of the mesh (a vertex of degree one or the last
-    node of a lead; any vertex on a mesh without leaves): the first leaf, or
-    the leaf farthest from it (George-Liu), whichever gives the narrower
-    widest level, since the band is about as wide as that level.  Within a
-    level the nodes follow a depth-first slot of the half-chain tree: the
-    half-chains that leave a vertex take the place of the one that reached
-    it, so each level lists the half-chains that cross it in the order of
-    the level before.  Where the two half-chains of a cycle meet at a node
-    as far from both ends, that node takes the smaller slot.
+def _blocks(ends: np.ndarray, interior: np.ndarray, diagonal: np.ndarray,
+            off: np.ndarray, alphas: np.ndarray) -> Blocks:
+    """Blocks of the matrix with element matrix [[diagonal, off], [off,
+    diagonal]] on each chain, plus diag(alphas); each vertex cell is summed
+    in element order, then alpha added, as the element-by-element loop does.
     """
-    # half-chain 2p runs from chain p's first end, 2p + 1 from its last
-    to = [end for first, last in ends for end in (last, first)]
-    leaving: list[list[int]] = [[] for _ in range(vertex_count)]
-    for p, (first, last) in enumerate(ends):
-        leaving[first].append(2 * p)
-        if last >= 0:
-            leaving[last].append(2 * p + 1)
-
-    def sweep(start):
-        """Distances from a start (its vertex's distance, the vertex, the
-        half-chain that reaches it or -1): of each vertex, of each chain's
-        first and last end, and the half-chain that reaches each vertex."""
-        dist, via = [-1] * vertex_count, [-1] * vertex_count
-        heap = [start]
-        while heap:
-            d, v, half = heapq.heappop(heap)
-            if dist[v] < 0:
-                dist[v], via[v] = d, half
-                for out in leaving[v]:
-                    if to[out] >= 0 and dist[to[out]] < 0:
-                        heapq.heappush(heap, (d + counts[out // 2], to[out], out))
-        d_first = [dist[first] for first, _ in ends]
-        d_last = [dist[last] if last >= 0 else _FAR for _, last in ends]
-        if start[2] >= 0:  # the start's lead ends one element past its last node
-            d_last[start[2] // 2] = -1
-        return dist, d_first, d_last, via, start
-
-    def runs(d_first, d_last, half_slot):
-        """Each chain's interior nodes as two runs (length, first level,
-        step, slot): the nodes nearer its first end, levels rising from
-        d_first + 1, then those nearer its last end, levels falling to
-        d_last + 1."""
-        out = []
-        for d0, d1, count, fore, back in zip(d_first, d_last, counts,
-                                             half_slot[::2], half_slot[1::2]):
-            span = d1 + count - d0
-            ahead = min(count - 1, max(0, (span - 1) // 2 + (span % 2 == 0 and fore < back)))
-            out += [(ahead, d0 + 1, 1, fore),
-                    (count - 1 - ahead, d1 + count - ahead - 1, -1, back)]
-        return out
-
-    def widest(dist, d_first, d_last, *_):
-        """Node count of the widest level."""
-        events = [(d, 1) for d in dist] + [(d + 1, -1) for d in dist]
-        for length, level, step, _ in runs(d_first, d_last, [0] * len(to)):
-            low = min(level, level + step * (length - 1))
-            events += [(low, 1), (low + length, -1)]
-        return max(accumulate(change for _, change in sorted(events)))
-
-    leaves = [(0, v, -1) for v in range(vertex_count) if len(leaving[v]) == 1]
-    leaves += [(count - 1, first, 2 * p + 1)
-               for p, ((first, last), count) in enumerate(zip(ends, counts)) if last < 0]
-    leaves = leaves or [(0, v, -1) for v in range(vertex_count)]
-    near = sweep(leaves[0])
-    far = max(leaves, key=lambda leaf: 0 if leaf == leaves[0] else near[0][leaf[1]] + leaf[0])
-    dist, d_first, d_last, via, start = min(near, sweep(far), key=lambda s: widest(*s))
-
-    half_slot, vertex_slot = [0] * len(to), [0] * vertex_count
-    reached = {half: v for v, half in enumerate(via) if half >= 0}
-    stack = [start[2]] if start[2] >= 0 else leaving[start[1]][::-1]
-    slot = 0
-    while stack:
-        half = stack.pop()
-        half_slot[half] = slot
-        if half in reached:
-            vertex_slot[reached[half]] = slot
-            stack += leaving[reached[half]][::-1]
-        slot += 1
-
-    length, origin, step, slots = (np.array(c) for c in zip(*runs(d_first, d_last, half_slot)))
-    at = np.cumsum(length) - length
-    i = np.arange(int(np.sum(length)))
-    level = np.repeat(origin - step * at, length) + np.repeat(step, length) * i
-    return np.lexsort((np.concatenate((vertex_slot, np.repeat(slots, length))),
-                       np.concatenate((dist, level))))
+    nv = len(alphas)
+    vertex = np.zeros((nv + 1, nv + 1))
+    np.add.at(vertex, (ends, ends), diagonal[:, None])
+    single = interior == 0
+    np.add.at(vertex, (ends[single], ends[single, ::-1]), off[single, None])
+    along = np.repeat(off, interior)
+    along[np.cumsum(interior)[interior > 0] - 1] = 0.0
+    return Blocks(vertex[:nv, :nv] + np.diag(alphas),
+                  np.repeat(diagonal + diagonal, interior), along, off[interior > 0])
 
 
 def _kappa_bound(graph: MetricGraph) -> float:
@@ -307,22 +219,22 @@ def smallest_eigenvalue(disc: Discretization, shift: float | None = None) -> Ora
     r^2 a step, r = (lambda - shift) / (lambda_1 - shift), lambda_1 the
     next level.
 
-    A banded Cholesky factor of K - shift*M first proves that matrix
-    positive definite (by Sylvester's law of inertia, no level lies below
-    the shift) or raises OracleError.  Inverse iteration on that factor from
-    the uniform vector then converges to the lowest level, never to an
-    excited one: every level lies above the shift, so the lowest is the
-    largest eigenvalue of (K - shift*M)^-1 M.  Each step solves
-    (K - shift*M) y = M x; the Rayleigh quotient of y is then
-    shift + y'Mx / y'My, with no product by K.  While that quotient falls
-    slowly, the shift moves up by certified bisection (``_inverse_iteration``),
-    so the step count does not grow as the gap above the lowest level
-    closes.  It stops once the quotient has fallen by at most 1e-14 |lambda|
-    and its rounding is below that too, and raises OracleError if it has
-    not within a fixed budget, or if y'My leaves the positive floats (a
-    shift so far below the level that y underflows).  Every mesh, however
-    small, takes this path.  ``solves`` and ``factors`` count its banded
-    solves and Cholesky factorizations, refused ones included.
+    The factors of K - shift*M condensed onto the vertices (``_factor``)
+    first prove that no level lies at or below the shift, or OracleError is
+    raised.  Inverse iteration on them from the uniform vector then
+    converges to the lowest level, never to an excited one: every level
+    lies above the shift, so the lowest is the largest eigenvalue of
+    (K - shift*M)^-1 M.  Each step solves (K - shift*M) y = M x; the
+    Rayleigh quotient of y is then shift + y'Mx / y'My, with no product by
+    K.  While that quotient falls slowly, the shift moves up by certified
+    bisection (``_inverse_iteration``), so the step count does not grow as
+    the gap above the lowest level closes.  It stops once the quotient has
+    fallen by at most 1e-14 |lambda| and its rounding is below that too, and
+    raises OracleError if it has not within a fixed budget, or if y'My
+    leaves the positive floats (a shift so far below the level that y
+    underflows).  Every mesh, however small, takes this path.  ``solves``
+    and ``factors`` count its solves and factorizations, refused ones
+    included.
 
     The level returned is the Rayleigh quotient of the final vector u_h
     summed element by element,
@@ -342,11 +254,11 @@ def smallest_eigenvalue(disc: Discretization, shift: float | None = None) -> Ora
     elif not math.isfinite(shift):
         raise OracleError(f"shift {shift!r} is not finite")
     x, solves, factors = _inverse_iteration(disc, shift)
-    # int_e u_h^2 = h_e (u0^2 + u0 u1 + u1^2) / 3; the Dirichlet node reads 0
-    u0, u1 = np.append(x, 0.0)[disc.elements].T
+    # int_e u_h^2 = h_e (u0^2 + u0 u1 + u1^2) / 3
+    u0, u1 = x[disc.elements].T
     he = disc.element_lengths
     square = u0 * u0 + u0 * u1 + u1 * u1
-    coupled = x[list(disc.vertex_nodes.values())]
+    coupled = x[:len(disc.alphas)]
     energy = float(np.sum((u1 - u0) ** 2 / he)) + float(disc.alphas @ (coupled * coupled))
     lam = energy / (float(np.sum(he * square)) / 3.0)
     p1 = lam * lam / 36.0 * float(np.sum(he**3 * square))
@@ -356,9 +268,9 @@ def smallest_eigenvalue(disc: Discretization, shift: float | None = None) -> Ora
 def _inverse_iteration(
     disc: Discretization, shift: float,
 ) -> tuple[np.ndarray, int, int]:
-    """M-normalized vector of the lowest level of (K, M), and the counts of
-    banded solves and factorizations, by inverse iteration on certified
-    factors.
+    """M-normalized vector of the lowest level of (K, M), with the Dirichlet
+    slot, and the counts of solves and factorizations, by inverse iteration
+    on certified factors.
 
     While the quotient falls by more than a quarter of its previous fall a
     step, the shift sits farther below the lowest level than the next level
@@ -375,26 +287,20 @@ def _inverse_iteration(
     1e-8 puts the default near -1e8) stops at the quotient of the start
     vector.
     """
-    from scipy.linalg.blas import dsbmv
-    from scipy.linalg.lapack import dpbtrs
-
-    factor = _factor(disc, shift)
+    solve = _factor(disc, shift)
     solves, factors = 0, 1
-    if factor is None:
+    if solve is None:
         raise OracleError(
             f"shift {shift!r} is not below every finite-element level "
             "(K - shift*M is not positive definite)", solves, factors,
         )
-    mass, width = disc.mass, len(disc.mass) - 1
     n = disc.node_count
-    mx = dsbmv(width, 1.0, mass, np.full(n, 1.0 / math.sqrt(n)))
+    mx = _product(disc, disc.mass, np.append(np.full(n, 1.0 / math.sqrt(n)), 0.0))
     lam = fall = top = math.inf
     for _ in range(_MAX_ITERATIONS):
-        y, info = dpbtrs(factor, mx)
-        if info < 0:
-            raise ValueError(f"dpbtrs: illegal value in argument {-info}")
+        y = solve(mx)
         solves += 1
-        my = dsbmv(width, 1.0, mass, y)
+        my = _product(disc, disc.mass, y)
         norm2 = float(y @ my)
         if not 0.0 < norm2 < math.inf:
             raise OracleError(
@@ -417,27 +323,71 @@ def _inverse_iteration(
             if better is None:
                 top = mid
             else:
-                shift, factor, fall = mid, better, math.inf
+                shift, solve, fall = mid, better, math.inf
     raise OracleError(
         f"inverse iteration did not settle in {_MAX_ITERATIONS} steps "
         f"(last shift {shift!r})", solves, factors,
     )
 
 
-def _factor(disc: Discretization, shift: float) -> np.ndarray | None:
-    """Upper banded Cholesky factor of K - shift*M, or None.
+def _factor(disc: Discretization, shift: float) -> Callable[[np.ndarray], np.ndarray] | None:
+    """Solver of (K - shift*M) y = b, Dirichlet slot included, by condensation
+    onto the vertices, or None when K - shift*M is not positive definite.
 
-    A factor exists exactly when K - shift*M is positive definite, which by
-    Sylvester's law of inertia certifies that no level lies at or below
-    the shift.
+    Split at the vertices, K - shift*M = [[A, B'], [B, T]] with T the
+    tridiagonal block of the chain interiors.  T is factored by ``dpttrf``
+    and the Schur complement S = A - B'T^-1 B by ``dpotrf``; both factors
+    exist exactly when K - shift*M is positive definite (Haynsworth's
+    inertia additivity), which by Sylvester's law of inertia certifies that
+    no level lies at or below the shift.  T is block diagonal by chain and
+    B has one entry at each end of a chain, so T^-1 B is two columns: each
+    chain's solve from its first coupling and from its last.
     """
-    from scipy.linalg.lapack import dpbtrf
+    from scipy.linalg.lapack import dpotrf, dpotrs, dpttrf, dpttrs
 
-    # the difference is a fresh Fortran-ordered band, factored in place
-    factor, info = dpbtrf(disc.stiffness - shift * disc.mass, overwrite_ab=1)
+    a = Blocks(*(k - shift * m for k, m in zip(disc.stiffness, disc.mass)))
+    # the wrapper wants an off-diagonal of at least one entry, which LAPACK
+    # reads only from two nodes on
+    d, e, info = dpttrf(a.diagonal, a.off[:-1] if len(a.off) > 1 else np.zeros(1),
+                        overwrite_d=1, overwrite_e=1)
+    if info == 0:
+        nv, ends, nodes = len(a.vertex), disc.chain_ends, disc.chain_nodes
+        x = np.zeros((len(d), 2))
+        x[nodes - nv, [0, 1]] = a.coupling[:, None]
+        x = dpttrs(d, e, x, overwrite_b=1)[0]
+        s = np.zeros((nv + 1, nv + 1))
+        s[:nv, :nv] = a.vertex
+        np.subtract.at(s, (ends[:, :, None], ends[:, None, :]),
+                       a.coupling[:, None, None] * x[nodes - nv])
+        u, info = dpotrf(s[:nv, :nv])
     if info < 0:
-        raise ValueError(f"dpbtrf: illegal value in argument {-info}")
-    return factor if info == 0 else None
+        raise ValueError(f"LAPACK: illegal value in argument {-info}")
+    if info > 0:
+        return None
+
+    def solve(b: np.ndarray) -> np.ndarray:
+        y = b.copy()
+        y[nv:-1] = dpttrs(d, e, b[nv:-1])[0]
+        np.subtract.at(y, ends, a.coupling[:, None] * y[nodes])
+        y[:nv], y[-1] = dpotrs(u, y[:nv])[0], 0.0
+        v = np.repeat(y[ends].T, nodes[:, 1] - nodes[:, 0] + 1, axis=1)
+        y[nv:-1] -= x[:, 0] * v[0] + x[:, 1] * v[1]
+        return y
+
+    return solve
+
+
+def _product(disc: Discretization, blocks: Blocks, y: np.ndarray) -> np.ndarray:
+    """The product of the matrix in ``blocks`` with y, Dirichlet slot included."""
+    nv, ends, nodes = len(blocks.vertex), disc.chain_ends, disc.chain_nodes
+    out = np.zeros_like(y)
+    out[:nv] = blocks.vertex @ y[:nv]
+    out[nv:-1] = blocks.diagonal * y[nv:-1] + blocks.off * y[nv + 1:]
+    out[nv + 1:] += blocks.off * y[nv:-1]
+    np.add.at(out, ends, blocks.coupling[:, None] * y[nodes])
+    np.add.at(out, nodes, blocks.coupling[:, None] * y[ends])
+    out[-1] = 0.0
+    return out
 
 
 _CMP_HEADROOM = 100.0
@@ -468,14 +418,14 @@ def compare(
     extent + max(15, 25 / kappa0).  Either violation raises ValueError.
     The eigensolve is shifted to 1.01 lambda0, |lambda0| / 100 below the
     level of a true ground state however weakly it is bound (Ritz:
-    lambda_h >= lambda0), so inverse iteration settles in about five banded
+    lambda_h >= lambda0), so inverse iteration settles in about five
     solves.  The factor at that shift is still the certificate: when it is
     refused (some level lies below the shift, so lambda0 is an excited
     level or more than 1% too high), the oracle solves again from the
     proven default shift and the report carries the true smallest level.
     A lambda0 less than 1% too high leaves the shift below the true level,
     which the iteration then finds.  ``solves`` and ``factors`` count the
-    banded solves and Cholesky factorizations of both attempts.
+    solves and factorizations of both attempts.
 
     ``lambda_oracle`` is the raw level lambda_h.  The verdict judges
     |lambda_h - correction - lambda0| against the tolerance, where the
@@ -509,7 +459,7 @@ def compare(
         oracle = smallest_eigenvalue(disc)
     tol = comparison_constant() * h * h
     if graph.infinite_edges:
-        tol += math.exp(-2.0 * ground.kappa0 * (R - disc.extent))
+        tol += math.exp(-2.0 * ground.kappa0 * (R - extent))
     correction = oracle.p1_error
     diff = abs(oracle.lambda_min - correction - ground.lambda0)
     return ComparisonReport(

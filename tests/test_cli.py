@@ -430,7 +430,7 @@ def test_compare_pass(delta_file, capsys):
     assert payload["ok"] is True
     assert payload["difference"] <= payload["tolerance"]
     assert abs(payload["lambda0_secular"] - (-1.0)) < 1e-12
-    # the eigensolve's work: banded solves (5 measured) and Cholesky factorizations
+    # the eigensolve's work: solves (5 measured) and factorizations
     assert payload["solves"] <= 6 and payload["factors"] == 1
 
 
@@ -470,6 +470,16 @@ def test_compare_refuses_a_mesh_too_large(delta_file, capsys):
     rc = main(["compare", delta_file, "--h", "1e-12"])
     assert rc == 3
     assert "nodes, more than the limit" in capsys.readouterr().err
+
+
+def test_compare_refuses_a_weakly_bound_mesh_too_large(tmp_path, capsys):
+    # kappa0 = 1e-4: the default R needs 5e7 nodes at h = 0.01, a typed
+    # refusal (exit 3) instead of running out of memory
+    path = tmp_path / "weak.json"
+    save_graph(single_vertex_graph(-2e-4, 2), path)
+    rc = main(["compare", str(path)])
+    assert rc == 3
+    assert "5e+07 nodes, more than the limit" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("h", ["0", "-1", "nan", "inf"])
@@ -596,8 +606,8 @@ print("compare", rc, '"lambda0_fe"' in out.getvalue(), sparse)
 
 
 def test_cold_compare_loads_no_scipy_sparse(delta_file):
-    # the oracle orders its mesh from the edge chains and calls LAPACK's
-    # banded Cholesky through scipy.linalg; no sparse matrix is built
+    # the oracle keeps K and M split at the vertices and calls LAPACK
+    # through scipy.linalg; no sparse matrix is built
     proc = subprocess.run(
         [sys.executable, "-c", _COLD_COMPARE_PROBE, delta_file],
         capture_output=True, text=True, timeout=60, env=_checkout_env(),

@@ -46,25 +46,34 @@ TWO_DELTA_LAMBDA = -1.6344715870972812
 
 # ----------------------------------------------------------- assembly
 
-def _dense(band):
-    """The symmetric matrix whose upper band, in the layout
-    ``scipy.linalg.cholesky_banded(lower=False)`` reads, is ``band``."""
-    w, n = band.shape[0] - 1, band.shape[1]
-    a = np.zeros((n, n))
-    for d in range(w + 1):
-        j = np.arange(d, n)
-        a[j - d, j] = band[w - d, d:]
-    return a + np.triu(a, 1).T
+def _dense(disc):
+    """K and M as dense matrices, put together from their blocks."""
+    nv, n = len(disc.alphas), disc.node_count
+    out = []
+    for blocks in (disc.stiffness, disc.mass):
+        # the last row and column take the Dirichlet node -1
+        a = np.zeros((n + 1, n + 1))
+        a[:nv, :nv] = blocks.vertex
+        i = np.arange(nv, n)
+        a[i, i] = blocks.diagonal
+        a[i, i + 1] = a[i + 1, i] = blocks.off
+        for ends, nodes, c in zip(disc.chain_ends, disc.chain_nodes, blocks.coupling):
+            a[ends, nodes] = a[nodes, ends] = c
+        out.append(a[:n, :n])
+    return out
 
 
 def test_node_and_element_count_on_unit_interval():
     disc = discretize(robin_interval(-1.0, -1.0, 1.0), h=0.5)
     assert disc.node_count == 3
-    # tridiagonal: band width 1, the 3 diagonal and 2 off-diagonal cells
-    # filled, the unused corner cell 0
-    assert disc.stiffness.shape == disc.mass.shape == (2, 3)
-    assert np.count_nonzero(disc.stiffness) == 5
-    assert disc.stiffness[0, 0] == 0.0
+    # the two vertices, then the one interior node: the 3 diagonal and 2
+    # coupling cells of the upper triangle filled, the cell between the two
+    # ends 0
+    assert disc.stiffness.vertex.shape == disc.mass.vertex.shape == (2, 2)
+    assert disc.chain_nodes.tolist() == [[2, 2]]
+    stiffness = _dense(disc)[0]
+    assert np.count_nonzero(np.triu(stiffness)) == 5
+    assert stiffness[0, 1] == 0.0
 
 
 def test_edge_lengths_are_preserved_by_rounding():
@@ -72,7 +81,7 @@ def test_edge_lengths_are_preserved_by_rounding():
     disc = discretize(robin_interval(-1.0, -1.0, 1.04), h=0.5)
     assert disc.node_count == 3
     mid = disc.elements[0, 1]
-    assert abs(disc.stiffness[-1, mid] - (2.0 / 0.52)) < 1e-12
+    assert abs(_dense(disc)[0][mid, mid] - (2.0 / 0.52)) < 1e-12
 
 
 def test_stiffness_row_sums_equal_vertex_alphas():
@@ -80,7 +89,7 @@ def test_stiffness_row_sums_equal_vertex_alphas():
     # survive in the row sums, and they sit exactly on the vertex nodes
     g = star_graph(-1.25)
     disc = discretize(g, h=0.1)
-    sums = _dense(disc.stiffness).sum(axis=1)
+    sums = _dense(disc)[0].sum(axis=1)
     expected = np.zeros(disc.node_count)
     for v in g.vertices:
         expected[disc.vertex_nodes[v.id]] = v.alpha
@@ -89,7 +98,7 @@ def test_stiffness_row_sums_equal_vertex_alphas():
 
 def test_mass_matrix_is_positive_definite():
     disc = discretize(star_graph(-1.0), h=0.25)
-    w = np.linalg.eigvalsh(_dense(disc.mass))
+    w = np.linalg.eigvalsh(_dense(disc)[1])
     assert w[0] > 0.0
 
 
@@ -128,6 +137,22 @@ def test_discretize_refuses_a_mesh_too_large_to_allocate():
     # at a subnormal h the element count overflows a float
     with pytest.raises(OracleError, match="inf nodes"):
         discretize(robin_interval(-1.0, -1.0, 1e10), h=1e-310)
+
+
+def test_compare_refuses_a_weakly_bound_mesh_past_the_memory_budget():
+    # alpha = -2e-4 on two leads: kappa0 = 1e-4, so the default R of
+    # 25 / kappa0 puts 5e7 nodes on the mesh at h = 0.01; that is refused
+    # before any array is allocated
+    g = single_vertex_graph(-2e-4, 2)
+    gs = find_ground_state(g)
+    tracemalloc.start()
+    try:
+        with pytest.raises(OracleError, match="5e\\+07 nodes, more than the limit of 1.25e\\+07"):
+            compare(g, gs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 def _reference_discretize(graph, h, R):
@@ -203,59 +228,79 @@ _CRITERION_07 = [
     (_parallel_cycle(), 1.0, 3.0),  # e3 = 0.4 < h/2: one element
 ] + [(g, 0.01, R) for g, R in _CRITERION_07])
 def test_array_assembly_matches_the_element_loop(graph, h, R):
+    # the nodes are numbered as the loop numbers them, so the elements,
+    # and K and M cell by cell, are bit for bit the loop's
     disc = discretize(graph, h, R)
     node_count, elements, stiffness, mass = _reference_discretize(graph, h, R)
     assert disc.node_count == node_count
-    # the elements keep their order; their nodes give the map from the
-    # loop's chain numbering to the band order (the last slot of new_of is
-    # the Dirichlet node -1)
-    ref = np.array([[g0, g1] for g0, g1, _ in elements])
-    new_of = np.full(node_count + 1, -1)
-    new_of[ref] = disc.elements
-    assert np.array_equal(new_of[ref], disc.elements)
-    assert sorted(new_of[:-1]) == list(range(node_count))
-    assert disc.vertex_nodes == {v.id: new_of[i] for i, v in enumerate(graph.vertices)}
+    assert np.array_equal(disc.elements, [[g0, g1] for g0, g1, _ in elements])
+    assert disc.vertex_nodes == {v.id: i for i, v in enumerate(graph.vertices)}
     assert disc.element_lengths.tolist() == [he for *_, he in elements]
-    order = np.argsort(new_of[:-1])
-    for got, want in ((disc.stiffness, stiffness), (disc.mass, mass)):
+    for got, want in zip(_dense(disc), (stiffness, mass)):
         assert got.dtype == want.dtype
-        assert np.array_equal(_dense(got), want.toarray()[np.ix_(order, order)])
+        assert np.array_equal(got, want.toarray())
 
 
-@pytest.mark.parametrize("graph, R, width", [
-    (g, R, w) for (g, R), w in zip(_CRITERION_07, (1, 1, 2, 2, 2))
+@pytest.mark.parametrize("graph, h, R", [
+    (single_vertex_graph(-2.0, 2), 1.0, 0.5),  # 1 node: no chain interior
+    (_parallel_cycle(), 1.0, 3.0),  # e1 and e2: parallel one-element edges
+    (single_vertex_graph(-2.0, 3), 0.5, 0.2),  # leads shorter than h
+    (robin_interval(-1.0, -1.0, 1.0), 0.5, None),  # one interior node
+    (_parallel_cycle(), 0.03, 4.0),
+    (star_graph(-1.0), 0.1, None),
 ])
-def test_reverse_cuthill_mckee_keeps_the_band_narrow(graph, R, width):
-    # the level order keeps the widths the reverse Cuthill-McKee order had:
-    # a delta on a line is a chain (width 1); past a star's centre two
-    # chains run level by level side by side (width 2)
-    disc = discretize(graph, 0.01, R)
-    assert disc.stiffness.shape == disc.mass.shape == (width + 1, disc.node_count)
+def test_condensed_solve_matches_a_dense_solve(graph, h, R):
+    disc = discretize(graph, h, R)
+    stiffness, mass = _dense(disc)
+    lowest = scipy.linalg.eigh(stiffness, mass, eigvals_only=True, subset_by_index=[0, 0])[0]
+    b = np.random.default_rng(3).standard_normal(disc.node_count)
+    # the solver and the product carry the Dirichlet node as a last slot of 0
+    padded = np.append(b, 0.0)
+    for shift in (lowest - 0.5, lowest - 50.0):
+        want = np.linalg.solve(stiffness - shift * mass, b)
+        got = oracle._factor(disc, shift)(padded)
+        assert got[-1] == 0.0
+        assert np.linalg.norm(got[:-1] - want) <= 1e-12 * np.linalg.norm(want)
+    product = oracle._product(disc, disc.mass, padded)
+    assert product[-1] == 0.0
+    assert np.allclose(product[:-1], mass @ b, rtol=0, atol=1e-15)
+    assert oracle._factor(disc, lowest + 1e-9 * abs(lowest)) is None
 
 
-def _reverse_cuthill_mckee_width(graph, h, R):
-    """Band width of the mesh of the element loop renumbered by scipy's
-    reverse Cuthill-McKee, the order the bands were assembled in before."""
-    import scipy.sparse as sp
-    from scipy.sparse.csgraph import reverse_cuthill_mckee
+def _spy_on_dpotrf(monkeypatch):
+    """The info of every dpotrf call the factor makes."""
+    import scipy.linalg.lapack as lapack
 
-    n, elements, *_ = _reference_discretize(graph, h, R)
-    g0, g1 = np.array([(g0, g1) for g0, g1, _ in elements if g1 >= 0]).T
-    adjacency = sp.csr_matrix((np.ones(len(g0)), (g0, g1)), shape=(n, n))
-    pos = np.empty(n, dtype=int)
-    pos[reverse_cuthill_mckee(adjacency + adjacency.T, symmetric_mode=True)] = np.arange(n)
-    return int(np.max(np.abs(pos[g0] - pos[g1])))
+    infos, dpotrf = [], lapack.dpotrf
+
+    def spy(*args, **kwargs):
+        u, info = dpotrf(*args, **kwargs)
+        infos.append(info)
+        return u, info
+
+    monkeypatch.setattr(lapack, "dpotrf", spy)
+    return infos
 
 
-def test_level_order_is_no_wider_than_reverse_cuthill_mckee():
-    # cycles, parallel edges, leads and short edges; the level order starts
-    # at whichever of two leaves gives the narrower widest level
-    rng = np.random.default_rng(5)
-    for _ in range(12):
-        g = random_cyclic_graph(rng)
-        R = compare(g, find_ground_state(g)).R
-        width = discretize(g, 0.01, R).stiffness.shape[0] - 1
-        assert width <= _reverse_cuthill_mckee_width(g, 0.01, R), g
+def test_a_shift_is_refused_by_the_chain_interiors_or_by_the_vertices(monkeypatch):
+    # 7 interior nodes of h = 0.25 on an edge of 2: the lowest level of the
+    # interior with Dirichlet ends is (6 / h^2)(1 - cos t)/(2 + cos t),
+    # t = pi / 8, about 2.499.  Just above it the tridiagonal block refuses,
+    # and the vertices are never reached; just below it, and at 0 (still
+    # above the level -4.17), the Schur complement on the vertices refuses.
+    disc = discretize(robin_interval(-2.0, -2.0, 2.0), h=0.25)
+    t = math.pi / 8.0
+    dirichlet = 96.0 * (1.0 - math.cos(t)) / (2.0 + math.cos(t))
+    infos = _spy_on_dpotrf(monkeypatch)
+    assert oracle._factor(disc, dirichlet * (1.0 + 1e-9)) is None
+    assert infos == []
+    for shift in (dirichlet * (1.0 - 1e-9), 0.0):
+        assert oracle._factor(disc, shift) is None
+        assert infos.pop() > 0
+    assert oracle._factor(disc, -4.2) is not None
+    assert infos == [0]
+    with pytest.raises(OracleError, match="not positive definite"):
+        smallest_eigenvalue(disc, shift=dirichlet * (1.0 + 1e-9))
 
 
 # -------------------------------------------------------- eigenvalues
@@ -336,8 +381,7 @@ def test_a_shift_above_the_lowest_level_is_refused_on_a_small_mesh():
 ])
 def test_inverse_iteration_matches_dense_eigh(graph, h, R):
     disc = discretize(graph, h=h, R=R)
-    dense = scipy.linalg.eigh(_dense(disc.stiffness), _dense(disc.mass),
-                              eigvals_only=True, subset_by_index=[0, 0])[0]
+    dense = scipy.linalg.eigh(*_dense(disc), eigvals_only=True, subset_by_index=[0, 0])[0]
     for shift in (None, dense - 0.5):
         assert abs(smallest_eigenvalue(disc, shift=shift).lambda_min - dense) < 1e-10
 
@@ -365,7 +409,7 @@ def test_inverse_iteration_raises_when_its_budget_runs_out(monkeypatch):
 @pytest.mark.parametrize("shift", [math.nan, -math.inf, math.inf])
 def test_a_non_finite_shift_is_refused(shift):
     # nan and -inf once passed a NaN factor off as a certificate and ran the
-    # whole step budget; +inf warned on inf * 0 in the band
+    # whole step budget; +inf warned on inf * 0 in the shifted matrix
     disc = discretize(star_graph(-2.5, L2=1.0), h=0.05)
     with pytest.raises(OracleError, match=f"shift {shift!r} is not finite"):
         smallest_eigenvalue(disc, shift=shift)
