@@ -19,10 +19,10 @@ import numpy as np
 from .graph import MetricGraph, require_valid, vertex_incidences
 from .secular import GroundState
 
-# compare peaks at about 150 bytes a mesh node and 50 a pair of vertices
-# (tracemalloc), so a mesh at the node limit stays within this budget
+# compare peaks at 150-170 bytes a mesh node and under 60 a pair of
+# vertices (tracemalloc), so a mesh at the node limit stays within this budget
 _MEMORY_BUDGET = 2e9
-_BYTES_PER_NODE, _BYTES_PER_VERTEX_PAIR = 160.0, 64.0
+_BYTES_PER_NODE, _BYTES_PER_VERTEX_PAIR = 180.0, 64.0
 _MAX_ITERATIONS = 1000
 _EPS = float(np.finfo(float).eps)
 
@@ -117,7 +117,7 @@ def discretize(graph: MetricGraph, h: float, R: float | None = None) -> Discreti
 
     Each edge gets the integer element count nearest to length/h (at least
     one), so stored lengths are met exactly.  Leads use length R and drop
-    the far node.  A mesh that would not fit in a 2 GB budget (1.25e7 nodes
+    the far node.  A mesh that would not fit in a 2 GB budget (1.1e7 nodes
     on a small graph) raises OracleError before anything is allocated.
     """
     require_valid(graph)

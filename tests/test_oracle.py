@@ -147,7 +147,7 @@ def test_compare_refuses_a_weakly_bound_mesh_past_the_memory_budget():
     gs = find_ground_state(g)
     tracemalloc.start()
     try:
-        with pytest.raises(OracleError, match="5e\\+07 nodes, more than the limit of 1.25e\\+07"):
+        with pytest.raises(OracleError, match="5e\\+07 nodes, more than the limit of 1.111e\\+07"):
             compare(g, gs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
