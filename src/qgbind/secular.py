@@ -615,35 +615,27 @@ def _ground_states(graph: MetricGraph, alphas: list, lengths: list,
     for roots, order, group in groups.values():
         alphas = np.array([alpha_rows[j] for j in group], dtype=float).reshape(len(group), n)
         lengths = np.array([rows[j] for j in group], dtype=float).reshape(len(group), m)
-        evaluations = [0] * len(group)
+        evaluations = np.zeros(len(group), dtype=int)
 
-        def values(batch, kappa, order):
+        def values(batch, kappas, order=order):
+            batch, kappa = np.array(batch), np.array(kappas)
+            evaluations[batch] += 1
             L = lengths.take(batch, axis=0)
             a, W, E, den = topo.parts(kappa, alphas.take(batch, axis=0), L)
             S, kept, steps, alive = _reduced(a, W, order)
             w, vecs = _eigh(S)
-            if alive is None:
-                return w[:, 0], topo.profiles(kappa, L, E, den, vecs[:, :, 0], kept, steps,
-                                              roots)[3]
-            slope = topo.profiles(kappa[alive], L[alive], E[alive], den[alive], vecs[:, :, 0],
-                                  kept, steps, roots)[3]
-            # a pivot <= 0 proves kappa < kappa0: those members step on M itself
-            both = np.empty((2, len(batch)))
-            both[:, alive] = w[:, 0], slope
-            rest = np.setdiff1d(np.arange(len(batch)), alive)
-            for i in batch[rest].tolist():
-                evaluations[i] += 1
-            both[:, rest] = values(batch[rest], kappa[rest], [])
-            return both
-
-        def newton_values(batch, kappas):
-            for i in batch:
-                evaluations[i] += 1
-            mu, slope = values(np.array(batch), np.array(kappas), order)
+            live = slice(None) if alive is None else alive
+            mu, slope = np.empty((2, len(batch)))
+            mu[live] = w[:, 0]
+            slope[live] = topo.profiles(kappa[live], L[live], E[live], den[live], vecs[:, :, 0],
+                                        kept, steps, roots)[3]
+            if alive is not None:  # a pivot <= 0 proves kappa < kappa0: step on M itself
+                rest = np.setdiff1d(np.arange(len(batch)), alive)
+                mu[rest], slope[rest] = values(batch[rest], kappa[rest], [])
             return mu.tolist(), slope.tolist()
 
         with np.errstate(invalid="ignore"):  # see _eigh
-            found = increasing_roots(newton_values, [lo[j] for j in group], opts.tol_kappa,
+            found = increasing_roots(values, [lo[j] for j in group], opts.tol_kappa,
                                      NoBoundState, ceiling=opts.kappa_max or math.inf)
         sel = [i for i, outcome in enumerate(found) if isinstance(outcome, tuple)]
         if sel:
@@ -653,7 +645,7 @@ def _ground_states(graph: MetricGraph, alphas: list, lengths: list,
             for i, state in zip(sel, states):
                 root, lo_i, hi = found[i]
                 found[i] = (state if isinstance(state, Exception)
-                            else _State(root, *state, (lo_i, hi), evaluations[i] + 1))
+                            else _State(root, *state, (lo_i, hi), int(evaluations[i]) + 1))
         for j, outcome in zip(group, found):
             results[members[j]] = outcome
     return results

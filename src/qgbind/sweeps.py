@@ -20,7 +20,7 @@ import numpy as np
 from .graph import MetricGraph, degree, parameters, require_valid
 # unused here; perfbench/tracer.py wraps it until ROADMAP item 1
 from .rootscan import brentq  # noqa: F401
-from .secular import SolverOptions, _ground_states, vertex_matrix
+from .secular import SolverOptions, _ground_states, _reduced, _Topology
 
 _FLAT_POINTS = 13  # axial lengths that find_critical_coupling solves at alpha_c
 
@@ -195,11 +195,11 @@ def _closed_form_alpha(
     diagonal, kappa coth(kappa l) - M_cq**2 / M_qq = -kappa* for every axial
     length l, with M_qq = kappa e^{-kappa l} / sinh(kappa l) > 0.  So with M'
     the matrix of the rest of the graph (axial edge and q removed) plus
-    -kappa* at the center, R = M' without the center and m the center's
-    column: if R = L L^T is positive definite, alpha_c = -(M'_cc - |L^-1 m|^2)
-    makes M' positive semidefinite and singular (Haynsworth inertia), hence
-    mu0(M(kappa*)) = 0 is simple.  mu0 increases with kappa, so kappa* is its
-    only root: the ground state at alpha_c.
+    -kappa* at the center: if eliminating the other vertices meets only
+    positive pivots (:func:`secular._reduced`), alpha_c = -S, S the Schur
+    complement left at the center, makes M' positive semidefinite and
+    singular (Haynsworth inertia), so mu0(M(kappa*)) = 0 is simple and, mu0
+    increasing with kappa, kappa* is the ground state at alpha_c.
     """
     kappa = -graph.alpha(outer)
     if not kappa > 0:
@@ -216,19 +216,16 @@ def _closed_form_alpha(
         vertices=vertices,
         finite_edges=tuple(e for e in graph.finite_edges if e.id != axial_edge_id),
     )
-    m = vertex_matrix(rest, kappa)
+    a, W, _, _ = _Topology(rest).parts(np.array([kappa]), *parameters(rest))
     c = next(i for i, v in enumerate(vertices) if v.id == center)
-    m[c, c] -= kappa
-    others = np.arange(len(vertices)) != c
-    try:
-        chol = np.linalg.cholesky(m[np.ix_(others, others)])
-    except np.linalg.LinAlgError:
+    a[0, c] -= kappa
+    S, _, _, dropped = _reduced(a, W, [i for i in range(len(vertices)) if i != c])
+    if dropped is not None:
         raise CritError(
             f"with {center!r} held at zero the rest of the graph binds below "
             f"lambda = {-kappa * kappa!r}: no center alpha makes the energy flat"
-        ) from None
-    y = np.linalg.solve(chol, m[others, c])
-    return float(-(m[c, c] - y @ y))
+        )
+    return float(-S[0, 0, 0])
 
 
 def _finite_pair(value, name: str) -> tuple[float, float]:
