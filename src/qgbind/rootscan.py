@@ -40,8 +40,9 @@ def newton_steps(lo: float, tol: float, error: type[Exception], *, ceiling: floa
     down from hi is a lower bound too; the larger one is returned, within 2
     tol of the root.  A tol below eps counts as eps, so that hi lies above
     kappa.  An iterate above ``ceiling``, a value or step that is not finite,
-    a slope that is not positive and MAX_STEPS values without convergence
-    raise ``error``.
+    a slope that is not positive, a step that lands on 0 (below about
+    kappa = 1.5e-154 both kappa**2 and lo**2 underflow) and MAX_STEPS values
+    without convergence raise ``error``.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol_kappa must be positive and finite, got {tol!r}")
@@ -61,6 +62,9 @@ def newton_steps(lo: float, tol: float, error: type[Exception], *, ceiling: floa
             return max(root, new), lo, kappa
         if mu == 0.0:
             return kappa, kappa, kappa
+        if not new > 0.0:  # kappa**2 and floor**2 left the double range
+            raise error(f"the Newton step from kappa={kappa!r} underflows to 0: "
+                        "the root lies below what kappa**2 resolves")
         if mu < 0.0:
             lo = kappa
         if abs(new - kappa) <= math.sqrt(tol) * new and new <= ceiling:

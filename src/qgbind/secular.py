@@ -315,7 +315,7 @@ class _Topology:
         first, last, b = p + qE, pE + q, qE - p
         # values and outward slopes (derivatives / kappa) at the edge ends
         ends = np.concatenate((first, last, c, b, pE - q, -c), axis=1)
-        ends = ends.reshape(len(p), 2, -1).take(self.order, axis=2)
+        ends = ends.reshape(len(p), 2, len(self.order)).take(self.order, axis=2)
         vals, sums = ends[:, 0], np.add.reduceat(ends, self.first, 2)
         sup = np.maximum.reduce(np.abs(vals), 1)
         spread = np.maximum.reduceat(vals, self.first, 1) - np.minimum.reduceat(vals, self.first, 1)

@@ -18,11 +18,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .graph import MetricGraph, degree, parameters, require_valid
+from .oracle import _MEMORY_BUDGET
 # unused here; perfbench/tracer.py wraps it until ROADMAP item 1
 from .rootscan import brentq  # noqa: F401
 from .secular import SolverOptions, _ground_states, _reduced, _Topology
 
 _FLAT_POINTS = 13  # axial lengths that find_critical_coupling solves at alpha_c
+# a sweep peaks at about 2 KB a point, plus 16-18 bytes a pair of vertices
+# and 230 an edge (tracemalloc; the stacked matrices grow as n**2), so a grid
+# sized at these rates within _MEMORY_BUDGET fits in it
+_BYTES_PER_POINT, _BYTES_PER_VERTEX_PAIR, _BYTES_PER_EDGE = 2400.0, 20.0, 256.0
 
 
 class CritError(RuntimeError):
@@ -85,8 +90,10 @@ class SweepPoint:
 
     @property
     def log10_abs_lambda0(self) -> float | None:
-        if self.lambda0 is None or self.lambda0 == 0:
+        if self.lambda0 is None:
             return None
+        if self.lambda0 == 0:  # -kappa0**2 underflows below kappa0 ~ 1.5e-162
+            return 2.0 * math.log10(self.kappa0)
         return math.log10(abs(self.lambda0))
 
 
@@ -131,12 +138,19 @@ def run_sweep(
 
     Class-change flags compare each point's index vector with the previous
     emitted point's; they are False on the first point and around failed
-    points.
+    points.  A grid too large for the 2 GB memory budget raises ValueError
+    before any point is built.
     """
     if not 1 <= len(specs) <= 2:
         raise ValueError("a sweep takes one or two targets")
     for spec in specs:
         apply_target(graph, spec.target, 0.5 * (spec.lo + spec.hi))
+    n, m = len(graph.vertices), len(graph.finite_edges)
+    size = math.prod(spec.steps for spec in specs)
+    need = size * (_BYTES_PER_POINT + _BYTES_PER_VERTEX_PAIR * n * n + _BYTES_PER_EDGE * m)
+    if not need <= _MEMORY_BUDGET:
+        raise ValueError(f"a sweep of {size} points needs about {need / 1e9:.3g} GB, more "
+                         f"than the {_MEMORY_BUDGET / 1e9:g} GB budget")
     grids = [spec.values() for spec in specs]
     if len(grids) == 1:
         points = [(float(v),) for v in grids[0]]
@@ -219,8 +233,8 @@ def _closed_form_alpha(
     a, W, _, _ = _Topology(rest).parts(np.array([kappa]), *parameters(rest))
     c = next(i for i, v in enumerate(vertices) if v.id == center)
     a[0, c] -= kappa
-    S, _, _, dropped = _reduced(a, W, [i for i in range(len(vertices)) if i != c])
-    if dropped is not None:
+    S, _, _, alive = _reduced(a, W, [i for i in range(len(vertices)) if i != c])
+    if alive is not None:  # a pivot <= 0 dropped the one member
         raise CritError(
             f"with {center!r} held at zero the rest of the graph binds below "
             f"lambda = {-kappa * kappa!r}: no center alpha makes the energy flat"

@@ -8,6 +8,7 @@ format stays in sync with the loader.
 """
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -198,6 +199,26 @@ def test_sweep_error_rows_have_empty_cells(star_file, capsys):
     assert ok_row[9] == "ok"
     assert bad_row[9] == "error:InvalidGraphError"
     assert bad_row[4:8] == ["", "", "", ""]
+
+
+def test_sweep_reports_log10_where_lambda0_underflows(delta_file, capsys):
+    # kappa0 ~ 5e-171: lambda0 = -kappa0**2 rounds to -0, and the log10
+    # column holds 2 log10 kappa0, its exact value
+    assert main(["sweep", delta_file, "--target", "vertex:v",
+                 "--range", "-1e-170", "-1e-171", "--steps", "3"]) == 0
+    rows = [r.split(",") for r in capsys.readouterr().out.splitlines()[2:]]
+    assert len(rows) == 3
+    for row in rows:
+        kappa0, lambda0, log10 = (float(x) for x in row[4:7])
+        assert row[9] == "ok" and lambda0 == 0.0
+        assert log10 == 2.0 * math.log10(kappa0)
+
+
+def test_sweep_refuses_a_grid_too_large_for_memory(star_file, capsys):
+    assert main(["sweep", star_file,
+                 "--target", "edge:axial", "--range", "0.5", "3", "--steps", "100000",
+                 "--target", "vertex:c", "--range", "-2", "-1", "--steps", "100000"]) == 2
+    assert "GB budget" in capsys.readouterr().err
 
 
 def test_sweep_rejects_zero_width_range(star_file, capsys):

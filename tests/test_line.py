@@ -223,6 +223,25 @@ def test_uniform_lines_match_recorded_values(n, kappa0):
     assert abs(ground_state_line(_uniform_line(n)).kappa0 - kappa0) <= 1e-12 * kappa0
 
 
+def test_uniform_chains_approach_the_kronig_penney_band_bottom():
+    # the infinite chain (alpha = -1, spacing 1) has its band bottom at the
+    # root of cosh k - sinh k / (2 k) = 1, the ground state of its quotient:
+    # one site on a loop of circumference 1
+    band = brentq(lambda k: math.cosh(k) - math.sinh(k) / (2.0 * k) - 1.0, 0.5, 2.0,
+                  xtol=1e-15)
+    cell = LoopConfig(1.0, (0.0,), (-1.0,))
+    assert abs(ground_state_loop(cell).kappa0 - band) <= 1e-14 * band
+    assert abs(find_ground_state(as_cycle_graph(cell)).kappa0 - band) <= 1e-14 * band
+    kappas = []
+    for n in (40, 80, 160):
+        gs = find_ground_state(as_chain_graph(_uniform_line(n)))
+        assert set(gs.indices[:n - 1]) == {1}
+        kappas.append(gs.kappa0)
+    assert kappas[0] < kappas[1] < kappas[2] < band
+    gaps = [band - k for k in kappas]
+    assert 3.5 <= gaps[0] / gaps[1] <= 4.1 and 3.5 <= gaps[1] / gaps[2] <= 4.1
+
+
 @pytest.mark.parametrize("config", [
     LineConfig((0.0, 0.7, 3.0), (-1.0, -2.0, -0.5)),
     LoopConfig(5.0, (0.0, 1.0, 3.5), (-1.0, -0.3, -2.0)),
@@ -250,6 +269,25 @@ def test_non_finite_kernel_raises_no_root(monkeypatch, capsys):
         ground_state_line(LineConfig((0.0, 1.0), (-1.0, -1.0)))
     assert main(["line", "--sites", "0", "1", "--alphas", "-1", "-1"]) == 3
     assert capsys.readouterr().err.startswith("numerical failure: ")
+
+
+def test_a_newton_step_that_underflows_to_zero_raises_no_root(capsys):
+    # below kappa ~ 1.5e-154 kappa**2 underflows, and a Newton step can land
+    # on kappa = 0; the kernel's slope overflows (cgc / kappa) on the way
+    weak = LineConfig((0.0, 1.0), (-1e-170, -1e-170))
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(NoRoot, match="underflows to 0"):
+            ground_state_line(weak)
+        assert main(["line", "--sites", "0", "1", "--alphas", "-1e-170", "-1e-170"]) == 3
+    assert "underflows to 0" in capsys.readouterr().err
+    # these end on an exact or converged root, as before
+    one = LineConfig((0.0,), (-1e-170,))
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert ground_state_line(one).kappa0 == 5e-171
+    assert find_ground_state(as_chain_graph(one)).kappa0 == 5e-171
+    assert find_ground_state(as_chain_graph(weak)).kappa0 == 1e-170
+    pair = as_chain_graph(LineConfig((0.0, 1.0), (-1e-155, -1e-155)))
+    assert find_ground_state(pair).kappa0 == 9.999999999999986e-156
 
 
 # ------------------------------------------------------------ loop solve

@@ -352,16 +352,20 @@ def test_cluster_of_short_edges_with_cycles():
     assert d.min_sampled > 0.0
 
 
+def _deep_well_on_a_short_edge():
+    return MetricGraph(
+        (VertexSpec("v", -0.1), VertexSpec("u", -400.0), VertexSpec("x", -0.1)),
+        (FiniteEdge("s", "v", "u", 3e-3),)
+        + tuple(FiniteEdge(f"p{i}", "v", "x", 1.0) for i in range(4000)),
+    )
+
+
 def test_negative_pivot_steps_on_the_unreduced_matrix(monkeypatch):
     # at the lower bound lo = 0.32 the edge u-v (l = 3e-3) is short, but its
     # weight 1/l = 333 cannot outweigh alpha_u = -400: the pivot of u is
     # negative until kappa nears kappa0 = 263.6, and those Newton steps are
     # taken on M itself
-    g = MetricGraph(
-        (VertexSpec("v", -0.1), VertexSpec("u", -400.0), VertexSpec("x", -0.1)),
-        (FiniteEdge("s", "v", "u", 3e-3),)
-        + tuple(FiniteEdge(f"p{i}", "v", "x", 1.0) for i in range(4000)),
-    )
+    g = _deep_well_on_a_short_edge()
     results = []
     real = secular_module._reduced
     monkeypatch.setattr(secular_module, "_reduced",
@@ -372,6 +376,13 @@ def test_negative_pivot_steps_on_the_unreduced_matrix(monkeypatch):
                     for d in (-1e-10, 1e-10))
     assert below < 0.0 < above
     assert gs.diagnostics.min_sampled > 0.0
+
+
+def test_a_state_whose_every_member_has_a_negative_pivot_is_refused():
+    # the one member is dropped before the eigensolve; its refusal comes
+    # back, and the audit of no rows does not fail
+    with pytest.raises(PositivityViolation, match="not positive semidefinite"):
+        _state_at(_deep_well_on_a_short_edge(), 0.32)
 
 
 @pytest.mark.parametrize("graph,evaluations", [

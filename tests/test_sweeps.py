@@ -1,13 +1,17 @@
 """Sweep grid and critical-coupling tests."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from conftest import ALPHA_CRIT, star_graph
+from conftest import ALPHA_CRIT, single_vertex_graph, star_graph
 from qgbind import secular
 from qgbind import (
     CritError,
     SolverOptions,
+    SweepPoint,
     SweepSpec,
     SweepTarget,
     apply_target,
@@ -199,6 +203,33 @@ def test_log10_helper():
     rows = run_sweep(g, [SweepSpec(SweepTarget("edge", "axial"), 1.0, 2.0, 2)])
     r = rows[0]
     assert r.log10_abs_lambda0 == pytest.approx(np.log10(abs(r.lambda0)))
+    # -kappa0**2 underflows to -0.0 below kappa0 ~ 1.5e-162; the exact value
+    # of log10 |lambda0| is still 2 log10 kappa0
+    assert SweepPoint((0.0,), "ok", 1e-170, -0.0, (), False).log10_abs_lambda0 == -340.0
+    assert SweepPoint((0.0,), "error:NoBoundState", None, None, (), False).log10_abs_lambda0 is None
+
+
+def test_sweep_where_lambda0_underflows():
+    spec = SweepSpec(SweepTarget("vertex", "v"), -1e-170, -1e-171, 3)
+    rows = run_sweep(single_vertex_graph(-2.0, 2), [spec])
+    assert [r.kappa0 for r in rows] == [-0.5 * v for (v,) in (r.values for r in rows)]
+    for r in rows:
+        assert r.ok and r.lambda0 == 0.0
+        assert r.log10_abs_lambda0 == 2.0 * math.log10(r.kappa0)
+
+
+def test_a_grid_too_large_for_memory_is_refused_before_it_is_built():
+    # 1e10 points would take about 23 TB; nothing of the grid is built
+    specs = [SweepSpec(SweepTarget("edge", "axial"), 0.5, 3.0, 100_000),
+             SweepSpec(SweepTarget("vertex", "c"), -2.0, -1.0, 100_000)]
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="10000000000 points.* GB budget"):
+            run_sweep(star_graph(-1.0), specs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 # ------------------------------------------------------- critical coupling
