@@ -357,7 +357,7 @@ def _reduced(a, W, order):
         W[:, v, :] = W[:, :, v] = 0.0
         W[:, diagonal, diagonal] = 0.0
         steps.append((v, wv, a[:, v].copy(), p))
-    kept = np.setdiff1d(diagonal, order)
+    kept = np.delete(diagonal, order)
     return (_assemble(a[:, kept], W[:, kept][:, :, kept]), kept, steps,
             None if len(alive) == members else alive)
 
@@ -625,13 +625,14 @@ def _ground_states(graph: MetricGraph, alphas: list, lengths: list,
             S, kept, steps, alive = _reduced(a, W, order)
             w, vecs = _eigh(S)
             live = slice(None) if alive is None else alive
-            mu, slope = np.empty((2, len(batch)))
-            mu[live] = w[:, 0]
-            slope[live] = topo.profiles(kappa[live], L[live], E[live], den[live], vecs[:, :, 0],
-                                        kept, steps, roots)[3]
+            mu, slope = w[:, 0], topo.profiles(kappa[live], L[live], E[live], den[live],
+                                               vecs[:, :, 0], kept, steps, roots)[3]
             if alive is not None:  # a pivot <= 0 proves kappa < kappa0: step on M itself
-                rest = np.setdiff1d(np.arange(len(batch)), alive)
-                mu[rest], slope[rest] = values(batch[rest], kappa[rest], [])
+                rest = np.delete(np.arange(len(batch)), alive)
+                both = np.empty((2, len(batch)))
+                both[:, alive] = mu, slope
+                both[:, rest] = values(batch[rest], kappa[rest], [])
+                mu, slope = both
             return mu.tolist(), slope.tolist()
 
         with np.errstate(invalid="ignore"):  # see _eigh
