@@ -206,13 +206,14 @@ def test_log10_helper():
     # -kappa0**2 underflows to -0.0 below kappa0 ~ 1.5e-162; the exact value
     # of log10 |lambda0| is still 2 log10 kappa0
     assert SweepPoint((0.0,), "ok", 1e-170, -0.0, (), False).log10_abs_lambda0 == -340.0
-    assert SweepPoint((0.0,), "error:NoBoundState", None, None, (), False).log10_abs_lambda0 is None
+    failed = SweepPoint((0.0,), "error:NoBoundState", None, None, (), False)
+    assert failed.log10_abs_lambda0 is None
 
 
 def test_sweep_where_lambda0_underflows():
     spec = SweepSpec(SweepTarget("vertex", "v"), -1e-170, -1e-171, 3)
     rows = run_sweep(single_vertex_graph(-2.0, 2), [spec])
-    assert [r.kappa0 for r in rows] == [-0.5 * v for (v,) in (r.values for r in rows)]
+    assert [r.kappa0 for r in rows] == [-0.5 * r.values[0] for r in rows]
     for r in rows:
         assert r.ok and r.lambda0 == 0.0
         assert r.log10_abs_lambda0 == 2.0 * math.log10(r.kappa0)
