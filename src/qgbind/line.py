@@ -26,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import FiniteEdge, InfiniteEdge, MetricGraph, VertexSpec
-from .rootscan import increasing_root
+from .rootscan import constant_trial_bound, increasing_root
+from .secular import _eigh
 # unused here (stubs that raise); perfbench/tracer.py wraps them until
 # ROADMAP item 1
 from .rootscan import brentq, probe_geometric, scan_down  # noqa: F401
@@ -111,22 +112,29 @@ def _loop_distances(config: LoopConfig) -> np.ndarray:
     return np.minimum(direct, config.circumference - direct)
 
 
+def _line_kernel(dist: np.ndarray, k) -> np.ndarray:
+    """G = exp(-kappa d) / (2 kappa) at the distances ``dist``."""
+    return np.exp(-k * dist) / (2.0 * k)
+
+
+def _loop_kernel(dist: np.ndarray, rest: np.ndarray, L: float, k) -> np.ndarray:
+    """Loop kernel at the arc distances ``dist``, with ``rest`` = L - dist."""
+    # periodic kernel cosh(kappa (L/2 - d)) / (2 kappa sinh(kappa L / 2)) in
+    # overflow-free form; d is the minimal arc distance, in [0, L/2]
+    g = -np.expm1(-k * L)  # 1 - exp(-kappa L) without cancellation
+    return (np.exp(-k * dist) + np.exp(-k * rest)) / (2.0 * k * g)
+
+
 def _gamma_line_stack(config: LineConfig, kappas: np.ndarray) -> np.ndarray:
     """Kernel G at each kappa, shape (len(kappas), n, n)."""
-    dist = _line_distances(config)
-    k = kappas[:, None, None]
-    return np.exp(-k * dist) / (2.0 * k)
+    return _line_kernel(_line_distances(config), kappas[:, None, None])
 
 
 def _gamma_loop_stack(config: LoopConfig, kappas: np.ndarray) -> np.ndarray:
     """Loop kernel G at each kappa, shape (len(kappas), n, n)."""
-    # periodic kernel cosh(kappa (L/2 - d)) / (2 kappa sinh(kappa L / 2)) in
-    # overflow-free form; d is the minimal arc distance, in [0, L/2]
     dist = _loop_distances(config)
     L = config.circumference
-    k = kappas[:, None, None]
-    g = -np.expm1(-k * L)  # 1 - exp(-kappa L) without cancellation
-    return (np.exp(-k * dist) + np.exp(-k * (L - dist))) / (2.0 * k * g)
+    return _loop_kernel(dist, L - dist, L, kappas[:, None, None])
 
 
 def _gamma_stack(config: LineConfig | LoopConfig, kappas: np.ndarray) -> np.ndarray:
@@ -160,6 +168,8 @@ class LineGroundState:
 def _mu0_slope(config: LineConfig | LoopConfig):
     """kappa -> (mu0, dmu0/ds) of Gamma(kappa), s = kappa**2: the slope is
     c^T (-dG/ds) c for the unit eigenvector c of mu0, with no new matrix.
+    Its ``gamma`` attribute builds Gamma(kappa), bit for bit the matrix of
+    :func:`gamma_line`, from distances computed once.
 
     On the line G = exp(-kappa d) / (2 kappa), so -dG/dkappa = d G + G /
     kappa.  On a loop of circumference L, G = (e^{-kappa d} +
@@ -169,24 +179,33 @@ def _mu0_slope(config: LineConfig | LoopConfig):
     c^T (d G) c = -c^T (d Gamma) c, and c^T G c = -mu0 - sum c_i**2 / alpha_i.
     """
     inv_alpha = 1.0 / np.asarray(config.strengths)
+    diag = np.arange(config.n)
     loop = isinstance(config, LoopConfig)
     d = _loop_distances(config) if loop else _line_distances(config)
     if loop:
         L = config.circumference
         rest, lever = L - d, L - 2.0 * d
 
+    def gamma(kappa):
+        out = -(_loop_kernel(d, rest, L, kappa) if loop else _line_kernel(d, kappa))
+        out[diag, diag] -= inv_alpha
+        return out
+
     def mu0_slope(kappa):
-        gamma = _gamma_stack(config, np.array([kappa]))[0]
-        w, v = np.linalg.eigh(gamma)
+        gamma_k = gamma(kappa)
+        w, v = _eigh(gamma_k)
         mu, c = float(w[0]), v[:, 0]
-        cgc = -mu - (c * c) @ inv_alpha
-        dk = cgc / kappa - c @ (d * gamma) @ c
+        cgc = float(-mu - (c * c) @ inv_alpha)
+        # below kappa ~ 1e-154 this overflows to inf (a Python float does so
+        # silently): an infinite slope holds Newton where it is
+        dk = cgc / kappa - c @ (d * gamma_k) @ c
         if loop:
             g = -math.expm1(-kappa * L)
             far = c @ (lever * np.exp(-kappa * rest)) @ c
             dk += far / (2.0 * kappa * g) + cgc * L * math.exp(-kappa * L) / g
         return mu, float(dk) / (2.0 * kappa)
 
+    mu0_slope.gamma = gamma
     return mu0_slope
 
 
@@ -196,16 +215,28 @@ def _solve_mu0(config: LineConfig | LoopConfig, tol_kappa: float) -> tuple[float
     dGamma/dkappa = -dG/dkappa is positive definite, so mu0 increases, and
     G(s) is a compression of the resolvent (-Laplacian + s)^-1, convex in
     s = kappa**2, so mu0 is concave in s: Newton's method in s (slope from
-    :func:`_mu0_slope`) climbs to the root.  At kappa = max|alpha|/2 the
-    strongest site's diagonal entry is <= 0 (G_ii >= 1/(2 kappa) on the line
-    and the loop), so mu0 <= 0 there; on the line the entry is exactly 0.0,
-    which makes a single site exact.  tol_kappa bounds the error relative
-    to kappa0, for weak binding as well as strong.  The weights are the
-    eigenvector of mu0 at kappa0, oriented to a positive sum.
+    :func:`_mu0_slope`) climbs to the root.  It starts at the larger of two
+    points where mu0 <= 0.  At kappa = max|alpha|/2 the strongest site's
+    diagonal entry is <= 0 (G_ii >= 1/(2 kappa) on the line and the loop);
+    on the line the entry is exactly 0.0, which makes a single site exact.
+    The other is the graph route's :func:`rootscan.constant_trial_bound`
+    for the same operator (:func:`as_chain_graph`, :func:`as_cycle_graph`):
+    total length y_n - y_1 and two leads on the line, the circumference and
+    no lead on the loop.  It lies at or below kappa0, and mu0 has one root,
+    so mu0 <= 0 there too.  tol_kappa bounds the error relative to kappa0,
+    for weak binding as well as strong.  The weights are the eigenvector of
+    mu0 at kappa0, oriented to a positive sum.
     """
-    lo = 0.5 * max(abs(a) for a in config.strengths)
-    kappa0, _, _ = increasing_root(_mu0_slope(config), lo, tol_kappa, NoRoot)
-    weights = np.linalg.eigh(gamma_line(config, kappa0).entries)[1][:, 0]
+    if isinstance(config, LoopConfig):
+        length, leads = config.circumference, 0
+    else:
+        length, leads = config.sites[-1] - config.sites[0], 2
+    lo = max(0.5 * max(abs(a) for a in config.strengths),
+             constant_trial_bound(length, leads, sum(config.strengths)))
+    mu0_slope = _mu0_slope(config)
+    with np.errstate(invalid="ignore"):  # see secular._eigh
+        kappa0, _, _ = increasing_root(mu0_slope, lo, tol_kappa, NoRoot)
+        weights = _eigh(mu0_slope.gamma(kappa0))[1][:, 0]
     return float(kappa0), -weights if weights.sum() < 0 else weights
 
 

@@ -1,7 +1,7 @@
 """Root finding in one variable, shared by the graph route and the kernel
-route: Newton's method in s = kappa**2 (:func:`newton_steps`), driven for one
-root (:func:`increasing_root`) or for many in lockstep
-(:func:`increasing_roots`)."""
+route: Newton's method in s = kappa**2 (:func:`newton_steps`) from a proven
+lower bound (:func:`constant_trial_bound`), driven for one root
+(:func:`increasing_root`) or for many in lockstep (:func:`increasing_roots`)."""
 
 from __future__ import annotations
 
@@ -21,6 +21,16 @@ def _removed(*args, **kwargs):
 
 
 scan_down = probe_geometric = bisect_sign = brentq = _removed
+
+
+def constant_trial_bound(length: float, leads: int, sum_alpha: float) -> float:
+    """The positive root of length * kappa**2 + leads * kappa + sum_alpha: a
+    proven lower bound of kappa0 for a graph with finite edges of total
+    ``length``, ``leads`` half-lines and vertex strengths summing to
+    ``sum_alpha`` < 0.  The constant trial function gives 1^T M 1 <= that
+    quadratic (2 tanh(x/2) <= x), so mu0 <= 0 there; a single vertex with no
+    finite edge gives exactly -sum_alpha / leads."""
+    return -2.0 * sum_alpha / (leads + math.sqrt(leads * leads - 4.0 * length * sum_alpha))
 
 
 def newton_steps(lo: float, tol: float, error: type[Exception], *, ceiling: float = math.inf):

@@ -40,7 +40,7 @@ from .graph import (
     validate,
     vertex_incidences,
 )
-from .rootscan import increasing_roots
+from .rootscan import constant_trial_bound, increasing_roots
 # stubs that raise, unused here; perfbench/tracer.py wraps them until ROADMAP item 1
 from .rootscan import _removed as _equilibrated_det  # noqa: F401
 from .rootscan import bisect_sign, probe_geometric, scan_down  # noqa: F401
@@ -599,10 +599,9 @@ def _ground_states(graph: MetricGraph, alphas: list, lengths: list,
     alpha_rows, rows = [alphas[i] for i in members], [lengths[i] for i in members]
     n, m = len(graph.vertices), len(graph.finite_edges)
     topo = _Topology(graph, len(members))
-    # the positive root of L kappa**2 + N kappa + sum alpha, N leads, L the
-    # total edge length: mu0 <= 0 there (see find_ground_state)
+    # mu0 <= 0 at the constant-trial bound (see find_ground_state)
     n_leads = len(graph.infinite_edges)
-    lo = [-2.0 * s / (n_leads + math.sqrt(n_leads * n_leads - 4.0 * sum(row) * s))
+    lo = [constant_trial_bound(sum(row), n_leads, s)
           for s, row in zip(map(sum, alpha_rows), rows)]
     groups: dict = {}  # cluster roots (None without clusters) -> (roots, order, members)
     for j, (lo_j, row) in enumerate(zip(lo, rows)):

@@ -13,6 +13,7 @@ matrix and then checked on a batch of axial lengths.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -92,7 +93,7 @@ class SweepPoint:
     def log10_abs_lambda0(self) -> float | None:
         if self.lambda0 is None:
             return None
-        if self.lambda0 == 0:  # -kappa0**2 underflows below kappa0 ~ 1.5e-162
+        if abs(self.lambda0) < sys.float_info.min:  # -kappa0**2 subnormal or 0
             return 2.0 * math.log10(self.kappa0)
         return math.log10(abs(self.lambda0))
 

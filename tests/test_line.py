@@ -16,6 +16,7 @@ import qgbind.line as line_module
 from qgbind import (
     LineConfig,
     LoopConfig,
+    NoBoundState,
     NoRoot,
     as_chain_graph,
     as_cycle_graph,
@@ -173,6 +174,16 @@ def _uniform_line(n):
     return LineConfig(tuple(float(i) for i in range(n)), (-1.0,) * n)
 
 
+def _count_kernels(monkeypatch):
+    """The number of kappas of every kernel call, in order."""
+    built = []
+    for name in ("_line_kernel", "_loop_kernel"):
+        kernel = getattr(line_module, name)
+        monkeypatch.setattr(line_module, name,
+                            lambda *a, kernel=kernel: built.append(np.size(a[-1])) or kernel(*a))
+    return built
+
+
 @pytest.mark.parametrize("config", [
     _uniform_line(3),
     _uniform_line(6),
@@ -183,14 +194,36 @@ def _uniform_line(n):
 ])
 def test_kernel_solve_builds_few_matrices(config, monkeypatch):
     # Newton steps from the proven lower bound, the certificate and the
-    # weights; the short loop (kappa0 = 63 |alpha|/2) takes the most
-    built = []
-    for name in ("_gamma_line_stack", "_gamma_loop_stack"):
-        kernel = getattr(line_module, name)
-        monkeypatch.setattr(line_module, name,
-                            lambda c, ks, kernel=kernel: built.append(len(ks)) or kernel(c, ks))
+    # weights; every Gamma is built by one of the two kernels
+    built = _count_kernels(monkeypatch)
     ground_state_line(config)
-    assert 0 < sum(built) <= 19
+    assert 0 < sum(built) <= 6
+
+
+@pytest.mark.parametrize("config", [
+    _uniform_line(3),
+    _uniform_line(6),
+    LoopConfig(4.0, (0.0, 1.0, 2.0, 3.0), (-1.0,) * 4),
+])
+def test_benchmark_route_configurations_build_pinned_counts(config, monkeypatch):
+    # the kernel route's configurations in perfbench: five Newton values
+    # from the constant-trial bound, then the weights
+    built = _count_kernels(monkeypatch)
+    ground_state_line(config)
+    assert built == [1] * 6
+
+
+@pytest.mark.parametrize("config", [
+    LineConfig((0.0, 0.7, 3.0), (-1.0, -2.0, -0.5)),
+    _uniform_line(40),
+    LoopConfig(5.0, (0.0, 1.0, 3.5), (-1.0, -0.3, -2.0)),
+    LoopConfig(1e-3, (0.0,), (-1.0,)),
+])
+def test_newton_rounds_build_the_public_gamma_bit_for_bit(config):
+    # np.expm1 and math.expm1 differ in the last bit on about 1% of inputs
+    gamma = line_module._mu0_slope(config).gamma
+    for kappa in np.geomspace(1e-6, 1e4, 300).tolist():
+        assert gamma(kappa).tobytes() == gamma_line(config, kappa).entries.tobytes()
 
 
 @pytest.mark.parametrize("alpha", [-2.0, -1e-6, -1e-9, -1e12])
@@ -263,31 +296,34 @@ def test_kernel_slope_matches_central_differences(config):
 
 
 def test_non_finite_kernel_raises_no_root(monkeypatch, capsys):
-    monkeypatch.setattr(line_module, "_gamma_line_stack",
-                        lambda c, ks: np.full((len(ks), c.n, c.n), np.nan))
+    monkeypatch.setattr(line_module, "_line_kernel", lambda d, k: np.full(d.shape, np.nan))
     with pytest.raises(NoRoot, match="not finite"):
         ground_state_line(LineConfig((0.0, 1.0), (-1.0, -1.0)))
     assert main(["line", "--sites", "0", "1", "--alphas", "-1", "-1"]) == 3
     assert capsys.readouterr().err.startswith("numerical failure: ")
 
 
-def test_a_newton_step_that_underflows_to_zero_raises_no_root(capsys):
-    # below kappa ~ 1.5e-154 kappa**2 underflows, and a Newton step can land
-    # on kappa = 0; the kernel's slope overflows (cgc / kappa) on the way
-    weak = LineConfig((0.0, 1.0), (-1e-170, -1e-170))
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        with pytest.raises(NoRoot, match="underflows to 0"):
-            ground_state_line(weak)
-        assert main(["line", "--sites", "0", "1", "--alphas", "-1e-170", "-1e-170"]) == 3
-    assert "underflows to 0" in capsys.readouterr().err
-    # these end on an exact or converged root, as before
+def test_the_weak_end_solves_where_kappa_squared_is_subnormal_or_zero(capsys):
+    # the constant-trial bound (|alpha|/2)(1 + 1) is within rounding of the
+    # root of kappa = (|alpha|/2)(1 + e^{-kappa}), so Newton holds there even
+    # where kappa**2 is subnormal or 0 and the slope overflows to inf
+    for alpha in (-1e-170, -1e-155, -1e-160):
+        gs = ground_state_line(LineConfig((0.0, 1.0), (alpha, alpha)))
+        assert abs(gs.kappa0 - abs(alpha)) <= 1e-12 * abs(alpha)
+    assert main(["line", "--sites", "0", "1", "--alphas", "-1e-170", "-1e-170"]) == 0
+    assert "kappa0  = 9.9999999999999998e-171" in capsys.readouterr().out
     one = LineConfig((0.0,), (-1e-170,))
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        assert ground_state_line(one).kappa0 == 5e-171
+    assert ground_state_line(one).kappa0 == 5e-171
+    assert main(["line", "--sites", "0", "--alphas", "-1e-170"]) == 0
+    assert capsys.readouterr().err == ""
+    # the graph route, as before
+    weak = LineConfig((0.0, 1.0), (-1e-170, -1e-170))
     assert find_ground_state(as_chain_graph(one)).kappa0 == 5e-171
     assert find_ground_state(as_chain_graph(weak)).kappa0 == 1e-170
     pair = as_chain_graph(LineConfig((0.0, 1.0), (-1e-155, -1e-155)))
     assert find_ground_state(pair).kappa0 == 9.999999999999986e-156
+    with pytest.raises(NoBoundState, match="no root after 100 Newton steps"):
+        find_ground_state(as_chain_graph(LineConfig((0.0, 1.0), (-1e-160, -1e-160))))
 
 
 # ------------------------------------------------------------ loop solve

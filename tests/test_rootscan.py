@@ -98,6 +98,20 @@ def test_increasing_root_gives_up_after_max_steps():
     assert len(calls) == rootscan.MAX_STEPS == 100
 
 
+def test_a_newton_step_that_underflows_to_zero_is_refused():
+    # below kappa ~ 1.5e-162 kappa**2 and lo**2 are 0: a step of -mu / slope
+    # that underflows too lands on kappa = 0, which is no lower bound
+    calls = []
+
+    def flat(kappa):
+        calls.append(kappa)
+        return -1e-300, 1e300
+
+    with pytest.raises(KeyError, match="underflows to 0"):
+        increasing_root(flat, 1e-170, 1e-12, KeyError)
+    assert calls == [1e-170]
+
+
 def test_brackets_simple_root():
     # a loose tol stops before Newton lands on the root exactly
     f = _one_minus(math.pi)

@@ -206,6 +206,10 @@ def test_log10_helper():
     # -kappa0**2 underflows to -0.0 below kappa0 ~ 1.5e-162; the exact value
     # of log10 |lambda0| is still 2 log10 kappa0
     assert SweepPoint((0.0,), "ok", 1e-170, -0.0, (), False).log10_abs_lambda0 == -340.0
+    # a subnormal lambda0 has lost digits: 2 log10 kappa0 again
+    kappa0 = 1.2e-161
+    point = SweepPoint((0.0,), "ok", kappa0, -kappa0 * kappa0, (), False)
+    assert point.log10_abs_lambda0 == 2.0 * math.log10(kappa0) == -321.84163750790475
     failed = SweepPoint((0.0,), "error:NoBoundState", None, None, (), False)
     assert failed.log10_abs_lambda0 is None
 
