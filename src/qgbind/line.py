@@ -101,17 +101,6 @@ class GammaMatrix:
     entries: np.ndarray
 
 
-def _line_distances(config: LineConfig) -> np.ndarray:
-    y = np.asarray(config.sites)
-    return np.abs(y[:, None] - y[None, :])
-
-
-def _loop_distances(config: LoopConfig) -> np.ndarray:
-    y = np.asarray(config.sites)
-    direct = np.abs(y[:, None] - y[None, :])
-    return np.minimum(direct, config.circumference - direct)
-
-
 def _line_kernel(dist: np.ndarray, k) -> np.ndarray:
     """G = exp(-kappa d) / (2 kappa) at the distances ``dist``."""
     return np.exp(-k * dist) / (2.0 * k)
@@ -125,34 +114,21 @@ def _loop_kernel(dist: np.ndarray, rest: np.ndarray, L: float, k) -> np.ndarray:
     return (np.exp(-k * dist) + np.exp(-k * rest)) / (2.0 * k * g)
 
 
-def _gamma_line_stack(config: LineConfig, kappas: np.ndarray) -> np.ndarray:
-    """Kernel G at each kappa, shape (len(kappas), n, n)."""
-    return _line_kernel(_line_distances(config), kappas[:, None, None])
+# perfbench/tracer.py only looks these names up (it wraps them and never
+# calls them), until ROADMAP item 1.
+def _gamma_line_stack(*args, **kwargs):
+    raise RuntimeError("the Gamma stacks were removed; use _mu0_slope(config).gamma")
 
 
-def _gamma_loop_stack(config: LoopConfig, kappas: np.ndarray) -> np.ndarray:
-    """Loop kernel G at each kappa, shape (len(kappas), n, n)."""
-    dist = _loop_distances(config)
-    L = config.circumference
-    return _loop_kernel(dist, L - dist, L, kappas[:, None, None])
-
-
-def _gamma_stack(config: LineConfig | LoopConfig, kappas: np.ndarray) -> np.ndarray:
-    """Gamma = -G - diag(1/alpha) at each kappa."""
-    # the kernels are looked up at call time, so rebinding the module
-    # attributes (as perfbench/tracer.py does) takes effect here
-    kernel = _gamma_loop_stack if isinstance(config, LoopConfig) else _gamma_line_stack
-    out = -kernel(config, kappas)
-    idx = np.arange(config.n)
-    out[:, idx, idx] -= 1.0 / np.asarray(config.strengths)
-    return out
+_gamma_loop_stack = _gamma_line_stack
 
 
 def gamma_line(config: LineConfig | LoopConfig, kappa: float) -> GammaMatrix:
-    """Kernel matrix Gamma(kappa) of a line or a loop configuration."""
-    if not kappa > 0:
-        raise ValueError("kappa must be positive")
-    return GammaMatrix(float(kappa), _gamma_stack(config, np.array([float(kappa)]))[0])
+    """Kernel matrix Gamma(kappa) of a line or a loop configuration: the
+    matrix the kernel route's Newton rounds build (:func:`_mu0_slope`)."""
+    if not (math.isfinite(kappa) and kappa > 0):
+        raise ValueError("kappa must be finite and positive")
+    return GammaMatrix(float(kappa), _mu0_slope(config).gamma(float(kappa)))
 
 
 gamma_loop = gamma_line
@@ -168,8 +144,9 @@ class LineGroundState:
 def _mu0_slope(config: LineConfig | LoopConfig):
     """kappa -> (mu0, dmu0/ds) of Gamma(kappa), s = kappa**2: the slope is
     c^T (-dG/ds) c for the unit eigenvector c of mu0, with no new matrix.
-    Its ``gamma`` attribute builds Gamma(kappa), bit for bit the matrix of
-    :func:`gamma_line`, from distances computed once.
+    Its ``gamma`` attribute builds Gamma(kappa) from the site distances,
+    computed once: it is the one builder of Gamma, behind :func:`gamma_line`
+    as well as the Newton rounds and the weights.
 
     On the line G = exp(-kappa d) / (2 kappa), so -dG/dkappa = d G + G /
     kappa.  On a loop of circumference L, G = (e^{-kappa d} +
@@ -180,10 +157,12 @@ def _mu0_slope(config: LineConfig | LoopConfig):
     """
     inv_alpha = 1.0 / np.asarray(config.strengths)
     diag = np.arange(config.n)
+    y = np.asarray(config.sites)
+    d = np.abs(y[:, None] - y[None, :])
     loop = isinstance(config, LoopConfig)
-    d = _loop_distances(config) if loop else _line_distances(config)
     if loop:
         L = config.circumference
+        d = np.minimum(d, L - d)  # arc distance
         rest, lever = L - d, L - 2.0 * d
 
     def gamma(kappa):
@@ -196,12 +175,12 @@ def _mu0_slope(config: LineConfig | LoopConfig):
         w, v = _eigh(gamma_k)
         mu, c = float(w[0]), v[:, 0]
         cgc = float(-mu - (c * c) @ inv_alpha)
-        # below kappa ~ 1e-154 this overflows to inf (a Python float does so
-        # silently): an infinite slope holds Newton where it is
+        # cgc and far are Python floats: below kappa ~ 1e-154 the slope terms
+        # overflow to inf silently, and an infinite slope holds Newton there
         dk = cgc / kappa - c @ (d * gamma_k) @ c
         if loop:
             g = -math.expm1(-kappa * L)
-            far = c @ (lever * np.exp(-kappa * rest)) @ c
+            far = float(c @ (lever * np.exp(-kappa * rest)) @ c)
             dk += far / (2.0 * kappa * g) + cgc * L * math.exp(-kappa * L) / g
         return mu, float(dk) / (2.0 * kappa)
 
@@ -209,8 +188,11 @@ def _mu0_slope(config: LineConfig | LoopConfig):
     return mu0_slope
 
 
-def _solve_mu0(config: LineConfig | LoopConfig, tol_kappa: float) -> tuple[float, np.ndarray]:
-    """Unique root of mu0 from a proven lower bound (rootscan.increasing_root).
+def ground_state_line(
+    config: LineConfig | LoopConfig, *, tol_kappa: float = 1e-12
+) -> LineGroundState:
+    """Ground state of a line or a loop configuration: the unique root of mu0
+    from a proven lower bound (rootscan.increasing_root).
 
     dGamma/dkappa = -dG/dkappa is positive definite, so mu0 increases, and
     G(s) is a compression of the resolvent (-Laplacian + s)^-1, convex in
@@ -224,8 +206,12 @@ def _solve_mu0(config: LineConfig | LoopConfig, tol_kappa: float) -> tuple[float
     total length y_n - y_1 and two leads on the line, the circumference and
     no lead on the loop.  It lies at or below kappa0, and mu0 has one root,
     so mu0 <= 0 there too.  tol_kappa bounds the error relative to kappa0,
-    for weak binding as well as strong.  The weights are the eigenvector of
-    mu0 at kappa0, oriented to a positive sum.
+    for weak binding as well as strong.
+
+    The returned weights are the eigenvector of mu0 at kappa0, oriented to a
+    positive sum; they are the coefficients of the kernel superposition
+    psi = sum_i w_i G(x, y_i) and are strictly one-signed for the ground
+    state.  A loop binds at least as strongly as the same sites on the line.
     """
     if isinstance(config, LoopConfig):
         length, leads = config.circumference, 0
@@ -236,21 +222,8 @@ def _solve_mu0(config: LineConfig | LoopConfig, tol_kappa: float) -> tuple[float
     mu0_slope = _mu0_slope(config)
     with np.errstate(invalid="ignore"):  # see secular._eigh
         kappa0, _, _ = increasing_root(mu0_slope, lo, tol_kappa, NoRoot)
-        weights = _eigh(mu0_slope.gamma(kappa0))[1][:, 0]
-    return float(kappa0), -weights if weights.sum() < 0 else weights
-
-
-def ground_state_line(
-    config: LineConfig | LoopConfig, *, tol_kappa: float = 1e-12
-) -> LineGroundState:
-    """Ground state of a line or a loop configuration.
-
-    The returned weights are the minimizing vector at the root; they are the
-    coefficients of the kernel superposition psi = sum_i w_i G(x, y_i) and
-    are strictly one-signed for the ground state.  A loop binds at least as
-    strongly as the same sites on the line.
-    """
-    kappa0, w = _solve_mu0(config, tol_kappa)
+        w = _eigh(mu0_slope.gamma(kappa0))[1][:, 0]
+    w = -w if w.sum() < 0 else w
     return LineGroundState(kappa0, -kappa0 * kappa0, tuple(float(x) for x in w))
 
 

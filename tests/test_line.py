@@ -99,6 +99,8 @@ def test_gamma_rejects_nonpositive_kappa():
         gamma_line(config, 0.0)
     with pytest.raises(ValueError):
         gamma_loop(LoopConfig(5.0, (0.0,), (-1.0,)), -1.0)
+    with pytest.raises(ValueError):
+        gamma_line(LineConfig((0.0, 1.0), (-1.0, -1.0)), math.inf)
 
 
 def test_mu0_positive_above_all_roots():
@@ -220,10 +222,22 @@ def test_benchmark_route_configurations_build_pinned_counts(config, monkeypatch)
     LoopConfig(1e-3, (0.0,), (-1.0,)),
 ])
 def test_newton_rounds_build_the_public_gamma_bit_for_bit(config):
-    # np.expm1 and math.expm1 differ in the last bit on about 1% of inputs
-    gamma = line_module._mu0_slope(config).gamma
+    # gamma_line returns the Newton rounds' Gamma; here it meets the closed
+    # forms, np.exp on the line and np.expm1 on the loop (np.expm1 and
+    # math.expm1 differ in the last bit on about 1% of inputs)
+    y = np.asarray(config.sites)
+    d = np.abs(y[:, None] - y[None, :])
+    if isinstance(config, LoopConfig):
+        L = config.circumference
+        d = np.minimum(d, L - d)
     for kappa in np.geomspace(1e-6, 1e4, 300).tolist():
-        assert gamma(kappa).tobytes() == gamma_line(config, kappa).entries.tobytes()
+        if isinstance(config, LoopConfig):
+            g = -np.expm1(-kappa * L)
+            expected = -(np.exp(-kappa * d) + np.exp(-kappa * (L - d))) / (2.0 * kappa * g)
+        else:
+            expected = -np.exp(-kappa * d) / (2.0 * kappa)
+        expected[np.diag_indices(config.n)] -= 1.0 / np.asarray(config.strengths)
+        assert gamma_line(config, kappa).entries.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("alpha", [-2.0, -1e-6, -1e-9, -1e12])
@@ -283,8 +297,8 @@ def test_uniform_chains_approach_the_kronig_penney_band_bottom():
     LoopConfig(1e-3, (0.0,), (-1.0,)),
 ])
 def test_kernel_slope_matches_central_differences(config):
-    # dmu0/ds in closed form against differences of mu0(s) from the kernel
-    # stacks themselves (_gamma_line_stack, _gamma_loop_stack)
+    # dmu0/ds in closed form against differences of mu0(s) from the public
+    # Gamma (gamma_line)
     mu0_slope = line_module._mu0_slope(config)
     for kappa in (0.05, 0.4, 1.5, 6.0):
         s, h = kappa * kappa, 1e-5 * kappa * kappa
@@ -327,6 +341,16 @@ def test_the_weak_end_solves_where_kappa_squared_is_subnormal_or_zero(capsys):
 
 
 # ------------------------------------------------------------ loop solve
+
+def test_a_long_weak_loop_solves_where_the_slope_overflows(capsys):
+    # kappa**2 L = |alpha| to rounding: the loop slope's quadratic form over
+    # 2 kappa g overflows to inf, silently, with warnings as errors
+    gs = ground_state_loop(LoopConfig(1e10, (0.0,), (-1e-300,)))
+    assert abs(gs.kappa0 - 1e-155) <= 1e-12 * 1e-155
+    assert main(["line", "--sites", "0", "--alphas", "-1e-300", "--loop", "1e10"]) == 0
+    out = capsys.readouterr()
+    assert "kappa0  = 1e-155" in out.out.splitlines() and out.err == ""
+
 
 def test_single_site_loop_scalar_equation():
     # psi = cosh(kappa (x - L/2)) with the derivative jump at the site:
