@@ -138,7 +138,7 @@ def parameter_problems(
             elif alpha > 0:
                 problems.append(f"vertex {v.id!r}: positive alpha {alpha!r}")
         if alpha_row and not any(alpha < 0 for alpha in alpha_row if math.isfinite(alpha)):
-            problems.append("no attractive vertex (every alpha is zero)")
+            problems.append("no attractive vertex (no alpha is finite and negative)")
         for e, length in zip(graph.finite_edges, length_row):
             if not math.isfinite(length):
                 problems.append(f"edge {e.id!r}: non-finite length")
@@ -263,10 +263,15 @@ def vertex_incidences(graph: MetricGraph) -> dict[str, list[tuple[str, int]]]:
     return inc
 
 
-_VERTEX_FIELDS = {"id", "alpha"}
-_FINITE_FIELDS = {"id", "from", "to", "length"}
-_LEAD_FIELDS = {"id", "anchor"}
-_TOP_FIELDS = {"vertices", "finite_edges", "infinite_edges"}
+# The file format, for load_graph and save_graph: per list key (also the
+# MetricGraph field), the spec of its items and, per JSON key in file order,
+# the spec field it fills; alpha and length are numbers, the other keys ids.
+_SCHEMA = (
+    ("vertices", VertexSpec, {"id": "id", "alpha": "alpha"}),
+    ("finite_edges", FiniteEdge, {"id": "id", "from": "start", "to": "end", "length": "length"}),
+    ("infinite_edges", InfiniteEdge, {"id": "id", "anchor": "anchor"}),
+)
+_NUMBERS = {"alpha", "length"}
 
 
 def _check_fields(obj: dict, allowed: set[str], required: set[str], where: str) -> None:
@@ -318,48 +323,23 @@ def load_graph(path: str | Path) -> MetricGraph:
         raise GraphFormatError(
             f"{path}: invalid JSON at line {err.lineno} column {err.colno}: {err.msg}"
         ) from err
-    _check_fields(doc, _TOP_FIELDS, {"vertices"}, str(path))
-
-    vertices = []
-    for i, item in enumerate(_list_field(doc, "vertices", path)):
-        where = f"{path}: vertices[{i}]"
-        _check_fields(item, _VERTEX_FIELDS, _VERTEX_FIELDS, where)
-        vertices.append(VertexSpec(_as_id(item["id"], where), _as_number(item["alpha"], where)))
-
-    finite = []
-    for i, item in enumerate(_list_field(doc, "finite_edges", path)):
-        where = f"{path}: finite_edges[{i}]"
-        _check_fields(item, _FINITE_FIELDS, _FINITE_FIELDS, where)
-        finite.append(
-            FiniteEdge(
-                _as_id(item["id"], where),
-                _as_id(item["from"], where),
-                _as_id(item["to"], where),
-                _as_number(item["length"], where),
-            )
-        )
-
-    leads = []
-    for i, item in enumerate(_list_field(doc, "infinite_edges", path)):
-        where = f"{path}: infinite_edges[{i}]"
-        _check_fields(item, _LEAD_FIELDS, _LEAD_FIELDS, where)
-        leads.append(InfiniteEdge(_as_id(item["id"], where), _as_id(item["anchor"], where)))
-
-    graph = MetricGraph(tuple(vertices), tuple(finite), tuple(leads))
+    _check_fields(doc, {key for key, _, _ in _SCHEMA}, {"vertices"}, str(path))
+    lists = []
+    for key, spec, fields in _SCHEMA:
+        lists.append([])
+        for i, item in enumerate(_list_field(doc, key, path)):
+            where = f"{path}: {key}[{i}]"
+            _check_fields(item, set(fields), set(fields), where)
+            lists[-1].append(spec(**{
+                field: (_as_number if name in _NUMBERS else _as_id)(item[name], where)
+                for name, field in fields.items()}))
+    graph = MetricGraph(*lists)
     require_valid(graph)
     return graph
 
 
 def save_graph(graph: MetricGraph, path: str | Path) -> None:
     """Write a graph as JSON; loading the file reproduces the graph exactly."""
-    doc = {
-        "vertices": [{"id": v.id, "alpha": v.alpha} for v in graph.vertices],
-        "finite_edges": [
-            {"id": e.id, "from": e.start, "to": e.end, "length": e.length}
-            for e in graph.finite_edges
-        ],
-        "infinite_edges": [
-            {"id": e.id, "anchor": e.anchor} for e in graph.infinite_edges
-        ],
-    }
+    doc = {key: [{name: getattr(item, field) for name, field in fields.items()}
+                 for item in getattr(graph, key)] for key, _, fields in _SCHEMA}
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")

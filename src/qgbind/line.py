@@ -21,6 +21,7 @@ stretched configurations that test it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,6 +156,9 @@ def _mu0_slope(config: LineConfig | LoopConfig):
     e^{-kappa L} / g.  d vanishes on the diagonal and G = -Gamma off it, so
     c^T (d G) c = -c^T (d Gamma) c, and c^T G c = -mu0 - sum c_i**2 / alpha_i.
     """
+    weakest = min(config.strengths, key=abs)
+    if abs(weakest) * sys.float_info.max < 1.0:
+        raise NoRoot(f"strength {weakest!r} is too weak: its reciprocal overflows")
     inv_alpha = 1.0 / np.asarray(config.strengths)
     diag = np.arange(config.n)
     y = np.asarray(config.sites)

@@ -52,10 +52,14 @@ def newton_steps(lo: float, tol: float, error: type[Exception], *, ceiling: floa
     kappa.  An iterate above ``ceiling``, a value or step that is not finite,
     a slope that is not positive, a step that lands on 0 (below about
     kappa = 1.5e-154 both kappa**2 and lo**2 underflow) and MAX_STEPS values
-    without convergence raise ``error``.
+    without convergence raise ``error``, and so does a ``lo`` below which 1 /
+    (2 kappa), a lead's or a kernel's scale, overflows, before the first value.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol_kappa must be positive and finite, got {tol!r}")
+    if not 2.0 * lo * sys.float_info.max >= 1.0:
+        raise error(f"the start bound kappa={lo!r} is too small: 1/(2 kappa) overflows, "
+                    "so the couplings are too weak for double precision")
     tol = max(tol, sys.float_info.epsilon)
     floor = kappa = lo
     root = None  # the converged iterate while kappa is its certificate point

@@ -49,6 +49,7 @@ _GAP_MIN = 1e6
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 _EPSILON_IDX = 1e-9  # relative |a| - |b| below which an edge index is 0
+_SHORT_KL = 1e-3  # kappa l below which an edge's ends are eliminated (see _reduced)
 
 
 def _eigh(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -296,7 +297,7 @@ class _Topology:
         rounding (kappa0 off by 1e-7 relative at l = 1e-9); eliminated, it
         leaves no entry larger than about 1e3 kappa.
         """
-        short = kl < 1e-3
+        short = kl < _SHORT_KL
         roots = _components(self.n, zip(self.start[short].tolist(), self.end[short].tolist()))
         return np.array(roots), [i for i, r in enumerate(roots) if r != i]
 
@@ -471,11 +472,10 @@ def _positive_tail(matrix: np.ndarray, mu0: float, f: np.ndarray) -> np.ndarray:
     large components L.  M is an irreducible Z-matrix and mu0 its simple
     smallest eigenvalue, so M_SS - mu0 I is a nonsingular M-matrix: its
     inverse and -M_SL are nonnegative, and f_S comes out positive to working
-    accuracy, however far down an exponential tail it lies.
+    accuracy, however far down an exponential tail it lies.  The caller
+    passes only an f with such a component.
     """
     small = f <= math.sqrt(_EPS) * f.max()
-    if not small.any():
-        return f
     f = f.copy()
     block = matrix[np.ix_(small, small)]
     block.flat[:: len(block) + 1] -= mu0
@@ -606,7 +606,7 @@ def _ground_states(graph: MetricGraph, alphas: list, lengths: list,
     groups: dict = {}  # cluster roots (None without clusters) -> (roots, order, members)
     for j, (lo_j, row) in enumerate(zip(lo, rows)):
         roots, order = None, []
-        if row and lo_j * min(row) < 1e-3:
+        if row and lo_j * min(row) < _SHORT_KL:
             roots, order = topo.clusters(lo_j * np.array(row, dtype=float))
         key = None if roots is None else tuple(roots.tolist())
         groups.setdefault(key, (roots, order, []))[2].append(j)

@@ -21,8 +21,16 @@ import pytest
 
 import qgbind
 from conftest import chain_graph, robin_interval, single_vertex_graph, star_graph
-from qgbind import find_ground_state, save_graph
+from qgbind import (
+    FiniteEdge,
+    InfiniteEdge,
+    MetricGraph,
+    VertexSpec,
+    find_ground_state,
+    save_graph,
+)
 from qgbind.cli import build_parser, main
+from qgbind.sweeps import _axial_ends
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
@@ -70,6 +78,22 @@ def test_groundstate_json_output(delta_file, capsys):
         "continuity_residual", "coupling_residual", "nullspace_gap", "min_sampled",
     }
     assert diag["min_sampled"] > 0
+
+
+def test_groundstate_json_finite_edges_match_the_solution_and_the_text(star_file, capsys):
+    assert main(["groundstate", star_file, "--json"]) == 0
+    edges = json.loads(capsys.readouterr().out)["edges"]
+    assert main(["groundstate", star_file]) == 0
+    text = [line for line in capsys.readouterr().out.splitlines() if line.startswith("edge ")]
+    gs = find_ground_state(star_graph(-1.0))
+    assert [e["kind"] for e in edges] == ["finite"] * 3 and len(text) == 3
+    for entry, sol, index, line in zip(edges, gs.solutions, gs.indices, text):
+        assert (entry["id"], entry["a"], entry["b"], entry["index"]) == (
+            sol.edge_id, sol.a, sol.b, index)
+        words = dict(word.split("=") for word in line.split()[2:])
+        assert line.startswith(f"edge {entry['id']}: ")
+        assert (float(words["a"]), float(words["b"]), int(words["index"])) == (
+            entry["a"], entry["b"], entry["index"])
 
 
 def test_groundstate_missing_file(tmp_path, capsys):
@@ -345,6 +369,25 @@ def test_crit_without_a_flat_coupling_is_numeric_failure(tmp_path, graph, messag
     assert err.startswith("numerical failure: ") and message in err
 
 
+def test_crit_from_the_outer_end_of_the_axial_edge(star_file, tmp_path, capsys):
+    # the axial edge written from q to c: the center is read off its other
+    # end, and alpha_c, kappa0 and the axial index come out bit for bit
+    g = star_graph(-1.0)
+    flipped = MetricGraph(g.vertices, tuple(
+        FiniteEdge(e.id, e.end, e.start, e.length) if e.id == "axial" else e
+        for e in g.finite_edges))
+    assert _axial_ends(flipped, "axial") == _axial_ends(g, "axial") == ("c", "q")
+    path = tmp_path / "flipped.json"
+    save_graph(flipped, path)
+    runs = []
+    for graph_file in (star_file, str(path)):
+        assert main(["crit", graph_file, "--axial-edge", "axial", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        runs.append((payload["alpha_crit"].hex(), float(payload["kappa0"]).hex(),
+                     payload["axial_index"]))
+    assert runs[0] == runs[1]
+
+
 # main() reuses one parser for the life of the process; a call must see none
 # of an earlier call's arguments, whether that call succeeded or not
 
@@ -566,6 +609,25 @@ def test_module_invocation(delta_file):
     )
     assert proc.returncode == 0
     assert "lambda0 = -1" in proc.stdout
+
+
+@pytest.mark.parametrize("graph, lo", [
+    (single_vertex_graph(-5e-324, 2), "0.0"),
+    (MetricGraph((VertexSpec("a", -1e-320), VertexSpec("b", -1e-320)),
+                 (FiniteEdge("e", "a", "b", 1.0),),
+                 (InfiniteEdge("t1", "a"), InfiniteEdge("t2", "b"))), "1e-320"),
+])
+def test_groundstate_refuses_a_subnormal_start_bound(tmp_path, graph, lo, capsys):
+    # kappa0 ~ |sum alpha| / N is subnormal: a lead's c**2 / (2 kappa) would
+    # overflow, so NoBoundState comes before any M(kappa), with no warning
+    path = tmp_path / "weak.json"
+    save_graph(graph, path)
+    assert main(["groundstate", str(path)]) == 3
+    assert capsys.readouterr().err == (
+        f"numerical failure: the start bound kappa={lo} is too small: 1/(2 kappa) "
+        "overflows, so the couplings are too weak for double precision\n")
+
+
 
 
 _COLD_START_PROBE = """

@@ -1,6 +1,7 @@
 """Graph model, validation, and JSON round-trip tests."""
 
 import json
+import math
 import time
 
 import numpy as np
@@ -27,6 +28,7 @@ from qgbind import (
     validate,
     vertex_incidences,
 )
+from qgbind.cli import main
 from qgbind.graph import _components, parameters
 
 
@@ -366,3 +368,97 @@ def test_load_runs_validation(tmp_path):
     }))
     with pytest.raises(InvalidGraphError):
         load_graph(path)
+
+
+_PAIR = [{"id": "a", "alpha": -1.0}, {"id": "b", "alpha": -1.0}]
+
+
+@pytest.mark.parametrize("doc, problems", [
+    ({"vertices": [{"id": "v", "alpha": math.nan}], "infinite_edges": [{"id": "t", "anchor": "v"}]},
+     ("vertex 'v': non-finite alpha", "no attractive vertex (no alpha is finite and negative)")),
+    ({"vertices": [{"id": "v", "alpha": 2.0}], "infinite_edges": [{"id": "t", "anchor": "v"}]},
+     ("vertex 'v': positive alpha 2.0", "no attractive vertex (no alpha is finite and negative)")),
+    ({"vertices": _PAIR, "finite_edges": [{"id": "e", "from": "a", "to": "b", "length": math.inf}]},
+     ("edge 'e': non-finite length",)),
+    ({"vertices": []}, ("graph has no vertices",)),
+    ({"vertices": _PAIR, "finite_edges": [{"id": "e", "from": "a", "to": "b", "length": 1.0},
+                                          {"id": "e", "from": "b", "to": "a", "length": 2.0}]},
+     ("duplicate edge id 'e'",)),
+    ({"vertices": [{"id": "v", "alpha": -1.0}], "infinite_edges": [{"id": "t", "anchor": "w"}]},
+     ("lead 't': unknown vertex 'w'",)),
+], ids=["nan-alpha", "positive-alpha", "inf-length", "no-vertices", "duplicate-edge",
+        "lead-on-unknown-vertex"])
+def test_validation_messages_of_a_file(tmp_path, doc, problems, capsys):
+    # json writes NaN and Infinity, and load_graph reads them as floats
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InvalidGraphError) as err:
+        load_graph(path)
+    assert err.value.report.problems == problems
+    assert main(["groundstate", str(path)]) == 2
+    assert capsys.readouterr().err == "error: invalid graph: " + "; ".join(problems) + "\n"
+
+
+_V = '{"id": "v", "alpha": -1}'
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[1, 2]", "expected an object"),
+    ('{"vertices": [], "edges": [], "color": 1}', "unknown field(s) color, edges"),
+    ('{"finite_edges": []}', "missing field(s) vertices"),
+    ('{"vertices": null}', "'vertices' must be a list"),
+    ('{"vertices": [], "infinite_edges": 5}', "'infinite_edges' must be a list"),
+    ('{"vertices": ["v"]}', "vertices[0]: expected an object"),
+    ('{"vertices": [{"id": "v", "alpha": -1, "color": 1}]}', "vertices[0]: unknown field(s) color"),
+    ('{"vertices": [%s], "finite_edges": [{"id": "e"}]}' % _V,
+     "finite_edges[0]: missing field(s) from, length, to"),
+    ('{"vertices": [{"id": "", "alpha": -1}]}', "vertices[0]: ids must be non-empty strings"),
+    ('{"vertices": [%s], "infinite_edges": [{"id": "t", "anchor": 0}]}' % _V,
+     "infinite_edges[0]: ids must be non-empty strings"),
+    ('{"vertices": [%s, {"id": "w", "alpha": "-1"}]}' % _V, "vertices[1]: expected a number"),
+    ('{"vertices": [%s], "finite_edges": [{"id": "e", "from": "v", "to": "w", "length": true}]}'
+     % _V, "finite_edges[0]: expected a number"),
+    ("{ not json", "invalid JSON at line 1 column 3: "
+                   "Expecting property name enclosed in double quotes"),
+    (None, "cannot read file: No such file or directory"),
+])
+def test_format_error_messages(tmp_path, text, message):
+    path = tmp_path / "g.json"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(GraphFormatError) as err:
+        load_graph(path)
+    assert str(err.value) == f"{path}: {message}"
+
+
+def test_saved_file_bytes(tmp_path):
+    path = tmp_path / "g.json"
+    save_graph(MetricGraph((VertexSpec("c", -1.0), VertexSpec("q", -2.0)),
+                           (FiniteEdge("axial", "c", "q", 1.0),), (InfiniteEdge("t1", "c"),)), path)
+    assert path.read_text() == """{
+  "vertices": [
+    {
+      "id": "c",
+      "alpha": -1.0
+    },
+    {
+      "id": "q",
+      "alpha": -2.0
+    }
+  ],
+  "finite_edges": [
+    {
+      "id": "axial",
+      "from": "c",
+      "to": "q",
+      "length": 1.0
+    }
+  ],
+  "infinite_edges": [
+    {
+      "id": "t1",
+      "anchor": "c"
+    }
+  ]
+}
+"""

@@ -340,6 +340,26 @@ def test_the_weak_end_solves_where_kappa_squared_is_subnormal_or_zero(capsys):
         find_ground_state(as_chain_graph(LineConfig((0.0, 1.0), (-1e-160, -1e-160))))
 
 
+@pytest.mark.parametrize("argv, weakest", [
+    (["--sites", "0", "--alphas", "-5e-324"], "-5e-324"),
+    (["--sites", "0", "1", "--alphas", "-1", "-1e-320"], "-1e-320"),
+    (["--loop", "10", "--sites", "0", "1", "--alphas", "-5.5e-309", "-1"], "-5.5e-309"),
+])
+def test_a_strength_whose_reciprocal_overflows_is_refused(argv, weakest, capsys):
+    # 1/alpha on the diagonal of Gamma would be inf: NoRoot before any
+    # Newton round, one line on stderr and no warning
+    assert main(["line", *argv]) == 3
+    assert capsys.readouterr().err == (
+        f"numerical failure: strength {weakest} is too weak: its reciprocal overflows\n")
+
+
+def test_the_weakest_single_site_keeps_its_output(capsys):
+    # |alpha| = 4e-308 has a finite reciprocal, and so has 2 kappa0
+    assert main(["line", "--sites", "0", "--alphas", "-4e-308"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "lambda0 = -0", "kappa0  = 1.9999999999999998e-308", "weights = 1"]
+
+
 # ------------------------------------------------------------ loop solve
 
 def test_a_long_weak_loop_solves_where_the_slope_overflows(capsys):

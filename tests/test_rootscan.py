@@ -112,6 +112,14 @@ def test_a_newton_step_that_underflows_to_zero_is_refused():
     assert calls == [1e-170]
 
 
+@pytest.mark.parametrize("lo", [0.0, 5e-324, 1e-320, 2.7e-309])
+def test_a_start_bound_whose_reciprocal_overflows_is_refused(lo):
+    # 1/(2 lo) past the double range: refused before the first value
+    with pytest.raises(KeyError, match=r"1/\(2 kappa\) overflows"):
+        next(rootscan.newton_steps(lo, 1e-12, KeyError))
+    assert next(rootscan.newton_steps(2.8e-309, 1e-12, KeyError)) == 2.8e-309
+
+
 def test_brackets_simple_root():
     # a loose tol stops before Newton lands on the root exactly
     f = _one_minus(math.pi)

@@ -16,6 +16,7 @@ from scipy.optimize import brentq
 from conftest import (
     chain_graph,
     random_chain_graph,
+    random_cyclic_graph,
     random_mixed_graph,
     random_tree_graph,
     robin_interval,
@@ -610,6 +611,32 @@ def test_agrees_with_kernel_path_on_chain():
     line = ground_state_line(config)
     gs = find_ground_state(as_chain_graph(config))
     assert abs(gs.lambda0 - line.lambda0) < 1e-11
+
+
+@pytest.mark.parametrize("power", [
+    515,
+    # kappa ~ 1e-160 with kappa l = O(1): products of two O(kappa) weights in
+    # _reduced and the profiles go subnormal; 56 of 60 raise and 4 return
+    # kappa0 off by 2e-7 to 1.4e-6 relative, with no error
+    pytest.param(530, marks=pytest.mark.xfail(
+        strict=True, reason="weak-scale kappa0 silently off (ROADMAP item 10)")),
+])
+def test_weak_scaling_partners_raise_or_agree(power):
+    # criterion 10's scaling partners far down the weak end: each solve
+    # raises a typed error or gives kappa0 / 2**power to 1e-12
+    rng = np.random.default_rng(5)
+    s = 2.0 ** power
+    wrong = []
+    for i in range(60):
+        g = (random_cyclic_graph if i % 2 == 0 else random_tree_graph)(rng)
+        kappa0 = find_ground_state(g).kappa0
+        try:
+            kappa_s = find_ground_state(scaled_graph(g, s)).kappa0
+        except (NoBoundState, DegenerateRoot, PositivityViolation):
+            continue
+        if abs(kappa_s * s - kappa0) > 1e-12 * kappa0:
+            wrong.append(kappa_s * s / kappa0 - 1.0)
+    assert not wrong
 
 
 def test_invalid_graph_refused():
