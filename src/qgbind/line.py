@@ -21,13 +21,12 @@ stretched configurations that test it.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graph import FiniteEdge, InfiniteEdge, MetricGraph, VertexSpec
-from .rootscan import constant_trial_bound, increasing_root
+from .rootscan import OUT_OF_RANGE, constant_trial_bound, fits, increasing_root, unit
 from .secular import _eigh
 # unused here (stubs that raise); perfbench/tracer.py wraps them until
 # ROADMAP item 1
@@ -142,12 +141,16 @@ class LineGroundState:
     weights: tuple[float, ...]
 
 
-def _mu0_slope(config: LineConfig | LoopConfig):
+def _mu0_slope(config: LineConfig | LoopConfig, lo: float = 1.0):
     """kappa -> (mu0, dmu0/ds) of Gamma(kappa), s = kappa**2: the slope is
     c^T (-dG/ds) c for the unit eigenvector c of mu0, with no new matrix.
     Its ``gamma`` attribute builds Gamma(kappa) from the site distances,
     computed once: it is the one builder of Gamma, behind :func:`gamma_line`
     as well as the Newton rounds and the weights.
+
+    Both take kappa / sigma, sigma = rootscan.unit(lo) (the ``unit``
+    attribute): distances, circumference and 1/alpha times sigma give sigma
+    Gamma.  Values that fit no unit (rootscan.fits) raise NoRoot first.
 
     On the line G = exp(-kappa d) / (2 kappa), so -dG/dkappa = d G + G /
     kappa.  On a loop of circumference L, G = (e^{-kappa d} +
@@ -156,16 +159,16 @@ def _mu0_slope(config: LineConfig | LoopConfig):
     e^{-kappa L} / g.  d vanishes on the diagonal and G = -Gamma off it, so
     c^T (d G) c = -c^T (d Gamma) c, and c^T G c = -mu0 - sum c_i**2 / alpha_i.
     """
-    weakest = min(config.strengths, key=abs)
-    if abs(weakest) * sys.float_info.max < 1.0:
-        raise NoRoot(f"strength {weakest!r} is too weak: its reciprocal overflows")
-    inv_alpha = 1.0 / np.asarray(config.strengths)
-    diag = np.arange(config.n)
-    y = np.asarray(config.sites)
-    d = np.abs(y[:, None] - y[None, :])
-    loop = isinstance(config, LoopConfig)
+    sigma, y, loop = unit(lo), config.sites, isinstance(config, LoopConfig)
+    inv_alpha = [sigma * (1.0 / a) for a in config.strengths]
+    L = config.circumference * sigma if loop else 0.0
+    # the gaps and the span (and on a loop L - span) bound every distance
+    gaps, span = [sigma * (b - a) for a, b in zip(y, y[1:])], sigma * (y[-1] - y[0])
+    if not fits(lo / sigma, inv_alpha + gaps + [span, L, L - span]):
+        raise NoRoot(OUT_OF_RANGE.format(lo))
+    inv_alpha, diag, y = np.array(inv_alpha), np.arange(config.n), np.asarray(y)
+    d = np.abs(y[:, None] - y[None, :]) * sigma
     if loop:
-        L = config.circumference
         d = np.minimum(d, L - d)  # arc distance
         rest, lever = L - d, L - 2.0 * d
 
@@ -179,8 +182,6 @@ def _mu0_slope(config: LineConfig | LoopConfig):
         w, v = _eigh(gamma_k)
         mu, c = float(w[0]), v[:, 0]
         cgc = float(-mu - (c * c) @ inv_alpha)
-        # cgc and far are Python floats: below kappa ~ 1e-154 the slope terms
-        # overflow to inf silently, and an infinite slope holds Newton there
         dk = cgc / kappa - c @ (d * gamma_k) @ c
         if loop:
             g = -math.expm1(-kappa * L)
@@ -188,7 +189,7 @@ def _mu0_slope(config: LineConfig | LoopConfig):
             dk += far / (2.0 * kappa * g) + cgc * L * math.exp(-kappa * L) / g
         return mu, float(dk) / (2.0 * kappa)
 
-    mu0_slope.gamma = gamma
+    mu0_slope.gamma, mu0_slope.unit = gamma, sigma
     return mu0_slope
 
 
@@ -223,10 +224,10 @@ def ground_state_line(
         length, leads = config.sites[-1] - config.sites[0], 2
     lo = max(0.5 * max(abs(a) for a in config.strengths),
              constant_trial_bound(length, leads, sum(config.strengths)))
-    mu0_slope = _mu0_slope(config)
+    mu0_slope = _mu0_slope(config, lo)
     with np.errstate(invalid="ignore"):  # see secular._eigh
-        kappa0, _, _ = increasing_root(mu0_slope, lo, tol_kappa, NoRoot)
-        w = _eigh(mu0_slope.gamma(kappa0))[1][:, 0]
+        kappa0, _, _ = increasing_root(mu0_slope, lo, tol_kappa, NoRoot, unit=mu0_slope.unit)
+        w = _eigh(mu0_slope.gamma(kappa0 / mu0_slope.unit))[1][:, 0]
     w = -w if w.sum() < 0 else w
     return LineGroundState(kappa0, -kappa0 * kappa0, tuple(float(x) for x in w))
 

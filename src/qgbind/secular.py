@@ -40,7 +40,7 @@ from .graph import (
     validate,
     vertex_incidences,
 )
-from .rootscan import constant_trial_bound, increasing_roots
+from .rootscan import OUT_OF_RANGE, constant_trial_bound, fits, increasing_roots, unit
 # stubs that raise, unused here; perfbench/tracer.py wraps them until ROADMAP item 1
 from .rootscan import _removed as _equilibrated_det  # noqa: F401
 from .rootscan import bisect_sign, probe_geometric, scan_down  # noqa: F401
@@ -301,10 +301,12 @@ class _Topology:
         roots = _components(self.n, zip(self.start[short].tolist(), self.end[short].tolist()))
         return np.array(roots), [i for i, r in enumerate(roots) if r != i]
 
-    def audit(self, kappa, alphas, lengths, p, q, c, E):
+    def audit(self, kappa, alphas, lengths, p, q, c, E, unit=1.0):
         """Shape indices of the finite edges, exact minima and vertex
         residuals of the states with coefficients p, q, c: (indices, minimum,
-        continuity, coupling).
+        continuity, coupling), with kappa, alphas and lengths in the members'
+        ``unit``, where the coupling residual's max(1, kappa) is max(1 / unit,
+        kappa).
 
         A lead's minimum is c, and its index is 0 (see
         :func:`classify_edge_index`).  The residuals are those of
@@ -325,7 +327,7 @@ class _Topology:
         return (_shape_indices(*_edge_shapes(p, q, E, first, b)),
                 np.minimum.reduce(np.concatenate((edges, c), axis=1), 1),
                 np.maximum.reduce(spread, 1) / sup,
-                np.maximum.reduce(mismatch, 1) / (sup * np.maximum(1.0, kappa)))
+                np.maximum.reduce(mismatch, 1) / (sup * np.maximum(1.0 / unit, kappa)))
 
 
 def _reduced(a, W, order):
@@ -483,10 +485,12 @@ def _positive_tail(matrix: np.ndarray, mu0: float, f: np.ndarray) -> np.ndarray:
     return f
 
 
-def _states(topo: _Topology, kappa, alphas, lengths, roots, order) -> list:
+def _states(topo: _Topology, kappa, alphas, lengths, roots, order, unit) -> list:
     """States at the certified roots of mu0, members in rows: from the
     vector of mu0, the smallest eigenvalue of the reduced M(kappa), with
-    shape indices, simplicity gap, exact minimum and vertex residuals.
+    shape indices, simplicity gap, exact minimum and vertex residuals, from
+    kappa, alphas and lengths in each member's ``unit``; the state is
+    normalized in the caller's units.
 
     The gap is mu1 / max(|mu0|, tau), with tau = n * eps * (||S|| +
     max|alpha| + kappa * max degree) the rounding of an eigenvalue: Weyl's
@@ -506,10 +510,11 @@ def _states(topo: _Topology, kappa, alphas, lengths, roots, order) -> list:
     if alive is not None:
         for i in np.setdiff1d(rows, alive).tolist():
             out[i] = PositivityViolation(
-                f"M is not positive semidefinite at kappa={float(kappa[i])!r}: "
+                f"M is not positive semidefinite at kappa={float(kappa[i] * unit[i])!r}: "
                 "kappa lies below the ground-state root"
             )
-        kappa, alphas, lengths, E, den = (x[alive] for x in (kappa, alphas, lengths, E, den))
+        kappa, alphas, lengths, E, den, unit = (
+            x[alive] for x in (kappa, alphas, lengths, E, den, unit))
         rows = alive.tolist()
     with np.errstate(invalid="ignore"):  # see _eigh
         w, vecs = _eigh(S)
@@ -518,7 +523,7 @@ def _states(topo: _Topology, kappa, alphas, lengths, roots, order) -> list:
     if w.shape[1] > 1:
         tau = w.shape[1] * _EPS * (aw[:, -1] + (np.maximum.reduce(np.abs(alphas), 1)
                                                 + kappa * topo.max_degree))
-        gap = aw[:, 1] / np.maximum(np.maximum(aw[:, 0], tau), _TINY)
+        gap = aw[:, 1] / np.maximum(aw[:, 0], tau)  # tau > 0: kappa**2 is normal in the unit
     at = np.arange(len(rows))
     fk = vecs[:, :, 0].copy()
     fk *= np.sign(fk[at, np.argmax(np.abs(fk), axis=1)])[:, None]
@@ -527,16 +532,16 @@ def _states(topo: _Topology, kappa, alphas, lengths, roots, order) -> list:
         if gap[i] >= _GAP_MIN:
             fk[i] = _positive_tail(S[i], float(w[i, 0]), fk[i])
     p, q, c, mass = topo.profiles(kappa, lengths, E, den, fk, kept, steps, roots)
-    scale = np.sqrt(mass)[:, None]
+    scale = (np.sqrt(mass) / np.sqrt(unit))[:, None]  # the mass is unit times the caller's
     p, q, c = p / scale, q / scale, c / scale
-    indices, minimum, cont, coup = topo.audit(kappa, alphas, lengths, p, q, c, E)
+    indices, minimum, cont, coup = topo.audit(kappa, alphas, lengths, p, q, c, E, unit)
     leads = (0,) * c.shape[1]
     for i, r, index, cont_i, coup_i, gap_i, min_i in zip(
             range(len(rows)), rows, indices.tolist(), cont.tolist(), coup.tolist(),
             gap.tolist(), minimum.tolist()):
         if not gap_i >= _GAP_MIN:
             out[r] = DegenerateRoot(
-                f"nullspace not simple at kappa={float(kappa[i])!r}: "
+                f"nullspace not simple at kappa={float(kappa[i] * unit[i])!r}: "
                 f"eigenvalue gap {gap_i:.3g} < {_GAP_MIN:.0e}")
         elif not min_i > 0.0:
             kl = float(kappa[i]) * max(lengths[i].tolist(), default=0.0)
@@ -568,17 +573,17 @@ class _State(NamedTuple):
 
 def _ground_states(graph: MetricGraph, alphas: list, lengths: list,
                    options: SolverOptions | None = None) -> list:
-    """Ground states of a family of graphs with the layout of ``graph``:
-    member i has the alphas
-    ``alphas[i]`` and the finite-edge lengths ``lengths[i]``, lists of
-    numbers as :func:`graph.parameter_problems` takes them.
+    """Ground states of a family of graphs with the layout of ``graph``: member
+    i has the alphas ``alphas[i]`` and the finite-edge lengths ``lengths[i]``,
+    lists of numbers as :func:`graph.parameter_problems` takes them.
 
     Each member gets the :class:`_State` that :func:`find_ground_state`
     computes for it alone, bit for bit, or the exception it raises there:
     InvalidGraphError with the report of :func:`graph.validate` for every
     member when the layout fails :func:`graph.topology_ok`, and for a
-    member that breaks an alpha or length rule,
-    NoBoundState, DegenerateRoot or PositivityViolation.  Members that
+    member that breaks an alpha or length rule, NoBoundState (also before
+    any matrix when it does not fit its :func:`rootscan.unit`),
+    DegenerateRoot or PositivityViolation.  Members that
     eliminate the same short-edge clusters form a group, and the Newton steps
     of a group's members run in lockstep (:func:`rootscan.increasing_roots`):
     each round builds their matrices with one bincount and solves them with
@@ -597,14 +602,19 @@ def _ground_states(graph: MetricGraph, alphas: list, lengths: list,
         else:
             members.append(i)
     alpha_rows, rows = [alphas[i] for i in members], [lengths[i] for i in members]
-    n, m = len(graph.vertices), len(graph.finite_edges)
     topo = _Topology(graph, len(members))
     # mu0 <= 0 at the constant-trial bound (see find_ground_state)
     n_leads = len(graph.infinite_edges)
     lo = [constant_trial_bound(sum(row), n_leads, s)
           for s, row in zip(map(sum, alpha_rows), rows)]
+    # each member in its unit: alpha / sigma and l sigma give kappa / sigma
+    sigma = [unit(lo_j, min(row, default=math.inf)) for lo_j, row in zip(lo, rows)]
     groups: dict = {}  # cluster roots (None without clusters) -> (roots, order, members)
-    for j, (lo_j, row) in enumerate(zip(lo, rows)):
+    for j, (lo_j, s, row) in enumerate(zip(lo, sigma, rows)):
+        alpha_rows[j], rows[j] = [a / s for a in alpha_rows[j]], [x * s for x in row]
+        if not fits(lo_j / s, alpha_rows[j] + rows[j]):
+            results[members[j]] = NoBoundState(OUT_OF_RANGE.format(lo_j))
+            continue
         roots, order = None, []
         if row and lo_j * min(row) < _SHORT_KL:
             roots, order = topo.clusters(lo_j * np.array(row, dtype=float))
@@ -612,8 +622,9 @@ def _ground_states(graph: MetricGraph, alphas: list, lengths: list,
         groups.setdefault(key, (roots, order, []))[2].append(j)
 
     for roots, order, group in groups.values():
-        alphas = np.array([alpha_rows[j] for j in group], dtype=float).reshape(len(group), n)
-        lengths = np.array([rows[j] for j in group], dtype=float).reshape(len(group), m)
+        units = [sigma[j] for j in group]
+        alphas = np.array([alpha_rows[j] for j in group], dtype=float)
+        lengths = np.array([rows[j] for j in group], dtype=float)
         evaluations = np.zeros(len(group), dtype=int)
 
         def values(batch, kappas, order=order):
@@ -636,12 +647,13 @@ def _ground_states(graph: MetricGraph, alphas: list, lengths: list,
 
         with np.errstate(invalid="ignore"):  # see _eigh
             found = increasing_roots(values, [lo[j] for j in group], opts.tol_kappa,
-                                     NoBoundState, ceiling=opts.kappa_max or math.inf)
+                                     NoBoundState, units=units,
+                                     ceiling=opts.kappa_max or math.inf)
         sel = [i for i, outcome in enumerate(found) if isinstance(outcome, tuple)]
         if sel:
-            kappa0 = np.array([found[i][0] for i in sel])
+            kappa0 = np.array([found[i][0] / units[i] for i in sel])
             states = _states(topo, kappa0, alphas.take(sel, axis=0), lengths.take(sel, axis=0),
-                             roots, order)
+                             roots, order, np.array([units[i] for i in sel]))
             for i, state in zip(sel, states):
                 root, lo_i, hi = found[i]
                 found[i] = (state if isinstance(state, Exception)
@@ -661,10 +673,9 @@ def find_ground_state(graph: MetricGraph, options: SolverOptions | None = None) 
     f^T M f is a minimum of functions affine in s = kappa**2, so mu0 is
     concave in s: :func:`rootscan.newton_steps` runs Newton's method in s
     with the Hellmann-Feynman slope ||psi||**2 / ||f||**2, psi the state
-    with vertex values f.  It starts at the positive root lo of L kappa**2 +
-    N kappa + sum alpha (N leads, L the total edge length): the constant
-    trial vector gives 1^T M 1 <= that (2 tanh(x/2) <= x), so mu0(lo) <= 0,
-    exact for a single vertex.  Vertices joined by edges with lo * l < 1e-3
+    with vertex values f, from :func:`rootscan.constant_trial_bound` lo,
+    where mu0 <= 0, in the unit of lo (see :func:`_ground_states` and
+    :func:`rootscan.unit`).  Vertices joined by edges with lo * l < 1e-3
     are eliminated first (see :func:`_reduced`); the Schur complement keeps
     the sign, the root and the concavity of mu0, and where a pivot is not
     positive (kappa < kappa0) the step is taken on M itself.  ``kappa_max``

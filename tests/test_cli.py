@@ -618,14 +618,38 @@ def test_module_invocation(delta_file):
                  (InfiniteEdge("t1", "a"), InfiniteEdge("t2", "b"))), "1e-320"),
 ])
 def test_groundstate_refuses_a_subnormal_start_bound(tmp_path, graph, lo, capsys):
-    # kappa0 ~ |sum alpha| / N is subnormal: a lead's c**2 / (2 kappa) would
-    # overflow, so NoBoundState comes before any M(kappa), with no warning
+    # kappa0 ~ |sum alpha| / N is 0 or so far below the edge's 1 / l that no
+    # unit holds both (rootscan.fits): NoBoundState before any M(kappa), with
+    # no warning
     path = tmp_path / "weak.json"
     save_graph(graph, path)
     assert main(["groundstate", str(path)]) == 3
     assert capsys.readouterr().err == (
-        f"numerical failure: the start bound kappa={lo} is too small: 1/(2 kappa) "
-        "overflows, so the couplings are too weak for double precision\n")
+        "numerical failure: lengths and couplings do not fit doubles in one unit "
+        f"(start bound kappa={lo})\n")
+
+
+def test_the_weak_and_strong_ends_through_the_cli(tmp_path, capsys):
+    # kappa0 ~ 4.8e-309 solves, with nothing on stderr; kappa0 = 5e299 would
+    # print lambda0 = -inf, which is not JSON: exit 3 with one stderr line,
+    # and a sweep marks such a point as a NoBoundState
+    weak, strong = tmp_path / "weak.json", tmp_path / "strong.json"
+    save_graph(single_vertex_graph(-9.57e-309, 2), weak)
+    save_graph(single_vertex_graph(-1e300, 2), strong)
+    assert main(["groundstate", str(weak), "--json"]) == 0
+    out = capsys.readouterr()
+    assert json.loads(out.out)["kappa0"] == 9.57e-309 / 2 and out.err == ""
+    assert main(["groundstate", str(strong), "--json"]) == 3
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == (
+        "numerical failure: lambda0 = -kappa0**2 overflows: kappa0=5e+299 is too large "
+        "for doubles\n")
+    csv_path = tmp_path / "strong.csv"
+    assert main(["sweep", str(strong), "--target", "vertex:v", "--range", "-1e300", "-1e150",
+                 "--steps", "2", "--csv", str(csv_path)]) == 0
+    capsys.readouterr()
+    statuses = [line.split(",")[-1] for line in csv_path.read_text().splitlines()[2:]]
+    assert statuses == ["error:NoBoundState", "ok"]
 
 
 

@@ -6,6 +6,7 @@ the two-site line root solves kappa = |alpha|/2 (1 + exp(-kappa d)).
 """
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -330,14 +331,16 @@ def test_the_weak_end_solves_where_kappa_squared_is_subnormal_or_zero(capsys):
     assert ground_state_line(one).kappa0 == 5e-171
     assert main(["line", "--sites", "0", "--alphas", "-1e-170"]) == 0
     assert capsys.readouterr().err == ""
-    # the graph route, as before
+    # the graph route, each solve in its unit (rootscan.unit), down to a
+    # subnormal kappa0 = |alpha| / 2 in the unit 2**-1020
+    assert find_ground_state(as_chain_graph(LineConfig((0.0,), (-9.57e-309,)))).kappa0 == (
+        9.57e-309 / 2)
     weak = LineConfig((0.0, 1.0), (-1e-170, -1e-170))
     assert find_ground_state(as_chain_graph(one)).kappa0 == 5e-171
     assert find_ground_state(as_chain_graph(weak)).kappa0 == 1e-170
-    pair = as_chain_graph(LineConfig((0.0, 1.0), (-1e-155, -1e-155)))
-    assert find_ground_state(pair).kappa0 == 9.999999999999986e-156
-    with pytest.raises(NoBoundState, match="no root after 100 Newton steps"):
-        find_ground_state(as_chain_graph(LineConfig((0.0, 1.0), (-1e-160, -1e-160))))
+    for alpha in (-1e-155, -1e-160):
+        pair = as_chain_graph(LineConfig((0.0, 1.0), (alpha, alpha)))
+        assert find_ground_state(pair).kappa0 == abs(alpha)
 
 
 @pytest.mark.parametrize("argv, weakest", [
@@ -346,11 +349,26 @@ def test_the_weak_end_solves_where_kappa_squared_is_subnormal_or_zero(capsys):
     (["--loop", "10", "--sites", "0", "1", "--alphas", "-5.5e-309", "-1"], "-5.5e-309"),
 ])
 def test_a_strength_whose_reciprocal_overflows_is_refused(argv, weakest, capsys):
-    # 1/alpha on the diagonal of Gamma would be inf: NoRoot before any
-    # Newton round, one line on stderr and no warning
+    # 1/alpha on the diagonal of Gamma would be inf in every unit: NoRoot
+    # before any Newton round, one line on stderr and no warning; the start
+    # bound is max|alpha|/2 (0.0 for the one site, which rounds to 0)
+    lo = "0.0" if weakest == "-5e-324" else "0.5"
     assert main(["line", *argv]) == 3
     assert capsys.readouterr().err == (
-        f"numerical failure: strength {weakest} is too weak: its reciprocal overflows\n")
+        "numerical failure: lengths and couplings do not fit doubles in one unit "
+        f"(start bound kappa={lo})\n")
+
+
+def test_a_root_whose_square_overflows_is_refused(capsys):
+    # kappa0 = 5e299 solves in the unit 16**248, but lambda0 = -kappa0**2 is
+    # past the double range: NoRoot with that kappa0, exit 3, one stderr line
+    message = "lambda0 = -kappa0**2 overflows: kappa0=5e+299 is too large for doubles"
+    with pytest.raises(NoRoot, match=re.escape(message)):
+        ground_state_line(LineConfig((0.0,), (-1e300,)))
+    assert main(["line", "--sites", "0", "--alphas", "-1e300"]) == 3
+    assert capsys.readouterr().err == f"numerical failure: {message}\n"
+    with pytest.raises(NoBoundState, match=re.escape(message)):
+        find_ground_state(as_chain_graph(LineConfig((0.0,), (-1e300,))))
 
 
 def test_the_weakest_single_site_keeps_its_output(capsys):
@@ -370,6 +388,14 @@ def test_a_long_weak_loop_solves_where_the_slope_overflows(capsys):
     assert main(["line", "--sites", "0", "--alphas", "-1e-300", "--loop", "1e10"]) == 0
     out = capsys.readouterr()
     assert "kappa0  = 1e-155" in out.out.splitlines() and out.err == ""
+
+
+def test_a_long_loop_with_a_weak_site_is_accurate():
+    # kappa**2 L = |alpha| to 1e-155 relative: in the unit 16**-69 the slope
+    # and the kernel are O(1), and kappa0 = sqrt(|alpha| / L) to rounding
+    gs = ground_state_loop(LoopConfig(1e10, (0.0,), (-1e-155,)))
+    expected = math.sqrt(1e-165)
+    assert abs(gs.kappa0 - expected) <= 1e-15 * expected
 
 
 def test_single_site_loop_scalar_equation():

@@ -2,6 +2,7 @@
 concave functions, and the iterates of both routes on random instances."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -98,26 +99,45 @@ def test_increasing_root_gives_up_after_max_steps():
     assert len(calls) == rootscan.MAX_STEPS == 100
 
 
-def test_a_newton_step_that_underflows_to_zero_is_refused():
-    # below kappa ~ 1.5e-162 kappa**2 and lo**2 are 0: a step of -mu / slope
-    # that underflows too lands on kappa = 0, which is no lower bound
+@pytest.mark.parametrize("lo, shortest, e", [
+    (1.0, math.inf, 0), (15.99, math.inf, 0), (16.0, math.inf, 1), (0.5, math.inf, -1),
+    (1e-160, math.inf, -133), (5e299, math.inf, 248), (1e308, math.inf, 255),
+    (4.785e-309, math.inf, -255), (5e-324, math.inf, -255),
+    # raised until shortest * sigma >= 2**-500
+    (1e-160, 1.0, -125), (1.0, 2.0 ** -600, 25), (1.0, 2.0 ** -600 * 1.5, 25),
+])
+def test_the_unit_is_a_power_of_16(lo, shortest, e):
+    assert rootscan.unit(lo, shortest) == 16.0 ** e
+
+
+def test_fits_needs_normal_values_and_a_normal_square():
+    tiny = 2.0 ** -1022
+    assert rootscan.fits(1.0, [0.0, -tiny, 1e308])
+    assert rootscan.fits(2.0 ** -511, [])
+    assert not rootscan.fits(2.0 ** -512, [])  # its square is subnormal
+    assert not rootscan.fits(0.0, [])
+    for bad in (tiny / 2, -5e-324, math.inf, -math.inf):
+        assert not rootscan.fits(1.0, [1.0, bad])
+
+
+def test_newton_runs_in_its_unit():
+    # the walk sees kappa / unit and returns root, bracket and messages in the
+    # caller's units, bit for bit those of the unscaled walk
     calls = []
+    unit = 2.0 ** -400
+    got = increasing_root(_one_minus(math.pi, calls), 0.5 * unit, 1e-12, KeyError, unit=unit)
+    assert calls[0] == 0.5
+    plain = increasing_root(_one_minus(math.pi), 0.5, 1e-12, KeyError)
+    assert got == tuple(x * unit for x in plain)
+    with pytest.raises(KeyError, match=re.escape(f"kappa_max={3.0 * unit!r}")):
+        increasing_root(_one_minus(math.pi), 0.5 * unit, 1e-12, KeyError, unit=unit,
+                        ceiling=3.0 * unit)
 
-    def flat(kappa):
-        calls.append(kappa)
-        return -1e-300, 1e300
 
-    with pytest.raises(KeyError, match="underflows to 0"):
-        increasing_root(flat, 1e-170, 1e-12, KeyError)
-    assert calls == [1e-170]
-
-
-@pytest.mark.parametrize("lo", [0.0, 5e-324, 1e-320, 2.7e-309])
-def test_a_start_bound_whose_reciprocal_overflows_is_refused(lo):
-    # 1/(2 lo) past the double range: refused before the first value
-    with pytest.raises(KeyError, match=r"1/\(2 kappa\) overflows"):
-        next(rootscan.newton_steps(lo, 1e-12, KeyError))
-    assert next(rootscan.newton_steps(2.8e-309, 1e-12, KeyError)) == 2.8e-309
+def test_a_root_whose_square_overflows_raises():
+    # the root 1 in the unit 2**700 is 2**700, whose square is past the range
+    with pytest.raises(KeyError, match=re.escape(f"overflows: kappa0={2.0 ** 700!r}")):
+        increasing_root(_sqrt_minus(1.0), 2.0 ** 699, 1e-12, KeyError, unit=2.0 ** 700)
 
 
 def test_brackets_simple_root():
@@ -181,7 +201,7 @@ def test_lockstep_members_match_their_solo_walks():
         values = [makes[i](k) for i, k in zip(members, kappas)]
         return [mu for mu, _ in values], [slope for _, slope in values]
 
-    got = increasing_roots(f, los, 1e-12, KeyError, ceiling=20.0)
+    got = increasing_roots(f, los, 1e-12, KeyError, units=[1.0] * 4, ceiling=20.0)
     assert isinstance(got[3], KeyError) and "ceiling" in str(got[3])
     for i in range(3):
         assert got[i] == increasing_root(makes[i], los[i], 1e-12, KeyError, ceiling=20.0)
@@ -198,13 +218,14 @@ def test_removed_scan_names_raise():
 
 
 def _record(monkeypatch, module):
-    """Every (kappa, mu0) the route's Newton iteration evaluates, in order."""
+    """Every (kappa, mu0) the route's Newton iteration evaluates, in order,
+    kappa in the caller's units (the route evaluates kappa / unit)."""
     calls = []
 
     def recording(f, *args, **kwargs):
         def g(kappa):
             mu, slope = f(kappa)
-            calls.append((kappa, mu))
+            calls.append((kappa * kwargs["unit"], mu))
             return mu, slope
         return increasing_root(g, *args, **kwargs)
 
@@ -219,7 +240,7 @@ def _record_batch(monkeypatch, module):
     def recording(f, *args, **kwargs):
         def g(members, kappas):
             mu, slope = f(members, kappas)
-            calls.extend(zip(kappas, mu))
+            calls.extend((k * kwargs["units"][i], m) for i, k, m in zip(members, kappas, mu))
             return mu, slope
         return increasing_roots(g, *args, **kwargs)
 

@@ -6,6 +6,7 @@ with the solver output, so a shared bug cannot cancel.
 """
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -156,7 +157,7 @@ def _state_at(graph, kappa):
     topo = secular_module._Topology(graph)
     alphas, lengths = parameters(graph)
     state = secular_module._states(topo, np.array([kappa]), alphas, lengths,
-                                   *topo.clusters(kappa * lengths[0]))[0]
+                                   *topo.clusters(kappa * lengths[0]), np.ones(1))[0]
     if isinstance(state, Exception):
         raise state
     return state
@@ -613,14 +614,7 @@ def test_agrees_with_kernel_path_on_chain():
     assert abs(gs.lambda0 - line.lambda0) < 1e-11
 
 
-@pytest.mark.parametrize("power", [
-    515,
-    # kappa ~ 1e-160 with kappa l = O(1): products of two O(kappa) weights in
-    # _reduced and the profiles go subnormal; 56 of 60 raise and 4 return
-    # kappa0 off by 2e-7 to 1.4e-6 relative, with no error
-    pytest.param(530, marks=pytest.mark.xfail(
-        strict=True, reason="weak-scale kappa0 silently off (ROADMAP item 10)")),
-])
+@pytest.mark.parametrize("power", [515, 530])
 def test_weak_scaling_partners_raise_or_agree(power):
     # criterion 10's scaling partners far down the weak end: each solve
     # raises a typed error or gives kappa0 / 2**power to 1e-12
@@ -637,6 +631,26 @@ def test_weak_scaling_partners_raise_or_agree(power):
         if abs(kappa_s * s - kappa0) > 1e-12 * kappa0:
             wrong.append(kappa_s * s / kappa0 - 1.0)
     assert not wrong
+
+
+@pytest.mark.parametrize("power", [530, 600, 1000, -600, -900])
+def test_far_scaling_partners_are_exact(power):
+    # each solve runs in its unit 16**e (rootscan.unit), where a partner at a
+    # power of 2 is the graph itself: kappa0 / 2**power bit for bit, until
+    # lambda0 = -kappa0**2 overflows, which raises with that exact kappa0
+    rng = np.random.default_rng(5)
+    s = 2.0 ** power
+    for i in range(60):
+        g = (random_cyclic_graph if i % 2 == 0 else random_tree_graph)(rng)
+        gs = find_ground_state(g)
+        if power > 0:
+            partner = find_ground_state(scaled_graph(g, s))
+            assert partner.kappa0 * s == gs.kappa0
+            assert partner.indices == gs.indices
+        else:
+            with pytest.raises(NoBoundState, match=re.escape(
+                    f"overflows: kappa0={gs.kappa0 / s!r} is too large")):
+                find_ground_state(scaled_graph(g, s))
 
 
 def test_invalid_graph_refused():

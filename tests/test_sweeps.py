@@ -106,7 +106,10 @@ def _direct(graph, targets, values, options):
     ([("edge:arm1", 1e-6, 0.5, 6)], None),
     # the stronger centers bind above kappa_max
     ([("vertex:c", -4.0, -0.5, 8)], SolverOptions(kappa_max=2.03)),
-], ids=["grid", "short-edge", "kappa-max"])
+    # the short axial edges solve in the unit 1 and the long ones in 1/16
+    # (rootscan.unit); the ceiling cuts the strongest q in both
+    ([("vertex:q", -8.0, -1.0, 4), ("edge:axial", 0.2, 60.0, 3)], SolverOptions(kappa_max=4.0)),
+], ids=["grid", "short-edge", "kappa-max", "units"])
 def test_batched_sweep_matches_direct_solves(specs, options):
     # a sweep solves its grid as one batch; each point is its direct solve,
     # bit for bit, or fails as it does
