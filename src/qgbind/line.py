@@ -159,23 +159,22 @@ def _mu0_slope(config: LineConfig | LoopConfig, lo: float = 1.0):
     e^{-kappa L} / g.  d vanishes on the diagonal and G = -Gamma off it, so
     c^T (d G) c = -c^T (d Gamma) c, and c^T G c = -mu0 - sum c_i**2 / alpha_i.
     """
-    sigma, y, loop = unit(lo), config.sites, isinstance(config, LoopConfig)
+    sigma, y, loop = float(unit(lo)), config.sites, isinstance(config, LoopConfig)
     inv_alpha = [sigma * (1.0 / a) for a in config.strengths]
     L = config.circumference * sigma if loop else 0.0
     # the gaps and the span (and on a loop L - span) bound every distance
     gaps, span = [sigma * (b - a) for a, b in zip(y, y[1:])], sigma * (y[-1] - y[0])
     if not fits(lo / sigma, inv_alpha + gaps + [span, L, L - span]):
         raise NoRoot(OUT_OF_RANGE.format(lo))
-    inv_alpha, diag, y = np.array(inv_alpha), np.arange(config.n), np.asarray(y)
+    inv_alpha, y = np.array(inv_alpha), np.asarray(y)
     d = np.abs(y[:, None] - y[None, :]) * sigma
     if loop:
         d = np.minimum(d, L - d)  # arc distance
         rest, lever = L - d, L - 2.0 * d
+    diag = -np.diag(inv_alpha)  # diag - G: -0.0 - G is -G off the diagonal
 
     def gamma(kappa):
-        out = -(_loop_kernel(d, rest, L, kappa) if loop else _line_kernel(d, kappa))
-        out[diag, diag] -= inv_alpha
-        return out
+        return diag - (_loop_kernel(d, rest, L, kappa) if loop else _line_kernel(d, kappa))
 
     def mu0_slope(kappa):
         gamma_k = gamma(kappa)
@@ -223,7 +222,7 @@ def ground_state_line(
     else:
         length, leads = config.sites[-1] - config.sites[0], 2
     lo = max(0.5 * max(abs(a) for a in config.strengths),
-             constant_trial_bound(length, leads, sum(config.strengths)))
+             float(constant_trial_bound(length, leads, sum(config.strengths))))
     mu0_slope = _mu0_slope(config, lo)
     with np.errstate(invalid="ignore"):  # see secular._eigh
         kappa0, _, _ = increasing_root(mu0_slope, lo, tol_kappa, NoRoot, unit=mu0_slope.unit)

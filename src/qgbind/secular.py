@@ -571,23 +571,32 @@ class _State(NamedTuple):
     indicator_evaluations: int
 
 
-def _ground_states(graph: MetricGraph, alphas: list, lengths: list,
+def _sums(x: np.ndarray) -> np.ndarray:
+    """Row sums from 0, left to right (np.add.reduce pairs the terms)."""
+    return np.add.accumulate(x, axis=1)[:, -1] if x.shape[1] else np.zeros(len(x))
+
+
+def _ground_states(graph: MetricGraph, alphas: np.ndarray, lengths: np.ndarray,
                    options: SolverOptions | None = None) -> list:
     """Ground states of a family of graphs with the layout of ``graph``: member
     i has the alphas ``alphas[i]`` and the finite-edge lengths ``lengths[i]``,
-    lists of numbers as :func:`graph.parameter_problems` takes them.
+    float arrays (members, vertices) and (members, finite edges).
 
     Each member gets the :class:`_State` that :func:`find_ground_state`
     computes for it alone, bit for bit, or the exception it raises there:
     InvalidGraphError with the report of :func:`graph.validate` for every
     member when the layout fails :func:`graph.topology_ok`, and for a
-    member that breaks an alpha or length rule, NoBoundState (also before
-    any matrix when it does not fit its :func:`rootscan.unit`),
-    DegenerateRoot or PositivityViolation.  Members that
-    eliminate the same short-edge clusters form a group, and the Newton steps
-    of a group's members run in lockstep (:func:`rootscan.increasing_roots`):
-    each round builds their matrices with one bincount and solves them with
-    one stacked eigh.
+    member that breaks an alpha or length rule (its report written from its
+    values as Python floats), NoBoundState (also before any matrix when it
+    does not fit its :func:`rootscan.unit`), DegenerateRoot or
+    PositivityViolation.
+
+    The set-up takes array operations over the batch: the rules, the start
+    bound (sums left to right), the unit, the scaling and
+    :func:`rootscan.fits`.  Members that eliminate the same short-edge
+    clusters form a group, and :func:`rootscan.increasing_roots` solves a
+    group: each round builds the pending members' matrices with one
+    bincount, solves them with one stacked eigh and takes one array step.
     """
     if not topology_ok(graph):  # every member fails as the graph does
         return [InvalidGraphError(validate(graph))] * len(alphas)
@@ -595,71 +604,77 @@ def _ground_states(graph: MetricGraph, alphas: list, lengths: list,
     if opts.kappa_max is not None and not (math.isfinite(opts.kappa_max) and opts.kappa_max > 0):
         raise ValueError(f"kappa_max must be positive and finite, got {opts.kappa_max!r}")
     results: list = [None] * len(alphas)
-    members = []
-    for i, problems in enumerate(parameter_problems(graph, alphas, lengths)):
-        if problems:
-            results[i] = InvalidGraphError(ValidationReport(problems))
-        else:
-            members.append(i)
-    alpha_rows, rows = [alphas[i] for i in members], [lengths[i] for i in members]
-    topo = _Topology(graph, len(members))
-    # mu0 <= 0 at the constant-trial bound (see find_ground_state)
-    n_leads = len(graph.infinite_edges)
-    lo = [constant_trial_bound(sum(row), n_leads, s)
-          for s, row in zip(map(sum, alpha_rows), rows)]
-    # each member in its unit: alpha / sigma and l sigma give kappa / sigma
-    sigma = [unit(lo_j, min(row, default=math.inf)) for lo_j, row in zip(lo, rows)]
+    n = alphas.shape[1]
+    with np.errstate(all="ignore"):  # a value that is not finite fails the checks below
+        shortest = np.minimum.reduce(lengths, 1, initial=math.inf)
+        # mu0 <= 0 at the constant-trial bound (see find_ground_state)
+        lo = constant_trial_bound(_sums(lengths), len(graph.infinite_edges), _sums(alphas))
+        # each member in its unit: alpha / sigma and l sigma give kappa / sigma
+        sigma = unit(lo, shortest)
+        scaled = np.concatenate((alphas / sigma[:, None], lengths * sigma[:, None]), axis=1)
+        # a member that breaks an alpha or length rule is not plain: a value
+        # that is not finite, or no alpha < 0, spoils lo and so the fit; an
+        # alpha > 0 fails the sign; a length <= 0 looks short.  The members
+        # that are not plain are sorted out one by one below.
+        fit = fits(lo / sigma, scaled) & (np.maximum.reduce(alphas, 1) <= 0.0)
+        plain = fit & (lo * shortest >= _SHORT_KL)  # no short edge to eliminate
+    topo = _Topology(graph, len(alphas))
     groups: dict = {}  # cluster roots (None without clusters) -> (roots, order, members)
-    for j, (lo_j, s, row) in enumerate(zip(lo, sigma, rows)):
-        alpha_rows[j], rows[j] = [a / s for a in alpha_rows[j]], [x * s for x in row]
-        if not fits(lo_j / s, alpha_rows[j] + rows[j]):
-            results[members[j]] = NoBoundState(OUT_OF_RANGE.format(lo_j))
-            continue
-        roots, order = None, []
-        if row and lo_j * min(row) < _SHORT_KL:
-            roots, order = topo.clusters(lo_j * np.array(row, dtype=float))
-        key = None if roots is None else tuple(roots.tolist())
-        groups.setdefault(key, (roots, order, []))[2].append(j)
+    if plain.all():
+        groups[None] = (None, [], slice(None))
+    else:
+        for i in np.flatnonzero(~plain).tolist():
+            problems = parameter_problems(graph, alphas[i, None].tolist(),
+                                          lengths[i, None].tolist())[0]
+            if problems:
+                results[i] = InvalidGraphError(ValidationReport(problems))
+            elif not fit[i]:
+                results[i] = NoBoundState(OUT_OF_RANGE.format(float(lo[i])))
+            else:
+                roots, order = topo.clusters(lo[i] * lengths[i])
+                groups.setdefault(tuple(roots.tolist()), (roots, order, []))[2].append(i)
+        if plain.any():
+            groups[None] = (None, [], np.flatnonzero(plain))
 
     for roots, order, group in groups.values():
-        units = [sigma[j] for j in group]
-        alphas = np.array([alpha_rows[j] for j in group], dtype=float)
-        lengths = np.array([rows[j] for j in group], dtype=float)
-        evaluations = np.zeros(len(group), dtype=int)
+        units, rows = sigma[group], scaled[group]
+        alphas, lengths = rows[:, :n], rows[:, n:]
+        built = []  # the members of each matrix M(kappa) built
 
-        def values(batch, kappas, order=order):
-            batch, kappa = np.array(batch), np.array(kappas)
-            evaluations[batch] += 1
-            L = lengths.take(batch, axis=0)
-            a, W, E, den = topo.parts(kappa, alphas.take(batch, axis=0), L)
+        def values(batch, kappa, order=order):
+            built.append(batch)
+            A, L = alphas, lengths
+            if len(batch) < len(L):
+                A, L = A.take(batch, axis=0), L.take(batch, axis=0)
+            a, W, E, den = topo.parts(kappa, A, L)
             S, kept, steps, alive = _reduced(a, W, order)
             w, vecs = _eigh(S)
-            live = slice(None) if alive is None else alive
-            mu, slope = w[:, 0], topo.profiles(kappa[live], L[live], E[live], den[live],
-                                               vecs[:, :, 0], kept, steps, roots)[3]
-            if alive is not None:  # a pivot <= 0 proves kappa < kappa0: step on M itself
-                rest = np.delete(np.arange(len(batch)), alive)
-                both = np.empty((2, len(batch)))
-                both[:, alive] = mu, slope
-                both[:, rest] = values(batch[rest], kappa[rest], [])
-                mu, slope = both
-            return mu.tolist(), slope.tolist()
+            if alive is None:
+                return w[:, 0], topo.profiles(kappa, L, E, den, vecs[:, :, 0], kept, steps,
+                                              roots)[3]
+            # a pivot <= 0 proves kappa < kappa0: step on M itself
+            rest = np.delete(np.arange(len(batch)), alive)
+            both = np.empty((2, len(batch)))
+            both[:, alive] = w[:, 0], topo.profiles(kappa[alive], L[alive], E[alive], den[alive],
+                                                    vecs[:, :, 0], kept, steps, roots)[3]
+            both[:, rest] = values(batch[rest], kappa[rest], [])
+            return both[0], both[1]
 
-        with np.errstate(invalid="ignore"):  # see _eigh
-            found = increasing_roots(values, [lo[j] for j in group], opts.tol_kappa,
-                                     NoBoundState, units=units,
-                                     ceiling=opts.kappa_max or math.inf)
+        found = increasing_roots(values, lo[group], opts.tol_kappa, NoBoundState,
+                                 units=units, ceiling=opts.kappa_max or math.inf)
         sel = [i for i, outcome in enumerate(found) if isinstance(outcome, tuple)]
         if sel:
-            kappa0 = np.array([found[i][0] / units[i] for i in sel])
-            states = _states(topo, kappa0, alphas.take(sel, axis=0), lengths.take(sel, axis=0),
-                             roots, order, np.array([units[i] for i in sel]))
+            evaluations = np.bincount(np.concatenate(built), minlength=len(found)).tolist()
+            if len(sel) < len(found):
+                units, alphas, lengths = units[sel], alphas[sel], lengths[sel]
+            kappa0 = np.array([found[i][0] for i in sel]) / units
+            states = _states(topo, kappa0, alphas, lengths, roots, order, units)
             for i, state in zip(sel, states):
                 root, lo_i, hi = found[i]
                 found[i] = (state if isinstance(state, Exception)
-                            else _State(root, *state, (lo_i, hi), int(evaluations[i]) + 1))
-        for j, outcome in zip(group, found):
-            results[members[j]] = outcome
+                            else _State(root, *state, (lo_i, hi), evaluations[i] + 1))
+        for j, outcome in zip(np.arange(len(results))[group].tolist(), found):
+            results[j] = outcome
     return results
 
 
@@ -682,8 +697,9 @@ def find_ground_state(graph: MetricGraph, options: SolverOptions | None = None) 
     is a hard ceiling: NoBoundState when an iterate passes it.  The graph is
     a batch of one for :func:`_ground_states`.
     """
-    state = _ground_states(graph, [[v.alpha for v in graph.vertices]],
-                           [[e.length for e in graph.finite_edges]], options)[0]
+    state = _ground_states(graph, *parameters(graph), options)[0]
+    if isinstance(state, InvalidGraphError):  # its report shows the values as given
+        raise InvalidGraphError(validate(graph))
     if isinstance(state, Exception):
         raise state
     kappa0 = state.kappa0

@@ -118,7 +118,7 @@ def apply_target(graph: MetricGraph, target: SweepTarget, value: float) -> Metri
 
 
 def _family(graph: MetricGraph, targets, columns: np.ndarray):
-    """The graph's alphas and finite-edge lengths, one list per row of
+    """The graph's alphas and finite-edge lengths, one row per row of
     ``columns``, with column j written to ``targets[j]``."""
     alphas, lengths = parameters(graph)
     alphas, lengths = alphas.repeat(len(columns), axis=0), lengths.repeat(len(columns), axis=0)
@@ -127,7 +127,7 @@ def _family(graph: MetricGraph, targets, columns: np.ndarray):
             lengths[:, [e.id == target.ref for e in graph.finite_edges]] = column[:, None]
         else:
             alphas[:, [v.id == target.ref for v in graph.vertices]] = column[:, None]
-    return alphas.tolist(), lengths.tolist()
+    return alphas, lengths
 
 
 def run_sweep(

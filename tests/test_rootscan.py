@@ -189,23 +189,75 @@ def test_non_finite_indicator_raises():
             increasing_root(lambda k, value=value: value, 1.0, 1e-12, KeyError)
 
 
+def _after(calls, make, value):
+    """make's values, and ``value`` from call number ``calls`` on."""
+    def walk():
+        f, seen = make(), []
+
+        def g(kappa):
+            seen.append(kappa)
+            return value if len(seen) >= calls else f(kappa)
+        return g
+    return walk
+
+
 def test_lockstep_members_match_their_solo_walks():
-    # one member passes the ceiling and raises; every other member's
-    # (root, lo, hi) is the one its own increasing_root gives, bit for bit
-    makes = [_sqrt_minus(2.0), _one_minus(math.pi), _linear(9.0), _sqrt_minus(50.0)]
-    los = [1.0, 0.5, 1.0, 1.0]
+    # one batch in which members stop in different rounds and every way a
+    # walk ends: each outcome is the one increasing_root gives that member
+    # alone, (root, lo, hi) bit for bit as floats, or the same exception
+    big = 2.0 ** 700
+    members = [  # (fresh mu0, lower bound, unit), kappa in the unit
+        (lambda: _sqrt_minus(2.0), 1.0, 1.0),
+        (lambda: _one_minus(math.pi), 0.5, 1.0),
+        (lambda: _linear(9.0), 1.0, 1.0),
+        (lambda: _linear(2.0), 1.0, 1.0),  # mu0 == 0 at the second iterate
+        (lambda: _sqrt_minus(2.0), 2.0, 1.0),  # mu0 == 0 at the first iterate
+        (lambda: _one_minus(1.0), 1.0 + 1e-15, 1.0),  # mu0 > 0 at the rounded bound
+        (lambda: _sqrt_minus(50.0), big, big),  # cut by the ceiling 20 in the unit
+        (lambda: _sqrt_minus(30.0), 25.0 * big, big),  # its bound is above the ceiling
+        (lambda: _sqrt_minus(20.0 * (1 - 1e-13)), big, big),  # certified at the ceiling
+        (lambda: _sqrt_minus(1.0), 0.5 * big, big),  # lambda0 = -kappa0**2 overflows
+        (_after(3, lambda: _one_minus(math.pi), (math.nan, 1.0)), 0.5, 1.0),
+        (_after(2, lambda: _one_minus(math.pi), (-1.0, 0.0)), 0.5, 1.0),
+        (_after(4, lambda: _one_minus(math.pi), (-1.0, -2.0)), 0.5, 1.0),
+        (_after(2, lambda: _one_minus(math.pi), (-math.inf, 1.0)), 0.5, 1.0),
+        # each step adds 1e-6 to s, far above tol: MAX_STEPS values, no root
+        (lambda: lambda kappa: (-1.0, 1e6), 1.0, 1.0),
+    ]
+    ceiling, tol = 20.0 * big, 1e-12
+    walks = [make() for make, _, _ in members]
     rounds = []
 
-    def f(members, kappas):
-        rounds.append(list(members))
-        values = [makes[i](k) for i, k in zip(members, kappas)]
-        return [mu for mu, _ in values], [slope for _, slope in values]
+    def f(pending, kappas):
+        rounds.append(pending.tolist())
+        values = [walks[i](k) for i, k in zip(pending.tolist(), kappas.tolist())]
+        return np.array([mu for mu, _ in values]), np.array([slope for _, slope in values])
 
-    got = increasing_roots(f, los, 1e-12, KeyError, units=[1.0] * 4, ceiling=20.0)
-    assert isinstance(got[3], KeyError) and "ceiling" in str(got[3])
-    for i in range(3):
-        assert got[i] == increasing_root(makes[i], los[i], 1e-12, KeyError, ceiling=20.0)
-    assert rounds[0] == [0, 1, 2, 3] and 3 not in rounds[-1]
+    got = increasing_roots(f, np.array([lo for _, lo, _ in members]), tol, KeyError,
+                           units=np.array([u for _, _, u in members]), ceiling=ceiling)
+    kinds, ends = set(), ("ceiling", "not finite", "no root after", "overflows")
+    for (make, lo, u), outcome in zip(members, got):
+        try:
+            solo = increasing_root(make(), lo, tol, KeyError, unit=u, ceiling=ceiling)
+        except KeyError as exc:
+            solo = exc
+        if isinstance(solo, tuple):
+            assert [type(x) for x in outcome] == [float] * 3
+            assert [x.hex() for x in outcome] == [x.hex() for x in solo]
+            kinds.add("root")
+        else:
+            assert type(outcome) is KeyError and str(outcome) == str(solo)
+            assert "np.float64(" not in str(outcome)
+            kinds.add(next(end for end in ends if end in str(solo)))
+    assert kinds == {"root", *ends}
+    assert len(rounds) == rootscan.MAX_STEPS and rounds[-1] == [len(members) - 1]
+    assert len({len(r) for r in rounds}) > 4  # members left in several rounds
+    # a batch of one walks newton_steps; a bad tol is refused at once
+    assert increasing_roots(f, np.array([1.0]), tol, KeyError, units=np.ones(1)) == [
+        increasing_root(_sqrt_minus(2.0), 1.0, tol, KeyError)]
+    for los in (np.ones(1), np.ones(2)):
+        with pytest.raises(ValueError, match="tol"):
+            increasing_roots(f, los, 0.0, KeyError, units=np.ones(len(los)))
 
 
 def test_removed_scan_names_raise():

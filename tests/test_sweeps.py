@@ -1,5 +1,7 @@
 """Sweep grid and critical-coupling tests."""
 
+import dataclasses
+import itertools
 import math
 import tracemalloc
 
@@ -7,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import ALPHA_CRIT, single_vertex_graph, star_graph
-from qgbind import secular
+from qgbind import secular, sweeps
 from qgbind import (
     CritError,
     SolverOptions,
@@ -99,36 +101,55 @@ def _direct(graph, targets, values, options):
         return exc
 
 
-@pytest.mark.parametrize("specs,options", [
-    ([("vertex:c", -2.6, -2.0, 3), ("edge:axial", 0.5, 2.5, 4)], None),
+@pytest.mark.parametrize("graph,specs,options,kinds", [
+    (star_graph(-2.5), [("vertex:c", -2.6, -2.0, 3), ("edge:axial", 0.5, 2.5, 4)], None,
+     {"ok"}),
     # arm1 shorter than 1e-3 / kappa at some points: members in different
     # elimination groups, and one without any
-    ([("edge:arm1", 1e-6, 0.5, 6)], None),
+    (star_graph(-2.5), [("edge:arm1", 1e-6, 0.5, 6)], None, {"ok"}),
     # the stronger centers bind above kappa_max
-    ([("vertex:c", -4.0, -0.5, 8)], SolverOptions(kappa_max=2.03)),
+    (star_graph(-2.5), [("vertex:c", -4.0, -0.5, 8)], SolverOptions(kappa_max=2.03),
+     {"ok", "NoBoundState"}),
     # the short axial edges solve in the unit 1 and the long ones in 1/16
     # (rootscan.unit); the ceiling cuts the strongest q in both
-    ([("vertex:q", -8.0, -1.0, 4), ("edge:axial", 0.2, 60.0, 3)], SolverOptions(kappa_max=4.0)),
-], ids=["grid", "short-edge", "kappa-max", "units"])
-def test_batched_sweep_matches_direct_solves(specs, options):
-    # a sweep solves its grid as one batch; each point is its direct solve,
-    # bit for bit, or fails as it does
-    g = star_graph(-2.5)
-    specs = [SweepSpec(SweepTarget.parse(t), lo, hi, n) for t, lo, hi, n in specs]
-    rows = run_sweep(g, specs, options)
-    statuses = set()
-    for row in rows:
-        direct = _direct(g, [s.target for s in specs], row.values, options)
+    (star_graph(-2.5), [("vertex:q", -8.0, -1.0, 4), ("edge:axial", 0.2, 60.0, 3)],
+     SolverOptions(kappa_max=4.0), {"ok", "NoBoundState"}),
+    # one vertex with two leads, every way a member ends in one batch: the
+    # start bound at -1e308 overflows to inf and fits no unit, kappa_max cuts
+    # -3e300, lambda0 overflows at -1e300, 0.5 breaks the alpha rule and
+    # -1e-320 is the weak end
+    (single_vertex_graph(-2.0, 2), [("vertex:v", (-1e308, -3e300, -1e300, -2.0, 0.5, -1e-320))],
+     SolverOptions(kappa_max=1e300), {"ok", "NoBoundState", "InvalidGraphError"}),
+], ids=["grid", "short-edge", "kappa-max", "units", "ends"])
+def test_batched_sweep_matches_direct_solves(graph, specs, options, kinds):
+    # a sweep solves its grid as one batch (secular._ground_states); each
+    # point is its direct solve, bit for bit, or raises as it does, with the
+    # same message
+    targets = [SweepTarget.parse(spec[0]) for spec in specs]
+    axes = [spec[1] if len(spec) == 2 else SweepSpec(target, *spec[1:]).values()
+            for target, spec in zip(targets, specs)]
+    points = [tuple(float(x) for x in p) for p in itertools.product(*axes)]
+    batch = secular._ground_states(graph, *sweeps._family(graph, targets, np.array(points)),
+                                   options)
+    seen = set()
+    for values, state in zip(points, batch):
+        direct = _direct(graph, targets, values, options)
         if isinstance(direct, Exception):
-            assert row.status == f"error:{type(direct).__name__}"
-            assert (row.kappa0, row.lambda0, row.indices) == (None, None, ())
+            assert (type(state), str(state)) == (type(direct), str(direct))
+            seen.add(type(direct).__name__)
         else:
-            assert row.status == "ok"
-            assert (row.kappa0, row.lambda0, row.indices) == (
-                direct.kappa0, direct.lambda0, direct.indices)
-        statuses.add(row.status)
-    assert "ok" in statuses
-    assert len(statuses) == (2 if options else 1)
+            assert (state.kappa0, state.indices) == (direct.kappa0, direct.indices)
+            assert tuple(state[5:]) == dataclasses.astuple(direct.diagnostics)[:6]
+            seen.add("ok")
+    assert seen == kinds
+    if all(len(spec) == 4 for spec in specs):  # run_sweep reports that batch
+        rows = run_sweep(graph, [SweepSpec(t, *spec[1:]) for t, spec in zip(targets, specs)],
+                         options)
+        assert [row.status for row in rows] == [
+            f"error:{type(state).__name__}" if isinstance(state, Exception) else "ok"
+            for state in batch]
+        assert [row.kappa0 for row in rows] == [
+            None if isinstance(state, Exception) else state.kappa0 for state in batch]
 
 
 def test_a_point_the_eigensolver_fails_on_fails_alone(monkeypatch):

@@ -20,9 +20,13 @@ solve the same inputs:
   2**530, 2**600, 2**1000, 2**-600 and 2**-900, and single cases near the
   ends of the double range on both routes;
 - the CLI: the criterion-03 50 x 50 sweep CSV, README's examples, ``crit
-  --json``, ``compare --json`` and the extreme cases, as exit code, sha256
-  of stdout and, for a nonzero exit, stderr (a sweep's stderr holds
-  timings); and the sha256 of the files ``save_graph`` writes.
+  --json``, ``compare --json`` and the extreme cases, and the batch paths:
+  a sweep cut by ``--kappa-max``, a sweep across the ends of the double
+  range, ``sweep --tol-kappa``, ``groundstate --kappa-max`` (solved and
+  cut), ``groundstate --tol-kappa``, ``crit --window`` and ``line --json``;
+  each as exit code, sha256 of stdout and, for a nonzero exit, stderr (a
+  sweep's stderr holds timings); and the sha256 of the files ``save_graph``
+  writes.
 
 A solve is kept as the ``float.hex`` of kappa0, lambda0, every p, q and c
 (graph) or weight (kernel) and every ``Diagnostics`` field, with the index
@@ -214,6 +218,19 @@ def corpus() -> dict:
             "strong-line": ["line", "--sites", "0", "--alphas", "-1e300"],
             "strong-sweep": ["sweep", delta, "--target", "vertex:v", "--range", "-1e300",
                              "-1e299", "--steps", "3"],
+            "ends-sweep": ["sweep", delta, "--target", "vertex:v", "--range", "-1e308",
+                           "-1e-320", "--steps", "3"],
+            "sweep-kappa-max": ["sweep", star, "--target", "vertex:c", "--range", "-6", "-0.2",
+                                "--steps", "6", "--target", "edge:axial", "--range", "0.25",
+                                "3", "--steps", "3", "--kappa-max", "2.3"],
+            "sweep-tol-kappa": ["sweep", star, "--target", "edge:axial", "--range", "0.5", "3",
+                                "--steps", "50", "--tol-kappa", "1e-6"],
+            "groundstate-kappa-max": ["groundstate", star, "--kappa-max", "2.5", "--json"],
+            "groundstate-kappa-max-cut": ["groundstate", star, "--kappa-max", "1.5"],
+            "groundstate-tol-kappa": ["groundstate", star, "--tol-kappa", "1e-6", "--json"],
+            "crit-window": ["crit", star, "--axial-edge", "axial", "--window", "0.3", "2.5",
+                            "--json"],
+            "line-json": ["line", "--sites", "0", "1", "--alphas", "-2", "-2", "--json"],
         }.items():
             cases[f"cli/{name}"] = _cli_case(cli, argv)
     return cases
