@@ -1,10 +1,10 @@
 """Root finding in one variable, shared by the graph route and the kernel
-route: Newton's method in s = kappa**2 (:func:`newton_steps`) from a proven
-lower bound (:func:`constant_trial_bound`), driven for one root
-(:func:`increasing_root`) or for a batch as array steps
-(:func:`increasing_roots`), each member in its own :func:`unit`.  The bound,
-the unit and :func:`fits` take a number or an array with one entry (or row)
-per member."""
+route: Newton's method in s = kappa**2 from a proven lower bound
+(:func:`constant_trial_bound`) in the solve's :func:`unit`, a loop for one
+root (:func:`increasing_root`) and array steps for a batch
+(:func:`increasing_roots`), which share :func:`_end`, the end of a walk.
+The bound, the unit and :func:`fits` take a number or an array with one
+entry (or row) per member."""
 
 from __future__ import annotations
 
@@ -35,8 +35,15 @@ def constant_trial_bound(length, leads: int, sum_alpha):
     ``length``, ``leads`` half-lines and vertex strengths summing to
     ``sum_alpha`` < 0.  The constant trial function gives 1^T M 1 <= that
     quadratic (2 tanh(x/2) <= x), so mu0 <= 0 there; a single vertex with no
-    finite edge gives exactly -sum_alpha / leads."""
-    return -2.0 * sum_alpha / (leads + np.sqrt(leads * leads - 4.0 * length * sum_alpha))
+    finite edge gives exactly -sum_alpha / leads.  With no leads, length and
+    sum_alpha are scaled into [0.5, 2) by powers of 4 and the root back, so
+    that 4 length sum_alpha cannot underflow; the bits stay those of the
+    unscaled formula wherever its values are normal."""
+    if leads:
+        return -2.0 * sum_alpha / (leads + np.sqrt(leads * leads - 4.0 * length * sum_alpha))
+    (l, i), (a, k) = np.frexp(length), np.frexp(sum_alpha)
+    l, a = np.ldexp(l, i % 2), np.ldexp(a, k % 2)
+    return np.ldexp(-2.0 * a / np.sqrt(-4.0 * l * a), k // 2 - i // 2)
 
 
 def unit(lo, shortest=math.inf):
@@ -62,8 +69,8 @@ def fits(lo_scaled, scaled):
     ``scaled`` lengths, distances and couplings in the unit (the last axis)
     are finite and zero or normal, so that every scaling is exact."""
     tiny, huge = sys.float_info.min, sys.float_info.max
-    size = np.abs(scaled)
-    return (lo_scaled * lo_scaled >= tiny) & np.logical_and.reduce(
+    square, size = lo_scaled * lo_scaled, np.abs(scaled)
+    return (square >= tiny) & (square <= huge) & np.logical_and.reduce(
         (size <= huge) & ((size >= tiny) | (size == 0.0)), -1)
 
 
@@ -81,63 +88,21 @@ def _tolerance(tol: float) -> float:
     return max(tol, sys.float_info.epsilon)
 
 
-def _certified(root: float, below: float, hi: float, unit: float, error: type[Exception]):
-    """(root, below, hi) in the caller's units, or ``error`` when the square
-    of the root overflows."""
+def _end(error, unit, kappa, mu, ok, new, below, certifying, root) -> tuple[float, float, float]:
+    """The outcome of the round at ``kappa`` that ends a walk, in the caller's
+    units: ``error`` when the value or the step is not ``ok``; else (max(root,
+    new), below, kappa) when kappa certifies ``root`` (mu0 >= 0 there), or
+    (max(kappa, new), kappa, kappa) at mu0 == 0; ``error`` if its square overflows."""
+    if not ok:
+        raise error(_NOT_FINITE.format(kappa * unit))
+    if certifying and mu >= 0.0:
+        root, hi = max(root, new), kappa
+    else:  # mu0 == 0: kappa is the root, and so is new but for rounding
+        root, below, hi = max(kappa, new), kappa, kappa
     root *= unit
     if not math.isfinite(root * root):
         raise error(_OVERFLOW.format(root))
     return root, below * unit, hi * unit
-
-
-def newton_steps(lo: float, tol: float, error: type[Exception], *, unit: float = 1.0,
-                 ceiling: float = math.inf):
-    """Newton's method in s = kappa**2 for the one root of mu0, one step at a
-    time: a generator that yields each kappa / ``unit``, is sent (mu0,
-    dmu0/ds) there and returns (root, lo, hi), mu0(lo) <= 0 <= mu0(hi), in
-    the caller's units, as are ``lo``, ``ceiling`` and the messages.
-
-    mu0 must be increasing and concave in s.  The tangent of a concave
-    function lies above it, so a Newton step in s from a point with mu0 <= 0
-    lands at or below the root: from ``lo``, a proven lower bound, every
-    iterate is a lower bound too, and none goes below ``lo`` (rounding can
-    make mu0 slightly positive there).  mu0 == 0 at an iterate returns it
-    unchanged.  Convergence is quadratic, so once a step is at most
-    sqrt(tol) * kappa the new iterate is within about tol of the root: mu0
-    >= 0 at hi = kappa (1 + 2 tol), never past ``ceiling``, certifies it;
-    otherwise hi is a lower bound and the iteration goes on.  The Newton step
-    down from hi is a lower bound too; the larger one is returned, within 2
-    tol of the root.  A tol below eps counts as eps, so that hi lies above
-    kappa.  An iterate above ``ceiling``, a value or step that is not finite,
-    a slope that is not positive, MAX_STEPS values without convergence and a
-    root whose square overflows raise ``error``; :func:`fits` must hold.
-    """
-    tol = _tolerance(tol)
-    floor = below = kappa = lo / unit
-    top = ceiling / unit
-    root = None  # the converged iterate while kappa is its certificate point
-    for _ in range(MAX_STEPS):
-        if kappa > top:
-            raise error(_CEILING.format(ceiling, kappa * unit))
-        mu, slope = yield kappa
-        s = kappa * kappa - mu / slope if slope > 0.0 else math.nan
-        if not math.isfinite(s):
-            raise error(_NOT_FINITE.format(kappa * unit))
-        new = math.sqrt(max(s, floor * floor))
-        if root is not None and mu >= 0.0:
-            break
-        if mu == 0.0:
-            root = below = kappa  # and new == kappa
-            break
-        if mu < 0.0:
-            below = kappa
-        if abs(new - kappa) <= math.sqrt(tol) * new and new <= top:
-            root, kappa = new, min(new * (1.0 + 2.0 * tol), top)
-        else:
-            root, kappa = None, new
-    else:
-        raise error(_NO_ROOT.format(lo))
-    return _certified(max(root, new), below, kappa, unit, error)
 
 
 def increasing_root(
@@ -149,15 +114,40 @@ def increasing_root(
     unit: float = 1.0,
     ceiling: float = math.inf,
 ) -> tuple[float, float, float]:
-    """The one root of mu0 by :func:`newton_steps`, as (root, lo, hi); ``f(kappa)``
-    returns mu0 and its slope dmu0/ds in s = kappa**2, in the ``unit``."""
-    steps = newton_steps(lo, tol, error, unit=unit, ceiling=ceiling)
-    try:
-        kappa = next(steps)
-        while True:
-            kappa = steps.send(f(kappa))
-    except StopIteration as done:
-        return done.value
+    """The one root of mu0 by Newton's method in s = kappa**2, as (root, lo,
+    hi), mu0(lo) <= 0 <= mu0(hi): ``f(kappa)`` returns mu0 and its slope
+    dmu0/ds at kappa / ``unit``; ``lo``, ``ceiling``, the outcome and the
+    messages are in the caller's units.
+
+    mu0 must be increasing and concave in s.  The tangent of a concave
+    function lies above it, so a Newton step in s from a point with mu0 <= 0
+    lands at or below the root: from ``lo``, a proven lower bound, every
+    iterate is a lower bound too, and none goes below ``lo`` (rounding can
+    make mu0 slightly positive there).  Convergence is quadratic, so once a
+    step is at most sqrt(tol) * kappa the new iterate is within about tol of
+    the root: mu0 >= 0 at hi = kappa (1 + 2 tol), never past ``ceiling``,
+    certifies it; otherwise hi is a lower bound and the walk goes on.  The
+    step down from hi is a lower bound too; the larger one is returned,
+    within 2 tol (at least eps) of the root.  An iterate above ``ceiling``
+    and MAX_STEPS values without a root raise ``error``, as :func:`_end` can.
+    """
+    tol = _tolerance(tol)
+    floor = below = root = kappa = lo / unit
+    top, grow, close = ceiling / unit, 1.0 + 2.0 * tol, math.sqrt(tol)
+    certifying = False  # whether kappa is the certificate point of root
+    for _ in range(MAX_STEPS):
+        if kappa > top:
+            raise error(_CEILING.format(ceiling, kappa * unit))
+        mu, slope = f(kappa)
+        s = kappa * kappa - mu / slope if slope > 0.0 else math.nan
+        ok, new = math.isfinite(s), math.sqrt(max(s, floor * floor))
+        if mu < 0.0:
+            below = kappa
+        if not ok or mu == 0.0 or (certifying and mu >= 0.0):
+            return _end(error, unit, kappa, mu, ok, new, below, certifying, root)
+        certifying = abs(new - kappa) <= close * new and new <= top
+        root, kappa = new, min(new * grow, top) if certifying else new
+    raise error(_NO_ROOT.format(lo))
 
 
 def increasing_roots(
@@ -176,14 +166,11 @@ def increasing_roots(
     member raised while the others go on: the one :func:`increasing_root`
     gives that member alone, bit for bit.
 
-    A batch of one walks :func:`newton_steps`, as the kernel route does.  A
-    larger batch takes one array step per round over its pending members,
-    with the arithmetic, the order of the checks and the messages of
-    :func:`newton_steps`: the ends of a walk (a value or step that is not
-    finite, a slope that is not positive, mu0 == 0, a certificate, the
-    ceiling) are found with one test a round, and a member whose walk ends
-    leaves the arrays.  Both run under ``np.errstate(all="ignore")``, ``f``
-    too: a value that overflows or is NaN ends its member's walk.
+    A batch of one walks :func:`increasing_root`, as the kernel route does; a
+    larger batch takes its arithmetic and checks, in its order, as one array
+    step per round over the pending members, and ends a member by
+    :func:`_end`.  Both run under ``np.errstate(all="ignore")``, ``f`` too:
+    a value that overflows or is NaN ends its member's walk.
     """
     with np.errstate(all="ignore"):
         if len(los) != 1:
@@ -202,58 +189,44 @@ def increasing_roots(
 
 def _lockstep(f, los, tol, error, units, ceiling) -> list:
     """The array steps of :func:`increasing_roots`, tol at least eps: the
-    state of the pending members in arrays, and the members whose walk ends
-    in a round taken one by one, in the order of :func:`newton_steps`."""
-    grow, close_step = 1.0 + 2.0 * tol, math.sqrt(tol)
-    out: list = [None] * len(los)
-    members, units = np.arange(len(los)), np.asarray(units, dtype=float)
-    kappa = np.asarray(los, dtype=float) / units
-    floor2, top = kappa * kappa, ceiling / units
-    if ceiling < math.inf and np.count_nonzero(kappa > top):  # before the first value
-        for m in np.flatnonzero(kappa > top).tolist():
-            out[m] = error(_CEILING.format(ceiling, float(kappa[m] * units[m])))
-        members, floor2, top, units, kappa = (
-            x[kappa <= top] for x in (members, floor2, top, units, kappa))
-    root, below, certifying = kappa, kappa.copy(), np.zeros(len(members), dtype=bool)
-    zero = np.zeros(len(members))  # compared with arrays, not with a Python float
-    for step in range(MAX_STEPS):
+    pending members' state in arrays, which the members whose walk ended in
+    a round (``done``, ``ended`` of them) leave at the top of the next."""
+    out, grow, close = [None] * len(los), 1.0 + 2.0 * tol, math.sqrt(tol)
+    members, kappa = np.arange(len(los)), los / units
+    floor2, top, root, below = kappa * kappa, ceiling / units, kappa, kappa.copy()
+    done = certifying = np.zeros(len(members), dtype=bool)
+    ended = 0
+    for _ in range(MAX_STEPS):
+        if ceiling < math.inf and np.count_nonzero(over := kappa > top):
+            over &= ~done
+            for m, k, u in zip(members[over].tolist(), kappa[over].tolist(), units[over].tolist()):
+                out[m] = error(_CEILING.format(ceiling, k * u))
+            done, ended = done | over, 1
+        if ended:
+            keep = ~done
+            members, kappa, root, below, floor2, top, units, certifying = (
+                x[keep] for x in (members, kappa, root, below, floor2, top, units, certifying))
         if not len(members):
-            break
+            return out
         mu, slope = f(members, kappa)
         s = kappa * kappa - mu / slope
-        new = np.sqrt(np.maximum(s, floor2))
-        np.copyto(below, kappa, where=mu < zero)
-        close = np.abs(new - kappa) <= close_step * new
-        ok = (slope > zero) & np.isfinite(s)
-        stop = ~ok | (mu == zero) | (certifying & (mu >= zero))
-        if ceiling < math.inf and step < MAX_STEPS - 1:  # the next iterate passes it
-            stop |= new > top
-        if np.count_nonzero(stop):
-            rows = np.array((kappa, below, root, new, units, mu, ok, certifying,
-                             close, floor2, top))
-            ends = np.flatnonzero(stop)
-            for m, (k, b, r, n, u, mu_j, ok_j, certifying_j) in zip(
-                    members[ends].tolist(), rows[:8, ends].T.tolist()):
+        ok, new = (slope > 0.0) & np.isfinite(s), np.sqrt(np.maximum(s, floor2))
+        np.copyto(below, kappa, where=mu < 0.0)
+        done = ~ok | (mu == 0.0) | (certifying & (mu >= 0.0))
+        if ended := np.count_nonzero(done):
+            for m, *state in zip(*(x[done].tolist() for x in (
+                    members, units, kappa, mu, ok, new, below, certifying, root))):
                 try:
-                    if not ok_j:
-                        raise error(_NOT_FINITE.format(k * u))
-                    if certifying_j and mu_j >= 0.0:
-                        out[m] = _certified(max(r, n), b, k, u, error)
-                    elif mu_j == 0.0:
-                        out[m] = _certified(max(k, n), k, k, u, error)
-                    else:
-                        raise error(_CEILING.format(ceiling, n * u))
+                    out[m] = _end(error, *state)
                 except error as exc:
                     out[m] = exc
-            keep = ~stop
-            members, zero = members[keep], zero[keep]
-            kappa, below, _, new, units, _, _, _, close, floor2, top = rows[:, keep]
-            close = close != zero
-        kappa = np.where(close, new * grow, new)
-        if ceiling < math.inf:  # new <= top for every member that goes on
-            kappa = np.minimum(kappa, top)
-        root, certifying = new, close
-    else:
-        for m in members.tolist():
-            out[m] = error(_NO_ROOT.format(float(los[m])))
+        certifying = np.abs(new - kappa) <= close * new
+        if ceiling < math.inf:
+            certifying &= new <= top
+            kappa = np.where(certifying, np.minimum(new * grow, top), new)
+        else:
+            kappa = np.where(certifying, new * grow, new)
+        root = new
+    for m in members[~done].tolist():
+        out[m] = error(_NO_ROOT.format(float(los[m])))
     return out

@@ -614,9 +614,11 @@ def _ground_states(graph: MetricGraph, alphas: np.ndarray, lengths: np.ndarray,
         scaled = np.concatenate((alphas / sigma[:, None], lengths * sigma[:, None]), axis=1)
         # a member that breaks an alpha or length rule is not plain: a value
         # that is not finite, or no alpha < 0, spoils lo and so the fit; an
-        # alpha > 0 fails the sign; a length <= 0 looks short.  The members
-        # that are not plain are sorted out one by one below.
-        fit = fits(lo / sigma, scaled) & (np.maximum.reduce(alphas, 1) <= 0.0)
+        # alpha > 0 fails the sign; a length <= 0 looks short.  Some alpha
+        # must stay < 0 in the unit too.  The members that are not plain are
+        # sorted out one by one below.
+        fit = (fits(lo / sigma, scaled) & (np.maximum.reduce(alphas, 1) <= 0.0)
+               & (np.minimum.reduce(scaled[:, :n], 1) < 0.0))
         plain = fit & (lo * shortest >= _SHORT_KL)  # no short edge to eliminate
     topo = _Topology(graph, len(alphas))
     groups: dict = {}  # cluster roots (None without clusters) -> (roots, order, members)
@@ -686,7 +688,7 @@ def find_ground_state(graph: MetricGraph, options: SolverOptions | None = None) 
     M'(kappa) is positive definite, so mu0 increases and has exactly one
     root, and M_uv <= 0 makes its vector f positive (Perron-Frobenius).
     f^T M f is a minimum of functions affine in s = kappa**2, so mu0 is
-    concave in s: :func:`rootscan.newton_steps` runs Newton's method in s
+    concave in s: :func:`rootscan.increasing_root` runs Newton's method in s
     with the Hellmann-Feynman slope ||psi||**2 / ||f||**2, psi the state
     with vertex values f, from :func:`rootscan.constant_trial_bound` lo,
     where mu0 <= 0, in the unit of lo (see :func:`_ground_states` and

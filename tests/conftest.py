@@ -43,6 +43,14 @@ def robin_interval(alpha_left: float, alpha_right: float, length: float) -> Metr
     )
 
 
+def parallel_pair(alpha: float, length: float) -> MetricGraph:
+    """Two vertices at ``alpha`` joined by two edges of ``length``, no leads."""
+    return MetricGraph(
+        (VertexSpec("a", alpha), VertexSpec("b", alpha)),
+        (FiniteEdge("e1", "a", "b", length), FiniteEdge("e2", "a", "b", length)),
+    )
+
+
 def star_graph(
     alpha_center: float,
     L2: float = 1.0,

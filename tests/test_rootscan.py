@@ -116,8 +116,28 @@ def test_fits_needs_normal_values_and_a_normal_square():
     assert rootscan.fits(2.0 ** -511, [])
     assert not rootscan.fits(2.0 ** -512, [])  # its square is subnormal
     assert not rootscan.fits(0.0, [])
+    assert not rootscan.fits(2.0 ** 512, []) and not rootscan.fits(math.inf, [])
     for bad in (tiny / 2, -5e-324, math.inf, -math.inf):
         assert not rootscan.fits(1.0, [1.0, bad])
+
+
+def test_the_start_bound_without_leads_keeps_its_bits_and_does_not_underflow():
+    # sqrt(-sum_alpha / length) from both scaled by powers of 4: the bits of
+    # the unscaled formula wherever its product and root are normal
+    rng = np.random.default_rng(38)
+    length = 10.0 ** rng.uniform(-150, 150, 2000) * rng.uniform(1, 2, 2000)
+    sum_alpha = -(10.0 ** rng.uniform(-150, 150, 2000)) * rng.uniform(1, 2, 2000)
+    plain = -2.0 * sum_alpha / np.sqrt(-4.0 * length * sum_alpha)
+    assert np.array_equal(rootscan.constant_trial_bound(length, 0, sum_alpha), plain)
+    assert rootscan.constant_trial_bound(1.5, 0, -6.0) == plain.dtype.type(2.0)
+    # a subnormal sum or a product near the top of the range: scaling the
+    # length alone would round the first two and overflow the third
+    for length, total in ((1e12, -1e-320), (3e15, -7e-318), (0.3, -5e307)):
+        expected = -2.0 * total / math.sqrt(-4.0 * length * total)
+        assert rootscan.constant_trial_bound(length, 0, total) == expected
+    # 4 * 1e-200 * -2e-200 underflows, the bound does not
+    assert rootscan.constant_trial_bound(2e-200, 0, -2e-200) == 1.0
+    assert rootscan.constant_trial_bound(1e-300, 0, -1e300) == 1e300
 
 
 def test_newton_runs_in_its_unit():
@@ -154,6 +174,15 @@ def test_exact_grid_zero_collapses_bracket():
     calls = []
     assert increasing_root(_linear(2.0, calls), 1.0, 1e-12, RuntimeError) == (2.0, 2.0, 2.0)
     assert calls == [1.0, 2.0]
+
+
+def test_a_zero_at_the_certificate_point_certifies():
+    # mu0 == 0 at the certificate point certifies the root below it, as mu0 > 0
+    # does: the bracket keeps its lower end
+    calls = []
+    root, lo, hi = increasing_root(_sqrt_minus(2.0, calls), 1.0, 1e-6, RuntimeError)
+    zero = _after(len(calls), lambda: _sqrt_minus(2.0), (0.0, 1.0))()
+    assert lo < hi and increasing_root(zero, 1.0, 1e-6, RuntimeError) == (hi, lo, hi)
 
 
 def test_at_top_flag_when_root_above_ceiling():
@@ -225,6 +254,14 @@ def test_lockstep_members_match_their_solo_walks():
         (lambda: lambda kappa: (-1.0, 1e6), 1.0, 1.0),
     ]
     ceiling, tol = 20.0 * big, 1e-12
+    # the same slow walk from 1 in a unit that puts the ceiling just past its
+    # last iterate (no root after MAX_STEPS values: the next iterate is never
+    # taken), and one that puts it between its last two: the ceiling
+    for k in (99.5, 98.5):  # iterate k is sqrt(1 + k 1e-6)
+        u = ceiling / math.sqrt(1.0 + k * 1e-6)
+        members.append((lambda: lambda kappa: (-1.0, 1e6), u, u))
+    # and the slow walk that ends at its last value, NaN
+    members.append((_after(100, lambda: lambda kappa: (-1.0, 1e6), (math.nan, 1.0)), 1.0, 1.0))
     walks = [make() for make, _, _ in members]
     rounds = []
 
@@ -250,9 +287,13 @@ def test_lockstep_members_match_their_solo_walks():
             assert "np.float64(" not in str(outcome)
             kinds.add(next(end for end in ends if end in str(solo)))
     assert kinds == {"root", *ends}
-    assert len(rounds) == rootscan.MAX_STEPS and rounds[-1] == [len(members) - 1]
+    for outcome, end in zip(got[-3:], ("no root after", "ceiling", "not finite")):
+        assert end in str(outcome)
+    slow = len(members) - 4  # the first slow walk
+    assert len(rounds) == rootscan.MAX_STEPS
+    assert rounds[-2:] == [[slow, slow + 1, slow + 2, slow + 3], [slow, slow + 1, slow + 3]]
     assert len({len(r) for r in rounds}) > 4  # members left in several rounds
-    # a batch of one walks newton_steps; a bad tol is refused at once
+    # a batch of one walks increasing_root; a bad tol is refused at once
     assert increasing_roots(f, np.array([1.0]), tol, KeyError, units=np.ones(1)) == [
         increasing_root(_sqrt_minus(2.0), 1.0, tol, KeyError)]
     for los in (np.ones(1), np.ones(2)):

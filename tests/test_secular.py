@@ -16,6 +16,7 @@ from scipy.optimize import brentq
 
 from conftest import (
     chain_graph,
+    parallel_pair,
     random_chain_graph,
     random_cyclic_graph,
     random_mixed_graph,
@@ -651,6 +652,35 @@ def test_far_scaling_partners_are_exact(power):
             with pytest.raises(NoBoundState, match=re.escape(
                     f"overflows: kappa0={gs.kappa0 / s!r} is too large")):
                 find_ground_state(scaled_graph(g, s))
+
+
+@pytest.mark.parametrize("graph, kappa0", [
+    # the constant state, kappa0 = 1: 4 L sum(alpha) underflows at 1e-200,
+    # while the start bound is 1
+    (parallel_pair(-1e-150, 1e-150), 1.0),
+    (parallel_pair(-1e-200, 1e-200), 1.0),
+    # one strong vertex: the other's alpha / sigma may underflow
+    (robin_interval(-1.0, -1e-300, 1e-300), 1e150),
+], ids=["pair-1e-150", "pair-1e-200", "interval-1e-300"])
+def test_a_compact_graph_at_a_small_scale_solves(graph, kappa0):
+    gs = find_ground_state(graph)
+    assert gs.kappa0 == kappa0 and gs.diagnostics.bracket[0] == kappa0
+
+
+_PATH = chain_graph([-1e307] * 10, [1e-11] * 9)
+
+
+@pytest.mark.parametrize("graph, lo", [
+    # every alpha / sigma underflows to 0 in the unit: alpha == 0 is no bound state
+    (parallel_pair(-1e-250, 1e-250), "1.0"),
+    (parallel_pair(-1e-300, 1e-300), "1.0"),
+    # the start bound overflows: ten vertices at -1e307 with one lead
+    (MetricGraph(_PATH.vertices, _PATH.finite_edges, _PATH.infinite_edges[:1]), "inf"),
+], ids=["pair-1e-250", "pair-1e-300", "path-1e307"])
+def test_what_fits_no_unit_is_refused_before_any_matrix(graph, lo):
+    with pytest.raises(NoBoundState, match=re.escape(
+            f"do not fit doubles in one unit (start bound kappa={lo})")):
+        find_ground_state(graph)
 
 
 def test_invalid_graph_refused():

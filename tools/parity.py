@@ -17,8 +17,12 @@ solve the same inputs:
   with ``kappa_max = 3``; chains of 40, 80 and 160 sites (seed 23);
 - kernel route: 300 line and loop configurations (seed 11);
 - the weak and strong ends: the first 60 graphs of seed 5 at 2**520,
-  2**530, 2**600, 2**1000, 2**-600 and 2**-900, and single cases near the
-  ends of the double range on both routes;
+  2**530, 2**600, 2**1000, 2**-600 and 2**-900, single cases near the
+  ends of the double range on both routes, and graphs whose start bound
+  underflows or overflows in its formula: two vertices at -1e-200 and at
+  -1e-250 joined by two edges of that length (no leads), a path of ten
+  vertices at -1e307 with edges of 1e-11 and one lead, and an edge of
+  1e-300 between -1 and -1e-300;
 - the CLI: the criterion-03 50 x 50 sweep CSV, README's examples, ``crit
   --json``, ``compare --json`` and the extreme cases, and the batch paths:
   a sweep cut by ``--kappa-max``, a sweep across the ends of the double
@@ -185,6 +189,13 @@ def corpus() -> dict:
     for alpha in (-1e-155, -1e-300):
         cases[f"extreme/loop1e10{alpha!r}"] = _kernel_case(
             qg, qg.LoopConfig(1e10, (0.0,), (alpha,)))
+    for scale in (1e-200, 1e-250):
+        cases[f"extreme/parallel-pair{scale!r}"] = _graph_case(
+            qg, gen.parallel_pair(-scale, scale))
+    path = gen.chain_graph([-1e307] * 10, [1e-11] * 9)
+    cases["extreme/path10-1e307"] = _graph_case(
+        qg, qg.MetricGraph(path.vertices, path.finite_edges, path.infinite_edges[:1]))
+    cases["extreme/interval-1-1e-300"] = _graph_case(qg, gen.robin_interval(-1.0, -1e-300, 1e-300))
 
     with tempfile.TemporaryDirectory() as tmp:
         star, delta, weak, strong = (os.path.join(tmp, f"{n}.json")
