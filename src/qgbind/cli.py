@@ -9,35 +9,17 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import re
 import sys
 
-from .graph import GraphFormatError, InvalidGraphError, load_graph
-from .line import (
-    LineConfig,
-    LoopConfig,
-    NoRoot,
-    as_chain_graph,
-    as_cycle_graph,
-    ground_state_line,
-)
-from .oracle import OracleError, compare
-from .secular import (
-    DegenerateRoot,
-    NoBoundState,
-    PositivityViolation,
-    SolverOptions,
-    find_ground_state,
-)
-from .sweeps import CritError, SweepSpec, SweepTarget, find_critical_coupling, run_sweep
+# most commands run these; each handler imports the rest of what it runs, so
+# a cold start loads only its own command's modules
+from .graph import load_graph
+from .secular import NumericalFailure, SolverOptions, find_ground_state
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERICS = 3
-
-_INPUT_ERRORS = (GraphFormatError, InvalidGraphError, ValueError)
-_NUMERIC_ERRORS = (NoBoundState, DegenerateRoot, PositivityViolation, NoRoot, CritError, OracleError)
 
 
 def _fmt(x: float) -> str:
@@ -201,6 +183,8 @@ def _sweep_csv(specs, points) -> str:
 
 
 def cmd_sweep(args) -> int:
+    from .sweeps import SweepSpec, SweepTarget, run_sweep
+
     graph = load_graph(args.graph)
     targets = [SweepTarget.parse(t) for t in args.target]
     if not (len(targets) == len(args.range) == len(args.steps)):
@@ -220,6 +204,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_crit(args) -> int:
+    from .sweeps import find_critical_coupling
+
     graph = load_graph(args.graph)
     res = find_critical_coupling(
         graph,
@@ -247,6 +233,8 @@ def cmd_crit(args) -> int:
 
 
 def cmd_line(args) -> int:
+    from .line import LineConfig, LoopConfig, as_chain_graph, as_cycle_graph, ground_state_line
+
     if len(args.sites) != len(args.alphas):
         raise ValueError("--sites and --alphas must have the same length")
     if args.loop is not None:
@@ -278,6 +266,8 @@ def cmd_line(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from .oracle import compare
+
     graph = load_graph(args.graph)
     gs = find_ground_state(graph, _solver_options(args))
     rep = compare(graph, gs, h=args.h, R=args.R)
@@ -318,10 +308,10 @@ def main(argv: list[str] | None = None) -> int:
     handler = _HANDLERS[args.command]
     try:
         return handler(args)
-    except _INPUT_ERRORS as exc:
+    except ValueError as exc:  # GraphFormatError and InvalidGraphError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except _NUMERIC_ERRORS as exc:
+    except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICS
 

@@ -27,13 +27,13 @@ import numpy as np
 
 from .graph import FiniteEdge, InfiniteEdge, MetricGraph, VertexSpec
 from .rootscan import OUT_OF_RANGE, constant_trial_bound, fits, increasing_root, unit
-from .secular import _eigh
+from .secular import NumericalFailure, _eigh
 # unused here (stubs that raise); perfbench/tracer.py wraps them until
 # ROADMAP item 1
 from .rootscan import brentq, probe_geometric, scan_down  # noqa: F401
 
 
-class NoRoot(RuntimeError):
+class NoRoot(NumericalFailure):
     """mu0 has no root in the searched range; for attractive configs this
     signals a numerics problem."""
 

@@ -17,17 +17,16 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .graph import MetricGraph, require_valid, vertex_incidences
-from .secular import GroundState
+from .secular import _MEMORY_BUDGET, GroundState, NumericalFailure
 
 # compare peaks at 150-170 bytes a mesh node and under 60 a pair of
-# vertices (tracemalloc), so a mesh at the node limit stays within this budget
-_MEMORY_BUDGET = 2e9
+# vertices (tracemalloc), so a mesh at the node limit stays within _MEMORY_BUDGET
 _BYTES_PER_NODE, _BYTES_PER_VERTEX_PAIR = 180.0, 64.0
 _MAX_ITERATIONS = 1000
 _EPS = float(np.finfo(float).eps)
 
 
-class OracleError(RuntimeError):
+class OracleError(NumericalFailure):
     """Discretization or eigensolve failure.
 
     ``solves`` and ``factors`` count the solves and factorizations a failed

@@ -50,6 +50,9 @@ _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 _EPSILON_IDX = 1e-9  # relative |a| - |b| below which an edge index is 0
 _SHORT_KL = 1e-3  # kappa l below which an edge's ends are eliminated (see _reduced)
+# bytes a sweep grid (sweeps.run_sweep) or a finite-element mesh
+# (oracle.discretize) may take; both refuse, before allocating, what would not fit
+_MEMORY_BUDGET = 2e9
 
 
 def _eigh(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -62,16 +65,21 @@ def _eigh(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return eigh_lo(S, signature="d->dd")
 
 
-class NoBoundState(RuntimeError):
+class NumericalFailure(RuntimeError):
+    """Base of every numerical failure the package raises; the command line
+    maps it to exit code 3."""
+
+
+class NoBoundState(NumericalFailure):
     """No negative-energy state was found; for admissible graphs this
     signals a numerics problem, not physics."""
 
 
-class DegenerateRoot(RuntimeError):
+class DegenerateRoot(NumericalFailure):
     """The numerical nullspace at the converged root is not one-dimensional."""
 
 
-class PositivityViolation(RuntimeError):
+class PositivityViolation(NumericalFailure):
     """The reconstructed state is not strictly positive (a wrong root, or
     a state that underflows)."""
 

@@ -19,10 +19,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .graph import MetricGraph, degree, parameters, require_valid
-from .oracle import _MEMORY_BUDGET
 # unused here; perfbench/tracer.py wraps it until ROADMAP item 1
 from .rootscan import brentq  # noqa: F401
-from .secular import SolverOptions, _ground_states, _reduced, _Topology
+from .secular import (
+    _MEMORY_BUDGET,
+    NumericalFailure,
+    SolverOptions,
+    _ground_states,
+    _reduced,
+    _Topology,
+)
 
 _FLAT_POINTS = 13  # axial lengths that find_critical_coupling solves at alpha_c
 # a sweep peaks at about 2 KB a point, plus 16-18 bytes a pair of vertices
@@ -31,7 +37,7 @@ _FLAT_POINTS = 13  # axial lengths that find_critical_coupling solves at alpha_c
 _BYTES_PER_POINT, _BYTES_PER_VERTEX_PAIR, _BYTES_PER_EDGE = 2400.0, 20.0, 256.0
 
 
-class CritError(RuntimeError):
+class CritError(NumericalFailure):
     """No center alpha in the bracket makes the energy flat in the axial
     length."""
 

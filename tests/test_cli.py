@@ -136,7 +136,7 @@ def test_non_finite_kappa_max_is_input_error(delta_file, kappa_max, capsys):
 
 
 def test_line_passes_tol_kappa_to_kernel_solver(monkeypatch, capsys):
-    import qgbind.cli as cli
+    import qgbind.line
 
     seen = []
 
@@ -144,7 +144,7 @@ def test_line_passes_tol_kappa_to_kernel_solver(monkeypatch, capsys):
         seen.append((type(config).__name__, tol_kappa))
         return qgbind.LineGroundState(1.0, -1.0, (1.0,))
 
-    monkeypatch.setattr(cli, "ground_state_line", fake)
+    monkeypatch.setattr(qgbind.line, "ground_state_line", fake)
     assert main(["line", "--sites", "0", "--alphas", "-2", "--tol-kappa", "1e-6"]) == 0
     assert main(["line", "--loop", "5", "--sites", "0", "--alphas", "-2",
                  "--tol-kappa", "1e-7"]) == 0
@@ -661,25 +661,36 @@ def heavy():
     roots = {m.split(".")[0] for m in sys.modules}
     return sorted(roots & {"scipy", "multiprocessing", "concurrent"})
 
+def ours():
+    return " ".join(sorted(m for m in sys.modules if m.split(".")[0] == "qgbind"))
+
 import qgbind
+print("package", ours())
 from qgbind.cli import build_parser, main
 print("import", heavy())
 with contextlib.redirect_stdout(io.StringIO()) as out:
     rc = main(["groundstate", sys.argv[1], "--json"])
 print("groundstate", rc, '"kappa0"' in out.getvalue(), heavy())
+print("loaded", ours())
 """
+
+# what a cold graph-route command loads: not the kernel route, the FE oracle
+# or the Rayleigh quotients
+_GRAPH_ROUTE = "qgbind qgbind.cli qgbind.graph qgbind.rootscan qgbind.secular"
 
 
 @pytest.mark.parametrize("fixture", ["delta_file", "star_file"])
 def test_cold_groundstate_loads_no_scipy_or_process_pool(fixture, request):
     # scipy loads on first use (kernel route, compare, rayleigh_quotient) and
-    # no command starts a process pool; the graph route needs numpy only
+    # no command starts a process pool; the graph route needs numpy only.
+    # `import qgbind` loads no submodule, and the command only what it runs
     proc = subprocess.run(
         [sys.executable, "-c", _COLD_START_PROBE, request.getfixturevalue(fixture)],
         capture_output=True, text=True, timeout=60, env=_checkout_env(),
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["import []", "groundstate 0 True []"]
+    assert proc.stdout.splitlines() == [
+        "package qgbind", "import []", "groundstate 0 True []", f"loaded {_GRAPH_ROUTE}"]
 
 
 _COLD_CRIT_PROBE = """
@@ -689,17 +700,19 @@ with contextlib.redirect_stdout(io.StringIO()) as out:
     rc = main(["crit", sys.argv[1], "--axial-edge", "axial", "--json"])
 roots = {m.split(".")[0] for m in sys.modules}
 print("crit", rc, '"alpha_crit"' in out.getvalue(), sorted(roots & {"scipy"}))
+print("loaded", " ".join(sorted(m for m in sys.modules if m.split(".")[0] == "qgbind")))
 """
 
 
 def test_cold_crit_loads_no_scipy(star_file):
-    # the closed-form critical coupling and the window solves need numpy only
+    # the closed-form critical coupling and the window solves need numpy
+    # only, and the graph route's modules plus sweeps
     proc = subprocess.run(
         [sys.executable, "-c", _COLD_CRIT_PROBE, star_file],
         capture_output=True, text=True, timeout=60, env=_checkout_env(),
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["crit 0 True []"]
+    assert proc.stdout.splitlines() == ["crit 0 True []", f"loaded {_GRAPH_ROUTE} qgbind.sweeps"]
 
 
 _COLD_COMPARE_PROBE = """

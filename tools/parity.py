@@ -28,9 +28,13 @@ solve the same inputs:
   a sweep cut by ``--kappa-max``, a sweep across the ends of the double
   range, ``sweep --tol-kappa``, ``groundstate --kappa-max`` (solved and
   cut), ``groundstate --tol-kappa``, ``crit --window`` and ``line --json``;
-  each as exit code, sha256 of stdout and, for a nonzero exit, stderr (a
-  sweep's stderr holds timings); and the sha256 of the files ``save_graph``
-  writes.
+  and one command per kind of failure: ``NoRoot`` (a site at -5e-324),
+  ``CritError`` (an alpha bracket of -3 .. -2.5), ``OracleError`` (a mesh
+  for kappa0 = 1e-4), ``DegenerateRoot`` (two wells at -2, 400 apart),
+  ``GraphFormatError`` (a truncated file) and ``ValueError`` (a sweep of
+  1e10 points); each as exit code, sha256 of stdout and, for a nonzero exit,
+  stderr (a sweep's stderr holds timings); and the sha256 of the files
+  ``save_graph`` writes.
 
 A solve is kept as the ``float.hex`` of kappa0, lambda0, every p, q and c
 (graph) or weight (kernel) and every ``Diagnostics`` field, with the index
@@ -198,12 +202,17 @@ def corpus() -> dict:
     cases["extreme/interval-1-1e-300"] = _graph_case(qg, gen.robin_interval(-1.0, -1e-300, 1e-300))
 
     with tempfile.TemporaryDirectory() as tmp:
-        star, delta, weak, strong = (os.path.join(tmp, f"{n}.json")
-                                     for n in ("star", "delta", "weak", "strong"))
+        star, delta, weak, strong, fine, wells, truncated = (
+            os.path.join(tmp, f"{n}.json")
+            for n in ("star", "delta", "weak", "strong", "fine", "wells", "truncated"))
         qg.save_graph(gen.star_graph(-1.0), star)
         qg.save_graph(gen.single_vertex_graph(-2.0, 2), delta)
         qg.save_graph(gen.single_vertex_graph(-9.57e-309, 2), weak)
         qg.save_graph(gen.single_vertex_graph(-1e300, 2), strong)
+        qg.save_graph(gen.single_vertex_graph(-2e-4, 2), fine)
+        qg.save_graph(gen.chain_graph([-2.0, -2.0], [400.0]), wells)
+        text = Path(star).read_text()
+        Path(truncated).write_text(text[:len(text) // 2])
         for i in range(3):
             path = os.path.join(tmp, f"saved-{i}.json")
             qg.save_graph(seed5[i], path)
@@ -242,8 +251,20 @@ def corpus() -> dict:
             "crit-window": ["crit", star, "--axial-edge", "axial", "--window", "0.3", "2.5",
                             "--json"],
             "line-json": ["line", "--sites", "0", "1", "--alphas", "-2", "-2", "--json"],
+            "line-no-root": ["line", "--sites", "0", "--alphas", "-5e-324"],
+            "crit-no-flat-alpha": ["crit", star, "--axial-edge", "axial", "--alpha-bracket",
+                                   "-3", "-2.5"],
+            "compare-mesh-too-large": ["compare", fine],
+            "groundstate-degenerate-wells": ["groundstate", wells],
+            "groundstate-truncated-file": ["groundstate", truncated],
+            "sweep-over-budget": ["sweep", star, "--target", "edge:axial", "--range", "0.5",
+                                  "3", "--steps", "100000", "--target", "vertex:c",
+                                  "--range", "-2", "-1", "--steps", "100000"],
         }.items():
-            cases[f"cli/{name}"] = _cli_case(cli, argv)
+            case = _cli_case(cli, argv)
+            # a refused file is named by its path, which differs from run to run
+            case["stderr"] = case["stderr"].replace(tmp, "<tmp>")
+            cases[f"cli/{name}"] = case
     return cases
 
 
