@@ -115,15 +115,20 @@ def increasing_root(
     ceiling: float = math.inf,
 ) -> tuple[float, float, float]:
     """The one root of mu0 by Newton's method in s = kappa**2, as (root, lo,
-    hi), mu0(lo) <= 0 <= mu0(hi): ``f(kappa)`` returns mu0 and its slope
-    dmu0/ds at kappa / ``unit``; ``lo``, ``ceiling``, the outcome and the
+    hi), mu0(lo) <= 0 <= mu0(hi): ``f(kappa)`` returns a value and its slope
+    d/ds at kappa / ``unit``; ``lo``, ``ceiling``, the outcome and the
     messages are in the caller's units.
 
-    mu0 must be increasing and concave in s.  The tangent of a concave
-    function lies above it, so a Newton step in s from a point with mu0 <= 0
-    lands at or below the root: from ``lo``, a proven lower bound, every
-    iterate is a lower bound too, and none goes below ``lo`` (rounding can
-    make mu0 slightly positive there).  Convergence is quadratic, so once a
+    mu0 must be increasing and concave in s.  The value is that of an upper
+    bound r >= mu0, concave and increasing in s (mu0 itself, or a Rayleigh
+    quotient of a fixed vector), and value and slope may both carry one
+    positive factor: the walk reads only the value's sign, which must be
+    that of mu0 (mu0 < 0, mu0 == 0, and mu0 >= 0 at the certificate point),
+    and value / slope.  The tangent of a concave function lies above it, so
+    a Newton step in s lands at or below the root of r, which lies at or
+    below the root of mu0: from ``lo``, a proven lower bound, every iterate
+    is a lower bound too, and none goes below ``lo`` (rounding can make mu0
+    slightly positive there).  Convergence is quadratic, so once a
     step is at most sqrt(tol) * kappa the new iterate is within about tol of
     the root: mu0 >= 0 at hi = kappa (1 + 2 tol), never past ``ceiling``,
     certifies it; otherwise hi is a lower bound and the walk goes on.  The
@@ -162,7 +167,7 @@ def increasing_roots(
     """The roots of a batch of mu0, one per lower bound in ``los`` and unit in
     ``units``: ``f(members, kappas)`` takes the positions of the pending
     members and their kappas / unit, as arrays, and returns arrays of their
-    values and slopes.  Each outcome is (root, lo, hi), or the ``error`` that
+    values and slopes, each member's as :func:`increasing_root` asks.  Each outcome is (root, lo, hi), or the ``error`` that
     member raised while the others go on: the one :func:`increasing_root`
     gives that member alone, bit for bit.
 

@@ -27,7 +27,7 @@ from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from numpy.linalg._umath_linalg import eigh_lo
+from numpy.linalg._umath_linalg import eigh_lo, solve1
 
 from .graph import (
     InvalidGraphError,
@@ -63,6 +63,13 @@ def _eigh(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     step or gap test refuses it; the other members are unaffected.  The gufunc
     flags that as an invalid value: callers hold np.errstate(invalid="ignore")."""
     return eigh_lo(S, signature="d->dd")
+
+
+def _solve(S: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """numpy.linalg.solve of a stack of systems S y = f, one vector f per
+    matrix, through its gufunc (see :func:`_eigh`).  An exactly singular
+    member comes back NaN, also flagged as an invalid value."""
+    return solve1(S, f, signature="dd->d")
 
 
 class NumericalFailure(RuntimeError):
@@ -584,6 +591,47 @@ def _sums(x: np.ndarray) -> np.ndarray:
     return np.add.accumulate(x, axis=1)[:, -1] if x.shape[1] else np.zeros(len(x))
 
 
+def _newton_round(topo: _Topology, S, f, kappa, lengths, E, den, kept, steps, roots):
+    """One Newton round of the graph route on S, the reduced M(kappa) of
+    :func:`_reduced`, members in rows, with E and den from
+    :meth:`_Topology.parts`: (value, slope, next), value and slope in s =
+    kappa**2 those of an upper bound of mu0 times one positive factor per
+    member (see :func:`rootscan.increasing_root`), and next >= 0 each
+    member's ``f`` for its next round; ``f`` is None in the first round.
+
+    y = S^-1 f has the Rayleigh quotient rho = y^T S y / y^T y = y^T f / y^T y
+    with the slope mass(y) / y^T y in s (:meth:`_Topology.profiles`).  For a
+    fixed y, y^T S(s) y is concave and increasing in s and at least mu0(s)
+    y^T y, so the Newton step on rho lands at or below kappa0**2 from any
+    kappa.  S is an irreducible Z-matrix and f >= 0, f != 0: y < 0 gives y^T
+    S y = y^T f < 0, so mu0 < 0; y > 0 with S y = f >= 0 makes S a
+    nonsingular M-matrix, so mu0 > 0 (Haynsworth carries both signs to M).
+    Near the root mu0 is by far the eigenvalue nearest 0, so y is the Perron
+    vector to working precision (inverse iteration) and rho is mu0 to second
+    order.  A y with both signs, or NaN (S singular), proves nothing: such a
+    member, like every member in its first round, takes mu0 and its
+    Hellmann-Feynman slope from eigh and keeps the absolute value of its
+    vector.  Otherwise u = y / sum(y) > 0 is kept, the value is u^T f /
+    sum(y) and the slope mass(u): rho and its slope times y^T y / sum(y)**2.
+    """
+    if f is None:
+        w, vecs = _eigh(S)
+        v = vecs[:, :, 0]
+        return w[:, 0], topo.profiles(kappa, lengths, E, den, v, kept, steps, roots)[3], np.abs(v)
+    u = _solve(S, f)
+    t = np.add.reduce(u, 1)
+    u /= t[:, None]
+    mu = np.add.reduce(u * f, 1)
+    mu /= t
+    if np.minimum.reduce(u, None, initial=math.inf) > 0.0:  # every y one-signed
+        return mu, topo.profiles(kappa, lengths, E, den, u, kept, steps, roots)[3], u
+    bad = ~(np.minimum.reduce(u, 1) > 0.0)  # both signs or NaN
+    w, vecs = _eigh(S[bad])
+    mu[bad], u[bad] = w[:, 0], vecs[:, :, 0]
+    slope = topo.profiles(kappa, lengths, E, den, u, kept, steps, roots)[3]
+    return mu, slope, np.abs(u, out=u)
+
+
 def _ground_states(graph: MetricGraph, alphas: np.ndarray, lengths: np.ndarray,
                    options: SolverOptions | None = None) -> list:
     """Ground states of a family of graphs with the layout of ``graph``: member
@@ -604,7 +652,10 @@ def _ground_states(graph: MetricGraph, alphas: np.ndarray, lengths: np.ndarray,
     :func:`rootscan.fits`.  Members that eliminate the same short-edge
     clusters form a group, and :func:`rootscan.increasing_roots` solves a
     group: each round builds the pending members' matrices with one
-    bincount, solves them with one stacked eigh and takes one array step.
+    bincount, solves them with one stacked linear solve (:func:`_newton_round`;
+    eigh in a member's first round and where the solve proves nothing) and
+    takes one array step.  Each member's vector for the next round is kept
+    per group, in its reduced order.
     """
     if not topology_ok(graph):  # every member fails as the graph does
         return [InvalidGraphError(validate(graph))] * len(alphas)
@@ -650,24 +701,33 @@ def _ground_states(graph: MetricGraph, alphas: np.ndarray, lengths: np.ndarray,
         units, rows = sigma[group], scaled[group]
         alphas, lengths = rows[:, :n], rows[:, n:]
         built = []  # the members of each matrix M(kappa) built
+        # each member's vector for its next round on the reduced M(kappa)
+        # (see _newton_round), NaN until such a round sets it
+        store = np.full((len(units), n - len(order)), math.nan)
 
-        def values(batch, kappa, order=order):
+        def values(batch, kappa):
+            first = not built
             built.append(batch)
             A, L = alphas, lengths
             if len(batch) < len(L):
                 A, L = A.take(batch, axis=0), L.take(batch, axis=0)
             a, W, E, den = topo.parts(kappa, A, L)
             S, kept, steps, alive = _reduced(a, W, order)
-            w, vecs = _eigh(S)
+            at, on = (batch, (kappa, L, E, den)) if alive is None else (
+                batch[alive], (x[alive] for x in (kappa, L, E, den)))
+            mu, slope, store[at] = _newton_round(topo, S, None if first else store.take(at, axis=0),
+                                                 *on, kept, steps, roots)
             if alive is None:
-                return w[:, 0], topo.profiles(kappa, L, E, den, vecs[:, :, 0], kept, steps,
-                                              roots)[3]
-            # a pivot <= 0 proves kappa < kappa0: step on M itself
+                return mu, slope
+            # a pivot <= 0 proves kappa < kappa0: those members step on M
+            # itself, with eigh, and keep their stored vectors
             rest = np.delete(np.arange(len(batch)), alive)
+            built.append(batch[rest])
+            a, W, E, den = topo.parts(kappa[rest], A[rest], L[rest])
             both = np.empty((2, len(batch)))
-            both[:, alive] = w[:, 0], topo.profiles(kappa[alive], L[alive], E[alive], den[alive],
-                                                    vecs[:, :, 0], kept, steps, roots)[3]
-            both[:, rest] = values(batch[rest], kappa[rest], [])
+            both[:, alive] = mu, slope
+            both[:, rest] = _newton_round(topo, _assemble(a, W), None, kappa[rest], L[rest], E, den,
+                                          None, [], roots)[:2]
             return both[0], both[1]
 
         found = increasing_roots(values, lo[group], opts.tol_kappa, NoBoundState,
@@ -697,10 +757,13 @@ def find_ground_state(graph: MetricGraph, options: SolverOptions | None = None) 
     root, and M_uv <= 0 makes its vector f positive (Perron-Frobenius).
     f^T M f is a minimum of functions affine in s = kappa**2, so mu0 is
     concave in s: :func:`rootscan.increasing_root` runs Newton's method in s
-    with the Hellmann-Feynman slope ||psi||**2 / ||f||**2, psi the state
-    with vertex values f, from :func:`rootscan.constant_trial_bound` lo,
-    where mu0 <= 0, in the unit of lo (see :func:`_ground_states` and
-    :func:`rootscan.unit`).  Vertices joined by edges with lo * l < 1e-3
+    from :func:`rootscan.constant_trial_bound` lo, where mu0 <= 0, in the
+    unit of lo (see :func:`_ground_states` and :func:`rootscan.unit`).  The
+    first round steps on mu0 from eigh with the Hellmann-Feynman slope
+    ||psi||**2 / ||f||**2, psi the state with vertex values f; each later
+    round on the Rayleigh quotient of y = M^-1 f, f the vector of the round
+    before, an upper bound of mu0 with its sign where y is one-signed (see
+    :func:`_newton_round`).  Vertices joined by edges with lo * l < 1e-3
     are eliminated first (see :func:`_reduced`); the Schur complement keeps
     the sign, the root and the concavity of mu0, and where a pivot is not
     positive (kappa < kappa0) the step is taken on M itself.  ``kappa_max``

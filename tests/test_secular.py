@@ -46,7 +46,14 @@ from qgbind import (
 from qgbind import secular as secular_module
 from qgbind.graph import parameters
 from qgbind.rayleigh import _interval_integrals
-from qgbind.secular import _Topology, _edge_minima, _positive_tail, vertex_matrix
+from qgbind.secular import (
+    _assemble,
+    _edge_minima,
+    _newton_round,
+    _positive_tail,
+    _Topology,
+    vertex_matrix,
+)
 
 # fixed point of kappa = 1 + exp(-kappa): two sites at distance 1, alpha -2
 TWO_DELTA_KAPPA = 1.2784645427610737
@@ -398,6 +405,93 @@ def test_a_state_whose_every_member_has_a_negative_pivot_is_refused():
 def test_graph_route_builds_few_matrices(graph, evaluations):
     # Newton steps, the certificate and the state
     assert find_ground_state(graph).diagnostics.indicator_evaluations == evaluations
+
+
+def test_graph_route_eigensolves_the_first_round_and_the_state(monkeypatch):
+    # the Newton rounds after the first take a linear solve; the certificate
+    # point too
+    seen, real = [], secular_module._eigh
+    monkeypatch.setattr(secular_module, "_eigh", lambda S: seen.append(len(S)) or real(S))
+    assert find_ground_state(star_graph(-1.0)).diagnostics.indicator_evaluations == 6
+    assert seen == [1, 1]
+
+
+# ------------------------------------------ the Newton round's two proofs
+
+def _kappa0_by_eigvalsh(graph):
+    hint = find_ground_state(graph).kappa0
+    return brentq(lambda k: np.linalg.eigvalsh(vertex_matrix(graph, k))[0],
+                  0.5 * hint, 2.0 * hint, xtol=1e-14 * hint, rtol=1e-15)
+
+
+def _round_on_m(graph, kappa, f):
+    """(value, slope) of one _newton_round on the unreduced M(kappa) from f:
+    those of the Rayleigh quotient of y = M^-1 f, or of mu0 from eigh, up to
+    one positive factor."""
+    topo, (alphas, lengths) = _Topology(graph), parameters(graph)
+    a, W, E, den = topo.parts(np.array([kappa]), alphas, lengths)
+    value, slope, _ = _newton_round(topo, _assemble(a, W), f[None], np.array([kappa]), lengths,
+                                    E, den, None, [], None)
+    return float(value[0]), float(slope[0])
+
+
+def test_a_singular_solve_takes_eigh():
+    # S = [[1, -1], [-1, 1]] is exactly singular: the solve gives NaN,
+    # which proves nothing, and the round takes mu0 = 0 from eigh
+    graph = robin_interval(-1.0, -1.0, 1.0)
+    topo, (alphas, lengths) = _Topology(graph), parameters(graph)
+    _, _, E, den = topo.parts(np.array([1.0]), alphas, lengths)
+    S = np.array([[[1.0, -1.0], [-1.0, 1.0]]])
+    with np.errstate(invalid="ignore"):  # as in rootscan.increasing_roots
+        value, slope, f = _newton_round(topo, S, np.array([[1.0, 2.0]]), np.array([1.0]),
+                                        lengths, E, den, None, [], None)
+    assert abs(value[0]) <= 1e-15 and slope[0] > 0.0
+    assert f[0] == pytest.approx([math.sqrt(0.5)] * 2, rel=1e-15)
+
+
+@pytest.mark.parametrize("draw", [random_tree_graph, random_cyclic_graph])
+def test_rayleigh_steps_stay_below_the_root_and_one_signed_solves_give_its_sign(draw):
+    # for any f >= 0: the Newton step on r_f(s) = f^T M(s) f / f^T f lands
+    # at or below kappa0**2 (r_f >= mu0, concave and increasing in s), and
+    # wherever y = M^-1 f is one-signed, y^T f has the sign of mu0 (M is an
+    # irreducible Z-matrix); the round's value always has that sign
+    rng = np.random.default_rng(29)
+    signs = set()
+    for _ in range(12):
+        graph = draw(rng)
+        topo, (alphas, lengths) = _Topology(graph), parameters(graph)
+        kappa0 = _kappa0_by_eigvalsh(graph)
+        perron = np.abs(np.linalg.eigh(vertex_matrix(graph, kappa0))[1][:, 0])
+        for kappa in kappa0 * np.array([0.3, 0.7, 0.99, 0.9999, 1.0001, 1.01, 1.5, 3.0]):
+            m = vertex_matrix(graph, kappa)
+            mu0 = np.linalg.eigvalsh(m)[0]
+            _, _, E, den = topo.parts(np.array([kappa]), alphas, lengths)
+            for f in (rng.uniform(0.05, 1.0, len(m)), perron):
+                # the slope of f^T M(s) f in s is the mass of f's state
+                mass = topo.profiles(np.array([kappa]), lengths, E, den, f[None], None, [],
+                                     None)[3][0]
+                assert kappa**2 - (f @ m @ f) / mass <= kappa0**2 * (1 + 1e-12)
+                value, slope = _round_on_m(graph, kappa, f)
+                assert np.sign(value) == np.sign(mu0)
+                assert kappa**2 - value / slope <= kappa0**2 * (1 + 1e-12)
+                y = np.linalg.solve(m, f)
+                if (y > 0).all() or (y < 0).all():
+                    assert np.sign(y @ f) == np.sign(mu0)
+                    signs.add(np.sign(mu0))
+    assert signs == {-1.0, 1.0}
+
+
+def test_a_solve_with_both_signs_proves_nothing():
+    # two unequal wells: at kappa = 0.51, far below kappa0 = 1, mu1 = 0.02
+    # of the weak well is the eigenvalue nearest 0, so y = M^-1 f has both
+    # signs and y^T f > 0 while mu0 < 0; the round takes mu0 from eigh
+    graph = as_chain_graph(LineConfig((0.0, 40.0), (-1.0, -2.0)))
+    m, f = vertex_matrix(graph, 0.51), np.array([1.0, 1.0])
+    mu0, mu1 = np.linalg.eigvalsh(m)
+    y = np.linalg.solve(m, f)
+    assert mu0 < 0.0 < mu1 < -mu0 and y.min() < 0.0 < y.max() and y @ f > 0.0
+    value, slope = _round_on_m(graph, 0.51, f)
+    assert value == pytest.approx(mu0, rel=1e-12) and slope > 0.0
 
 
 def test_huge_coupling_solves_without_allocating():

@@ -125,6 +125,10 @@ def test_batched_sweep_matches_direct_solves(graph, specs, options, kinds):
     # a sweep solves its grid as one batch (secular._ground_states); each
     # point is its direct solve, bit for bit, or raises as it does, with the
     # same message
+    _assert_batch_matches_direct_solves(graph, specs, options, kinds)
+
+
+def _assert_batch_matches_direct_solves(graph, specs, options, kinds):
     targets = [SweepTarget.parse(spec[0]) for spec in specs]
     axes = [spec[1] if len(spec) == 2 else SweepSpec(target, *spec[1:]).values()
             for target, spec in zip(targets, specs)]
@@ -150,6 +154,39 @@ def test_batched_sweep_matches_direct_solves(graph, specs, options, kinds):
             for state in batch]
         assert [row.kappa0 for row in rows] == [
             None if isinstance(state, Exception) else state.kappa0 for state in batch]
+
+
+_GRID = [("vertex:c", -2.0, -0.2, 10), ("edge:axial", 0.25, 3.0, 10)]
+
+
+def _count_calls(monkeypatch, *names):
+    """The (name, number of matrices) of each call of secular's ``names``."""
+    calls = []
+    for name in names:
+        real = getattr(secular, name)
+        monkeypatch.setattr(secular, name, lambda S, *rest, name=name, real=real: (
+            calls.append((name, len(S))) or real(S, *rest)))
+    return calls
+
+
+def test_a_round_split_between_solve_and_eigh_matches_direct_solves(monkeypatch):
+    # on the 10 x 10 star grid one Newton round sends some members to eigh,
+    # whose solve gave a vector with both signs, and the rest through the
+    # solve alone; each point is still its direct solve, bit for bit
+    calls = _count_calls(monkeypatch, "_solve", "_eigh")
+    _assert_batch_matches_direct_solves(star_graph(-1.0), _GRID, None, {"ok"})
+    assert any(a == "_solve" and b == "_eigh" and 0 < m < k
+               for (a, k), (b, m) in zip(calls, calls[1:]))
+
+
+def test_the_criterion_03_sweep_eigensolves_few_matrices(monkeypatch):
+    # the first round, the members whose solve has both signs, and the
+    # states: at most 3 matrices a point (6.67 with an eigh every round)
+    calls = _count_calls(monkeypatch, "_eigh")
+    rows = run_sweep(star_graph(-1.0), [SweepSpec(SweepTarget.parse(t), lo, hi, 50)
+                                        for t, lo, hi, _ in _GRID])
+    assert len(rows) == 2500 and all(row.ok for row in rows)
+    assert sum(m for _, m in calls) <= 3 * 2500
 
 
 def test_a_point_the_eigensolver_fails_on_fails_alone(monkeypatch):
